@@ -123,7 +123,12 @@ class WorkerPool:
                 try:
                     conn = http.client.HTTPConnection(host, port, timeout=2.0)
                     conn.request("GET", "/api/v1/health")
-                    status = conn.getresponse().status
+                    response = conn.getresponse()
+                    # Read the body before closing: a worker still
+                    # writing it to a closed socket fails with
+                    # BrokenPipeError.
+                    response.read()
+                    status = response.status
                     conn.close()
                     if status == 200:
                         break

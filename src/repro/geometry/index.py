@@ -1,10 +1,17 @@
-"""Spatial indexes: a uniform grid and an STR-packed R-tree.
+"""Spatial indexes: envelope columns, a uniform grid and an STR-packed R-tree.
 
-The personalization engine evaluates rules such as "stores at less than
-5 km of my location" (Example 5.2) over warehouses with up to hundreds of
-thousands of members; the ablation benchmark ABL1 compares these indexes
-against brute force.  Both indexes store ``(envelope, item)`` pairs and
-answer envelope, radius and nearest-neighbour queries.
+:class:`EnvelopeColumns` is the index the engine serves from: the star
+caches one per spatial level and per layer
+(:meth:`~repro.storage.star.StarSchema.level_grid_index`,
+:meth:`~repro.storage.star.StarSchema.layer_grid_index`).  GeoMDQL
+spatial filters and PRML rules of Example 5.2's shape ("stores at less
+than 5 km of my location") both query it through
+:func:`candidate_probe`, after :func:`distance_prefilter_sound` has said
+the pre-filter is exact for their metric and comparison; only the
+candidates then take the exact test.  :class:`GridIndex` and
+:class:`STRtree` answer envelope, radius and nearest-neighbour queries
+for the ablation benchmark ABL1, which compares them against
+:func:`brute_force_within_distance`.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from array import array
 from typing import Generic, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.errors import GeometryError
+from repro.geometry.algorithms import EPS
 from repro.geometry.gtypes import Envelope, Geometry, Point
+from repro.geometry.metrics import Metric, PlanarMetric
 from repro.vectorized import numpy_backend
 
 __all__ = [
@@ -23,22 +32,39 @@ __all__ = [
     "GridIndex",
     "STRtree",
     "brute_force_within_distance",
+    "candidate_probe",
+    "distance_prefilter_sound",
 ]
 
 T = TypeVar("T", bound=Hashable)
 
 
-def _radius_margin(center: Point, radius: float) -> float:
-    """Float-safety margin for radius queries.
+def distance_prefilter_sound(metric: Metric, comparison: str) -> bool:
+    """Whether an envelope probe may pre-filter ``distance <comparison> d``.
 
-    The exact distance test rounds: a geometry whose true distance is a
-    hair *over* ``radius`` can still compute as ``<= radius`` (e.g. a
-    point at ``-5e-151`` probed from ``(1, 0)`` with radius ``1``).  The
-    envelope pre-filters must therefore be slightly *looser* than the
-    exact test, or the indexes drop items the brute-force scan keeps.
-    Over-inclusion is harmless — the exact test decides.
+    Envelope distances are planar lower bounds of geometry distances, so
+    "envelopes farther apart than ``d``" soundly excludes a geometry only
+    under a planar metric and for the upper-bound comparisons ``<`` and
+    ``<=``.
     """
-    return 1e-9 * (abs(center.x) + abs(center.y) + radius)
+    return comparison in ("<", "<=") and isinstance(metric, PlanarMetric)
+
+
+def candidate_probe(env: Envelope, threshold: float = 0.0) -> Envelope:
+    """Loosen an envelope for candidate queries.
+
+    The exact predicates are tolerance-based (they pre-check
+    ``envelope.expanded(EPS)``) and the exact distance computation
+    rounds (a point at ``(-5e-151, 0)`` probed from ``(1, 0)`` computes
+    at distance ``1``, a hair under its true distance), so the index
+    probe must be *at least* as permissive as the exact tests or the
+    indexed path would drop members the scan keeps.  Over-inclusion is
+    harmless — the exact tests decide.
+    """
+    scale = max(
+        abs(env.min_x), abs(env.min_y), abs(env.max_x), abs(env.max_y), 1.0
+    )
+    return env.expanded(threshold + EPS + 1e-9 * (scale + threshold))
 
 
 def brute_force_within_distance(
@@ -222,9 +248,7 @@ class GridIndex(Generic[T]):
 
         if radius < 0:
             raise GeometryError("radius must be non-negative")
-        probe = Envelope(center.x, center.y, center.x, center.y).expanded(
-            radius + _radius_margin(center, radius)
-        )
+        probe = candidate_probe(center.envelope, radius)
         seen: set[int] = set()
         out: list[T] = []
         for key in self._keys_for(probe):
@@ -344,13 +368,12 @@ class STRtree(Generic[T]):
 
         if radius < 0:
             raise GeometryError("radius must be non-negative")
-        probe = Envelope(center.x, center.y, center.x, center.y)
-        cutoff = radius + _radius_margin(center, radius)
+        probe = candidate_probe(center.envelope, radius)
         out: list[T] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.envelope.distance(probe) > cutoff:
+            if not node.envelope.intersects(probe):
                 continue
             if node.is_leaf:
                 for idx in node.entries:

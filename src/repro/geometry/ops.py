@@ -321,11 +321,17 @@ def convex_hull(geoms: Iterable[Geometry] | Geometry) -> Geometry:
         try:
             return Polygon(hull)
         except GeometryError:
-            # A tolerance-degenerate hull (near-zero area sliver): treat it
-            # as its diameter segment, like the exactly-collinear case.
+            # A tolerance-degenerate hull that Polygon rejects (its area
+            # tolerance is absolute).  A sliver collapses to its diameter
+            # segment, like the exactly-collinear case; a hull that is
+            # merely tiny would lose its vertices off that segment, so it
+            # keeps the input points instead.  Either way every input
+            # point stays within tolerance of the result.
             anchor = hull[0]
             a = max(hull, key=lambda p: alg.distance(anchor, p))
             b = max(hull, key=lambda p: alg.distance(a, p))
+            if any(alg.point_segment_distance(p, a, b) > alg.EPS for p in hull):
+                return MultiPoint(Point(*c) for c in sorted(set(coords)))
             hull = sorted((a, b)) if a != b else [a]
     if len(hull) == 1:
         return Point(*hull[0])

@@ -26,13 +26,13 @@ from repro.errors import QueryError
 from repro.vectorized import numpy_backend
 from repro.geomd.schema import GeoMDSchema
 from repro.geometry import Geometry, PlanarMetric, Metric
-from repro.geometry.algorithms import EPS as _EPS
 from repro.geometry import contains as g_contains
 from repro.geometry import crosses as g_crosses
 from repro.geometry import disjoint as g_disjoint
 from repro.geometry import equals as g_equals
 from repro.geometry import intersects as g_intersects
 from repro.geometry import within as g_within
+from repro.geometry.index import candidate_probe, distance_prefilter_sound
 from repro.mdm.model import Aggregator, MDSchema
 from repro.storage.star import StarSchema
 
@@ -333,37 +333,6 @@ def _target_geometries(star: StarSchema, target: LayerRef | Geometry) -> list[Ge
     return [target]
 
 
-def _spatial_fast_path_applicable(flt: SpatialFilter, metric: Metric) -> bool:
-    """Whether the envelope pre-filter is sound for this filter.
-
-    Envelope distances are planar lower bounds of geometry distances, so
-    for ``DISTANCE`` the pre-filter is only valid under a planar metric
-    and for upper-bound comparisons (``<`` / ``<=``), where "envelopes
-    farther than the threshold" soundly excludes a member.  All boolean
-    relations imply (or are implied by) envelope intersection.
-    """
-    if flt.relation is not SpatialRelation.DISTANCE:
-        return True
-    return flt.op in (ComparisonOp.LT, ComparisonOp.LE) and isinstance(
-        metric, PlanarMetric
-    )
-
-
-def _candidate_probe(env, threshold: float = 0.0):
-    """Loosen an envelope for candidate queries.
-
-    The exact predicates are tolerance-based (they pre-check
-    ``envelope.expanded(EPS)``) and the exact distance computation
-    rounds, so the index probe must be *at least* as permissive as the
-    exact tests or the fast path would drop members the scan keeps.
-    Over-inclusion is harmless — the exact tests decide.
-    """
-    scale = max(
-        abs(env.min_x), abs(env.min_y), abs(env.max_x), abs(env.max_y), 1.0
-    )
-    return env.expanded(threshold + _EPS + 1e-9 * (scale + threshold))
-
-
 def _spatial_matching_with_index(
     star: StarSchema,
     flt: SpatialFilter,
@@ -396,7 +365,7 @@ def _spatial_matching_with_index(
     if flt.relation is SpatialRelation.DISTANCE:
         assert flt.op is not None and flt.threshold is not None
         for target in targets:
-            probe = _candidate_probe(target.envelope, flt.threshold)
+            probe = candidate_probe(target.envelope, flt.threshold)
             for key in index.query_envelope(probe):
                 if key in matching:
                     continue
@@ -412,14 +381,14 @@ def _spatial_matching_with_index(
         # envelope-level candidates need the exact all-targets test.
         candidates: set[str] = set()
         for target in targets:
-            candidates.update(index.query_envelope(_candidate_probe(target.envelope)))
+            candidates.update(index.query_envelope(candidate_probe(target.envelope)))
         matching = set(geometry_of)
         for key in candidates:
             if not all(predicate(geometry_of[key], t) for t in targets):
                 matching.discard(key)
         return matching
     for target in targets:
-        for key in index.query_envelope(_candidate_probe(target.envelope)):
+        for key in index.query_envelope(candidate_probe(target.envelope)):
             if key in matching:
                 continue
             if predicate(geometry_of[key], target):
@@ -440,7 +409,7 @@ def _match_members_against_layer_index(
     if flt.relation is SpatialRelation.DISTANCE:
         assert flt.op is not None and flt.threshold is not None
         for key, geometry in geometry_of.items():
-            probe = _candidate_probe(geometry.envelope, flt.threshold)
+            probe = candidate_probe(geometry.envelope, flt.threshold)
             if any(
                 flt.op.apply(
                     metric.distance(geometry, target_geoms[i]), flt.threshold
@@ -452,7 +421,7 @@ def _match_members_against_layer_index(
     predicate = _relation_predicate(flt.relation)
     for key, geometry in geometry_of.items():
         candidates = target_index.query_envelope(
-            _candidate_probe(geometry.envelope)
+            candidate_probe(geometry.envelope)
         )
         if flt.relation is SpatialRelation.DISJOINT:
             # Non-candidate features are envelope-separated, hence
@@ -483,7 +452,16 @@ def _allowed_keys_for_spatial_filter(
         )
     targets = _target_geometries(star, flt.target)
     table = star.dimension_table(flt.ref.dimension)
-    if star.use_indexes and targets and _spatial_fast_path_applicable(flt, metric):
+    # Boolean relations imply (or are implied by) envelope intersection,
+    # so the envelope pre-filter is sound for every one of them.
+    if (
+        star.use_indexes
+        and targets
+        and (
+            flt.relation is not SpatialRelation.DISTANCE
+            or distance_prefilter_sound(metric, flt.op.value)
+        )
+    ):
         matching = _spatial_matching_with_index(
             star, flt, metric, flt.ref.dimension, level, targets
         )

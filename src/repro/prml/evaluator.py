@@ -12,18 +12,33 @@ The evaluator executes a rule body (the engine in
   external geographic providers the paper assumes — SDIs, geo-portals);
 * ``SelectInstance`` accumulates into a :class:`SelectionSet`, which the
   personalization engine later turns into a fact-row selection.
+
+Statements are interpreted node by node, with one exception: a
+``Foreach`` of Example 5.2's shape (select the members of one level
+within a distance of a fixed geometry) is answered from the star's
+envelope index when that gives the loop's exact result — see
+:meth:`Evaluator._select_nearby_with_index`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro.errors import PRMLRuntimeError, SchemaError, StorageError, UserModelError
+from repro.errors import (
+    GeometryError,
+    PRMLRuntimeError,
+    SchemaError,
+    StorageError,
+    UserModelError,
+)
 from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema
-from repro.geometry import Geometry, Metric, PlanarMetric
+from repro.geometry import Geometry, LineString, Metric, PlanarMetric, Point, Polygon
+from repro.geometry.index import candidate_probe, distance_prefilter_sound
 from repro.mdm.model import MDSchema, ResolvedLevel
 from repro.prml.ast import (
     AddLayerAction,
@@ -346,6 +361,78 @@ class RuleOutcome:
     error: str | None = None
 
 
+@dataclass(frozen=True)
+class _NearbySelection:
+    """A ``Foreach`` of Example 5.2's shape, taken apart::
+
+        Foreach v in (L)
+          If (Distance(v.geometry, X) < d) then SelectInstance(v) endIf
+        endForeach
+
+    ``<=`` and ``Distance(X, v.geometry)`` match too; ``X`` and ``d``
+    never mention ``v``, so one evaluation serves every member.
+    """
+
+    member_first: bool
+    other: Expr
+    threshold: Expr
+    comparison: BinaryOperator
+
+
+def _mentions(expr: Expr, var: str) -> bool:
+    """Whether ``expr`` reads loop variable ``var``."""
+    if isinstance(expr, VarPath):
+        return expr.var == var
+    if isinstance(expr, BinaryOp):
+        return _mentions(expr.left, var) or _mentions(expr.right, var)
+    if isinstance(expr, NotOp):
+        return _mentions(expr.operand, var)
+    if isinstance(expr, SpatialCall):
+        return any(_mentions(arg, var) for arg in expr.args)
+    return False  # literals, parameters and model paths bind no variable
+
+
+def _nearby_selection(stmt: ForeachStmt) -> _NearbySelection | None:
+    """``stmt`` taken apart if it has Example 5.2's shape, else None."""
+    if len(stmt.variables) != 1 or len(stmt.body) != 1:
+        return None
+    var = stmt.variables[0]
+    branch = stmt.body[0]
+    if (
+        not isinstance(branch, IfStmt)
+        or branch.else_body
+        or branch.then_body != (SelectInstanceAction(VarPath(var)),)
+    ):
+        return None
+    condition = branch.condition
+    if (
+        not isinstance(condition, BinaryOp)
+        or condition.op not in (BinaryOperator.LT, BinaryOperator.LE)
+        or _mentions(condition.right, var)
+    ):
+        return None
+    call = condition.left
+    if (
+        not isinstance(call, SpatialCall)
+        or call.function is not SpatialFunction.DISTANCE
+        or len(call.args) != 2
+    ):
+        return None
+    member_geometry = VarPath(var, (GEOMETRY_ATTRIBUTE,))
+    first, second = call.args
+    if first == member_geometry and not _mentions(second, var):
+        return _NearbySelection(True, second, condition.right, condition.op)
+    if second == member_geometry and not _mentions(first, var):
+        return _NearbySelection(False, first, condition.right, condition.op)
+    return None
+
+
+#: Geometry types that are never empty, so ``Distance`` measures them
+#: against any geometry it measures at all (a collection with an empty
+#: part could make it raise on some members and not on others).
+_PRIMITIVE_TYPES = frozenset((Point, LineString, Polygon))
+
+
 class Evaluator:
     """Executes rule bodies against a :class:`RuntimeContext`."""
 
@@ -378,6 +465,8 @@ class Evaluator:
                 self._exec_stmt(inner, env, outcome)
             return
         if isinstance(stmt, ForeachStmt):
+            if self._select_nearby_with_index(stmt, env, outcome):
+                return
             collections = [
                 self._eval_collection(source) for source in stmt.sources
             ]
@@ -426,6 +515,81 @@ class Evaluator:
             self._exec_add_layer(stmt, outcome)
             return
         raise PRMLRuntimeError(f"cannot execute {type(stmt).__name__}")
+
+    def _select_nearby_with_index(
+        self, stmt: ForeachStmt, env: dict[str, object], outcome: RuleOutcome
+    ) -> bool:
+        """Run a Foreach of Example 5.2's shape from the envelope index.
+
+        The loop evaluates ``X`` and ``d`` again and measures every member
+        of the level.  Here both are evaluated once, in the loop's order,
+        and the star's cached :class:`~repro.geometry.index.EnvelopeColumns`
+        over the level yields the members whose envelope meets ``X``'s,
+        loosened by ``d`` (:func:`~repro.geometry.index.candidate_probe`).
+        Only those take the loop's ``prml_distance`` test, with the
+        arguments in the rule's order, and the ones that pass are
+        selected in member order.  The selection and every outcome
+        counter equal the loop's.
+
+        Returns False, and the caller runs the loop, for any other shape;
+        with :attr:`StarSchema.use_indexes` off; for a non-planar metric;
+        for a layer, an empty level or a member whose geometry is missing
+        or not a point, line or polygon; and when ``X`` or ``d`` does not
+        evaluate to a geometry the first member can be measured against
+        and a finite, non-negative number.  The loop then raises the
+        interpreter's own errors, in its own order.
+        """
+        shape = _nearby_selection(stmt)
+        context = self.context
+        if (
+            shape is None
+            or not context.star.use_indexes
+            or not distance_prefilter_sound(context.metric, shape.comparison.value)
+        ):
+            return False
+        try:
+            resolved = self._resolve_level(stmt.sources[0])
+            if resolved is None:
+                return False  # a layer's features
+            dimension, level = resolved.dimension.name, resolved.level.name
+            members = context.star.dimension_table(dimension).members(level)
+        except (PRMLRuntimeError, StorageError):
+            return False
+        geometries = [member.attributes.get(GEOMETRY_ATTRIBUTE) for member in members]
+        if not members or not {type(g) for g in geometries} <= _PRIMITIVE_TYPES:
+            return False
+
+        def measure(geometry: Geometry, other: Geometry) -> float:
+            args = (geometry, other) if shape.member_first else (other, geometry)
+            return prml_distance(args, context.metric)
+
+        # The loop's first iteration: X, its distance to the first member,
+        # then d.  Each is evaluated once here; later iterations of the
+        # loop would only repeat them.
+        try:
+            other = self._coerce_geometry(self._eval(shape.other, env), shape.other)
+            if not isinstance(other, Geometry):
+                return False
+            measure(geometries[0], other)
+            threshold = self._eval(shape.threshold, env)
+        except (PRMLRuntimeError, GeometryError):
+            return False
+        if not isinstance(threshold, (int, float)) or not (
+            0 <= threshold <= sys.float_info.max
+        ):
+            return False
+        cached = context.star.level_grid_index(dimension, level)
+        if cached is None or len(cached[1]) != len(members):
+            return False
+        near = set(cached[0].query_envelope(candidate_probe(other.envelope, threshold)))
+        passes = operator.le if shape.comparison is BinaryOperator.LE else operator.lt
+        outcome.iterations += len(members)
+        for member, geometry in zip(members, geometries):
+            if member.key in near and passes(measure(geometry, other), threshold):
+                context.selection.add_member(dimension, level, member.key)
+                outcome.selected_instances += 1
+                outcome.fired_actions += 1
+        return True
 
     def _exec_become_spatial(
         self, stmt: BecomeSpatialAction, outcome: RuleOutcome
@@ -603,6 +767,19 @@ class Evaluator:
 
     def _eval_collection(self, path: PathExpr) -> list[object]:
         """Resolve an MD/GeoMD path to its member/feature collection."""
+        resolved = self._resolve_level(path)
+        if resolved is None:
+            layer = path.steps[0]
+            table = self.context.star.layer_table(layer)
+            return [BoundFeature(f, layer) for f in table.features()]
+        table = self.context.star.dimension_table(resolved.dimension.name)
+        return [
+            BoundMember(m, resolved.dimension.name)
+            for m in table.members(resolved.level.name)
+        ]
+
+    def _resolve_level(self, path: PathExpr) -> ResolvedLevel | None:
+        """The level an MD/GeoMD path iterates, or None for a layer."""
         if path.root == "SUS":
             raise PRMLRuntimeError(f"{path} is not an iterable collection")
         schema: MDSchema = (
@@ -615,8 +792,7 @@ class Evaluator:
             and isinstance(schema, GeoMDSchema)
             and steps[0] in schema.layers
         ):
-            table = self.context.star.layer_table(steps[0])
-            return [BoundFeature(f, steps[0]) for f in table.features()]
+            return None
         try:
             resolved = schema.resolve(steps)
         except SchemaError as exc:
@@ -625,11 +801,7 @@ class Evaluator:
             raise PRMLRuntimeError(
                 f"{path} resolves to an attribute, not an iterable level"
             )
-        table = self.context.star.dimension_table(resolved.dimension.name)
-        return [
-            BoundMember(m, resolved.dimension.name)
-            for m in table.members(resolved.level.name)
-        ]
+        return resolved
 
     def _coerce_geometry(self, value: object, origin: Expr) -> object:
         if isinstance(value, (Geometry, LineAnchoredCollection)):

@@ -298,6 +298,15 @@ class PersonalizationService:
                 raise BadRequestError(
                     str(exc), code="query_error", detail={"q": request.q}
                 ) from exc
+            # Stamped before the view and the scan read the star: a row
+            # appended meanwhile then leaves a stamp older than the star,
+            # and the next lookup recomputes instead of serving an answer
+            # that lacks the row.
+            stamps = (
+                ()
+                if request.as_of is not None
+                else self._generation_stamps(star, query)
+            )
             # The parsed query names the fact, so multi-fact stars
             # materialize the right per-fact view.
             view = session.view(query.fact)
@@ -324,11 +333,7 @@ class PersonalizationService:
                 rows=tuple(cell_set.to_rows()),
                 fact_rows_scanned=cell_set.fact_rows_scanned,
                 fact_rows_matched=cell_set.fact_rows_matched,
-                stamps=(
-                    ()
-                    if request.as_of is not None
-                    else self._generation_stamps(star, query)
-                ),
+                stamps=stamps,
             )
             if cache_key is not None:
                 # query_cache_size is runtime-mutable; trim to its live value.

@@ -56,8 +56,23 @@ def _make_handler(app: PortalApp) -> type[BaseHTTPRequestHandler]:
             self.send_header("Content-Length", str(len(payload)))
             for key, value in response.headers.items():
                 self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(payload)
+            self._end_headers_with(payload)
+
+        def _end_headers_with(self, payload: bytes) -> None:
+            """``end_headers()`` and the body in one ``sendall``.
+
+            ``end_headers()`` writes the buffered header block on its
+            own, so the body would leave as a second segment, which a
+            client that delays its ACKs holds for about 40 ms.  Instead
+            the blank line and the body join the header buffer and one
+            flush writes the whole response.  HTTP/0.9 has no headers,
+            so the stdlib keeps no buffer for it.
+            """
+            if self.request_version == "HTTP/0.9":
+                self.wfile.write(payload)
+                return
+            self._headers_buffer.extend((b"\r\n", payload))
+            self.flush_headers()
 
         def do_GET(self) -> None:  # noqa: N802 - stdlib naming
             self._dispatch("GET")

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
@@ -125,6 +125,9 @@ class TestPredicateProperties:
 
 class TestHullProperties:
     @given(st.lists(points, min_size=1, max_size=20))
+    # A tiny triangle: Polygon rejects its area as zero, and collapsing
+    # it to its diameter would leave (0, 0) 7.07e-6 away.
+    @example([Point(0.0, 0.0), Point(0.0, 1e-5), Point(1e-5, 0.0)])
     def test_hull_contains_all_points(self, pts):
         hull = convex_hull(pts)
         for p in pts:

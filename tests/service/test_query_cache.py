@@ -166,6 +166,40 @@ class TestHitsAndMisses:
         assert service.query_cache_hits == 0
         assert service.query_cache_misses == 2
 
+    def test_sale_appended_during_the_scan_is_not_served_stale(
+        self, service, token, engine, monkeypatch
+    ):
+        """The answer is stamped with the generations it was computed
+        from: a sale that lands while the scan runs leaves the entry
+        stale, so the repeated query counts it."""
+        from repro.service import facade
+
+        star = engine.star
+        fact_table = star.fact_table()
+        real_execute = facade.execute
+        appended = []
+
+        def execute_then_append(star_, query, selection, *args, **kwargs):
+            result = real_execute(star_, query, selection, *args, **kwargs)
+            if not appended:
+                # A sale inside the personalized view, so the count moves.
+                row = fact_table.row(next(iter(selection)) if selection else 0)
+                star.insert_fact(
+                    fact_table.fact.name,
+                    {d: row[d] for d in fact_table.fact.dimension_names},
+                    {m: row[m] for m in fact_table.fact.measures},
+                )
+                appended.append(row)
+            return result
+
+        monkeypatch.setattr(facade, "execute", execute_then_append)
+        count = QueryRequest(q="SELECT COUNT(*) FROM Sales")
+        first = service.query(token, count)
+        second = service.query(token, count)
+        assert appended
+        assert second.rows[0][0] == first.rows[0][0] + 1
+        assert service.query_cache_hits == 0
+
     def test_member_update_misses(self, service, token, engine):
         """An in-place member update on a dimension of the queried fact
         moves that dimension's stamp."""

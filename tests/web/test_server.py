@@ -1,12 +1,14 @@
 """Tests for the stdlib HTTP adapter over a real loopback socket."""
 
 import http.client
+import io
 import json
 import threading
 
 import pytest
 
 from repro.web import PortalApp
+from repro.web.http import json_response
 from repro.web.server import make_server
 
 
@@ -90,3 +92,73 @@ class TestHTTPAdapter:
         assert status == 200
         assert layer["page"]["returned"] == 1
         assert layer["page"]["total"] == len(world.airports)
+
+
+class _RecordingConnection:
+    """A client connection: canned request bytes in, every ``sendall``
+    recorded."""
+
+    def __init__(self, requests: bytes) -> None:
+        self._requests = requests
+        self.sent: list[bytes] = []
+
+    def makefile(self, mode, buffering=-1):
+        return io.BytesIO(self._requests)
+
+    def sendall(self, data) -> None:
+        self.sent.append(bytes(data))
+
+
+def _serve_connection(app, requests: bytes) -> list[bytes]:
+    """Run the adapter's handler over one connection; its writes."""
+    server = make_server(app, "127.0.0.1", 0)
+    try:
+        connection = _RecordingConnection(requests)
+        server.RequestHandlerClass(connection, ("127.0.0.1", 0), server)
+    finally:
+        server.server_close()
+    return connection.sent
+
+
+def _split_response(segment: bytes) -> tuple[list[bytes], bytes]:
+    head, _, body = segment.partition(b"\r\n\r\n")
+    return head.split(b"\r\n"), body
+
+
+class TestOneWritePerResponse:
+    """Status line, headers and body leave in one ``sendall``: a body
+    sent as a second segment waits on a client's delayed ACK."""
+
+    def test_each_response_is_one_sendall(self, engine, profile):
+        app = PortalApp(engine)
+        app.register_user(profile)
+        login = json.dumps({"user": profile.user_id}).encode("utf-8")
+        requests = (
+            b"GET /api/v1/datamarts HTTP/1.1\r\nHost: t\r\n\r\n"
+            b"GET /nowhere HTTP/1.1\r\nHost: t\r\n\r\n"
+            b"POST /api/v1/login HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {len(login)}\r\n\r\n".encode("ascii")
+            + login
+        )
+        sent = _serve_connection(app, requests)
+        assert len(sent) == 3
+        statuses = []
+        for segment in sent:
+            lines, body = _split_response(segment)
+            statuses.append(lines[0].split()[1])
+            assert f"Content-Length: {len(body)}".encode("ascii") in lines
+            json.loads(body)
+        assert statuses == [b"200", b"404", b"200"]
+
+    def test_large_body_is_one_sendall(self):
+        class LargeBodyApp:
+            def handle(self, method, path, body, headers=None, query=None):
+                return json_response({"blob": "x" * 1_000_000})
+
+        sent = _serve_connection(
+            LargeBodyApp(), b"GET /blob HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        assert len(sent) == 1
+        _lines, body = _split_response(sent[0])
+        assert len(json.loads(body)["blob"]) == 1_000_000
