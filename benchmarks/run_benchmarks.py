@@ -1,14 +1,14 @@
 """EXT-series benchmark runner with a JSON emitter (perf trajectory).
 
 Runs the EXT3 portal request mixes, the EXT4 recommendation mixes and
-the EXT5 shared-view-store mixes twice — once with every cache layer
-disabled (``engine.enable_caches = False``, ``star.use_indexes =
-False``, service ``query_cache_size = 0``, recommender memo off; the
-uncached request path) and once with them enabled — and writes a JSON
-artefact recording req/s (and fact rows scanned for the query mixes),
-plus the speedups.  Before timing, it replays each mix in both modes and
-asserts the response bodies are byte-identical: the caches must be
-*transparent*.
+the EXT5 shared-view-store mixes twice — once with the star's
+``oracle`` switch set (every layer on its reference path: no view memo
+or store, no query cache, no recommender memo, scans instead of
+indexes, the row-loop executor) and once with it cleared — and writes a
+JSON artefact recording req/s (and fact rows scanned for the query
+mixes), plus the speedups.  Before timing, it replays each mix in both
+modes and asserts the response bodies are byte-identical: the caches
+must be *transparent*.
 
 The EXT4 mixes ride the multi-user demo workload
 (:func:`repro.data.replay_demo_workload`): three journaled analysts,
@@ -55,10 +55,10 @@ The EXT8 mix exercises the PR 9 mutation log:
   and features mutate every step (and a fact row drawn from inside the
   personalized view every 8th), run in the
   typed-delta mode (views patched, roll-up caches extended in place,
-  stamped query cache kept warm) and in full-invalidation mode
-  (``view_store.incremental = False`` plus a blanket
-  ``note_*_change`` per mutation).  Both modes must answer
-  bit-identically before timing.
+  stamped query cache kept warm) and in full-invalidation mode (a
+  blanket ``note_*_change`` and a view-store ``invalidate()`` after
+  every step's mutations).  Both modes must answer bit-identically
+  before timing.
 
 The EXT9 mix exercises the PR 10 synthetic workload engine:
 
@@ -163,19 +163,13 @@ def login(app, profile, world) -> str:
 
 
 def set_caches(app, engine, star, enabled: bool) -> None:
-    engine.enable_caches = enabled
-    star.use_indexes = enabled
-    # The disabled mode also routes queries through the row-loop
-    # reference executor, so the transparency gates double as an
-    # end-to-end identical-response check on the columnar engine.
-    star.use_vectorized = enabled
-    app.service.query_cache_size = 256 if enabled else 0
+    """Clear the star's oracle switch (caches and indexes on) or set it
+    (every layer on its reference path, the row-loop executor included),
+    and empty the caches so nothing warm crosses into the next phase."""
+    star.oracle = not enabled
     app.service._query_cache.clear()
-    app.service.recommender.enable_memo = enabled
     app.service.recommender._memo.clear()
-    # enable_caches=False already routes sessions around the shared view
-    # store; dropping its entries keeps the disabled mode honest (nothing
-    # warm survives into the next enabled phase).
+    app.service.recommender._profiles.clear()
     if engine.view_store is not None:
         engine.view_store.invalidate()
 
@@ -399,7 +393,7 @@ def bench_ext6(scale: str, multiplier: int) -> dict:
 
     # Identical-response gate (also warms the translation tables so the
     # timed runs compare steady states).
-    assert star.use_vectorized
+    assert not star.oracle
     for query in queries:
         reference = execute_reference(star, query)
         vectorized = execute(star, query)
@@ -660,9 +654,9 @@ def _ext7_pool_mode(scale: str, workers: int, rounds: int, gate_rounds: int):
 # envelope grids survive additive member/feature churn, and the
 # stamped query cache only drops entries whose per-kind generation
 # stamps actually moved.  EXT8 measures that against the pre-delta
-# semantics: ``view_store.incremental = False`` plus a blanket
-# ``note_member_change``/``note_feature_change`` after every mutation —
-# the one-size-fits-all invalidation every mutation used to be.
+# semantics: a blanket ``note_member_change``/``note_feature_change``
+# and a view-store ``invalidate()`` after every step's mutations — the
+# one-size-fits-all invalidation every mutation used to be.
 #
 # The mix: a steady request stream per step — 4 views, one spatial
 # DISTANCE query against the rule-added Airport layer (the paper's
@@ -707,13 +701,12 @@ def _ext8_build(scale: str, multiplier: int):
 
 def _ext8_setup(bundle, full_invalidation: bool) -> dict:
     """Log in, pin a fact-row template inside the view, add the churn
-    layer; in full-invalidation mode also flip the store to blanket
-    invalidation and detach the history (the pre-delta tier kept none)."""
+    layer; in full-invalidation mode also detach the history (the
+    pre-delta tier kept none)."""
     from repro.geomd import GeometricType
 
     world, star, engine, profile, app = bundle
     if full_invalidation:
-        engine.view_store.incremental = False
         if star.history is not None:
             star.history.detach()
     token = login(app, profile, world)
@@ -757,11 +750,12 @@ def _ext8_churn(state: dict, steps: int) -> list:
             # Pre-PR9 blanket semantics for the two mutated targets: a
             # member mutation dropped the dimension's roll-up indexes,
             # translations and grids; a feature mutation dropped the
-            # layer grid; and the bumped per-kind generations stale
-            # every query-cache stamp over the fact (a Sales answer
-            # depends on every Sales dimension).
+            # layer grid; the bumped per-kind generations stale every
+            # query-cache stamp over the fact (a Sales answer depends on
+            # every Sales dimension); and every view is rebuilt.
             star.note_member_change("Product", op="update")
             star.note_feature_change("Harbour")
+            state["engine"].view_store.invalidate()
         step_bodies = []
         for _ in range(EXT8_VIEWS_PER_STEP):
             response = app.handle("GET", "/api/v1/view", token=token)

@@ -94,15 +94,6 @@ def main() -> None:
         ),
     )
 
-    # The seed's unversioned routes still answer through the shim,
-    # flagged with deprecation headers.
-    legacy = app.handle("GET", "/view", token=token)
-    print(
-        f"\nlegacy GET /view [{legacy.status}] "
-        f"Deprecation={legacy.headers.get('Deprecation')} "
-        f"successor={legacy.headers.get('X-Successor')}"
-    )
-
     show("POST /api/v1/logout", app.handle("POST", "/api/v1/logout", token=token))
 
 

@@ -160,7 +160,6 @@ def make_query_cache(
 
 def make_view_store(
     max_size: int,
-    incremental: bool = True,
     namespace: str | None = None,
     backend: StateBackend | None = None,
 ):
@@ -168,14 +167,13 @@ def make_view_store(
     if backend is None and backend_kind() == "memory":
         from repro.personalization.view_store import ViewStore
 
-        return ViewStore(max_size, incremental=incremental)
+        return ViewStore(max_size)
     from repro.cluster.stores import BackendViewStore
 
     return BackendViewStore(
         backend or shared_backend(),
         namespace=namespace or fresh_namespace("eng"),
         max_size=max_size,
-        incremental=incremental,
     )
 
 

@@ -419,8 +419,8 @@ class BackendQueryCache:
             self._misses += 1
         return None
 
-    def put(self, generation_key, value, max_size: int | None = None) -> None:
-        self._l1.put(generation_key, value, max_size=max_size)
+    def put(self, generation_key, value) -> None:
+        self._l1.put(generation_key, value)
         self.backend.put(
             self._store, self._key_text(generation_key), encode_query_payload(value)
         )
@@ -476,10 +476,9 @@ class BackendViewStore(ViewStore):
         *,
         namespace: str,
         max_size: int = 128,
-        incremental: bool = True,
         l2_max_rows: int | None = None,
     ) -> None:
-        super().__init__(max_size, incremental=incremental)
+        super().__init__(max_size)
         self.backend = backend
         self.namespace = namespace
         self._store = f"{namespace}:views"
@@ -544,8 +543,8 @@ class BackendViewStore(ViewStore):
 
         The parent calls this for member/feature/schema mutations; the
         generation bump alone already unreaches the stale keys, but
-        clearing keeps the benchmark's off-switch honest (nothing warm
-        survives a cache-disabled phase) and reclaims the rows early.
+        clearing keeps the benchmark's oracle phases honest (nothing
+        warm survives into the next phase) and reclaims the rows early.
         """
         super().invalidate()
         self.backend.clear(self._store)

@@ -1,4 +1,4 @@
-"""Spatial indexes: envelope columns, a uniform grid and an STR-packed R-tree.
+"""Spatial indexes: envelope columns and an STR-packed R-tree.
 
 :class:`EnvelopeColumns` is the index the engine serves from: the star
 caches one per spatial level and per layer
@@ -8,9 +8,9 @@ spatial filters and PRML rules of Example 5.2's shape ("stores at less
 than 5 km of my location") both query it through
 :func:`candidate_probe`, after :func:`distance_prefilter_sound` has said
 the pre-filter is exact for their metric and comparison; only the
-candidates then take the exact test.  :class:`GridIndex` and
-:class:`STRtree` answer envelope, radius and nearest-neighbour queries
-for the ablation benchmark ABL1, which compares them against
+candidates then take the exact test.  :class:`STRtree` answers
+envelope, radius and nearest-neighbour queries; the ablation benchmark
+ABL1 compares it and the envelope columns against
 :func:`brute_force_within_distance`.
 """
 
@@ -19,17 +19,15 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from typing import Generic, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Generic, Hashable, Iterable, Sequence, TypeVar
 
 from repro.errors import GeometryError
 from repro.geometry.algorithms import EPS
 from repro.geometry.gtypes import Envelope, Geometry, Point
 from repro.geometry.metrics import Metric, PlanarMetric
-from repro.vectorized import numpy_backend
 
 __all__ = [
     "EnvelopeColumns",
-    "GridIndex",
     "STRtree",
     "brute_force_within_distance",
     "candidate_probe",
@@ -82,11 +80,9 @@ class EnvelopeColumns(Generic[T]):
     The struct-of-arrays counterpart of an envelope prefilter: the
     entries' bounding boxes are stored as ``array('d')`` columns
     (``min_x``/``min_y``/``max_x``/``max_y``) and an envelope query is
-    one vectorized range test over all four — a tight C-level loop
-    (or four numpy comparisons when the ``REPRO_NUMPY=1`` backend is
-    on), with none of the grid's cell bookkeeping.  The candidate set
-    is exactly :meth:`Envelope.intersects` applied to every entry, so
-    it is a drop-in replacement for :meth:`GridIndex.query_envelope`.
+    one range test over all four in a single ``zip`` pass, with no
+    cell or tree bookkeeping.  The candidate set is exactly
+    :meth:`Envelope.intersects` applied to every entry.
     """
 
     # One tuple of (items, min_x, min_y, max_x, max_y): readers snapshot
@@ -127,8 +123,7 @@ class EnvelopeColumns(Generic[T]):
         Layers are append-only, so a built index absorbs new features
         without a full rebuild.  Copy-on-write: the coordinate columns
         are copied (a memcpy of doubles), extended, and swapped in with
-        one atomic attribute rebind — concurrent readers (including the
-        numpy path, which exports the arrays' buffers) keep answering
+        one atomic attribute rebind — concurrent readers keep answering
         over the version they snapshotted.  Callers must serialize
         ``extend`` against each other; the star does so under its cache
         lock.
@@ -150,19 +145,6 @@ class EnvelopeColumns(Generic[T]):
         qmin_x, qmin_y = env.min_x, env.min_y
         qmax_x, qmax_y = env.max_x, env.max_y
         items, col_min_x, col_min_y, col_max_x, col_max_y = self._columns
-        np = numpy_backend()
-        if np is not None:
-            min_x = np.frombuffer(col_min_x, dtype=np.float64)
-            min_y = np.frombuffer(col_min_y, dtype=np.float64)
-            max_x = np.frombuffer(col_max_x, dtype=np.float64)
-            max_y = np.frombuffer(col_max_y, dtype=np.float64)
-            hits = (
-                (max_x >= qmin_x)
-                & (min_x <= qmax_x)
-                & (max_y >= qmin_y)
-                & (min_y <= qmax_y)
-            )
-            return [items[i] for i in np.flatnonzero(hits).tolist()]
         return [
             item
             for item, imin_x, imin_y, imax_x, imax_y in zip(
@@ -173,95 +155,6 @@ class EnvelopeColumns(Generic[T]):
             and imax_y >= qmin_y
             and imin_y <= qmax_y
         ]
-
-
-class GridIndex(Generic[T]):
-    """Uniform grid over the indexed extent.
-
-    Cell size defaults to ``extent / sqrt(n)`` so that a uniformly random
-    point set averages O(1) entries per cell.  Degrades on heavily skewed
-    data — which is exactly what ABL1 demonstrates against the R-tree.
-    """
-
-    def __init__(self, entries: Sequence[tuple[Geometry, T]], cell_size: float | None = None):
-        if not entries:
-            raise GeometryError("cannot build an index over zero entries")
-        self._entries = [(geom.envelope, geom, item) for geom, item in entries]
-        extent = self._entries[0][0]
-        for env, _g, _i in self._entries[1:]:
-            extent = extent.union(env)
-        self.extent = extent
-        if cell_size is None:
-            side = max(extent.width, extent.height, 1e-9)
-            cell_size = side / max(1.0, math.sqrt(len(self._entries)))
-        if cell_size <= 0:
-            raise GeometryError("cell_size must be positive")
-        self.cell_size = cell_size
-        self._cells: dict[tuple[int, int], list[int]] = {}
-        for idx, (env, _geom, _item) in enumerate(self._entries):
-            for key in self._keys_for(env):
-                self._cells.setdefault(key, []).append(idx)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _key_of(self, x: float, y: float) -> tuple[int, int]:
-        return (
-            int((x - self.extent.min_x) // self.cell_size),
-            int((y - self.extent.min_y) // self.cell_size),
-        )
-
-    def _keys_for(self, env: Envelope) -> Iterator[tuple[int, int]]:
-        # Clamp to the indexed extent: every entry lies inside it, so cells
-        # beyond it are guaranteed empty.  Without the clamp a huge query
-        # envelope over a tiny extent would enumerate astronomically many
-        # empty cells.
-        min_x = max(env.min_x, self.extent.min_x)
-        min_y = max(env.min_y, self.extent.min_y)
-        max_x = min(env.max_x, self.extent.max_x)
-        max_y = min(env.max_y, self.extent.max_y)
-        if min_x > max_x or min_y > max_y:
-            return
-        kx0, ky0 = self._key_of(min_x, min_y)
-        kx1, ky1 = self._key_of(max_x, max_y)
-        for kx in range(kx0, kx1 + 1):
-            for ky in range(ky0, ky1 + 1):
-                yield (kx, ky)
-
-    def query_envelope(self, env: Envelope) -> list[T]:
-        """Items whose envelope intersects ``env`` (candidate set)."""
-        seen: set[int] = set()
-        out: list[T] = []
-        for key in self._keys_for(env):
-            for idx in self._cells.get(key, ()):
-                if idx in seen:
-                    continue
-                seen.add(idx)
-                entry_env, _geom, item = self._entries[idx]
-                if entry_env.intersects(env):
-                    out.append(item)
-        return out
-
-    def within_distance(self, center: Point, radius: float) -> list[T]:
-        """Items whose geometry lies within ``radius`` of ``center`` (exact)."""
-        from repro.geometry import ops
-
-        if radius < 0:
-            raise GeometryError("radius must be non-negative")
-        probe = candidate_probe(center.envelope, radius)
-        seen: set[int] = set()
-        out: list[T] = []
-        for key in self._keys_for(probe):
-            for idx in self._cells.get(key, ()):
-                if idx in seen:
-                    continue
-                seen.add(idx)
-                entry_env, geom, item = self._entries[idx]
-                if entry_env.distance(probe) > 0:
-                    continue
-                if ops.distance(geom, center) <= radius:
-                    out.append(item)
-        return out
 
 
 class _Node:

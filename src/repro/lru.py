@@ -5,10 +5,6 @@ lock-guarded :class:`~collections.OrderedDict`, ``move_to_end`` on
 access, ``popitem(last=False)`` eviction, hit/miss counters — in the
 service query cache, the recommendation memo and the spatial-profile
 cache.  This is that pattern, once.
-
-The maximum size may be overridden per :meth:`put` because some owners
-(the service query cache) expose their size as a runtime-mutable
-attribute; eviction always trims to the effective bound.
 """
 
 from __future__ import annotations
@@ -45,16 +41,13 @@ class ThreadSafeLRU:
             self.hits += 1
             return value
 
-    def put(
-        self, key: Hashable, value: object, max_size: int | None = None
-    ) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         """Store a value, evicting least-recently-used entries beyond the
-        bound (``max_size`` overrides the constructor's for this call)."""
-        bound = self.max_size if max_size is None else max_size
+        bound."""
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > bound:
+            while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
 
     def clear(self) -> None:

@@ -23,7 +23,6 @@ from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import QueryError
-from repro.vectorized import numpy_backend
 from repro.geomd.schema import GeoMDSchema
 from repro.geometry import Geometry, PlanarMetric, Metric
 from repro.geometry import contains as g_contains
@@ -455,7 +454,7 @@ def _allowed_keys_for_spatial_filter(
     # Boolean relations imply (or are implied by) envelope intersection,
     # so the envelope pre-filter is sound for every one of them.
     if (
-        star.use_indexes
+        not star.oracle
         and targets
         and (
             flt.relation is not SpatialRelation.DISTANCE
@@ -591,12 +590,8 @@ def _execute_vectorized(star, query, selection, fact, fact_table, group_levels, 
     translation (:meth:`StarSchema.rollup_translation`) combined into a
     single integer group id per row, and aggregation accumulates per
     group id in measure-column order — the same row order as the
-    reference loop, so float results are bit-identical.  With the numpy
-    backend on, mask evaluation and code translation run as array
-    gathers; float accumulation deliberately stays in the ordered
-    Python loop to preserve bit-identical rounding.
+    reference loop, so float results are bit-identical.
     """
-    np = numpy_backend(star.use_numpy)
     n = len(fact_table)
     rows: Sequence[int]
     if selection is not None:
@@ -629,11 +624,6 @@ def _execute_vectorized(star, query, selection, fact, fact_table, group_levels, 
             rows = range(n)
     matched = len(rows)
 
-    use_np = np is not None and matched > 0
-    row_index = None
-    if use_np and not isinstance(rows, range):
-        row_index = np.asarray(rows, dtype=np.intp)
-
     # Group ids: translate each group dimension's leaf codes to ancestor
     # ordinals, then mix into one int per row (radix = per-level key count).
     translations = [
@@ -644,35 +634,19 @@ def _execute_vectorized(star, query, selection, fact, fact_table, group_levels, 
     sizes = [len(keys) for keys in key_lists]
     gids: list[int] | None = None
     if group_levels and matched:
-        if use_np:
-            np_gids = None
-            for (dim, _level), translation, size in zip(
-                group_levels, translations, sizes
-            ):
-                column = fact_table.key_codes(dim)
-                codes = np.frombuffer(column.tobytes(), dtype=np.intc, count=n)
-                if row_index is not None:
-                    codes = codes[row_index]
-                table = np.frombuffer(translation.codes.tobytes(), dtype=np.intc)
-                ordinals = table[codes].astype(np.int64)
-                np_gids = (
-                    ordinals if np_gids is None else np_gids * size + ordinals
-                )
-            gids = np_gids.tolist()
-        else:
-            for (dim, _level), translation, size in zip(
-                group_levels, translations, sizes
-            ):
-                column = fact_table.key_codes(dim)
-                if isinstance(rows, range):
-                    leaf_codes = islice(column, n)
-                else:
-                    leaf_codes = map(column.__getitem__, rows)
-                ordinals = map(translation.codes.__getitem__, leaf_codes)
-                if gids is None:
-                    gids = list(ordinals)
-                else:
-                    gids = [g * size + o for g, o in zip(gids, ordinals)]
+        for (dim, _level), translation, size in zip(
+            group_levels, translations, sizes
+        ):
+            column = fact_table.key_codes(dim)
+            if isinstance(rows, range):
+                leaf_codes = islice(column, n)
+            else:
+                leaf_codes = map(column.__getitem__, rows)
+            ordinals = map(translation.codes.__getitem__, leaf_codes)
+            if gids is None:
+                gids = list(ordinals)
+            else:
+                gids = [g * size + o for g, o in zip(gids, ordinals)]
     if gids is None:
         gids = [0] * matched
 
@@ -685,12 +659,7 @@ def _execute_vectorized(star, query, selection, fact, fact_table, group_levels, 
         if measure == "*" or measure in value_lists:
             continue
         column = fact_table.measure_values(measure)
-        if use_np:
-            values = np.frombuffer(column.tobytes(), dtype=np.float64, count=n)
-            if row_index is not None:
-                values = values[row_index]
-            value_lists[measure] = values.tolist()
-        elif isinstance(rows, range):
+        if isinstance(rows, range):
             value_lists[measure] = list(islice(column, n))
         else:
             value_lists[measure] = list(map(column.__getitem__, rows))
@@ -812,16 +781,16 @@ def execute(
     fact prefix) — bit-identical to the answer the live star gave then.
 
     Dispatches to the columnar batch executor unless the star's
-    ``use_vectorized`` transparency switch is off, in which case the
-    row-loop reference path runs (see :func:`execute_reference`); the
-    two produce bit-identical cell sets.
+    :attr:`~repro.storage.star.StarSchema.oracle` switch is set, in which
+    case the row-loop reference path runs (see
+    :func:`execute_reference`); the two produce bit-identical cell sets.
     """
+    if star.oracle:
+        return execute_reference(star, query, selection, metric, as_of)
     if as_of is not None:
         star, selection = _resolve_as_of(star, query, selection, as_of)
     prep = _prepare(star, query, metric)
-    if star.use_vectorized:
-        return _execute_vectorized(star, query, selection, *prep)
-    return _execute_rowloop(star, query, selection, *prep)
+    return _execute_vectorized(star, query, selection, *prep)
 
 
 def execute_reference(

@@ -176,9 +176,9 @@ class PersonalizedSession:
     disabled.  The memo itself stays per-session (one dict compare in
     steady state, no store lock) and is guarded by ``_memo_lock``: the
     threaded HTTP adapter can hit one session concurrently, and the
-    unlocked check-then-act used to let two threads race the dict.  Set
-    ``engine.enable_caches = False`` to rebuild on every call
-    (transparency switch).
+    unlocked check-then-act used to let two threads race the dict.  With
+    the star's :attr:`~repro.storage.star.StarSchema.oracle` switch set,
+    every call rebuilds, bypassing both the memo and the store.
     """
 
     engine: "PersonalizationEngine"
@@ -216,7 +216,7 @@ class PersonalizedSession:
     def view(self, fact: str | None = None) -> PersonalizedView:
         """Materialize the personalized view for downstream BI tools."""
         fact_name = self._resolve_fact(fact)
-        if not self.engine.enable_caches:
+        if self.context.star.oracle:
             return self._build_view(fact_name)
         stamp = (self.context.selection.generation, self.context.star.generation)
         with self._memo_lock:
@@ -299,9 +299,7 @@ class PersonalizationEngine:
         snap_tolerance: float = 1.0,
         validate_rules: bool = True,
         session_factory: Callable[..., PersonalizedSession] | None = None,
-        enable_caches: bool = True,
         view_store_size: int = 128,
-        incremental_views: bool = True,
         view_store: ViewStore | None = None,
         enable_history: bool = True,
     ) -> None:
@@ -319,29 +317,20 @@ class PersonalizationEngine:
         self.metric = metric or PlanarMetric()
         self.snap_tolerance = snap_tolerance
         self.validate_rules = validate_rules
-        #: Master switch for the generation-keyed view memo *and* the
-        #: shared view store (sessions read it on every ``view()`` call,
-        #: so flipping it at runtime takes effect immediately — the
-        #: benchmark harness uses this to prove cached and uncached
-        #: responses are identical).
-        self.enable_caches = enable_caches
         #: Shared materialized-view store: sessions with content-equal
         #: selections share one build, fact appends patch instead of
         #: rebuilding.  ``view_store_size=0`` removes it (sessions fall
-        #: back to private memo + rebuild); ``incremental_views=False``
-        #: keeps sharing but turns fact deltas back into invalidations.
-        #: An explicit ``view_store`` instance overrides construction —
-        #: the cluster tier passes a backend-backed store with a fixed
-        #: namespace so pool workers share builds; the default goes
-        #: through the env-selected factory.
+        #: back to private memo + rebuild).  An explicit ``view_store``
+        #: instance overrides construction — the cluster tier passes a
+        #: backend-backed store with a fixed namespace so pool workers
+        #: share builds; the default goes through the env-selected
+        #: factory.
         if view_store is not None:
             self.view_store: ViewStore | None = view_store
         elif view_store_size > 0:
             from repro.cluster.config import make_view_store
 
-            self.view_store = make_view_store(
-                view_store_size, incremental=incremental_views
-            )
+            self.view_store = make_view_store(view_store_size)
         else:
             self.view_store = None
         if self.view_store is not None:

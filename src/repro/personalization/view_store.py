@@ -32,10 +32,10 @@ related work describes):
   referenced dimension still drops the entry.
 * **Bounds and transparency** — the store is LRU-bounded (``max_size``)
   and thread-safe; ``PersonalizationEngine(view_store_size=0)`` removes
-  it entirely (sessions fall back to their private memo + rebuilds) and
-  ``incremental=False`` turns every fact delta back into an invalidation,
-  the off-switches the benchmark harness uses to prove both layers are
-  transparent.
+  it entirely (sessions fall back to their private memo + rebuilds), and
+  sessions over a star whose :attr:`~repro.storage.star.StarSchema.oracle`
+  switch is set bypass it, which is how the benchmark harness proves
+  the store is transparent.
 
 This deliberately does *not* reuse :class:`repro.lru.ThreadSafeLRU`:
 the store's defining operations — single-flight builds under the lock
@@ -92,16 +92,13 @@ class _Entry:
 class ViewStore:
     """Thread-safe, LRU-bounded store of shared materialized views."""
 
-    def __init__(self, max_size: int = 128, incremental: bool = True) -> None:
+    def __init__(self, max_size: int = 128) -> None:
         if max_size < 1:
             raise ValueError(
                 "max_size must be >= 1 (disable the store with "
                 "PersonalizationEngine(view_store_size=0) instead)"
             )
         self.max_size = max_size
-        #: When False, fact deltas degrade to full invalidation (the
-        #: incremental-maintenance off-switch; runtime-mutable).
-        self.incremental = incremental
         self._lock = make_rlock("ViewStore._lock")
         # guarded-by: _lock
         self._entries: "OrderedDict[_Key, _Entry]" = OrderedDict()
@@ -181,14 +178,7 @@ class ViewStore:
     # -- maintenance ----------------------------------------------------------
 
     def on_mutation(self, star: StarSchema, mutation: StarMutation) -> None:
-        """React to one star mutation (the engine's listener target).
-
-        With ``incremental`` off every kind degrades to full
-        invalidation — the transparency mode EXT8 benchmarks against.
-        """
-        if not self.incremental:
-            self.invalidate()
-            return
+        """React to one star mutation (the engine's listener target)."""
         if mutation.is_fact_delta:
             self._apply_fact_delta(star, mutation)
         elif mutation.kind == "member" and mutation.dimension is not None:
@@ -335,7 +325,6 @@ class ViewStore:
             return {
                 "entries": len(self._entries),
                 "max_size": self.max_size,
-                "incremental": self.incremental,
                 "hits": self.hits,
                 "misses": self.misses,
                 "builds": self.builds,

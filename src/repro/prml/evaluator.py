@@ -283,15 +283,18 @@ class SelectionSet:
     def fact_row_ids(self, star: StarSchema, fact: str | None = None) -> list[int]:
         """Fact rows surviving the member selections (ascending row ids).
 
-        With :attr:`StarSchema.use_indexes` on, each dimension's allowed
-        keys are resolved through the fact table's posting lists and the
-        per-dimension row sets intersected — no full-column scan.
+        Each dimension's allowed keys are resolved through the fact
+        table's posting lists and the per-dimension row sets intersected
+        — no full-column scan.  With :attr:`StarSchema.oracle` set the
+        rows come from the
+        :meth:`~repro.storage.tables.FactTable.rows_matching` mask scan
+        instead.
         """
         fact_table = star.fact_table(fact)
         relevant = self.relevant_leaf_keys(star, fact_table)
         if not relevant:
             return list(fact_table.row_ids())
-        if star.use_indexes:
+        if not star.oracle:
             surviving: set[int] | None = None
             for dim, keys in relevant.items():
                 postings = fact_table.key_postings(dim)
@@ -532,7 +535,7 @@ class Evaluator:
         counter equal the loop's.
 
         Returns False, and the caller runs the loop, for any other shape;
-        with :attr:`StarSchema.use_indexes` off; for a non-planar metric;
+        with :attr:`StarSchema.oracle` set; for a non-planar metric;
         for a layer, an empty level or a member whose geometry is missing
         or not a point, line or polygon; and when ``X`` or ``d`` does not
         evaluate to a geometry the first member can be measured against
@@ -543,7 +546,7 @@ class Evaluator:
         context = self.context
         if (
             shape is None
-            or not context.star.use_indexes
+            or context.star.oracle
             or not distance_prefilter_sound(context.metric, shape.comparison.value)
         ):
             return False

@@ -20,9 +20,11 @@ generation (members/features/schema — suggestions never read fact rows,
 so fact appends keep the memo warm) plus a caller-supplied context stamp
 (e.g. the requesting session's selection ``(uid, generation)`` and its
 visible layers) — any journal append, metadata mutation or selection
-change is a miss, and nothing is ever invalidated by hand.  ``memo_size=0`` (or :attr:`Recommender.enable_memo` = False)
-disables memoization; the benchmark harness uses that to prove the memo
-is transparent.
+change is a miss, and nothing is ever invalidated by hand.
+``memo_size=0`` disables memoization, and a star whose
+:attr:`~repro.storage.star.StarSchema.oracle` switch is set bypasses
+both the result memo and the profile cache; the benchmark harness uses
+that to prove the memo is transparent.
 """
 
 from __future__ import annotations
@@ -88,8 +90,6 @@ class Recommender:
         self.top_k = top_k
         self.hierarchy_weight = hierarchy_weight
         self.memo_size = memo_size
-        #: Transparency switch: ``False`` recomputes on every call.
-        self.enable_memo = True
         self._memo = ThreadSafeLRU(memo_size)
         #: Built profiles are pure functions of ``(datamart, user, journal
         #: generation, star metadata generation)``, so one call per
@@ -112,7 +112,7 @@ class Recommender:
     def _profile(
         self, datamart: str, user_id: str, star: StarSchema
     ) -> SpatialProfile:
-        if not self.enable_memo or self.memo_size == 0:
+        if star.oracle or self.memo_size == 0:
             return build_spatial_profile(
                 star, self.journal.member_profile(datamart, user_id)
             )
@@ -188,7 +188,7 @@ class Recommender:
             )
         k = self.top_k if k is None else k
         memo_key = None
-        if self.enable_memo and self.memo_size > 0:
+        if not star.oracle and self.memo_size > 0:
             memo_key = (
                 datamart,
                 user_id,

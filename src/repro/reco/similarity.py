@@ -104,7 +104,7 @@ def build_spatial_profile(
                 continue
             try:
                 depth = len(dim.rollup_path(level)) - 1
-                if star.use_indexes:
+                if not star.oracle:
                     index = star.rollup_index(dimension, level)
                     ancestors = frozenset(
                         ancestor
@@ -112,8 +112,8 @@ def build_spatial_profile(
                         if leaf_set & leaves
                     )
                 else:
-                    # Transparency switch: the scan path the inverted
-                    # index replaces, one roll-up walk per leaf.
+                    # The scan path the inverted index replaces, one
+                    # roll-up walk per leaf.
                     ancestors = frozenset(
                         star.rollup_member(dimension, key, level).key
                         for key in leaves

@@ -10,6 +10,7 @@ place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -138,12 +139,19 @@ class LoginRequest:
                 or len(raw_location) != 2
             ):
                 raise BadRequestError("'location' must be [x, y]")
+            # float() takes JSON booleans as 0/1, and Python's json module
+            # parses NaN and Infinity: none of them is a place on the map.
+            if any(isinstance(c, bool) for c in raw_location):
+                raise BadRequestError("'location' coordinates must be numbers")
             try:
-                location = Point(float(raw_location[0]), float(raw_location[1]))
+                x, y = float(raw_location[0]), float(raw_location[1])
             except (TypeError, ValueError):
                 raise BadRequestError(
                     "'location' coordinates must be numbers"
                 ) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise BadRequestError("'location' coordinates must be finite")
+            location = Point(x, y)
         return cls(
             user=user, datamart=datamart, location=location, journal=journal
         )

@@ -28,7 +28,8 @@ the uniform error envelope.  The service owns:
   ``as_of`` answers are immutable history, cached with empty stamps.
   Cached payload rows are frozen as tuples so a consumer mutating a
   returned row can never poison later hits.  ``query_cache_size=0``
-  disables it.
+  disables it, and a tenant whose star has its
+  :attr:`~repro.storage.star.StarSchema.oracle` switch set bypasses it.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ class PersonalizationService:
             session = record.session
             star = session.context.star
             cache_key = None
-            if self.query_cache_size > 0:
+            if self.query_cache_size > 0 and not star.oracle:
                 selection = session.selection
                 cache_key = (
                     record.datamart,
@@ -336,10 +337,7 @@ class PersonalizationService:
                 stamps=stamps,
             )
             if cache_key is not None:
-                # query_cache_size is runtime-mutable; trim to its live value.
-                self._query_cache.put(
-                    cache_key, payload, max_size=self.query_cache_size
-                )
+                self._query_cache.put(cache_key, payload)
             self._journal_query(record, request)
         return self._paged_result(payload, request)
 

@@ -4,9 +4,8 @@ A :class:`Dictionary` interns the member keys of one fact dimension:
 each distinct key string is assigned a small integer *code* in
 first-appearance order, and the fact table stores an ``array('i')`` of
 codes instead of a list of strings.  Scans, roll-up translation and
-selection masks then operate on dense integer columns (optionally as
-numpy arrays, see :mod:`repro.vectorized`) while the row-dict API
-decodes on demand.
+selection masks then operate on dense integer columns while the
+row-dict API decodes on demand.
 
 Codes are append-only: a key, once interned, keeps its code for the
 table's lifetime, so posting lists, translation tables and masks built
@@ -90,8 +89,8 @@ class Dictionary:
         """``code -> 0/1`` byte table for the given allowed keys.
 
         The unit of vectorized selection: applying a filter to a code
-        column is ``map(mask.__getitem__, column)`` (or a numpy gather),
-        never a per-row set lookup on strings.
+        column is ``map(mask.__getitem__, column)``, never a per-row set
+        lookup on strings.
         """
         mask = bytearray(len(self._keys))
         codes = self._codes

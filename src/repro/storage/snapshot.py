@@ -323,8 +323,11 @@ class StarHistory:
 
         Returns the live star when ``generation`` is current; otherwise a
         reconstructed, effectively read-only star (cached per
-        generation).  Raises :class:`HistoryError` when the generation is
-        in the future or has fallen out of the retained history.
+        generation) whose :attr:`~StarSchema.oracle` is set to the live
+        star's current value on every call, so an as-of query takes the
+        same code paths as a live one.  Raises :class:`HistoryError` when
+        the generation is in the future or has fallen out of the
+        retained history.
         """
         current = self.star.generation
         if generation == current:
@@ -336,6 +339,7 @@ class StarHistory:
             )
         cached = self._stars.get(generation)
         if cached is not None:
+            cached.oracle = self.star.oracle  # type: ignore[attr-defined]
             return cached  # type: ignore[return-value]
         with self._lock:
             base = max(
@@ -358,11 +362,7 @@ class StarHistory:
                 f"replayable"
             )
         reconstructed = star_from_dict(data)
-        # Mirror the live star's execution switches so an as-of query
-        # takes the same code paths (bit-identity with recorded answers).
-        reconstructed.use_indexes = self.star.use_indexes
-        reconstructed.use_vectorized = self.star.use_vectorized
-        reconstructed.use_numpy = self.star.use_numpy
+        reconstructed.oracle = self.star.oracle
         for mutation in mutations:
             self._replay(reconstructed, mutation)
         self.replays += 1

@@ -21,9 +21,18 @@ lazy structures owned here (the inverted roll-up index, the leaf-code
 roll-up translation tables, the per-layer and per-level
 :class:`~repro.geometry.index.EnvelopeColumns` envelope columns) are
 instead invalidated *in place* by the same hooks, so they can never
-serve stale data.  Setting :attr:`~StarSchema.use_indexes` to ``False`` routes every
-consumer back to the plain scans (used by the benchmark harness to prove
-the fast paths are transparent).
+serve stale data.
+
+The oracle switch
+-----------------
+
+:attr:`~StarSchema.oracle` is the one transparency switch of the system.
+Every layer reads it from the star it already holds and, when it is set,
+takes its reference path: index-backed lookups scan, views rebuild on
+every call, :func:`~repro.olap.query.execute` runs the row-loop
+reference executor, and the service and recommender caches are
+bypassed.  Tests and the benchmark harness set it to prove that every
+cache and index returns exactly what the reference paths return.
 
 The mutation log
 ----------------
@@ -349,17 +358,10 @@ class StarSchema:
         # this (suggestions read members, layers and the journal —
         # never fact rows).
         self._metadata_generation = 0
-        #: When False, every index-backed fast path falls back to the
-        #: original scans (transparency switch for benchmarks/tests).
-        self.use_indexes: bool = True
-        #: When False, :func:`repro.olap.query.execute` routes to the
-        #: row-loop reference executor instead of the columnar batch
-        #: path (transparency switch for the identical-response gate).
-        self.use_vectorized: bool = True
-        #: Tri-state numpy override for this star's vectorized kernels:
-        #: ``True``/``False`` force the backend on/off; ``None`` defers
-        #: to the ``REPRO_NUMPY=1`` environment switch.
-        self.use_numpy: bool | None = None
+        #: When True, every layer over this star takes its reference
+        #: path instead of its caches and indexes (see the module
+        #: docstring); runtime-mutable.
+        self.oracle: bool = False
         self._generation = 0
         # (dimension, level) -> {ancestor key -> leaf keys}; lazy.
         # guarded-by: _cache_lock
@@ -907,7 +909,7 @@ class StarSchema:
         self, dimension: str, level: str, member_keys: Iterable[str]
     ) -> set[str]:
         """Leaf member keys whose ancestor at ``level`` is in ``member_keys``."""
-        if self.use_indexes:
+        if not self.oracle:
             index = self.rollup_index(dimension, level)
             out: set[str] = set()
             for key in member_keys:

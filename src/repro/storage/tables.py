@@ -20,7 +20,6 @@ from repro.geomd.schema import GEOMETRY_ATTRIBUTE, Layer
 from repro.geometry import Geometry
 from repro.mdm.model import Dimension, Fact
 from repro.storage.columns import Dictionary
-from repro.vectorized import numpy_backend
 
 __all__ = ["Member", "DimensionTable", "FactTable", "Feature", "LayerTable"]
 
@@ -195,8 +194,7 @@ class FactTable:
     an ``array('d')``.  Scans, filters and group-bys run over the dense
     arrays (:meth:`rows_matching`, :meth:`key_codes`,
     :meth:`measure_values`); the row-dict API (:meth:`row`,
-    :meth:`coordinates`, :meth:`key_column`) decodes on demand as a
-    compatibility view.
+    :meth:`key_column`) decodes on demand as a compatibility view.
     """
 
     def __init__(self, fact: Fact) -> None:
@@ -358,8 +356,7 @@ class FactTable:
         ``relevant`` maps dimension -> allowed leaf keys (dimensions not
         present are unconstrained).  The full-table path evaluates each
         dimension as a byte mask over the code column and intersects the
-        masks as big-int AND; with the numpy backend enabled the masks
-        become fancy-indexed ``uint8`` gathers.  When ``row_ids`` is
+        masks as big-int AND.  When ``row_ids`` is
         given, only those rows are tested (in input order) — the shape
         the incremental view patcher needs for small deltas.
         """
@@ -384,18 +381,6 @@ class FactTable:
             return list(range(n))
         if n == 0:
             return []
-        np = numpy_backend()
-        if np is not None:
-            hits = None
-            for column, mask in lookups:
-                # tobytes() snapshots atomically under the GIL; a zero-copy
-                # frombuffer over the live column would export its buffer
-                # and make a concurrent insert's resize raise BufferError.
-                codes = np.frombuffer(column.tobytes(), dtype=np.intc, count=n)
-                allowed = np.frombuffer(bytes(mask), dtype=np.uint8)
-                hit = allowed[codes]
-                hits = hit if hits is None else hits & hit
-            return np.flatnonzero(hits).tolist()
         matched: int | None = None
         for column, mask in lookups:
             column_mask = bytes(map(mask.__getitem__, islice(column, n)))
@@ -403,22 +388,6 @@ class FactTable:
             matched = value if matched is None else matched & value
         assert matched is not None
         return list(compress(range(n), matched.to_bytes(n, "little")))
-
-    def coordinates(self, row_id: int) -> dict[str, str]:
-        """One row's ``dimension -> leaf key`` mapping (no measures).
-
-        The unit of the incremental view-maintenance delta protocol:
-        patching a materialized view only needs the appended rows' keys,
-        never their measures.
-        """
-        if not 0 <= row_id < self._count:
-            raise StorageError(
-                f"row id {row_id} out of range (0..{self._count - 1})"
-            )
-        return {
-            dim: self._dictionaries[dim].decode(column[row_id])
-            for dim, column in self._codes.items()
-        }
 
     def row(self, row_id: int) -> dict[str, object]:
         if not 0 <= row_id < self._count:

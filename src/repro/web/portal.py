@@ -39,10 +39,7 @@ GET     /api/v1/recommendations/{kind}  ranked suggestions mined from similar
 
 Login accepts a ``"journal": false`` flag to opt the session out of
 workload journaling (its requests then never feed recommendations).
-
-The seed's unversioned paths (``/login``, ``/view``, ...) still answer
-through a deprecation shim: same handlers, plus ``Deprecation: true``
-and ``X-Successor`` headers pointing at the ``/api/v1`` route.
+Only the ``/api/v1`` routes exist; an unversioned path answers 404.
 
 Every failure response shares the uniform envelope
 ``{"error": {"code", "message", "detail"}}``; expired or invalid
@@ -175,11 +172,6 @@ class PortalApp:
         ]
         for method, path, handler in routes:
             self.router.add(method, API_PREFIX + path, handler)
-            # Deprecation shim: the seed's unversioned paths keep
-            # answering, marked with successor headers.
-            self.router.add(
-                method, path, _deprecated(handler, API_PREFIX + path)
-            )
         self.router.get(API_PREFIX + "/datamarts", self._datamarts)
         self.router.get(API_PREFIX + "/health", self._health)
         self.router.get(
@@ -248,14 +240,3 @@ class PortalApp:
             {"datamarts": [dm.to_dict() for dm in self.service.datamarts()]}
         )
 
-
-def _deprecated(handler: Handler, successor: str) -> Handler:
-    """Wrap a v1 handler for a legacy unversioned route."""
-
-    def shimmed(request: Request) -> Response:
-        response = handler(request)
-        response.headers.setdefault("Deprecation", "true")
-        response.headers.setdefault("X-Successor", successor)
-        return response
-
-    return shimmed

@@ -7,8 +7,10 @@ reproduction environment is offline); they drive the app object directly.
 
 The adapter is deliberately dumb: it parses the path, query string, JSON
 body and headers, hands everything to :meth:`PortalApp.handle`, and
-writes the response (status, JSON body and response headers — including
-the deprecation headers of the legacy-route shim) back out.  Concurrent
+writes the response (status, JSON body and response headers) back out.
+A request whose ``Content-Length`` is not a decimal number cannot be
+framed, so it is answered ``400 bad_request`` and its connection closed.
+Concurrent
 requests are safe under the threading server: the session store is
 lock-protected, logins are serialized per engine, and requests carrying
 the same token are serialized per session record in the service layer.
@@ -37,8 +39,17 @@ def _make_handler(app: PortalApp) -> type[BaseHTTPRequestHandler]:
         protocol_version = "HTTP/1.1"
 
         def _dispatch(self, method: str) -> None:
-            length = int(self.headers.get("Content-Length", "0") or "0")
-            raw = self.rfile.read(length) if length else b""
+            length = self.headers.get("Content-Length", "0") or "0"
+            if not (length.isascii() and length.isdigit()):
+                # Without a body length the next request on this
+                # connection cannot be found either: answer, then close.
+                response = error_response(
+                    "bad_request", f"malformed Content-Length: {length!r}", 400
+                )
+                response.headers["Connection"] = "close"
+                self._respond(response)
+                return
+            raw = self.rfile.read(int(length))
             split = urlsplit(self.path)
             query = dict(parse_qsl(split.query))
             headers = {key: value for key, value in self.headers.items()}
@@ -50,6 +61,9 @@ def _make_handler(app: PortalApp) -> type[BaseHTTPRequestHandler]:
                 response = app.handle(
                     method, split.path, body, headers=headers, query=query
                 )
+            self._respond(response)
+
+        def _respond(self, response) -> None:
             payload = json.dumps(response.body, default=str).encode("utf-8")
             self.send_response(response.status)
             self.send_header("Content-Type", "application/json")

@@ -1,4 +1,4 @@
-"""Tests for the spatial indexes (grid and STR-packed R-tree)."""
+"""Tests for the STR-packed R-tree."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import GeometryError
 from repro.geometry import (
     Envelope,
-    GridIndex,
     LineString,
     Point,
     STRtree,
@@ -22,10 +21,8 @@ def _random_points(n, seed=7, extent=1000.0):
     ]
 
 
-@pytest.fixture(params=["grid", "strtree"])
+@pytest.fixture(params=["strtree"])
 def index_factory(request):
-    if request.param == "grid":
-        return GridIndex
     return STRtree
 
 
@@ -37,10 +34,6 @@ class TestConstruction:
     def test_len(self, index_factory):
         idx = index_factory(_random_points(100))
         assert len(idx) == 100
-
-    def test_grid_rejects_bad_cell_size(self):
-        with pytest.raises(GeometryError):
-            GridIndex(_random_points(10), cell_size=-1.0)
 
     def test_strtree_rejects_bad_capacity(self):
         with pytest.raises(GeometryError):

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
-    GridIndex,
     LineString,
     Point,
     Polygon,
@@ -22,6 +21,7 @@ from repro.geometry import (
     within,
 )
 from repro.geometry import algorithms as alg
+from repro.geometry.index import EnvelopeColumns, candidate_probe
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 coords = st.tuples(finite, finite)
@@ -167,9 +167,13 @@ class TestIndexProperties:
         expected = sorted(
             i for p, i in entries if distance(p, center) <= radius
         )
-        for factory in (GridIndex, STRtree):
-            idx = factory(entries)
-            assert sorted(idx.within_distance(center, radius)) == expected
+        idx = STRtree(entries)
+        assert sorted(idx.within_distance(center, radius)) == expected
+        # The engine's envelope columns only pre-filter: the loosened
+        # probe must keep every point the exact test keeps.
+        columns = EnvelopeColumns(entries)
+        probe = candidate_probe(center.envelope, radius)
+        assert set(expected) <= set(columns.query_envelope(probe))
 
     @settings(max_examples=25)
     @given(st.lists(points, min_size=2, max_size=60), points)

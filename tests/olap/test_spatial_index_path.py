@@ -1,7 +1,7 @@
-"""The GridIndex-accelerated spatial-filter path must be a pure speedup.
+"""The envelope-index spatial-filter path must be a pure speedup.
 
-Every relation is executed twice — ``star.use_indexes`` on and off — and
-the allowed key sets and cell sets must be identical.  DISTANCE with
+Every relation is executed twice — with the star's ``oracle`` switch
+cleared and set — and the cell sets must be identical.  DISTANCE with
 lower-bound-unsound comparisons (``>``, ``>=``) and non-planar metrics
 must transparently fall back to the exact scan.
 """
@@ -52,11 +52,10 @@ def _query(flt):
 
 
 def _both_paths(star, flt, metric=None):
-    star.use_indexes = True
     fast = execute(star, _query(flt), metric=metric)
-    star.use_indexes = False
+    star.oracle = True
     slow = execute(star, _query(flt), metric=metric)
-    star.use_indexes = True
+    star.oracle = False
     return fast, slow
 
 

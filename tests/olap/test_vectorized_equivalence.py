@@ -4,11 +4,10 @@ Property test: across random schemas, fact data, filters, groupings and
 selections, :func:`repro.olap.query.execute` (dictionary-encoded batch
 path) returns *bit-identical* cell sets — including the scanned/matched
 transparency counters — to :func:`execute_reference` (the original
-per-row roll-up loop).  The same property is asserted with the numpy
-backend forced on via the star's ``use_numpy`` engine flag.
+per-row roll-up loop), and the star's ``oracle`` switch routes
+:func:`execute` back to that reference path.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,6 @@ from repro.olap import AggSpec, AttributeFilter, ComparisonOp, CubeQuery, LevelR
 from repro.olap.query import execute, execute_reference
 from repro.storage import StarSchema
 from repro.uml.core import REAL
-from repro.vectorized import numpy_backend
 
 _GROUP_COUNT = 3
 _REGION_COUNT = 2
@@ -160,25 +158,13 @@ class TestVectorizedEquivalence:
         query = CubeQuery("Sales", aggs, group_by=group_by, where=where)
         selection = _selection(selection_kind, len(rows), seed)
         reference = execute_reference(star, query, selection)
-        assert star.use_vectorized
+        assert not star.oracle
         vectorized = execute(star, query, selection)
         _assert_identical(vectorized, reference)
-        # The transparency switch must route back to the reference path.
-        star.use_vectorized = False
+        # The oracle switch must route back to the reference path.
+        star.oracle = True
         switched = execute(star, query, selection)
         _assert_identical(switched, reference)
-
-    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-    @given(fact_rows, aggregations, group_bys, filters)
-    def test_numpy_backend_matches_reference(self, rows, aggs, group_by, where):
-        if numpy_backend(True) is None:
-            pytest.skip("numpy not installed")
-        star = _build_star(rows)
-        star.use_numpy = True
-        query = CubeQuery("Sales", aggs, group_by=group_by, where=where)
-        _assert_identical(
-            execute(star, query), execute_reference(star, query)
-        )
 
     def test_results_track_appends(self):
         """Translation tables must extend when appends intern new keys."""

@@ -5,7 +5,7 @@ The contract under test: ``session.view()`` may serve a memoized
 generation *nor* the star generation has moved; any selection growth
 (acquisition rules, instance re-runs) or star mutation (member/fact/
 feature inserts, schema personalization) must produce a rebuilt view —
-and with ``engine.enable_caches = False`` the responses must be
+and with the star's ``oracle`` switch set the responses must be
 identical, just rebuilt every time.
 """
 
@@ -32,7 +32,7 @@ class TestViewMemo:
         assert second is first
 
     def test_memo_disabled_rebuilds_identical_views(self, engine, session):
-        engine.enable_caches = False
+        engine.star.oracle = True
         first = session.view()
         second = session.view()
         assert second is not first
@@ -40,7 +40,7 @@ class TestViewMemo:
 
     def test_cached_and_uncached_views_agree(self, engine, session):
         cached = session.view()
-        engine.enable_caches = False
+        engine.star.oracle = True
         uncached = session.view()
         assert uncached.fact_rows == cached.fact_rows
         assert uncached.stats() == cached.stats()

@@ -152,16 +152,6 @@ class TestInvalidation:
         assert engine.view_store.stats()["builds"] == builds
         assert fresh.fact_rows == warm.fact_rows
 
-    def test_incremental_off_member_mutation_invalidates(self, engine, session):
-        """With the transparency switch off every kind degrades to the
-        pre-PR 9 behaviour: full invalidation (EXT8's baseline mode)."""
-        engine.view_store.incremental = False
-        warm = session.view()
-        session.context.star.add_member("Product", "Family", "Exotic2")
-        fresh = session.view()
-        assert fresh is not warm
-        assert engine.view_store.stats()["invalidations"] >= 1
-
     def test_lru_bound_evicts(self, star, user_schema, world, profile):
         engine = PersonalizationEngine(
             star,
@@ -245,19 +235,6 @@ class TestIncrementalMaintenance:
         assert patched.fact_rows == rebuilt.fact_rows
         assert patched.stats() == rebuilt.stats()
         assert engine.view_store.stats()["builds"] == 1
-
-    def test_incremental_off_switch_rebuilds(self, engine, session):
-        engine.view_store.incremental = False
-        star = session.context.star
-        warm = session.view()
-        builds = engine.view_store.stats()["builds"]
-        _append_copy_of(star, warm.fact_rows[0])
-        fresh = session.view()
-        stats = engine.view_store.stats()
-        assert stats["patches"] == 0
-        assert stats["builds"] == builds + 1
-        assert len(fresh.fact_rows) == len(warm.fact_rows) + 1
-        assert fresh.fact_rows == session._build_view(fresh.fact).fact_rows
 
     def test_multi_fact_append_carries_other_views(
         self, dual_fact_star, user_schema
@@ -369,7 +346,7 @@ class TestStaleSelections:
     def test_scan_path_agrees(self, star):
         selection = SelectionSet()
         selection.add_member("Store", "Store", "vanished-store")
-        star.use_indexes = False
+        star.oracle = True
         assert selection.allowed_leaf_keys(star) == {}
 
 

@@ -1,12 +1,12 @@
 """Example 5.2's rule shape answered from the envelope index.
 
 A ``Foreach`` that selects the members of one level within a distance
-of a fixed geometry runs from the star's cached envelope columns when
-``star.use_indexes`` is on.  It must be a pure speedup: every test runs
-the same rule with the index on and off (the interpreted loop) and
-compares the selection, its generation and fingerprint, and every
-:class:`RuleOutcome` field — or, where the loop raises, the error and
-the selection it left behind.
+of a fixed geometry runs from the star's cached envelope columns unless
+the star's ``oracle`` switch is set.  It must be a pure speedup: every
+test runs the same rule with the switch cleared and set (the
+interpreted loop) and compares the selection, its generation and
+fingerprint, and every :class:`RuleOutcome` field — or, where the loop
+raises, the error and the selection it left behind.
 """
 
 import dataclasses
@@ -68,7 +68,7 @@ def spatial_star(world):
     return spatialize(build_sales_star(world), world)
 
 
-def run(star, rule, use_indexes, location=None, parameters=None, metric=None):
+def run(star, rule, oracle, location=None, parameters=None, metric=None):
     """Execute ``rule`` in a fresh session: ``(outcome fields, error,
     selection)``, the error as ``(type name, message)``."""
     profile = build_regional_manager_profile(USER_SCHEMA)
@@ -81,22 +81,22 @@ def run(star, rule, use_indexes, location=None, parameters=None, metric=None):
         parameters=dict(parameters or {}),
         metric=metric or PlanarMetric(),
     )
-    saved = star.use_indexes
-    star.use_indexes = use_indexes
+    saved = star.oracle
+    star.oracle = oracle
     try:
         outcome = dataclasses.asdict(Evaluator(context).execute(rule))
         error = None
     except ReproError as exc:
         outcome, error = None, (type(exc).__name__, str(exc))
     finally:
-        star.use_indexes = saved
+        star.oracle = saved
     return outcome, error, context.selection
 
 
 def assert_same_as_loop(star, rule, **kwargs):
     """Run ``rule`` indexed and interpreted; both must agree exactly."""
-    indexed = run(star, rule, True, **kwargs)
-    loop = run(star, rule, False, **kwargs)
+    indexed = run(star, rule, False, **kwargs)
+    loop = run(star, rule, True, **kwargs)
     assert indexed[0] == loop[0]
     assert indexed[1] == loop[1]
     assert indexed[2].members == loop[2].members
@@ -209,7 +209,7 @@ class TestPaperRule:
         # One probe and the envelope candidates, not every store.
         assert 0 < len(measured) < len(world.stores) // 4
 
-        engine.star.use_indexes = False
+        engine.star.oracle = True
         loop = engine.start_session(profile, location)
         assert index_calls == [True, False]
         assert len(measured) > len(world.stores)

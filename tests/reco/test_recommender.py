@@ -123,9 +123,10 @@ class TestMemo:
         warm = recommender.recommend(DM, "ana", spatial_star, "queries")
         assert recommender.stats()["memo_hits"] == 1
         assert warm == cold
-        # The transparency switch recomputes but must agree.
-        recommender.enable_memo = False
+        # The oracle switch recomputes but must agree.
+        spatial_star.oracle = True
         assert recommender.recommend(DM, "ana", spatial_star, "queries") == cold
+        assert recommender.stats()["memo_hits"] == 1
 
     def test_journal_append_invalidates(self, seeded, spatial_star):
         journal, recommender = seeded

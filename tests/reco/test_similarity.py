@@ -60,14 +60,11 @@ class TestProfile:
         assert profile.centroid is not None
 
     def test_profile_is_identical_without_indexes(self, world, spatial_star):
-        """The rollup-index fast path must be transparent (use_indexes)."""
+        """The rollup-index fast path must be transparent (oracle)."""
         names = [s.name for s in world.stores[:4]]
         indexed = profile_for(spatial_star, names)
-        spatial_star.use_indexes = False
-        try:
-            scanned = profile_for(spatial_star, names)
-        finally:
-            spatial_star.use_indexes = True
+        spatial_star.oracle = True
+        scanned = profile_for(spatial_star, names)
         assert scanned.level_keys == indexed.level_keys
         assert scanned.level_weights == indexed.level_weights
         assert scanned.envelope == indexed.envelope

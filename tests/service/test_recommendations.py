@@ -118,12 +118,11 @@ class TestAcceptance:
         assert stats["memo_hits"] >= 1
         assert stats["memo_misses"] == misses
         assert warm == cold
-        # Transparency: disabling the memo recomputes the same answer.
-        recommender.enable_memo = False
-        try:
-            assert get(portal, "/api/v1/recommendations/queries", ana) == cold
-        finally:
-            recommender.enable_memo = True
+        # Transparency: the oracle switch recomputes the same answer.
+        for datamart in portal.registry:
+            datamart.engine.star.oracle = True
+        assert get(portal, "/api/v1/recommendations/queries", ana) == cold
+        assert recommender.stats()["memo_hits"] == stats["memo_hits"]
 
     def test_new_workload_invalidates_memo(self, portal, tokens):
         ana, bruno = tokens["ana-garcia"], tokens["bruno-keller"]

@@ -2,22 +2,20 @@
 
 Covers the interned key dictionary, the batch insert path, the
 vectorized row scan, the roll-up translation tables and the columnar
-envelope index — plus parity of the numpy backend with the stdlib
-kernels.
+envelope index.
 """
 
 import pytest
 
 from repro.errors import GeometryError, StorageError
 from repro.geometry import Point
-from repro.geometry.index import EnvelopeColumns, GridIndex
+from repro.geometry.index import EnvelopeColumns
 from repro.geometry.gtypes import Envelope
 from repro.mdm.model import Dimension, Fact, Hierarchy, Level, Measure
 from repro.storage import FactTable, StarSchema
 from repro.storage.columns import Dictionary
 from repro.mdm import MDSchema
 from repro.uml.core import INTEGER, REAL
-from repro.vectorized import ENV_SWITCH, numpy_backend
 
 
 class TestDictionary:
@@ -103,7 +101,6 @@ class TestInsertMany:
         table.insert_many(_rows(4))
         assert table.key_column("Product") == ["P0", "P1", "P0", "P1"]
         assert table.measure_column("units") == [0.0, 1.0, 2.0, 3.0]
-        assert table.coordinates(2) == {"Store": "S2", "Product": "P0"}
         assert list(table.key_codes("Store"))[:3] == [0, 1, 2]
         assert table.dictionary("Store").keys() == ["S0", "S1", "S2"]
 
@@ -152,15 +149,6 @@ class TestRowsMatching:
         assert table.rows_matching(relevant, row_ids=subset) == [
             r for r in subset if r % 2 == 0
         ]
-
-    def test_numpy_backend_parity(self, monkeypatch):
-        if numpy_backend(True) is None:
-            pytest.skip("numpy not installed")
-        table = self._loaded(50)
-        relevant = {"Store": {"S1"}, "Product": {"P0", "P1"}}
-        expected = table.rows_matching(relevant)
-        monkeypatch.setenv(ENV_SWITCH, "1")
-        assert table.rows_matching(relevant) == expected
 
 
 def _star(rows=12):
@@ -289,25 +277,15 @@ class TestEnvelopeColumns:
         with pytest.raises(GeometryError):
             EnvelopeColumns([])
 
-    def test_matches_grid_index_candidates(self):
+    def test_matches_envelope_intersects(self):
         entries = self._entries()
         columns = EnvelopeColumns(entries)
-        grid = GridIndex(entries)
         assert len(columns) == len(entries)
         for env in (
             Envelope(2.0, 3.0, 11.0, 13.0),
             Envelope(-5.0, -5.0, -1.0, -1.0),
             Envelope(0.0, 0.0, 100.0, 100.0),
         ):
-            assert sorted(columns.query_envelope(env)) == sorted(
-                grid.query_envelope(env)
-            )
-
-    def test_numpy_backend_parity(self, monkeypatch):
-        if numpy_backend(True) is None:
-            pytest.skip("numpy not installed")
-        columns = EnvelopeColumns(self._entries())
-        env = Envelope(1.0, 1.0, 20.0, 20.0)
-        expected = columns.query_envelope(env)
-        monkeypatch.setenv(ENV_SWITCH, "1")
-        assert columns.query_envelope(env) == expected
+            assert columns.query_envelope(env) == [
+                item for geom, item in entries if geom.envelope.intersects(env)
+            ]

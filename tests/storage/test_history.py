@@ -140,6 +140,37 @@ class TestReplay:
         assert history.as_of(generation) is first
         assert history.replays == 1
 
+    def test_cached_reconstruction_follows_the_live_oracle(self, monkeypatch):
+        """Setting the live star's oracle switch after generation ``g`` was
+        reconstructed and cached sends ``as_of=g`` reads down the row
+        loop too, and the cached star's own index paths with them."""
+        from repro.olap import query as query_module
+
+        star = _tiny_star()
+        history = StarHistory.attach(star)
+        generation = star.generation
+        star.insert_fact("F", {"D": "d0"}, {"v": 3.0})
+        warm = _rows(star, as_of=generation)
+        assert history.replays == 1
+        ran = []
+        for name in ("_execute_rowloop", "_execute_vectorized"):
+            real = getattr(query_module, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                ran.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(query_module, name, spy)
+        star.oracle = True
+        assert _rows(star, as_of=generation) == warm
+        assert ran == ["_execute_rowloop"]
+        assert history.replays == 1  # served from the cache
+        assert history.as_of(generation).oracle
+        star.oracle = False
+        assert _rows(star, as_of=generation) == warm
+        assert ran == ["_execute_rowloop", "_execute_vectorized"]
+        assert not history.as_of(generation).oracle
+
     def test_evicted_log_range_raises(self):
         star = _tiny_star()
         star.mutation_log.max_entries = 2

@@ -1,7 +1,7 @@
 """Tests for the storage-layer index hierarchy and its invalidation.
 
 Covers the fact-table posting lists, the inverted roll-up index, the
-lazy per-layer/per-level grid indexes and the star generation counter —
+lazy per-layer/per-level envelope indexes and the star generation counter —
 each must agree exactly with the scan it replaces and must never serve
 stale data after a mutation.
 """
@@ -67,7 +67,7 @@ class TestRollupIndex:
 
     def test_leaf_keys_rolled_to_agrees_with_scan_path(self, loaded_star):
         fast = loaded_star.leaf_keys_rolled_to("Store", "State", ["Valencia"])
-        loaded_star.use_indexes = False
+        loaded_star.oracle = True
         slow = loaded_star.leaf_keys_rolled_to("Store", "State", ["Valencia"])
         assert fast == slow == {"S1", "S2"}
 
@@ -141,7 +141,7 @@ class TestConcurrency:
         assert postings == expected
 
 
-class TestGridIndexCaches:
+class TestEnvelopeIndexCaches:
     def _spatialize(self, star):
         schema = star.schema
         schema.become_spatial("Store.Store", GeometricType.POINT)

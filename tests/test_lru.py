@@ -19,14 +19,6 @@ def test_lru_eviction_order_and_counters():
     assert (lru.hits, lru.misses) == (3, 1)
 
 
-def test_put_respects_override_bound():
-    lru = ThreadSafeLRU(10)
-    for i in range(5):
-        lru.put(i, i)
-    lru.put("last", 1, max_size=2)
-    assert len(lru) == 2
-
-
 def test_clear_keeps_counters():
     lru = ThreadSafeLRU(4)
     lru.put("a", 1)

@@ -1,5 +1,5 @@
-"""Tests for the versioned /api/v1 surface: envelopes, tenancy, paging,
-and the legacy-route deprecation shim."""
+"""Tests for the versioned /api/v1 surface: envelopes, tenancy and
+paging."""
 
 import pytest
 
@@ -130,6 +130,24 @@ class TestErrorEnvelope:
                 "POST",
                 "/api/v1/login",
                 {"user": profile.user_id, "location": [1]},
+            ),
+            400,
+            "bad_request",
+        )
+
+    @pytest.mark.parametrize(
+        "location",
+        [[float("nan"), 0], [float("inf"), 0], [True, False]],
+        ids=["nan", "infinity", "booleans"],
+    )
+    def test_non_finite_or_boolean_location(self, portal, profile, location):
+        # Python's json module parses NaN and Infinity, and float() takes
+        # booleans: none of them may log in, or fail as a 500.
+        _assert_envelope(
+            portal.handle(
+                "POST",
+                "/api/v1/login",
+                {"user": profile.user_id, "location": location},
             ),
             400,
             "bad_request",
@@ -340,47 +358,6 @@ class TestPagination:
         assert paged["page"]["total"] == len(full["rows"])
         # Scan statistics describe the query, not the page window.
         assert paged["fact_rows_scanned"] == full["fact_rows_scanned"]
-
-
-class TestLegacyShim:
-    LEGACY_TO_V1 = {
-        ("POST", "/login"): "/api/v1/login",
-        ("GET", "/view"): "/api/v1/view",
-        ("GET", "/me"): "/api/v1/me",
-    }
-
-    def test_legacy_login_parity(self, portal, profile, world):
-        location = world.stores[0].location
-        body = {
-            "user": profile.user_id,
-            "location": [location.x, location.y],
-        }
-        legacy = portal.handle("POST", "/login", body)
-        assert legacy.ok
-        assert legacy.headers["Deprecation"] == "true"
-        assert legacy.headers["X-Successor"] == "/api/v1/login"
-        v1 = portal.handle("POST", "/api/v1/login", body)
-        assert v1.ok
-        assert v1.headers.get("Deprecation") is None
-        # Same shape, same personalization outcome; only tokens differ.
-        legacy_body = {k: v for k, v in legacy.json().items() if k != "token"}
-        v1_body = {k: v for k, v in v1.json().items() if k != "token"}
-        assert legacy_body == v1_body
-
-    def test_legacy_flow_round_trip(self, portal, profile, world):
-        token = portal.handle(
-            "POST", "/login", {"user": profile.user_id}
-        ).json()["token"]
-        view = portal.handle("GET", "/view", token=token)
-        assert view.ok
-        assert view.headers["X-Successor"] == "/api/v1/view"
-        assert view.json() == portal.handle(
-            "GET", "/api/v1/view", token=token
-        ).json()
-        assert portal.handle("POST", "/logout", token=token).ok
-
-    def test_legacy_errors_share_envelope(self, portal):
-        _assert_envelope(portal.handle("GET", "/view"), 401, "missing_token")
 
 
 class TestHeaderHandling:

@@ -17,7 +17,7 @@ def _login(portal, profile, world, with_location=True):
     if with_location:
         location = world.stores[0].location
         body["location"] = [location.x, location.y]
-    response = portal.handle("POST", "/login", body)
+    response = portal.handle("POST", "/api/v1/login", body)
     assert response.ok, response.body
     return response.json()["token"]
 
@@ -26,7 +26,7 @@ class TestLogin:
     def test_login_fires_rules(self, portal, profile, world):
         response = portal.handle(
             "POST",
-            "/login",
+            "/api/v1/login",
             {
                 "user": profile.user_id,
                 "location": [world.stores[0].location.x, world.stores[0].location.y],
@@ -38,31 +38,33 @@ class TestLogin:
         assert payload["view"]["fact_rows_kept"] < payload["view"]["fact_rows_total"]
 
     def test_unknown_user(self, portal):
-        assert portal.handle("POST", "/login", {"user": "nobody"}).status == 404
+        response = portal.handle("POST", "/api/v1/login", {"user": "nobody"})
+        assert response.status == 404
 
     def test_missing_user_field(self, portal):
-        assert portal.handle("POST", "/login", {}).status == 400
+        assert portal.handle("POST", "/api/v1/login", {}).status == 400
 
     def test_bad_location(self, portal, profile):
         response = portal.handle(
-            "POST", "/login", {"user": profile.user_id, "location": [1]}
+            "POST", "/api/v1/login", {"user": profile.user_id, "location": [1]}
         )
         assert response.status == 400
 
     def test_request_without_token(self, portal):
-        assert portal.handle("GET", "/view").status == 401
+        assert portal.handle("GET", "/api/v1/view").status == 401
 
     def test_invalid_token(self, portal):
-        assert portal.handle("GET", "/view", token="tok-999").status == 401
+        response = portal.handle("GET", "/api/v1/view", token="tok-999")
+        assert response.status == 401
 
 
 class TestAnalysisFlow:
     def test_view_and_schema(self, portal, profile, world):
         token = _login(portal, profile, world)
-        view = portal.handle("GET", "/view", token=token)
+        view = portal.handle("GET", "/api/v1/view", token=token)
         assert view.ok
         assert view.json()["members_selected"] >= 1
-        schema = portal.handle("GET", "/schema", token=token)
+        schema = portal.handle("GET", "/api/v1/schema", token=token)
         assert schema.ok
         layer_names = [layer["name"] for layer in schema.json()["layers"]]
         assert "Airport" in layer_names
@@ -71,26 +73,26 @@ class TestAnalysisFlow:
         token = _login(portal, profile, world)
         response = portal.handle(
             "POST",
-            "/query",
+            "/api/v1/query",
             {"q": "SELECT SUM(UnitSales) FROM Sales BY Product.Family"},
             token=token,
         )
         assert response.ok
         payload = response.json()
-        view = portal.handle("GET", "/view", token=token).json()
+        view = portal.handle("GET", "/api/v1/view", token=token).json()
         assert payload["fact_rows_scanned"] == view["fact_rows_kept"]
 
     def test_bad_query(self, portal, profile, world):
         token = _login(portal, profile, world)
         response = portal.handle(
-            "POST", "/query", {"q": "SELEKT nothing"}, token=token
+            "POST", "/api/v1/query", {"q": "SELEKT nothing"}, token=token
         )
         assert response.status == 400  # QueryError -> structured query_error
         assert response.json()["error"]["code"] == "query_error"
 
     def test_layer_endpoint(self, portal, profile, world):
         token = _login(portal, profile, world)
-        response = portal.handle("GET", "/layers/Airport", token=token)
+        response = portal.handle("GET", "/api/v1/layers/Airport", token=token)
         assert response.ok
         features = response.json()["features"]
         assert len(features) == len(world.airports)
@@ -98,11 +100,12 @@ class TestAnalysisFlow:
 
     def test_unknown_layer(self, portal, profile, world):
         token = _login(portal, profile, world)
-        assert portal.handle("GET", "/layers/Rivers", token=token).status == 404
+        response = portal.handle("GET", "/api/v1/layers/Rivers", token=token)
+        assert response.status == 404
 
     def test_me_endpoint(self, portal, profile, world):
         token = _login(portal, profile, world)
-        me = portal.handle("GET", "/me", token=token)
+        me = portal.handle("GET", "/api/v1/me", token=token)
         assert me.json()["user_id"] == profile.user_id
 
 
@@ -115,7 +118,7 @@ class TestSelectionLoop:
         token = _login(portal, profile, world)
         response = portal.handle(
             "POST",
-            "/selection",
+            "/api/v1/selection",
             {"target": "GeoMD.Store.City", "condition": self.CONDITION},
             token=token,
         )
@@ -124,37 +127,38 @@ class TestSelectionLoop:
 
     def test_full_widening_loop(self, portal, profile, world):
         token = _login(portal, profile, world)
-        before = portal.handle("GET", "/view", token=token).json()["fact_rows_kept"]
+        view = portal.handle("GET", "/api/v1/view", token=token)
+        before = view.json()["fact_rows_kept"]
         for _ in range(4):
             portal.handle(
                 "POST",
-                "/selection",
+                "/api/v1/selection",
                 {"target": "GeoMD.Store.City", "condition": self.CONDITION},
                 token=token,
             )
-        rerun = portal.handle("POST", "/selection/rerun", token=token)
+        rerun = portal.handle("POST", "/api/v1/selection/rerun", token=token)
         assert rerun.ok
         after = rerun.json()["view"]["fact_rows_kept"]
         assert after > before
 
     def test_missing_fields(self, portal, profile, world):
         token = _login(portal, profile, world)
-        assert (
-            portal.handle("POST", "/selection", {"target": "x"}, token=token).status
-            == 400
+        response = portal.handle(
+            "POST", "/api/v1/selection", {"target": "x"}, token=token
         )
+        assert response.status == 400
 
 
 class TestLogout:
     def test_logout_invalidates_token(self, portal, profile, world):
         token = _login(portal, profile, world)
-        response = portal.handle("POST", "/logout", token=token)
+        response = portal.handle("POST", "/api/v1/logout", token=token)
         assert response.ok
-        assert portal.handle("GET", "/view", token=token).status == 401
+        assert portal.handle("GET", "/api/v1/view", token=token).status == 401
 
     def test_two_sequential_sessions(self, portal, profile, world):
         token1 = _login(portal, profile, world)
-        portal.handle("POST", "/logout", token=token1)
+        portal.handle("POST", "/api/v1/logout", token=token1)
         token2 = _login(portal, profile, world)
         assert token1 != token2
-        assert portal.handle("GET", "/view", token=token2).ok
+        assert portal.handle("GET", "/api/v1/view", token=token2).ok

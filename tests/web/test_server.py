@@ -3,6 +3,7 @@
 import http.client
 import io
 import json
+import socket
 import threading
 
 import pytest
@@ -45,31 +46,35 @@ class TestHTTPAdapter:
         status, login = _request(
             http_portal,
             "POST",
-            "/login",
+            "/api/v1/login",
             {"user": profile.user_id, "location": [location.x, location.y]},
         )
         assert status == 200
         token = login["token"]
 
-        status, view = _request(http_portal, "GET", "/view", token=token)
+        status, view = _request(
+            http_portal, "GET", "/api/v1/view", token=token
+        )
         assert status == 200
         assert view["fact_rows_kept"] < view["fact_rows_total"]
 
         status, result = _request(
             http_portal,
             "POST",
-            "/query",
+            "/api/v1/query",
             {"q": "SELECT COUNT(*) FROM Sales"},
             token=token,
         )
         assert status == 200
         assert result["fact_rows_scanned"] == view["fact_rows_kept"]
 
-        status, _out = _request(http_portal, "POST", "/logout", token=token)
+        status, _out = _request(
+            http_portal, "POST", "/api/v1/logout", token=token
+        )
         assert status == 200
 
     def test_error_status_codes_propagate(self, http_portal):
-        status, body = _request(http_portal, "GET", "/view")
+        status, body = _request(http_portal, "GET", "/api/v1/view")
         assert status == 401
         assert set(body["error"]) == {"code", "message", "detail"}
         status, _body = _request(http_portal, "GET", "/nowhere")
@@ -92,6 +97,32 @@ class TestHTTPAdapter:
         assert status == 200
         assert layer["page"]["returned"] == 1
         assert layer["page"]["total"] == len(world.airports)
+        # The unversioned routes are gone, not redirected.
+        status, body = _request(
+            http_portal, "GET", "/layers/Airport", token=token
+        )
+        assert status == 404
+        assert body["error"]["code"] == "not_found"
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_answers_400_and_closes(
+        self, http_portal, length
+    ):
+        request = (
+            "POST /api/v1/login HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(http_portal, timeout=5) as client:
+            client.sendall(request)
+            received = b""
+            while chunk := client.recv(65536):  # EOF: the server closed
+                received += chunk
+        lines, body = _split_response(received)
+        assert lines[0].split()[1] == b"400"
+        assert b"Connection: close" in lines
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad_request"
+        assert set(error) == {"code", "message", "detail"}
 
 
 class _RecordingConnection:

@@ -1,0 +1,159 @@
+"""The end-to-end oracle gate: every cache and index is transparent.
+
+A smoke-tier stream replays against two fresh workload portals, one as
+built and one with the ``oracle`` switch set on every tenant's star (no
+view memo or store, no query cache, no recommender memo, scans instead
+of indexes, the row-loop executor).  Before every 8th request the same
+sale is appended to every tenant of both portals, as the repository
+benchmark's ingest loader does, so view patches, stale query-cache
+stamps and as-of replays over a moving star are all part of the
+comparison.  Every response body must be equal, login tokens aside.
+The gate runs over the in-heap stores and over the backend-backed ones
+a worker pool serves from.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from repro.cluster.backend import InMemoryBackend
+from repro.workload import (
+    InProcessTarget,
+    ReplayDriver,
+    health_window,
+    merge_health,
+)
+from repro.workload.harness import (
+    build_tier_world,
+    build_workload_portal,
+    generator_for_tier,
+    tier,
+)
+
+#: A smoke-tier seed whose stream holds as-of reads, layer fetches,
+#: selection reports and recommendations.
+SEED = 5
+INGEST_EVERY = 8
+
+
+class _LoadingTarget:
+    """An in-process target that appends the next sale to every tenant's
+    star before every :data:`INGEST_EVERY`-th replayed request (health
+    probes do not count)."""
+
+    def __init__(self, app, sales) -> None:
+        self._target = InProcessTarget(app)
+        self._stars = [tenant.engine.star for tenant in app.service.registry]
+        self._sales = iter(sales)
+        self._requests = itertools.count()
+
+    def request(self, method, path, body=None, token=None, datamart=None):
+        if next(self._requests) % INGEST_EVERY == 0:
+            sale = next(self._sales)
+            for star in self._stars:
+                star.insert_facts("Sales", [sale])
+        return self._target.request(method, path, body, token, datamart)
+
+    def health(self) -> list[dict]:
+        return self._target.health()
+
+
+def _sales(star, world, stream, count):
+    """``count`` copies of existing sales, each of the store nearest to
+    one of the stream's login points, so that the appends land inside
+    the personalized views (a sale at a random store rarely does)."""
+    table = star.fact_table("Sales")
+    dims, measures = table.fact.dimension_names, table.fact.measures
+    by_store = {}
+    for row_id in table.row_ids():
+        row = table.row(row_id)
+        by_store.setdefault(
+            row["Store"],
+            ({d: row[d] for d in dims}, {m: row[m] for m in measures}),
+        )
+    stores = [s for s in world.stores if s.name in by_store]
+    logins = itertools.cycle(
+        e.payload["location"] for e in stream if e.kind == "login"
+    )
+    sales = []
+    for x, y in itertools.islice(logins, count):
+        nearest = min(
+            stores,
+            key=lambda s: (s.location.x - x) ** 2 + (s.location.y - y) ** 2,
+        )
+        sales.append(by_store[nearest.name])
+    return sales
+
+
+def _replay(world, stream, oracle, backend):
+    app = build_workload_portal(
+        world,
+        stream.active_users(),
+        datamarts=tuple(stream.header["config"]["datamarts"]),
+        backend=backend,
+    )
+    stars = [tenant.engine.star for tenant in app.service.registry]
+    for star in stars:
+        star.oracle = oracle
+    sales = _sales(stars[0], world, stream, len(stream) // INGEST_EVERY + 1)
+    target = _LoadingTarget(app, sales)
+    driver = ReplayDriver(target)
+    driver.resolve_as_of()
+    before = merge_health(target.health())
+    report, bodies = driver.replay_serial(stream, collect_bodies=True)
+    window = health_window(before, merge_health(target.health()))
+    return report, bodies, window
+
+
+@pytest.fixture(scope="module", params=["in_heap", "backend"])
+def replays(request):
+    smoke = tier("smoke")
+    smoke = dataclasses.replace(
+        smoke, config=dataclasses.replace(smoke.config, seed=SEED)
+    )
+    world = build_tier_world(smoke)
+    stream = generator_for_tier(smoke, world).stream()
+
+    def backend():
+        return InMemoryBackend() if request.param == "backend" else None
+
+    return (
+        stream,
+        _replay(world, stream, oracle=False, backend=backend()),
+        _replay(world, stream, oracle=True, backend=backend()),
+    )
+
+
+def test_every_response_equals_the_oracle_portal(replays):
+    stream, (report, bodies, _), (oracle_report, oracle_bodies, _) = replays
+    assert report.errors == oracle_report.errors
+    assert len(bodies) == len(stream)
+    for event, body, oracle_body in zip(stream, bodies, oracle_bodies):
+        assert body == oracle_body, f"{event.kind} #{event.seq} differs"
+
+
+def test_as_of_reads_ran(replays):
+    stream, (_, bodies, _), _ = replays
+    answered = [
+        body
+        for event, body in zip(stream, bodies)
+        if event.kind == "query" and event.payload.get("as_of") is not None
+    ]
+    assert answered
+    assert all("error" not in body for body in answered)
+
+
+def test_only_the_default_portal_used_its_caches(replays):
+    _, (_, _, window), (_, _, oracle_window) = replays
+    views = window["view_store"].values()
+    assert window["query_cache"]["hits"] > 0
+    assert sum(view["hits"] for view in views) > 0
+    assert window["recommender"]["memo_hits"] > 0
+
+    oracle_views = oracle_window["view_store"].values()
+    assert oracle_window["query_cache"]["hits"] == 0
+    assert oracle_window["query_cache"]["misses"] == 0
+    assert sum(view["hits"] + view["misses"] for view in oracle_views) == 0
+    assert oracle_window["recommender"]["memo_hits"] == 0
+    assert oracle_window["recommender"]["memo_misses"] == 0
