@@ -463,36 +463,23 @@ def _ext7_build_app(scale: str, backend=None):
 
     With ``backend``, the worker-pool wiring — every store backend-backed
     under fixed namespaces, live sessions capped per process.  Without,
-    the single-process in-memory reference; its stores are passed
-    explicitly in-heap so the comparison never depends on REPRO_BACKEND
-    in the surrounding environment.
+    the single-process in-memory reference: in-heap stores whatever
+    REPRO_BACKEND says, with room for every session.
     """
-    from repro.lru import ThreadSafeLRU
-    from repro.personalization import ViewStore
-    from repro.reco.journal import WorkloadJournal
-    from repro.service import (
-        DatamartRegistry,
-        InMemorySessionStore,
-        PersonalizationService,
-    )
+    from repro.cluster.config import make_service_stores, make_view_store
+    from repro.service import DatamartRegistry, PersonalizationService
 
     world = generate_world(SCALES[scale])
     registry = DatamartRegistry()
     for index, name in enumerate(EXT7_TENANTS):
-        if backend is not None:
-            from repro.cluster.stores import BackendViewStore
-
-            view_store = BackendViewStore(
-                backend, namespace=f"ext7-views-{name}"
-            )
-        else:
-            view_store = ViewStore(128)
         engine = PersonalizationEngine(
             build_sales_star(world),
             build_motivating_user_model(),
             geo_source=WorldGeoSource(world),
             parameters={"threshold": THRESHOLD},
-            view_store=view_store,
+            view_store=make_view_store(
+                128, backend=backend, namespace=f"ext7-views-{name}"
+            ),
         )
         engine.add_rules(ALL_PAPER_RULES.values())
         tenant = registry.register(
@@ -501,33 +488,15 @@ def _ext7_build_app(scale: str, backend=None):
         tenant.register_user(
             build_regional_manager_profile(build_motivating_user_model())
         )
-    if backend is not None:
-        from repro.cluster.stores import (
-            BackendQueryCache,
-            BackendSessionStore,
-            BackendWorkloadJournal,
-        )
-
-        sessions = BackendSessionStore(
+    service = PersonalizationService(
+        registry,
+        **make_service_stores(
             backend,
-            namespace="ext7-sessions",
+            "ext7",
             ttl=3600.0,
-            max_live=EXT7_LIVE_CAP,
-        )
-        service = PersonalizationService(
-            registry,
-            session_store=sessions,
-            query_cache=BackendQueryCache(backend, namespace="ext7-qcache"),
-            journal=BackendWorkloadJournal(backend, namespace="ext7-journal"),
-        )
-        sessions.resolver = service._rehydrate_session
-    else:
-        service = PersonalizationService(
-            registry,
-            session_store=InMemorySessionStore(ttl=3600.0, max_sessions=64),
-            query_cache=ThreadSafeLRU(256),
-            journal=WorkloadJournal(),
-        )
+            max_sessions=EXT7_LIVE_CAP if backend is not None else 64,
+        ),
+    )
     return PortalApp(service=service)
 
 

@@ -293,18 +293,19 @@ def _build_portal_app(args, backend=None):  # pragma: no cover - network
     With an explicit ``backend`` (the worker pool passes the parent's
     shared one) every store gets a *fixed* namespace so all workers see
     the same sessions, query cache, view builds and journal; otherwise
-    the env-selected defaults apply (fresh namespaces, or plain in-heap
+    the env-selected backend applies (fresh namespaces, or plain in-heap
     stores in the default mode).
     """
     from repro.cluster.config import (
-        make_journal,
-        make_query_cache,
-        make_session_store,
+        env_backend,
+        make_service_stores,
         make_view_store,
     )
     from repro.service import DatamartRegistry, PersonalizationService
     from repro.web import PortalApp
 
+    namespace = "pool" if backend is not None else None
+    backend = backend or env_backend()
     registry = DatamartRegistry()
     # A second tenant on a differently seeded world demonstrates the
     # multi-datamart routing of POST /api/v1/login {"datamart": ...}.
@@ -313,10 +314,10 @@ def _build_portal_app(args, backend=None):  # pragma: no cover - network
         (f"{args.datamart}-alt", args.seed + 1, False),
     ]
     for name, seed, default in tenants:
-        view_store = (
-            make_view_store(128, namespace=f"pool-views-{name}", backend=backend)
-            if backend is not None
-            else None
+        view_store = make_view_store(
+            128,
+            backend=backend,
+            namespace=f"{namespace}-views-{name}" if namespace else None,
         )
         _world, _star, engine = _build_engine(
             seed, args.threshold, view_store=view_store
@@ -325,28 +326,10 @@ def _build_portal_app(args, backend=None):  # pragma: no cover - network
             name, engine, description=f"sales star (seed {seed})", default=default
         )
         tenant.register_user(build_regional_manager_profile())
-    if backend is not None:
-        store = make_session_store(
-            ttl=args.session_ttl, namespace="pool-sessions", backend=backend
-        )
-        query_cache = make_query_cache(
-            256, namespace="pool-qcache", backend=backend
-        )
-        journal = make_journal(namespace="pool-journal", backend=backend)
-    else:
-        store = make_session_store(ttl=args.session_ttl)
-        query_cache = None
-        journal = None
     service = PersonalizationService(
         registry,
-        session_store=store,
-        query_cache=query_cache,
-        journal=journal,
+        **make_service_stores(backend, namespace, ttl=args.session_ttl),
     )
-    # Late-bind the rehydration resolver (the store is built before the
-    # service that owns the engines exists).
-    if getattr(store, "resolver", "absent") is None:
-        store.resolver = service._rehydrate_session
     return PortalApp(service=service)
 
 

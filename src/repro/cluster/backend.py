@@ -59,8 +59,16 @@ class StateBackend(ABC):
     # -- key/value ------------------------------------------------------------
 
     @abstractmethod
-    def put(self, store: str, key: str, value: str) -> None:
-        """Insert or replace one entry (replacement refreshes its age)."""
+    def put(
+        self, store: str, key: str, value: str, *, create: bool = True
+    ) -> bool:
+        """Insert or replace one entry (replacement refreshes its age),
+        returning whether it was written.
+
+        With ``create=False`` the write only replaces an entry that
+        exists, atomically, and leaves its age alone: a session refresh
+        must not resurrect a record another worker deleted at logout.
+        """
 
     @abstractmethod
     def get(self, store: str, key: str) -> str | None: ...
@@ -138,15 +146,23 @@ class InMemoryBackend(StateBackend):
         # guarded-by: _lock
         self._counters: dict[str, int] = {}
 
-    def put(self, store: str, key: str, value: str) -> None:
+    def put(
+        self, store: str, key: str, value: str, *, create: bool = True
+    ) -> bool:
         if not isinstance(value, str):
             raise StorageError(
                 f"backend values must be encoded text, got {type(value).__name__}"
             )
         with self._lock:
             entries = self._stores.setdefault(store, OrderedDict())
+            if not create:
+                if key not in entries:
+                    return False
+                entries[key] = value
+                return True
             entries.pop(key, None)  # re-put refreshes the write age
             entries[key] = value
+            return True
 
     def get(self, store: str, key: str) -> str | None:
         with self._lock:
@@ -270,18 +286,27 @@ class SqliteBackend(StateBackend):
 
     # -- key/value ------------------------------------------------------------
 
-    def put(self, store: str, key: str, value: str) -> None:
+    def put(
+        self, store: str, key: str, value: str, *, create: bool = True
+    ) -> bool:
         if not isinstance(value, str):
             raise StorageError(
                 f"backend values must be encoded text, got {type(value).__name__}"
             )
         with self._lock:
+            if not create:
+                cursor = self._connection().execute(
+                    "UPDATE kv SET value = ? WHERE store = ? AND key = ?",
+                    (value, store, key),
+                )
+                return cursor.rowcount > 0
             # INSERT OR REPLACE re-inserts (fresh rowid), so a re-put
             # refreshes the entry's prune age like the in-memory re-put.
             self._connection().execute(
                 "INSERT OR REPLACE INTO kv (store, key, value) VALUES (?, ?, ?)",
                 (store, key, value),
             )
+            return True
 
     def get(self, store: str, key: str) -> str | None:
         with self._lock:

@@ -33,11 +33,6 @@ The four entry kinds mirror the shared stores:
   byte-identical once JSON-serialized) to one served from the heap;
   since v2 the payload carries the per-dimension generation ``stamps``
   the façade revalidates on every hit.
-* **mutation events** — :class:`~repro.storage.star.StarMutation` with
-  its frozen delta payload dumped as nested lists (geometries as
-  ``{"__wkt__": ...}`` envelopes), so the PR 9 mutation log survives the
-  sqlite backend and a rehydrating worker can replay typed deltas
-  instead of reloading full selections.
 
 Timestamps are ``time.monotonic()`` values.  On Linux that clock is
 machine-wide (``CLOCK_MONOTONIC``), so TTL arithmetic stays valid across
@@ -62,8 +57,6 @@ __all__ = [
     "decode_view_entry",
     "encode_query_payload",
     "decode_query_payload",
-    "encode_mutation_event",
-    "decode_mutation_event",
 ]
 
 
@@ -349,108 +342,4 @@ def decode_query_payload(text: str):
             _field(data, "query-payload", "fact_rows_matched", int)
         ),
         stamps=_deep_tuple(stamps),
-    )
-
-
-# -- mutation events ---------------------------------------------------------------
-
-MUTATION_EVENT_VERSION = 1
-
-
-def _dump_frozen(value: object) -> object:
-    """JSON-encode a frozen mutation payload value.
-
-    Frozen payloads are nested tuples of scalars and geometries (see
-    :func:`repro.storage.star.freeze_payload`); geometries become WKT
-    envelopes ``{"__wkt__": ...}`` — the one object shape the decoder
-    accepts, so a payload round-trips to an *equal* frozen tuple.
-    """
-    from repro.geometry import Geometry
-
-    if isinstance(value, Geometry):
-        return {"__wkt__": value.wkt}
-    if isinstance(value, (list, tuple)):
-        return [_dump_frozen(inner) for inner in value]
-    return value
-
-
-def _load_frozen(value: object) -> object:
-    """Inverse of :func:`_dump_frozen`: lists back to tuples, WKT
-    envelopes back to geometries, anything else is corrupt."""
-    from repro.errors import GeometryError
-    from repro.geometry import wkt_loads
-
-    if isinstance(value, dict):
-        if set(value) != {"__wkt__"} or not isinstance(
-            value["__wkt__"], str
-        ):
-            raise CodecError(
-                "corrupt mutation-event entry: unexpected object in payload"
-            )
-        try:
-            return wkt_loads(value["__wkt__"])
-        except GeometryError as exc:
-            raise CodecError(
-                f"corrupt mutation-event entry: bad WKT payload: {exc}"
-            ) from exc
-    if isinstance(value, list):
-        return tuple(_load_frozen(inner) for inner in value)
-    return value
-
-
-def encode_mutation_event(mutation) -> str:
-    """Encode one :class:`~repro.storage.star.StarMutation` so the
-    mutation log survives the persistent backend and another worker can
-    replay the delta instead of rebuilding from scratch."""
-    return json.dumps(
-        {
-            "v": MUTATION_EVENT_VERSION,
-            "kind": mutation.kind,
-            "generation": mutation.generation,
-            "dimension": mutation.dimension,
-            "layer": mutation.layer,
-            "fact": mutation.fact,
-            "row_ids": list(mutation.row_ids),
-            "op": mutation.op,
-            "payload": _dump_frozen(mutation.payload),
-        },
-        separators=(",", ":"),
-    )
-
-
-def decode_mutation_event(text: str):
-    """Decode to a frozen :class:`StarMutation`, strict like every other
-    codec: corrupt text, version skew or a mistyped field raises
-    :class:`CodecError` and the caller treats the row as a miss."""
-    from repro.storage.star import StarMutation
-
-    data = _loads(text, "mutation-event", MUTATION_EVENT_VERSION)
-    kind = _field(data, "mutation-event", "kind", str)
-    generation = _field(data, "mutation-event", "generation", int)
-    if isinstance(generation, bool):
-        raise CodecError(
-            "corrupt mutation-event entry: field 'generation' is bool"
-        )
-    row_ids = _field(data, "mutation-event", "row_ids", list)
-    if not all(
-        isinstance(row_id, int) and not isinstance(row_id, bool)
-        for row_id in row_ids
-    ):
-        raise CodecError("corrupt mutation-event entry: non-int row id")
-    for name in ("dimension", "layer", "fact", "op"):
-        if data.get(name) is not None and not isinstance(data[name], str):
-            raise CodecError(
-                f"corrupt mutation-event entry: field {name!r} is "
-                f"{type(data[name]).__name__}, expected str or null"
-            )
-    payload = _load_frozen(_field(data, "mutation-event", "payload", list))
-    return StarMutation(
-        kind=kind,
-        generation=int(generation),
-        dimension=data.get("dimension"),
-        layer=data.get("layer"),
-        fact=data.get("fact"),
-        row_ids=tuple(int(row_id) for row_id in row_ids),
-        op=data.get("op"),
-        payload=payload,  # type: ignore[arg-type]
     )

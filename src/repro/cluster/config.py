@@ -1,20 +1,28 @@
-"""Backend selection for the serving tier (``REPRO_BACKEND``).
+"""Store construction and backend selection (``REPRO_BACKEND``).
 
-The service and engine construct their stores through the ``make_*``
-factories here instead of hard-coding the in-heap classes.  With the
-default environment nothing changes: every factory returns exactly the
-in-heap store.  With ``REPRO_BACKEND=sqlite`` each factory returns the
-backend-backed store over one process-wide
-:class:`~repro.cluster.backend.SqliteBackend` (``REPRO_STATE`` names the
-file; the default is a per-process temp file) — this is how the tier-1
-suite runs end-to-end over the persistent tier in CI's ``cluster`` job,
-and how the :mod:`~repro.cluster.pool` workers share state.
+The ``make_*`` factories here are the only code that picks a store
+class.  Each takes an optional ``backend``: without one it returns the
+in-heap store (:class:`~repro.service.sessions.InMemorySessionStore`,
+:class:`~repro.lru.ThreadSafeLRU`,
+:class:`~repro.personalization.view_store.ViewStore`,
+:class:`~repro.reco.journal.WorkloadJournal`); with one, the same store
+plus its shared tier over that backend (:mod:`repro.cluster.stores`).
+:func:`make_service_stores` builds a whole portal's service-side stores
+in one call.
 
-Each factory call gets a *fresh namespace* by default, so independently
-constructed services/engines stay isolated from each other exactly as
-independently constructed in-heap stores do (process-wide file, but
-disjoint key spaces).  The worker pool passes *fixed* namespaces
-instead — sharing is explicit, never accidental.
+:func:`env_backend` is the environment's choice for stores nobody
+configured: ``None`` by default, so the service and engine defaults
+are the in-heap stores, and under ``REPRO_BACKEND=sqlite`` one
+process-wide :class:`~repro.cluster.backend.SqliteBackend`
+(``REPRO_STATE`` names the file; the default is a per-process temp
+file) — this is how the tier-1 suite runs end-to-end over the
+persistent tier in CI's ``cluster`` job.
+
+A backend-backed store gets a *fresh namespace* unless one is passed,
+so independently constructed services/engines stay isolated from each
+other exactly as independently constructed in-heap stores do
+(process-wide file, but disjoint key spaces).  The worker pool passes
+*fixed* namespaces instead — sharing is explicit, never accidental.
 """
 
 from __future__ import annotations
@@ -22,19 +30,30 @@ from __future__ import annotations
 import itertools
 import os
 import tempfile
-from typing import Callable
 
 from repro.cluster.backend import InMemoryBackend, SqliteBackend, StateBackend
+from repro.cluster.stores import (
+    BackendQueryCache,
+    BackendSessionStore,
+    BackendViewStore,
+    BackendWorkloadJournal,
+)
+from repro.lru import ThreadSafeLRU
+from repro.personalization.view_store import ViewStore
+from repro.reco.journal import WorkloadJournal
+from repro.service.sessions import InMemorySessionStore
 
 __all__ = [
     "backend_kind",
     "shared_backend",
     "set_shared_backend",
     "fresh_namespace",
+    "env_backend",
     "make_session_store",
     "make_query_cache",
     "make_view_store",
     "make_journal",
+    "make_service_stores",
     "state_health",
     "worker_id",
 ]
@@ -116,84 +135,98 @@ def worker_id() -> int | None:
 # -- store factories ----------------------------------------------------------------
 
 
+def env_backend() -> StateBackend | None:
+    """The backend ``REPRO_BACKEND`` selects for stores built without an
+    explicit one: the shared backend under ``sqlite``, ``None`` (the
+    in-heap stores) in the default mode — even when an earlier sqlite
+    singleton is still alive in the process."""
+    return shared_backend() if backend_kind() == "sqlite" else None
+
+
 def make_session_store(
     ttl: float = 1800.0,
     max_sessions: int = 256,
-    resolver: Callable[[str, str, dict], object] | None = None,
-    namespace: str | None = None,
+    *,
     backend: StateBackend | None = None,
-):
-    """The env-selected session store (see module docstring)."""
-    if backend is None and backend_kind() == "memory":
-        from repro.service.sessions import InMemorySessionStore
-
+    namespace: str | None = None,
+) -> InMemorySessionStore:
+    """The session store: in-heap, or its two-tier form over ``backend``."""
+    if backend is None:
         return InMemorySessionStore(ttl=ttl, max_sessions=max_sessions)
-    from repro.cluster.stores import BackendSessionStore
-
     return BackendSessionStore(
-        backend or shared_backend(),
+        backend,
         namespace=namespace or fresh_namespace("svc"),
         ttl=ttl,
-        max_live=max_sessions,
-        resolver=resolver,
+        max_sessions=max_sessions,
     )
 
 
 def make_query_cache(
     max_size: int,
-    namespace: str | None = None,
+    *,
     backend: StateBackend | None = None,
-):
-    """The env-selected query-result cache (ThreadSafeLRU-compatible)."""
-    if backend is None and backend_kind() == "memory":
-        from repro.lru import ThreadSafeLRU
-
+    namespace: str | None = None,
+) -> ThreadSafeLRU:
+    """The façade's query-result LRU, shared through ``backend`` if given."""
+    if backend is None:
         return ThreadSafeLRU(max_size)
-    from repro.cluster.stores import BackendQueryCache
-
     return BackendQueryCache(
-        backend or shared_backend(),
-        namespace=namespace or fresh_namespace("svc"),
-        max_size=max_size,
+        backend, namespace=namespace or fresh_namespace("svc"), max_size=max_size
     )
 
 
 def make_view_store(
     max_size: int,
-    namespace: str | None = None,
+    *,
     backend: StateBackend | None = None,
-):
-    """The env-selected shared materialized-view store."""
-    if backend is None and backend_kind() == "memory":
-        from repro.personalization.view_store import ViewStore
-
+    namespace: str | None = None,
+) -> ViewStore:
+    """An engine's materialized-view store, shared through ``backend``
+    if given."""
+    if backend is None:
         return ViewStore(max_size)
-    from repro.cluster.stores import BackendViewStore
-
     return BackendViewStore(
-        backend or shared_backend(),
-        namespace=namespace or fresh_namespace("eng"),
-        max_size=max_size,
+        backend, namespace=namespace or fresh_namespace("eng"), max_size=max_size
     )
 
 
 def make_journal(
     max_events_per_user: int = 10_000,
-    namespace: str | None = None,
+    *,
     backend: StateBackend | None = None,
-):
-    """The env-selected workload journal."""
-    if backend is None and backend_kind() == "memory":
-        from repro.reco.journal import WorkloadJournal
-
+    namespace: str | None = None,
+) -> WorkloadJournal:
+    """The workload journal, kept in ``backend`` if given."""
+    if backend is None:
         return WorkloadJournal(max_events_per_user=max_events_per_user)
-    from repro.cluster.stores import BackendWorkloadJournal
-
     return BackendWorkloadJournal(
-        backend or shared_backend(),
+        backend,
         namespace=namespace or fresh_namespace("svc"),
         max_events_per_user=max_events_per_user,
     )
+
+
+def make_service_stores(
+    backend: StateBackend | None,
+    namespace: str | None = None,
+    *,
+    ttl: float = 1800.0,
+    max_sessions: int = 256,
+) -> dict[str, object]:
+    """One portal's session store, query cache and journal, as
+    :class:`~repro.service.facade.PersonalizationService` keyword
+    arguments: in-heap without ``backend``, else over it under one
+    ``namespace`` (fresh by default).  The workers of a pool pass the
+    same backend and namespace — that is what makes them share state."""
+    if backend is not None:
+        namespace = namespace or fresh_namespace("svc")
+    return {
+        "session_store": make_session_store(
+            ttl, max_sessions, backend=backend, namespace=namespace
+        ),
+        "query_cache": make_query_cache(256, backend=backend, namespace=namespace),
+        "journal": make_journal(backend=backend, namespace=namespace),
+    }
 
 
 def state_health() -> dict:
@@ -205,8 +238,9 @@ def state_health() -> dict:
     return in-heap stores even when an earlier sqlite singleton is
     still alive in the process, so the block says ``memory`` then too.
     """
-    if backend_kind() == "memory":
+    backend = env_backend()
+    if backend is None:
         return {"kind": "memory", "worker_id": worker_id(), "stores": {}}
-    stats = shared_backend().stats()
+    stats = backend.stats()
     stats["worker_id"] = worker_id()
     return stats

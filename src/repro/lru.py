@@ -4,7 +4,9 @@ The cache hierarchy grew three hand-rolled copies of the same pattern —
 lock-guarded :class:`~collections.OrderedDict`, ``move_to_end`` on
 access, ``popitem(last=False)`` eviction, hit/miss counters — in the
 service query cache, the recommendation memo and the spatial-profile
-cache.  This is that pattern, once.
+cache.  This is that pattern, once.  The backend-backed query cache
+(:class:`~repro.cluster.stores.BackendQueryCache`) is this map with a
+shared second tier behind :meth:`ThreadSafeLRU._miss`.
 """
 
 from __future__ import annotations
@@ -34,12 +36,18 @@ class ThreadSafeLRU:
         """The cached value (refreshed as most-recent), or ``None``."""
         with self._lock:
             value = self._entries.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
+            if value is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return value
+        return self._miss(key)
+
+    def _miss(self, key: Hashable) -> object | None:
+        """Answer a key the map does not hold: counts a miss.  A subclass
+        with a lower tier looks there first."""
+        with self._lock:
+            self.misses += 1
+        return None
 
     def put(self, key: Hashable, value: object) -> None:
         """Store a value, evicting least-recently-used entries beyond the

@@ -328,9 +328,11 @@ class PersonalizationEngine:
         if view_store is not None:
             self.view_store: ViewStore | None = view_store
         elif view_store_size > 0:
-            from repro.cluster.config import make_view_store
+            from repro.cluster.config import env_backend, make_view_store
 
-            self.view_store = make_view_store(view_store_size)
+            self.view_store = make_view_store(
+                view_store_size, backend=env_backend()
+            )
         else:
             self.view_store = None
         if self.view_store is not None:

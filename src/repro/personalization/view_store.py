@@ -37,6 +37,12 @@ related work describes):
   switch is set bypass it, which is how the benchmark harness proves
   the store is transparent.
 
+* **A shared tier** — on a miss, :meth:`ViewStore.get_or_build` asks
+  ``_fetch`` for a view built elsewhere before it scans, and hands every
+  build to ``_publish``.  Both are no-ops here;
+  :class:`~repro.cluster.stores.BackendViewStore` overrides exactly these
+  two to share builds across worker processes.
+
 This deliberately does *not* reuse :class:`repro.lru.ThreadSafeLRU`:
 the store's defining operations — single-flight builds under the lock
 and wholesale generational *rekeying* of the map on every fact delta —
@@ -145,11 +151,25 @@ class ViewStore:
             # whose selection still fingerprints to the old key).
             frozen = selection.snapshot()
             key = (fact, frozen.fingerprint(), star.generation)
-            view = self._build(star, schema, fact, frozen)
-            self.builds += 1
+            view = self._fetch(key, star, schema)
+            if view is None:
+                view = self._build(star, schema, fact, frozen)
+                self.builds += 1
+                self._publish(key, view)
             self._entries[key] = _Entry(view)
             self._trim()
             return view
+
+    def _fetch(  # guarded-by-caller: _lock
+        self, key: _Key, star: StarSchema, schema: "GeoMDSchema"
+    ) -> "PersonalizedView | None":
+        """A view for ``key`` that another store already built, or
+        ``None``.  The in-heap store shares with no one; the
+        backend-backed one reads its shared tier here."""
+        return None
+
+    def _publish(self, key: _Key, view: "PersonalizedView") -> None:  # guarded-by-caller: _lock
+        """Offer a fresh build to other stores (no-op in-heap)."""
 
     def _build(
         self,

@@ -16,6 +16,15 @@ not.
 
 Memory is bounded per user (``max_events_per_user``, oldest dropped
 first) so a hot tenant cannot grow the journal without limit.
+
+Storage is six methods — :meth:`~WorkloadJournal.record`,
+:meth:`~WorkloadJournal.generation`, :meth:`~WorkloadJournal.users`,
+:meth:`~WorkloadJournal.events`, :meth:`~WorkloadJournal.stats` and
+``__len__``; the derived API (``record_query``/``record_selection``/
+``record_layer``, ``queries``, ``layers``, ``member_profile``) is written
+once over them.  :class:`~repro.cluster.stores.BackendWorkloadJournal`
+overrides only the storage methods, keeping events and generations in a
+shared :class:`~repro.cluster.backend.StateBackend`.
 """
 
 from __future__ import annotations
@@ -32,6 +41,11 @@ __all__ = ["WorkloadEvent", "WorkloadJournal"]
 QUERY = "query"
 SELECTION = "selection"
 LAYER = "layer"
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in (QUERY, SELECTION, LAYER):
+        raise ValueError(f"unknown workload event kind {kind!r}")
 
 
 def _freeze(value: object) -> object:
@@ -99,8 +113,7 @@ class WorkloadJournal:
         payload: Mapping[str, object] | None = None,
     ) -> WorkloadEvent:
         """Append one event, returning it (with its sequence number)."""
-        if kind not in (QUERY, SELECTION, LAYER):
-            raise ValueError(f"unknown workload event kind {kind!r}")
+        _check_kind(kind)
         with self._lock:
             self._seq += 1
             event = WorkloadEvent(

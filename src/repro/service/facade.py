@@ -121,18 +121,23 @@ class PersonalizationService:
         # over the shared persistent backend with REPRO_BACKEND=sqlite
         # (see repro.cluster.config).  Explicit arguments always win.
         from repro.cluster.config import (
+            env_backend,
             make_journal,
             make_query_cache,
             make_session_store,
         )
 
+        backend = env_backend()
         self.registry = registry
         # `is not None` matters: an empty store has __len__ == 0 and is falsy.
         self.sessions = (
             session_store
             if session_store is not None
-            else make_session_store(resolver=self._rehydrate_session)
+            else make_session_store(backend=backend)
         )
+        #: Tokens whose live session the store lacks resolve through a
+        #: login-equivalent rebuild (persisted stores only).
+        self.sessions.resolver = self._rehydrate_session
         # guarded-by: _lock
         self._sessions_started: dict[str, int] = {}
         # guarded-by: _lock
@@ -150,18 +155,19 @@ class PersonalizationService:
         if query_cache_size < 0:
             raise ValueError("query_cache_size must be >= 0")
         self.query_cache_size = query_cache_size
-        #: ThreadSafeLRU or its backend-backed equivalent (same get/put/
-        #: clear/hits/misses surface, entries shared across workers).
+        #: A ThreadSafeLRU (backend-backed: entries shared across workers).
         self._query_cache = (
             query_cache
             if query_cache is not None
-            else make_query_cache(query_cache_size)
+            else make_query_cache(query_cache_size, backend=backend)
         )
         #: Workload journal + recommender: every query, selection report
         #: and layer fetch is journaled per (datamart, user) — unless the
         #: login opted out — and the recommender ranks suggestions from
         #: similar users' journals (see :mod:`repro.reco`).
-        self.journal = journal if journal is not None else make_journal()
+        self.journal = (
+            journal if journal is not None else make_journal(backend=backend)
+        )
         self.recommender = (
             recommender if recommender is not None else Recommender(self.journal)
         )

@@ -10,6 +10,15 @@ LRU eviction at ``max_sessions``, and a lock around every mutation.
 Expired or evicted analysis sessions are *ended* (SessionEnd rules fire,
 the profile session closes) on a best-effort basis, mirroring what an
 explicit logout would have done.
+
+:class:`InMemorySessionStore` is also the live tier (L1) of the
+backend-backed :class:`~repro.cluster.stores.BackendSessionStore`, which
+inherits every rule above.  Its shared tier plugs into three seams —
+``_sweep`` (which records the expiry sweep covers), ``_claim_locked``
+(whether a fresh token is free, and persisting it) and ``_miss`` (a
+token with no fresh live record) — and wraps ``get``, ``remove`` and
+``persist`` with its writes.  The hit path of
+:meth:`InMemorySessionStore.get` calls none of the seams.
 """
 
 from __future__ import annotations
@@ -58,6 +67,13 @@ class SessionStore(ABC):
     sentinel, so every caller produces the same structured 401.
     """
 
+    #: ``resolver(datamart, user_id, meta)`` rebuilds a live session for
+    #: a token whose record this store holds but whose live session it
+    #: does not (another worker issued it, or it was evicted).  The
+    #: service that owns the store binds it; a heap-resident store,
+    #: which keeps nothing beyond its live sessions, never calls it.
+    resolver: Callable[[str, str, dict], object] | None = None
+
     @abstractmethod
     def put(
         self,
@@ -105,6 +121,20 @@ def _default_token_factory() -> str:
     return f"tok-{secrets.token_urlsafe(12)}"
 
 
+def _invalid_session() -> UnauthorizedError:
+    return UnauthorizedError(
+        "unknown or logged-out session token", code="invalid_session"
+    )
+
+
+def _session_expired(ttl: float) -> UnauthorizedError:
+    return UnauthorizedError(
+        "session expired; POST /api/v1/login again",
+        code="session_expired",
+        detail={"ttl": ttl},
+    )
+
+
 def _end_quietly(record: SessionRecord) -> None:
     """End an evicted/expired session as logout would, swallowing errors."""
     session = record.session
@@ -142,6 +172,8 @@ class InMemorySessionStore(SessionStore):
         #: token -> record, ordered oldest-access-first (LRU discipline).
         # guarded-by: _lock
         self._records: OrderedDict[str, SessionRecord] = OrderedDict()
+        #: Live sessions ended to stay within ``max_sessions``.
+        self.evictions = 0
 
     # -- SessionStore API ---------------------------------------------------------
 
@@ -154,17 +186,10 @@ class InMemorySessionStore(SessionStore):
         meta: dict | None = None,
     ) -> SessionRecord:
         now = self._clock()
-        ended: list[SessionRecord] = []
+        ended = self._sweep(now)
         with self._lock:
-            ended.extend(self._purge_expired_locked(now))
-            while len(self._records) >= self.max_sessions:
-                _token, evicted = self._records.popitem(last=False)
-                ended.append(evicted)
-            token = self._token_factory()
-            while token in self._records:  # collision paranoia
-                token = self._token_factory()
             record = SessionRecord(
-                token=token,
+                token=self._token_factory(),
                 session=session,
                 datamart=datamart,
                 user_id=user_id,
@@ -172,7 +197,9 @@ class InMemorySessionStore(SessionStore):
                 last_access=now,
                 meta=dict(meta or {}),
             )
-            self._records[token] = record
+            while not self._claim_locked(record):  # collision paranoia
+                record.token = self._token_factory()
+            self._admit_locked(record, ended)
         for stale in ended:
             _end_quietly(stale)
         return record
@@ -181,35 +208,18 @@ class InMemorySessionStore(SessionStore):
         now = self._clock()
         with self._lock:
             record = self._records.get(token)
-            if record is None:
-                raise UnauthorizedError(
-                    "unknown or logged-out session token",
-                    code="invalid_session",
-                )
-            if now - record.last_access > self.ttl:
-                del self._records[token]
-                expired: SessionRecord | None = record
-            else:
+            if record is not None and now - record.last_access <= self.ttl:
                 record.last_access = now
                 self._records.move_to_end(token)
-                expired = None
-        if expired is not None:
-            _end_quietly(expired)
-            raise UnauthorizedError(
-                "session expired; POST /api/v1/login again",
-                code="session_expired",
-                detail={"ttl": self.ttl},
-            )
-        return record
+                return record
+        return self._miss(token, record, now)
 
     def remove(self, token: str) -> None:
         with self._lock:
             self._records.pop(token, None)
 
     def purge_expired(self) -> int:
-        now = self._clock()
-        with self._lock:
-            ended = self._purge_expired_locked(now)
+        ended = self._sweep(self._clock())
         for record in ended:
             _end_quietly(record)
         return len(ended)
@@ -222,12 +232,52 @@ class InMemorySessionStore(SessionStore):
         with self._lock:
             return iter(list(self._records.values()))
 
+    # -- seams (overridden by the backend-backed store) ---------------------------
+
+    def _sweep(self, now: float) -> list[SessionRecord]:
+        """Drop every expired session, returning the live records for
+        the caller to end."""
+        with self._lock:
+            stale = [
+                token
+                for token, record in self._records.items()
+                if now - record.last_access > self.ttl
+            ]
+            return [self._records.pop(token) for token in stale]
+
+    def _claim_locked(self, record: SessionRecord) -> bool:  # guarded-by-caller: _lock
+        """Whether ``record.token`` is free to issue."""
+        return record.token not in self._records
+
+    def _miss(
+        self, token: str, stale: SessionRecord | None, now: float
+    ) -> SessionRecord:
+        """Resolve a token with no fresh live record: ``stale`` is its
+        expired live record, if any."""
+        if stale is None:
+            raise _invalid_session()
+        self._evict(token, stale)
+        raise _session_expired(self.ttl)
+
     # -- internals ---------------------------------------------------------------
 
-    def _purge_expired_locked(self, now: float) -> list[SessionRecord]:  # guarded-by-caller: _lock
-        stale = [
-            token
-            for token, record in self._records.items()
-            if now - record.last_access > self.ttl
-        ]
-        return [self._records.pop(token) for token in stale]
+    def _admit_locked(  # guarded-by-caller: _lock
+        self, record: SessionRecord, ended: list[SessionRecord]
+    ) -> None:
+        """Make ``record`` the most recent live session, moving the least
+        recently used ones beyond ``max_sessions`` into ``ended``."""
+        self._records[record.token] = record
+        self._records.move_to_end(record.token)
+        while len(self._records) > self.max_sessions:
+            _token, evicted = self._records.popitem(last=False)
+            self.evictions += 1
+            ended.append(evicted)
+
+    def _evict(self, token: str, record: SessionRecord) -> None:
+        """Drop ``record`` from the live sessions and end it, unless a
+        concurrent request already did."""
+        with self._lock:
+            if self._records.get(token) is not record:
+                return
+            del self._records[token]
+        _end_quietly(record)

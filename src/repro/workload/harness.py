@@ -21,9 +21,9 @@ its 1,200 sessions, not a million profile objects.  Only the sampled
 
 :func:`build_workload_portal` mirrors the serving topologies the EXT7
 benchmark established: without a backend, a single-process in-memory
-portal (explicit in-heap stores, immune to ``REPRO_BACKEND`` in the
-surrounding environment); with one, the worker-pool wiring — every
-store backend-backed under fixed namespaces — suitable as a
+portal (in-heap stores, immune to ``REPRO_BACKEND`` in the surrounding
+environment); with one, the worker-pool wiring — every store
+backend-backed under fixed namespaces — suitable as a
 :class:`~repro.cluster.pool.WorkerPool` app factory.  Both register the
 same users over the same deterministic world, which is what makes the
 identical-response gate between targets meaningful.
@@ -65,6 +65,10 @@ __all__ = [
 WORKLOAD_TENANTS = ("dm-0", "dm-1", "dm-2", "dm-3")
 
 THRESHOLD = 3
+
+#: Live sessions each workload portal process keeps; a pool worker
+#: spills the least recently used beyond it (they rehydrate on use).
+WORKLOAD_LIVE_SESSIONS = 256
 
 
 def _world_scales() -> dict:
@@ -234,32 +238,25 @@ def build_workload_portal(
     active_users,
     datamarts=WORKLOAD_TENANTS,
     backend=None,
-    live_cap: int = 256,
-    namespace: str = "wl",
 ):
     """A multi-tenant portal ready to replay a generated stream.
 
     ``active_users`` is :meth:`EventStream.active_users` (or any
     iterable of ``(datamart, user_id, cohort)``): only sampled users are
     registered, which is what keeps million-user population tiers cheap.
-    With ``backend``, every store is backend-backed under
-    ``{namespace}-*`` namespaces — pass the same backend to every worker
-    of a pool; without, explicit in-heap stores.
+    With ``backend``, every store is backend-backed under fixed
+    ``wl-*`` namespaces — pass the same backend to every worker of a
+    pool; without, in-heap stores.
     """
+    from repro.cluster.config import make_service_stores, make_view_store
     from repro.data import (
         ALL_PAPER_RULES,
         WorldGeoSource,
         build_motivating_user_model,
         build_sales_star,
     )
-    from repro.lru import ThreadSafeLRU
-    from repro.personalization import PersonalizationEngine, ViewStore
-    from repro.reco.journal import WorkloadJournal
-    from repro.service import (
-        DatamartRegistry,
-        InMemorySessionStore,
-        PersonalizationService,
-    )
+    from repro.personalization import PersonalizationEngine
+    from repro.service import DatamartRegistry, PersonalizationService
     from repro.web import PortalApp
 
     users_by_tenant: dict[str, list[str]] = {}
@@ -272,20 +269,14 @@ def build_workload_portal(
         )
     registry = DatamartRegistry()
     for index, name in enumerate(datamarts):
-        if backend is not None:
-            from repro.cluster.stores import BackendViewStore
-
-            view_store = BackendViewStore(
-                backend, namespace=f"{namespace}-views-{name}"
-            )
-        else:
-            view_store = ViewStore(128)
         engine = PersonalizationEngine(
             build_sales_star(world),
             build_motivating_user_model(),
             geo_source=WorldGeoSource(world),
             parameters={"threshold": THRESHOLD},
-            view_store=view_store,
+            view_store=make_view_store(
+                128, backend=backend, namespace=f"wl-views-{name}"
+            ),
         )
         engine.add_rules(ALL_PAPER_RULES.values())
         tenant = registry.register(
@@ -293,39 +284,12 @@ def build_workload_portal(
         )
         for user_id in sorted(set(users_by_tenant.get(name, ()))):
             tenant.register_user(_synthetic_profile(user_id))
-    if backend is not None:
-        from repro.cluster.stores import (
-            BackendQueryCache,
-            BackendSessionStore,
-            BackendWorkloadJournal,
-        )
-
-        sessions = BackendSessionStore(
-            backend,
-            namespace=f"{namespace}-sessions",
-            ttl=3600.0,
-            max_live=live_cap,
-        )
-        service = PersonalizationService(
-            registry,
-            session_store=sessions,
-            query_cache=BackendQueryCache(
-                backend, namespace=f"{namespace}-qcache"
-            ),
-            journal=BackendWorkloadJournal(
-                backend, namespace=f"{namespace}-journal"
-            ),
-        )
-        sessions.resolver = service._rehydrate_session
-    else:
-        service = PersonalizationService(
-            registry,
-            session_store=InMemorySessionStore(
-                ttl=3600.0, max_sessions=max(live_cap, 64)
-            ),
-            query_cache=ThreadSafeLRU(256),
-            journal=WorkloadJournal(),
-        )
+    service = PersonalizationService(
+        registry,
+        **make_service_stores(
+            backend, "wl", ttl=3600.0, max_sessions=WORKLOAD_LIVE_SESSIONS
+        ),
+    )
     return PortalApp(service=service)
 
 

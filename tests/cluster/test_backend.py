@@ -83,6 +83,18 @@ class TestKeyValue:
         backend.prune("s", 2)
         assert backend.keys("s") == ["k0", "k3"]
 
+    def test_update_only_put_never_creates(self, backend):
+        """``create=False`` replaces an existing entry and reports it,
+        and writes nothing for an absent one (a deleted session record
+        must stay deleted)."""
+        assert backend.put("s", "k", "v1") is True
+        assert backend.put("s", "k", "v2", create=False) is True
+        assert backend.get("s", "k") == "v2"
+        backend.delete("s", "k")
+        assert backend.put("s", "k", "v3", create=False) is False
+        assert backend.get("s", "k") is None
+        assert backend.count("s") == 0
+
     def test_prune_missing_store(self, backend):
         assert backend.prune("nope", 10) == 0
 

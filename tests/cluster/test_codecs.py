@@ -14,19 +14,16 @@ from hypothesis import strategies as st
 from repro.cluster.codecs import (
     CodecError,
     decode_journal_event,
-    decode_mutation_event,
     decode_query_payload,
     decode_session_record,
     decode_view_entry,
     encode_journal_event,
-    encode_mutation_event,
     encode_query_payload,
     encode_session_record,
     encode_view_entry,
 )
 from repro.reco.journal import WorkloadEvent
 from repro.service.facade import CellSetPayload
-from repro.storage.star import StarMutation, freeze_payload
 
 # JSON-exact scalars: finite floats round-trip bit-for-bit through
 # json.dumps/loads, NaN would break equality checks.
@@ -271,99 +268,3 @@ class TestViewEntryCodec:
     def test_corrupt_rejected(self, text, star):
         with pytest.raises(CodecError):
             decode_view_entry(text, star, star.schema, "fp")
-
-
-class TestMutationEventCodec:
-    @given(
-        kind=st.sampled_from(["fact", "member", "feature", "schema"]),
-        generation=st.integers(min_value=1, max_value=2**40),
-        dimension=st.one_of(st.none(), st.text(min_size=1, max_size=12)),
-        layer=st.one_of(st.none(), st.text(min_size=1, max_size=12)),
-        fact=st.one_of(st.none(), st.text(min_size=1, max_size=12)),
-        row_ids=st.lists(
-            st.integers(min_value=0, max_value=10**6), max_size=5
-        ).map(tuple),
-        op=st.one_of(
-            st.none(),
-            st.sampled_from(
-                ["add", "update", "append", "bulk", "add_layer",
-                 "become_spatial"]
-            ),
-        ),
-        details=st.dictionaries(
-            st.text(min_size=1, max_size=10), _json_value, max_size=4
-        ),
-    )
-    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
-    def test_round_trip(
-        self, kind, generation, dimension, layer, fact, row_ids, op, details
-    ):
-        mutation = StarMutation(
-            kind=kind,
-            generation=generation,
-            dimension=dimension,
-            layer=layer,
-            fact=fact,
-            row_ids=row_ids,
-            op=op,
-            payload=freeze_payload(details),
-        )
-        decoded = decode_mutation_event(encode_mutation_event(mutation))
-        assert decoded == mutation
-
-    def test_geometry_payload_round_trips(self):
-        from repro.geometry import Point
-
-        mutation = StarMutation(
-            kind="feature",
-            generation=7,
-            layer="Airport",
-            op="add",
-            payload=freeze_payload(
-                {"name": "Test Field", "geometry": Point(1.5, -2.25),
-                 "attributes": {"iata": "TST"}}
-            ),
-        )
-        decoded = decode_mutation_event(encode_mutation_event(mutation))
-        assert decoded == mutation
-        assert decoded.is_feature_add
-        geometry = decoded.payload_dict()["geometry"]
-        assert geometry == Point(1.5, -2.25)
-
-    def test_version_skew_rejected(self):
-        """A future-layout row must decode to a miss, not to garbage —
-        the PR 8 codec contract applied to the mutation log."""
-        data = json.loads(
-            encode_mutation_event(
-                StarMutation(kind="fact", generation=1, fact="Sales",
-                             row_ids=(0,), op="append")
-            )
-        )
-        data["v"] = 99
-        with pytest.raises(CodecError):
-            decode_mutation_event(json.dumps(data))
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{broken",
-            json.dumps([1]),
-            json.dumps({"v": 1, "kind": 3, "generation": 1,
-                        "row_ids": [], "payload": []}),
-            json.dumps({"v": 1, "kind": "fact", "generation": "one",
-                        "row_ids": [], "payload": []}),
-            json.dumps({"v": 1, "kind": "fact", "generation": 1,
-                        "row_ids": ["zero"], "payload": []}),
-            json.dumps({"v": 1, "kind": "member", "generation": 1,
-                        "dimension": 9, "row_ids": [], "payload": []}),
-            json.dumps({"v": 1, "kind": "feature", "generation": 1,
-                        "row_ids": [], "payload": [["geometry",
-                        {"__wkt__": "POINT (broken"}]]}),
-            json.dumps({"v": 1, "kind": "feature", "generation": 1,
-                        "row_ids": [], "payload": [["geometry",
-                        {"x": 1, "y": 2}]]}),
-        ],
-    )
-    def test_corrupt_rejected(self, text):
-        with pytest.raises(CodecError):
-            decode_mutation_event(text)

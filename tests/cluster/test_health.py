@@ -8,11 +8,7 @@ mode must report ``memory`` *without* creating any state file.
 import pytest
 
 from repro.cluster.backend import InMemoryBackend
-from repro.cluster.stores import (
-    BackendQueryCache,
-    BackendSessionStore,
-    BackendWorkloadJournal,
-)
+from repro.cluster.config import make_service_stores
 from repro.data import build_regional_manager_profile
 from repro.service import (
     DatamartRegistry,
@@ -46,16 +42,9 @@ class TestDefaultMode:
 class TestBackendMode:
     @pytest.fixture()
     def service(self, registry):
-        backend = InMemoryBackend()
-        store = BackendSessionStore(backend, namespace="portal", ttl=1800.0)
-        service = PersonalizationService(
-            registry,
-            session_store=store,
-            query_cache=BackendQueryCache(backend, namespace="portal"),
-            journal=BackendWorkloadJournal(backend, namespace="portal"),
+        return PersonalizationService(
+            registry, **make_service_stores(InMemoryBackend(), "portal")
         )
-        store.resolver = service._rehydrate_session
-        return service
 
     def test_health_reports_per_store_rows(self, registry, service, world):
         token = service.login(

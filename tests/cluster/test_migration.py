@@ -13,12 +13,8 @@ counters, and the migrated query cache still answers.
 import pytest
 
 from repro.cluster.backend import InMemoryBackend, SqliteBackend
+from repro.cluster.config import make_service_stores
 from repro.cluster.migrate import migrate_backend
-from repro.cluster.stores import (
-    BackendQueryCache,
-    BackendSessionStore,
-    BackendWorkloadJournal,
-)
 from repro.data import (
     ALL_PAPER_RULES,
     WorldConfig,
@@ -58,14 +54,9 @@ def build_portal(backend):
     registry = DatamartRegistry()
     sales = registry.register("sales", engine, description="paper scenario")
     sales.register_user(build_regional_manager_profile())
-    store = BackendSessionStore(backend, namespace="portal", ttl=1800.0)
     service = PersonalizationService(
-        registry,
-        session_store=store,
-        query_cache=BackendQueryCache(backend, namespace="portal"),
-        journal=BackendWorkloadJournal(backend, namespace="portal"),
+        registry, **make_service_stores(backend, "portal")
     )
-    store.resolver = service._rehydrate_session
     return world, service
 
 

@@ -2,21 +2,29 @@
 
 The contracts under test: tokens resolve in any store instance over the
 shared backend (rehydration), spilled live sessions keep valid tokens,
-expired sessions never resolve (live, cold, or mid-eviction — the TTL
-hardening satellite), query/view entries published by one instance are
-adopted by another, and the journal's sequence numbers and per-tenant
-generations are backend counters, so they stay coherent across
-instances.
+expired sessions never resolve (live, cold, or mid-eviction), a logout
+on one instance holds on every other one, a live copy that looks
+expired by its own clock defers to a fresher persisted record,
+query/view entries published by one instance are adopted by another,
+and the journal's sequence numbers and per-tenant generations are
+backend counters, so they stay coherent across instances.  The rules
+the backend-backed stores share with the in-heap ones run in the
+contract suites of ``tests/service/test_sessions.py`` and
+``tests/reco/test_journal.py``.
 """
+
+import sys
+import threading
 
 import pytest
 
-from repro.cluster.backend import InMemoryBackend
+from repro.cluster.backend import InMemoryBackend, SqliteBackend
 from repro.cluster.stores import (
     BackendQueryCache,
     BackendSessionStore,
     BackendViewStore,
     BackendWorkloadJournal,
+    _key_text,
 )
 from repro.errors import UnauthorizedError
 from repro.service import InMemorySessionStore
@@ -56,7 +64,7 @@ def backend():
 
 def make_store(backend, clock, resolver=None, **kwargs):
     kwargs.setdefault("ttl", 10.0)
-    kwargs.setdefault("max_live", 4)
+    kwargs.setdefault("max_sessions", 4)
     return BackendSessionStore(
         backend, namespace="t", clock=clock, resolver=resolver, **kwargs
     )
@@ -76,7 +84,7 @@ class TestBackendSessionStore:
         assert len(store) == 1
 
     def test_cold_token_without_resolver_is_invalid(self, backend, clock):
-        store = make_store(backend, clock, max_live=1)
+        store = make_store(backend, clock, max_sessions=1)
         first = store.put(StubSession(), datamart="d", user_id="u1")
         store.put(StubSession(), datamart="d", user_id="u2")  # spills first
         assert store.stats()["spills"] == 1
@@ -91,7 +99,7 @@ class TestBackendSessionStore:
             resolved.append((datamart, user_id, dict(meta)))
             return StubSession()
 
-        store = make_store(backend, clock, resolver=resolver, max_live=1)
+        store = make_store(backend, clock, resolver=resolver, max_sessions=1)
         original = StubSession()
         first = store.put(
             original, datamart="d", user_id="u1", meta={"journal": False}
@@ -138,7 +146,7 @@ class TestBackendSessionStore:
             store.get(record.token)
 
     def test_iter_yields_live_only(self, backend, clock):
-        store = make_store(backend, clock, max_live=1)
+        store = make_store(backend, clock, max_sessions=1)
         store.put(StubSession(), datamart="d", user_id="u1")
         keep = store.put(StubSession(), datamart="d", user_id="u2")
         assert [r.token for r in store] == [keep.token]
@@ -163,7 +171,7 @@ class TestBackendSessionStore:
         assert persisted_access() == 6.0
 
     def test_purge_expired_sweeps_cold_records(self, backend, clock):
-        store = make_store(backend, clock, max_live=1, ttl=10.0)
+        store = make_store(backend, clock, max_sessions=1, ttl=10.0)
         store.put(StubSession(), datamart="d", user_id="u1")
         store.put(StubSession(), datamart="d", user_id="u2")
         clock.advance(11.0)
@@ -174,7 +182,7 @@ class TestBackendSessionStore:
         with pytest.raises(ValueError):
             make_store(backend, clock, ttl=0)
         with pytest.raises(ValueError):
-            make_store(backend, clock, max_live=0)
+            make_store(backend, clock, max_sessions=0)
 
 
 class TestTTLHardening:
@@ -210,7 +218,7 @@ class TestTTLHardening:
             backend,
             clock,
             ttl=10.0,
-            max_live=1,
+            max_sessions=1,
             resolver=lambda *a: StubSession(),
         )
         first = store.put(StubSession(), datamart="d", user_id="u1")
@@ -222,6 +230,165 @@ class TestTTLHardening:
         assert store.stats()["rehydrations"] == 0
         # The expired record was dropped from the backend too.
         assert backend.get("t:sessions", first.token) is None
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def shared(request, tmp_path):
+    """One backend under several stores, each standing in for a worker."""
+    if request.param == "memory":
+        yield InMemoryBackend()
+    else:
+        backend = SqliteBackend(str(tmp_path / "state.sqlite"))
+        yield backend
+        backend.close()
+
+
+class TestLogoutHoldsOnEveryWorker:
+    """After a logout on one worker deletes the record, no write by
+    another worker re-creates it: the throttled access refresh, a
+    ``persist`` after a selection report and the end of a rehydration
+    each update the record only while it exists, and otherwise end the
+    live copy and answer ``invalid_session``."""
+
+    def workers(self, backend, clock, count=3):
+        return [
+            make_store(backend, clock, ttl=100.0, resolver=lambda *a: StubSession())
+            for _ in range(count)
+        ]
+
+    def logged_out_elsewhere(self, backend, clock):
+        a, b, c = self.workers(backend, clock)
+        live = StubSession()
+        record = a.put(live, datamart="d", user_id="u")
+        b.get(record.token)  # rehydrated on B
+        b.remove(record.token)  # logout on B
+        with pytest.raises(UnauthorizedError) as excinfo:
+            c.get(record.token)
+        assert excinfo.value.code == "invalid_session"
+        return a, c, record, live
+
+    def assert_gone(self, backend, store, other, record, live):
+        assert live.ended == 1
+        assert list(store) == []
+        assert backend.get("t:sessions", record.token) is None
+        with pytest.raises(UnauthorizedError) as excinfo:
+            other.get(record.token)
+        assert excinfo.value.code == "invalid_session"
+
+    def test_access_refresh(self, shared, clock):
+        a, c, record, live = self.logged_out_elsewhere(shared, clock)
+        clock.advance(6.0)  # A's throttled refresh is due
+        with pytest.raises(UnauthorizedError) as excinfo:
+            a.get(record.token)
+        assert excinfo.value.code == "invalid_session"
+        self.assert_gone(shared, a, c, record, live)
+
+    def test_persist_after_a_selection_report(self, shared, clock):
+        a, c, record, live = self.logged_out_elsewhere(shared, clock)
+        with record.lock:
+            record.meta["selections"] = [["t", "c"]]
+            with pytest.raises(UnauthorizedError) as excinfo:
+                a.persist(record)
+        assert excinfo.value.code == "invalid_session"
+        self.assert_gone(shared, a, c, record, live)
+
+    def test_rehydration(self, shared, clock):
+        issuer, other = self.workers(shared, clock, count=2)
+        token = issuer.put(StubSession(), datamart="d", user_id="u").token
+        built = []
+
+        def resolver(*args):
+            other.remove(token)  # the logout lands mid-rehydration
+            built.append(StubSession())
+            return built[-1]
+
+        store = make_store(shared, clock, ttl=100.0, resolver=resolver)
+        with pytest.raises(UnauthorizedError) as excinfo:
+            store.get(token)
+        assert excinfo.value.code == "invalid_session"
+        assert built[0].ended == 1
+        assert list(store) == []
+        assert store.stats()["rehydrations"] == 0
+        assert shared.get("t:sessions", token) is None
+
+
+class TestConcurrentRehydration:
+    def test_racing_requests_share_one_live_session(self, shared, clock):
+        """Requests racing to rehydrate one cold token all get the same
+        live record, and exactly one rehydration is admitted."""
+        issuer = make_store(shared, clock, ttl=100.0)
+        token = issuer.put(StubSession(), datamart="d", user_id="u").token
+        store = make_store(shared, clock, ttl=100.0, resolver=lambda *a: StubSession())
+        records, errors = [], []
+
+        def request():
+            try:
+                records.append(store.get(token))
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=request) for _ in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(records) == 16
+        assert all(record is records[0] for record in records)
+        assert store.stats()["rehydrations"] == 1
+        assert [record.token for record in store] == [token]
+
+
+class TestStaleLiveCopy:
+    """A worker's live copy can look expired by its own clock while
+    another worker has been serving the session: the persisted record
+    decides, and the copy is rebuilt from it instead of expired."""
+
+    def serve_elsewhere(self, backend, clock, resolver):
+        a = make_store(backend, clock, ttl=100.0, resolver=resolver)
+        b = make_store(backend, clock, ttl=100.0, resolver=lambda *a: StubSession())
+        original = StubSession()
+        token = a.put(original, datamart="d", user_id="u").token
+        for _ in range(10):  # B serves it every 10s up to t=100
+            clock.advance(10.0)
+            record = b.get(token)
+        return a, b, token, original, record
+
+    def test_live_copy_is_rebuilt_from_a_fresher_record(self, shared, clock):
+        resolved = []
+
+        def resolver(datamart, user_id, meta):
+            resolved.append(meta)
+            return StubSession()
+
+        a, _b, token, original, on_b = self.serve_elsewhere(shared, clock, resolver)
+        with on_b.lock:
+            on_b.meta["selections"] = [["GeoMD.Store.City", "cond"]]
+            _b.persist(on_b)
+        clock.advance(2.0)  # t=102: A last served it 102s ago
+        record = a.get(token)
+        assert record.session is not original
+        assert original.ended == 1
+        # The rebuild replays the selections logged on the other worker.
+        assert resolved == [{"selections": [["GeoMD.Store.City", "cond"]]}]
+        assert a.stats()["rehydrations"] == 1
+        assert shared.get("t:sessions", token) is not None
+
+    def test_login_sweep_keeps_the_record(self, shared, clock):
+        a, b, token, _original, _on_b = self.serve_elsewhere(
+            shared, clock, lambda *args: StubSession()
+        )
+        clock.advance(2.0)
+        a.put(StubSession(), datamart="d", user_id="other")  # sweeps
+        assert shared.get("t:sessions", token) is not None
+        other = make_store(shared, clock, ttl=100.0, resolver=lambda *a: StubSession())
+        assert other.get(token).token == token
 
 
 def _payload(value):
@@ -266,9 +433,9 @@ class TestBackendQueryCache:
     def test_corrupt_l2_entry_is_dropped(self, backend):
         cache = BackendQueryCache(backend, namespace="t", max_size=4)
         key = ("sales", "Q", "fp", 3)
-        backend.put("t:qcache", cache._key_text(key), "{corrupt")
+        backend.put("t:qcache", _key_text(key), "{corrupt")
         assert cache.get(key) is None
-        assert backend.get("t:qcache", cache._key_text(key)) is None
+        assert backend.get("t:qcache", _key_text(key)) is None
 
     def test_clear_clears_both_tiers(self, backend):
         cache = BackendQueryCache(backend, namespace="t", max_size=4)
@@ -342,33 +509,6 @@ class TestBackendViewStore:
 
 
 class TestBackendWorkloadJournal:
-    def test_round_trip_in_order(self, backend):
-        journal = BackendWorkloadJournal(backend, namespace="t")
-        journal.record_query("sales", "ana", "  SELECT X  ")
-        journal.record_layer("sales", "ana", "airports")
-        journal.record_selection(
-            "sales", "ana", "GeoMD.Store.City", "cond",
-            members=[("Store", "City", "madrid")],
-        )
-        events = journal.events("sales", "ana")
-        assert [e.kind for e in events] == ["query", "layer", "selection"]
-        assert events[0].payload["q"] == "SELECT X"
-        assert events[2].payload["members"] == (("Store", "City", "madrid"),)
-        assert journal.queries("sales", "ana") == ["SELECT X"]
-        assert journal.layers("sales", "ana") == {"airports"}
-        assert journal.member_profile("sales", "ana") == {
-            ("Store", "City"): {"madrid"}
-        }
-
-    def test_generations_are_per_tenant(self, backend):
-        journal = BackendWorkloadJournal(backend, namespace="t")
-        assert journal.generation("sales") == 0
-        journal.record_query("sales", "ana", "q1")
-        journal.record_query("sales", "bo", "q2")
-        journal.record_query("twin", "ana", "q3")
-        assert journal.generation("sales") == 2
-        assert journal.generation("twin") == 1
-
     def test_cross_instance_history(self, backend):
         """Another worker's journal over the same namespace appends to
         the same history with globally unique sequence numbers."""
@@ -383,25 +523,6 @@ class TestBackendWorkloadJournal:
         ]
         assert second.generation("sales") == 2
 
-    def test_per_user_cap_drops_oldest(self, backend):
-        journal = BackendWorkloadJournal(
-            backend, namespace="t", max_events_per_user=3
-        )
-        for i in range(5):
-            journal.record_query("sales", "ana", f"q{i}")
-        assert journal.queries("sales", "ana") == ["q2", "q3", "q4"]
-        assert len(journal) == 3
-
-    def test_users_and_stats(self, backend):
-        journal = BackendWorkloadJournal(backend, namespace="t")
-        journal.record_query("sales", "ana", "q")
-        journal.record_query("sales", "bo", "q")
-        journal.record_layer("twin", "carla", "rivers")
-        assert journal.users("sales") == ["ana", "bo"]
-        stats = journal.stats()
-        assert stats["sales"] == {"users": 2, "events": 2, "generation": 2}
-        assert stats["twin"] == {"users": 1, "events": 1, "generation": 1}
-
     def test_corrupt_event_degrades_not_raises(self, backend):
         journal = BackendWorkloadJournal(backend, namespace="t")
         journal.record_query("sales", "ana", "good")
@@ -409,10 +530,3 @@ class TestBackendWorkloadJournal:
         assert [e.payload["q"] for e in journal.events("sales", "ana")] == [
             "good"
         ]
-
-    def test_unknown_kind_rejected(self, backend):
-        journal = BackendWorkloadJournal(backend, namespace="t")
-        with pytest.raises(ValueError):
-            journal.record("sales", "ana", "clicks")
-        with pytest.raises(ValueError):
-            BackendWorkloadJournal(backend, namespace="t", max_events_per_user=0)

@@ -1,16 +1,50 @@
 """WorkloadJournal: append-only semantics, per-user histories, generations,
-bounded memory and thread-safety."""
+bounded memory and thread-safety.
+
+One contract suite for both journals: the classes named after the rules
+run it over the in-heap :class:`WorkloadJournal`; each ``*Backend``
+subclass runs the same tests over :class:`BackendWorkloadJournal` on the
+in-memory and the sqlite backend.
+"""
 
 import threading
 
 import pytest
 
+from repro.cluster.backend import InMemoryBackend, SqliteBackend
+from repro.cluster.stores import BackendWorkloadJournal
 from repro.reco import WorkloadJournal
 
 
 @pytest.fixture()
-def journal():
-    return WorkloadJournal()
+def make_journal():
+    return WorkloadJournal
+
+
+@pytest.fixture()
+def journal(make_journal):
+    return make_journal()
+
+
+class BackendJournals:
+    """Mixin: the suite over ``BackendWorkloadJournal`` on each backend."""
+
+    @pytest.fixture(params=["memory", "sqlite"])
+    def make_journal(self, request, tmp_path):
+        backends = []
+
+        def make(**kwargs):
+            backend = (
+                InMemoryBackend()
+                if request.param == "memory"
+                else SqliteBackend(str(tmp_path / f"state-{len(backends)}.sqlite"))
+            )
+            backends.append(backend)
+            return BackendWorkloadJournal(backend, namespace="t", **kwargs)
+
+        yield make
+        for backend in backends:
+            backend.close()
 
 
 class TestRecording:
@@ -71,6 +105,14 @@ class TestRecording:
         with pytest.raises(TypeError):
             event.payload["q"] = "tampered"
 
+    def test_stats_count_users_events_and_generations(self, journal):
+        journal.record_query("sales", "ana", "q")
+        journal.record_query("sales", "bo", "q")
+        journal.record_layer("twin", "carla", "rivers")
+        stats = journal.stats()
+        assert stats["sales"] == {"users": 2, "events": 2, "generation": 2}
+        assert stats["twin"] == {"users": 1, "events": 1, "generation": 1}
+
     def test_payload_freeze_is_deep(self, journal):
         members = [["Store", "Store", "S1"]]
         event = journal.record(
@@ -95,18 +137,19 @@ class TestGenerations:
 
 
 class TestBoundsAndConcurrency:
-    def test_per_user_history_is_capped_oldest_first(self):
-        journal = WorkloadJournal(max_events_per_user=3)
+    def test_per_user_history_is_capped_oldest_first(self, make_journal):
+        journal = make_journal(max_events_per_user=3)
         for i in range(5):
             journal.record_query("sales", "ana", f"Q{i}")
         kept = [e.payload["q"] for e in journal.events("sales", "ana")]
         assert kept == ["Q2", "Q3", "Q4"]
+        assert len(journal) == 3
         # The generation keeps counting even when old events are dropped.
         assert journal.generation("sales") == 5
 
-    def test_invalid_cap_rejected(self):
+    def test_invalid_cap_rejected(self, make_journal):
         with pytest.raises(ValueError):
-            WorkloadJournal(max_events_per_user=0)
+            make_journal(max_events_per_user=0)
 
     def test_concurrent_appends_lose_nothing(self, journal):
         threads = [
@@ -128,3 +171,15 @@ class TestBoundsAndConcurrency:
             e.seq for u in journal.users("sales") for e in journal.events("sales", u)
         ]
         assert len(set(seqs)) == len(seqs)  # no duplicated sequence numbers
+
+
+class TestRecordingBackend(BackendJournals, TestRecording):
+    pass
+
+
+class TestGenerationsBackend(BackendJournals, TestGenerations):
+    pass
+
+
+class TestBoundsAndConcurrencyBackend(BackendJournals, TestBoundsAndConcurrency):
+    pass
