@@ -1,9 +1,14 @@
 """Shared benchmark fixtures.
 
 Benchmarks regenerate each paper figure/example (pytest-benchmark timings)
-and print the series EXPERIMENTS.md records.  Run with::
+and print the series they measure.  The file names do not match pytest's
+default ``test_*.py`` pattern, so name them.  Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/bench_*.py --benchmark-only -s
+
+or, as CI does, once each with the timing off::
+
+    pytest benchmarks/bench_*.py -q --benchmark-disable
 """
 
 import pytest

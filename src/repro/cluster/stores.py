@@ -18,8 +18,9 @@ counters.
   survives, so the *token stays valid*: the next request rehydrates the
   session through the resolver (profile lookup + ``start_session`` +
   replay of the selection reports the service logged in ``meta``).
-  Aggregate live-session capacity therefore scales with worker count —
-  the effect the EXT7 benchmark measures.
+  Aggregate live-session capacity therefore scales with worker count;
+  ``tests/cluster/test_pool_gate.py`` checks that a pool whose every
+  request crosses a spill and a rehydration answers like one process.
 * :class:`BackendQueryCache` — a :class:`~repro.lru.ThreadSafeLRU` whose
   miss path reads the L2; every put is published.
 * :class:`BackendViewStore` — a
@@ -166,15 +167,19 @@ class BackendSessionStore(InMemorySessionStore):
     # -- seams of the in-heap store -------------------------------------------
 
     def _sweep(self, now: float) -> list[SessionRecord]:
-        """Drop every expired persisted record, returning the live ones
-        (callers end those; cold records have nothing to end)."""
+        """Drop every expired persisted record, and every expired live
+        copy whose record is gone (another worker logged it out or swept
+        it), returning the live ones (callers end those; cold records
+        have nothing to end).  ``_synced`` keeps only live tokens."""
         ended: list[SessionRecord] = []
+        persisted: set[str] = set()
         for token, encoded in self.backend.items(self._store):
             try:
                 fields = decode_session_record(encoded)
             except CodecError:
                 self.backend.delete(self._store, token)
                 continue
+            persisted.add(token)
             with self._lock:
                 # The session's last access is the later of this
                 # worker's live clock and the persisted one (another
@@ -190,6 +195,14 @@ class BackendSessionStore(InMemorySessionStore):
                 if live is not None:
                     del self._records[token]
                     ended.append(live)
+        with self._lock:
+            for token, live in list(self._records.items()):
+                expired = now - live.last_access > self.ttl
+                if expired and token not in persisted:
+                    del self._records[token]
+                    ended.append(live)
+            for token in self._synced.keys() - self._records.keys():
+                del self._synced[token]
         return ended
 
     def _claim_locked(self, record: SessionRecord) -> bool:  # guarded-by-caller: _lock

@@ -12,9 +12,10 @@ subsystem has journals to mine:
   "noise" queries; her similarity to Ana is low, so her workload ranks
   below Bruno's in Ana's recommendations.
 
-Used by the examples, the recommendation tests and the EXT4 benchmark
-mix; everything rides the public ``/api/v1`` surface so the journals are
-populated through the exact production path.
+Used by the examples and the recommendation tests (whose cold/memo
+transparency check covers all three recommendation kinds); everything
+rides the public ``/api/v1`` surface so the journals are populated
+through the exact production path.
 """
 
 from __future__ import annotations

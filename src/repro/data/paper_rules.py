@@ -1,6 +1,6 @@
 """The personalization rules of Section 5, verbatim (modulo two fixes).
 
-Fixes relative to the paper's listings, both recorded in EXPERIMENTS.md:
+Fixes relative to the paper's listings:
 
 1. **Missing ``endIf``** — the printed ``TrainAirportCity`` rule closes
    the outer ``If`` with ``endWhen`` only; the grammar (and the paper's

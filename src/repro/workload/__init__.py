@@ -13,11 +13,12 @@ Three layers behind one import surface:
   and error counts;
 * **metrics** (:mod:`~repro.workload.metrics`) — health-route scraping
   bracketing a run: cache hit rates, view patches-vs-rebuilds,
-  rehydrations, lock contention, and environment provenance.
+  rehydrations and lock contention.
 
 :mod:`~repro.workload.harness` binds them into named scale tiers
-(smoke/small/medium/large) and portal factories shared by the EXT9
-benchmark, the ``repro workload`` CLI and CI.
+(smoke/small/medium/large) and portal factories shared by the
+``repro workload`` CLI, the repository benchmark (``perfbench/``) and
+the tier-1 gates.
 """
 
 from repro.workload.cohorts import (
@@ -57,7 +58,6 @@ from repro.workload.harness import (
 )
 from repro.workload.metrics import (
     contention_summary,
-    environment_provenance,
     health_window,
     merge_health,
 )
@@ -91,7 +91,6 @@ __all__ = [
     "stream_for_tier",
     "tier",
     "contention_summary",
-    "environment_provenance",
     "health_window",
     "merge_health",
 ]

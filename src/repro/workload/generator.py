@@ -13,8 +13,8 @@ assignment, session sampling, location jitter, event draws, abandon
 decisions) flows through the one ``random.Random(config.seed)`` instance
 created per :meth:`WorkloadGenerator.stream` call, so identical
 ``(seed, params)`` produce byte-identical serialized streams
-(:meth:`EventStream.to_jsonl`) — the property the EXT9 benchmark and the
-regression tests pin.  The population can be arbitrarily large
+(:meth:`EventStream.to_jsonl`) — the property the repository benchmark
+and the regression tests pin.  The population can be arbitrarily large
 (``users`` is a number, not a list): user identities are materialized
 lazily as sessions sample them, so a million-user tier costs only its
 *active* sessions.
@@ -172,12 +172,8 @@ class EventStream:
     def describe(self, fact_rows: int | None = None) -> dict:
         """Summary statistics: what a replay of this stream will do.
 
-        ``fact_rows`` (the target world's fact-table cardinality, after
-        the header's ``fact_multiplier``) prices the stream in
-        *facts-equivalent* volume: every query event nominally scans the
-        fact table once, so ``query_events * fact_rows`` is the work an
-        uncached engine would do — the scale-tier number the EXT9
-        benchmarks record.
+        ``fact_rows`` is the target world's fact-table cardinality, after
+        the header's ``fact_multiplier``; it is reported as given.
         """
         kinds: dict[str, int] = {}
         cohort_sessions: dict[str, int] = {}
@@ -206,7 +202,6 @@ class EventStream:
         }
         if fact_rows is not None:
             out["fact_rows"] = fact_rows
-            out["facts_equivalent"] = kinds.get("query", 0) * fact_rows
         return out
 
     # -- serialization ------------------------------------------------------------

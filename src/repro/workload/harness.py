@@ -2,8 +2,9 @@
 
 A :class:`WorkloadTier` binds a generator configuration (population,
 sessions, interleaving width, fact multiplier) to a world scale, so
-"run the medium tier" means the same thing in the EXT9 benchmark, the
-``repro workload`` CLI and CI.  The tier ladder:
+"run the medium tier" means the same thing in the repository benchmark
+(``perfbench/``), the ``repro workload`` CLI and the tier-1 gates.  The
+tier ladder:
 
 ========  ============  ==========  ========  =================
 tier      population    sessions    world     fact multiplier
@@ -19,10 +20,10 @@ that sessions actually sample — so the large tier's million users cost
 its 1,200 sessions, not a million profile objects.  Only the sampled
 (active) users are registered on the portal.
 
-:func:`build_workload_portal` mirrors the serving topologies the EXT7
-benchmark established: without a backend, a single-process in-memory
-portal (in-heap stores, immune to ``REPRO_BACKEND`` in the surrounding
-environment); with one, the worker-pool wiring — every store
+:func:`build_workload_portal` builds both serving topologies: without a
+backend, a single-process in-memory portal (in-heap stores, immune to
+``REPRO_BACKEND`` in the surrounding environment); with one, the
+worker-pool wiring — every store
 backend-backed under fixed namespaces — suitable as a
 :class:`~repro.cluster.pool.WorkerPool` app factory.  Both register the
 same users over the same deterministic world, which is what makes the
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 #: The multi-tenant layout every workload portal uses: four identical
-#: tenants, ring-balanced 2/2 across a two-worker pool (the EXT7 layout).
+#: tenants, ring-balanced 2/2 across a two-worker pool.
 WORKLOAD_TENANTS = ("dm-0", "dm-1", "dm-2", "dm-3")
 
 THRESHOLD = 3
@@ -107,7 +108,7 @@ class _LazyScales:
         return iter(_world_scales())
 
 
-#: The benchmark world-size ladder (shared with ``run_benchmarks.py``).
+#: The world-size ladder every tier and ``repro workload replay`` reads.
 WORLD_SCALES = _LazyScales()
 
 
@@ -170,7 +171,7 @@ WORKLOAD_TIERS: dict[str, WorkloadTier] = {
             datamarts=WORKLOAD_TENANTS,
             fact_multiplier=2,
         ),
-        description="50k-user population, 20k-row facts, 1M+ facts-equivalent",
+        description="50k-user population over a 20k-row fact table",
     ),
     "large": WorkloadTier(
         name="large",

@@ -14,9 +14,7 @@ into the numbers a trajectory wants:
 * :func:`health_window` — before/after deltas with *window* hit rates
   (hits and misses that happened during the run, not since boot);
 * :func:`contention_summary` — the sanitizer's per-lock counters
-  reduced to the few that matter for a load report;
-* :func:`environment_provenance` — the host/interpreter/git facts every
-  BENCH JSON records so trajectories across PRs stay comparable.
+  reduced to the few that matter for a load report.
 
 Everything here is pure dict plumbing — no sockets.  Targets (see
 :mod:`repro.workload.driver`) own *how* health is fetched; this module
@@ -25,16 +23,10 @@ owns what is extracted from it.
 
 from __future__ import annotations
 
-import os
-import platform
-import subprocess
-import sys
-
 __all__ = [
     "merge_health",
     "health_window",
     "contention_summary",
-    "environment_provenance",
 ]
 
 
@@ -257,35 +249,3 @@ def contention_summary(merged_locks: dict, top: int = 5) -> dict:
         ],
     }
 
-
-def _git_sha() -> str | None:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
-
-
-def environment_provenance(seed: int | None = None) -> dict:
-    """The facts that make two BENCH JSONs comparable (or not)."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": sys.platform,
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "git_sha": _git_sha(),
-        "repro_env": {
-            key: value
-            for key, value in sorted(os.environ.items())
-            if key.startswith("REPRO_")
-        },
-        "generator_seed": seed,
-    }

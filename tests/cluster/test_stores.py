@@ -311,6 +311,22 @@ class TestLogoutHoldsOnEveryWorker:
         assert store.stats()["rehydrations"] == 0
         assert shared.get("t:sessions", token) is None
 
+    def test_sweep_drops_what_another_worker_logged_out(self, shared, clock):
+        """A worker keeps no state for tokens it no longer holds: its
+        sweep ends a live copy past the TTL whose record a logout
+        elsewhere deleted, as the in-heap store's would, and keeps the
+        refresh map to its live sessions."""
+        a, b = self.workers(shared, clock, count=2)
+        issued = [StubSession() for _ in range(12)]
+        for session in issued:
+            b.remove(a.put(session, datamart="d", user_id="u").token)
+        assert len(a._synced) <= a.max_sessions + 1
+        clock.advance(200.0)
+        assert a.purge_expired() == a.max_sessions
+        assert [session.ended for session in issued] == [1] * len(issued)
+        assert list(a) == []
+        assert a._synced == {}
+
 
 class TestConcurrentRehydration:
     def test_racing_requests_share_one_live_session(self, shared, clock):

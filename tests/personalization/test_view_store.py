@@ -51,14 +51,19 @@ def _append_copy_of(star, row_id, store_key=None):
 
 class TestSharing:
     def test_n_sessions_one_build(self, engine, user_schema, world, session):
+        """Rounds of four sessions, each round ended before the next
+        starts, all materialize from the first session's build."""
         session.view()
         builds = engine.view_store.stats()["builds"]
-        peers = [
-            _twin_session(engine, user_schema, world, name=f"peer-{i}")
-            for i in range(4)
-        ]
-        views = {id(peer.view()) for peer in peers}
-        assert views == {id(session.view())}
+        for _round in range(3):
+            peers = [
+                _twin_session(engine, user_schema, world, name=f"peer-{i}")
+                for i in range(4)
+            ]
+            views = {id(peer.view()) for peer in peers}
+            assert views == {id(session.view())}
+            for peer in peers:
+                peer.end()
         assert engine.view_store.stats()["builds"] == builds
 
     def test_store_entry_counts_hits(self, engine, session):

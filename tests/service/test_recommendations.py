@@ -111,17 +111,23 @@ class TestAcceptance:
     ):
         ana = tokens["ana-garcia"]
         recommender = portal.service.recommender
-        cold = get(portal, "/api/v1/recommendations/queries", ana)
+        paths = [
+            f"/api/v1/recommendations/{kind}"
+            for kind in ("queries", "layers", "members")
+        ]
+        cold = [get(portal, path, ana) for path in paths]
+        assert all(payload["items"] for payload in cold)
+        assert all(payload["similar_users"] for payload in cold)
         misses = recommender.stats()["memo_misses"]
-        warm = get(portal, "/api/v1/recommendations/queries", ana)
+        warm = [get(portal, path, ana) for path in paths]
         stats = recommender.stats()
-        assert stats["memo_hits"] >= 1
+        assert stats["memo_hits"] >= len(paths)
         assert stats["memo_misses"] == misses
         assert warm == cold
-        # Transparency: the oracle switch recomputes the same answer.
+        # Transparency: the oracle switch recomputes the same answers.
         for datamart in portal.registry:
             datamart.engine.star.oracle = True
-        assert get(portal, "/api/v1/recommendations/queries", ana) == cold
+        assert [get(portal, path, ana) for path in paths] == cold
         assert recommender.stats()["memo_hits"] == stats["memo_hits"]
 
     def test_new_workload_invalidates_memo(self, portal, tokens):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -73,3 +75,25 @@ class TestQuery:
     def test_bad_query(self, capsys):
         assert main(["query", "SELEKT"]) == 1
         assert "query error" in capsys.readouterr().err
+
+
+class TestWorkload:
+    def test_generate_describe_and_replay(self, tmp_path, capsys):
+        stream = str(tmp_path / "smoke.jsonl")
+        generate = ["workload", "generate", "--tier", "smoke", "-o", stream]
+        assert main(generate) == 0
+        generated = json.loads(capsys.readouterr().out)
+        assert generated["wrote"] == stream
+        assert generated["fact_rows"] == 2000
+        assert main(["workload", "describe", stream]) == 0
+        described = json.loads(capsys.readouterr().out)
+        assert described["events"] == generated["events"] > 0
+        for options in (
+            ["--mode", "serial"],
+            ["--mode", "closed", "--actors", "4", "--workers", "2"],
+        ):
+            assert main(["workload", "replay", stream, *options]) == 0
+            report = json.loads(capsys.readouterr().out)["report"]
+            assert report["mode"] == options[1]
+            assert report["requests"] == described["events"]
+            assert report["errors"] == 0

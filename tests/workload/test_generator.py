@@ -112,10 +112,10 @@ class TestSerialization:
         with pytest.raises(ReproError):
             EventStream.from_jsonl("")
 
-    def test_describe_prices_in_facts_equivalent(self, tiny_stream):
+    def test_describe_reports_fact_rows(self, tiny_stream):
         summary = tiny_stream.describe(fact_rows=500)
-        queries = summary["events_by_kind"].get("query", 0)
-        assert summary["facts_equivalent"] == queries * 500
+        assert summary["fact_rows"] == 500
+        assert "fact_rows" not in tiny_stream.describe()
         assert summary["sessions"] == 8
 
 

@@ -10,6 +10,12 @@ stamps and as-of replays over a moving star are all part of the
 comparison.  Every response body must be equal, login tokens aside.
 The gate runs over the in-heap stores and over the backend-backed ones
 a worker pool serves from.
+
+The churn gate drives one session through member and feature churn at
+every step and a sale from inside its view every 8th step, over the
+small world at ten times its sales: the typed deltas must keep answering
+like the oracle portal while patching views, never rebuilding or
+dropping them.
 """
 
 import dataclasses
@@ -18,6 +24,9 @@ import itertools
 import pytest
 
 from repro.cluster.backend import InMemoryBackend
+from repro.data import WorldConfig, generate_world
+from repro.geomd import GeometricType
+from repro.geometry import Point
 from repro.workload import (
     InProcessTarget,
     ReplayDriver,
@@ -157,3 +166,63 @@ def test_only_the_default_portal_used_its_caches(replays):
     assert sum(view["hits"] + view["misses"] for view in oracle_views) == 0
     assert oracle_window["recommender"]["memo_hits"] == 0
     assert oracle_window["recommender"]["memo_misses"] == 0
+
+
+CHURN_STEPS = 8
+#: Per step: four views, Example 5.2's distance filter against the
+#: rule-added Airport layer, and a roll-up.
+CHURN_REQUESTS = [("GET", "/api/v1/view", None)] * 4 + [
+    ("POST", "/api/v1/query", {"q": q, "limit": 10})
+    for q in (
+        "SELECT SUM(UnitSales) FROM Sales BY Store.City "
+        "WHERE DISTANCE(Store, LAYER Airport) < 100 KM",
+        "SELECT SUM(UnitSales) FROM Sales BY Product.Family",
+    )
+]
+
+
+def _churn(world, oracle):
+    """Replay the churn mix on a fresh portal; returns the bodies and the
+    view store's counters over the churn."""
+    app = build_workload_portal(
+        world, [("sales", "ana-garcia", "")], datamarts=("sales",)
+    )
+    engine = app.service.registry.get("sales").engine
+    star = engine.star
+    star.oracle = oracle
+    location = world.stores[0].location
+    token = app.handle(
+        "POST",
+        "/api/v1/login",
+        {"user": "ana-garcia", "location": [location.x, location.y]},
+    ).json()["token"]
+    table = star.fact_table()
+    view = app.service.sessions.get(token).session.view()
+    template = table.row(view.fact_rows[0])
+    coordinates = {d: template[d] for d in table.fact.dimension_names}
+    measures = {m: template[m] for m in table.fact.measures}
+    star.schema.add_layer("Harbour", GeometricType.POINT)
+    star.ensure_layer_table("Harbour")
+    before = engine.view_store.stats()
+    bodies = []
+    for step in range(CHURN_STEPS):
+        star.add_member("Product", "Family", f"Family-{step}")
+        star.add_feature("Harbour", f"Pier {step}", Point(3.0, float(step)))
+        if step % 8 == 7:
+            star.insert_fact(table.fact.name, coordinates, measures)
+        for method, path, body in CHURN_REQUESTS:
+            response = app.handle(method, path, body, token=token)
+            assert response.ok, response.body
+            bodies.append(response.json())
+    after = engine.view_store.stats()
+    return bodies, {key: after[key] - before[key] for key in after}
+
+
+def test_churn_patches_and_answers_like_the_oracle():
+    world = generate_world(WorldConfig(seed=7, sales=20_000))
+    bodies, store = _churn(world, oracle=False)
+    oracle_bodies, _ = _churn(world, oracle=True)
+    assert bodies == oracle_bodies
+    assert store["builds"] == 0
+    assert store["invalidations"] == 0
+    assert store["patches"] >= 1
