@@ -7,8 +7,8 @@ design (see README "Concurrency invariants"):
     Every insertion into a cache-like attribute (a ``ThreadSafeLRU`` or
     a ``*memo*``/``*cache*`` dict) must key — or, for memo dicts whose
     values carry the stamp, value — on a generation component
-    (``star.generation``, ``selection.generation``, a journal
-    generation...).  A generation-less key can serve stale data forever.
+    (``star.generation``, ``selection.generation``...).  A
+    generation-less key can serve stale data forever.
 
 ``lock-guard``
     Attributes declared ``# guarded-by: <lock>`` may only be touched
@@ -226,7 +226,7 @@ class GenKeyRule:
                             node,
                             f"insertion into self.{func.value.attr} whose "  # type: ignore[union-attr]
                             "key and value carry no generation component "
-                            "(star/selection/journal generation)",
+                            "(star/selection generation)",
                         )
             elif isinstance(node, ast.Assign):
                 for target in node.targets:

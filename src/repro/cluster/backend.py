@@ -5,8 +5,8 @@ cache, view-store entries, workload-journal events — used to live in one
 Python heap, making one process the hard ceiling (ROADMAP item 2).  A
 :class:`StateBackend` is the storage those stores externalize into: a
 namespaced key/value store of *encoded* entries (see
-:mod:`repro.cluster.codecs`) plus atomic named counters (journal
-sequence numbers, per-tenant generations).
+:mod:`repro.cluster.codecs`) plus atomic named counters (the journal's
+sequence numbers).
 
 Two implementations, both stdlib-only:
 
@@ -105,7 +105,7 @@ class StateBackend(ABC):
     def incr(self, name: str, amount: int = 1) -> int:
         """Atomically add to a counter (created at 0), returning the
         new value — the cross-process allocator for journal sequence
-        numbers and per-tenant generations."""
+        numbers."""
 
     @abstractmethod
     def counter(self, name: str) -> int:

@@ -7,9 +7,8 @@ of a pool sees them.  The in-heap store is the per-process live tier
 (L1); this module adds only the L2 work: persisting and fetching rows,
 rehydrating sessions, and sweeping and pruning rows.  Generation stamps
 are the cross-process invalidation protocol: view keys carry the star
-generation, query-cache payloads carry the per-dimension stamps the
-façade revalidates on every hit, and journal generations are backend
-counters.
+generation, and query-cache payloads carry the per-dimension stamps the
+façade revalidates on every hit.
 
 * :class:`BackendSessionStore` — an
   :class:`~repro.service.sessions.InMemorySessionStore` whose records
@@ -32,10 +31,11 @@ counters.
   from ever reading a peer's entry for a different state.
 * :class:`BackendWorkloadJournal` — a
   :class:`~repro.reco.journal.WorkloadJournal` whose storage methods
-  keep events and the per-tenant generation counters in the backend.
-  Sequence numbers and generations come from the backend's atomic
-  counters, so recommender memo keys stay valid across processes and a
-  re-login in any worker resumes the user's history.
+  keep events in the backend.  Sequence numbers come from the backend's
+  atomic counter, so a user's position (the last sequence number) means
+  the same history in every process — the recommender's profile keys
+  stay valid across workers — and a re-login in any worker resumes the
+  user's history.
 """
 
 from __future__ import annotations
@@ -437,13 +437,13 @@ class BackendWorkloadJournal(WorkloadJournal):
     """The workload journal with its events in the backend.
 
     Events live keyed ``datamart␟user␟<seq>`` (the separator is
-    ``\\x1f``; zero-padded sequence numbers make key order append order);
-    sequence numbers and per-tenant generations come from the backend's
-    atomic counters — so any worker's append bumps the tenant generation
-    every other worker's recommender memo keys on, and a user's history
-    reads back identically in every process.  Only the storage methods
-    are overridden (the inherited heap maps stay empty); the derived API
-    is the in-heap journal's.
+    ``\\x1f``; zero-padded sequence numbers make key order append order),
+    so one key scan of a tenant yields every user's position, and a
+    user's history reads back identically in every process.  Sequence
+    numbers come from the backend's atomic counter.  A row that does not
+    decode is deleted when read, as the other stores do.  Only the
+    storage methods are overridden (the inherited heap map stays empty);
+    the derived API is the in-heap journal's.
     """
 
     def __init__(
@@ -458,7 +458,6 @@ class BackendWorkloadJournal(WorkloadJournal):
         self.namespace = namespace
         self._store = f"{namespace}:journal"
         self._seq_counter = f"{namespace}:journal:seq"
-        self._gen_prefix = f"{namespace}:journal:gen:"
 
     @staticmethod
     def _user_prefix(datamart: str, user_id: str) -> str:
@@ -484,7 +483,6 @@ class BackendWorkloadJournal(WorkloadJournal):
         self.backend.put(
             self._store, f"{prefix}{seq:016d}", encode_journal_event(event)
         )
-        self.backend.incr(f"{self._gen_prefix}{datamart}")
         # Enforce the per-user bound (oldest dropped first).  Concurrent
         # appenders may briefly overshoot; the bound is a memory cap, not
         # an exactness contract, and every appender re-trims.
@@ -494,27 +492,25 @@ class BackendWorkloadJournal(WorkloadJournal):
                 self.backend.delete(self._store, key)
         return event
 
-    def generation(self, datamart: str) -> int:
-        return self.backend.counter(f"{self._gen_prefix}{datamart}")
-
-    def users(self, datamart: str) -> list[str]:
+    def positions(self, datamart: str) -> dict[str, int]:
         prefix = f"{datamart}{_SEP}"
-        return sorted(
-            {
-                key[len(prefix):].split(_SEP, 1)[0]
-                for key in self.backend.keys(self._store, prefix)
-            }
-        )
+        out: dict[str, int] = {}
+        for key in self.backend.keys(self._store, prefix):
+            user_id, seq = key[len(prefix):].split(_SEP)
+            out[user_id] = int(seq)  # keys ascend: the last one wins
+        return out
 
     def events(self, datamart: str, user_id: str) -> list[WorkloadEvent]:
         out = []
-        for _key, encoded in self.backend.items(
+        for key, encoded in self.backend.items(
             self._store, self._user_prefix(datamart, user_id)
         ):
             try:
                 out.append(decode_journal_event(encoded))
             except CodecError:
-                continue  # lint-ok: swallowed-error - a poisoned event degrades the history, never the request
+                # A poisoned event degrades the history, never the
+                # request; dropped, it stops holding a slot of the bound.
+                self.backend.delete(self._store, key)
         return out
 
     def stats(self) -> dict[str, dict[str, int]]:
@@ -522,18 +518,11 @@ class BackendWorkloadJournal(WorkloadJournal):
         seen_users: set[tuple[str, str]] = set()
         for key in self.backend.keys(self._store):
             datamart, user_id, _seq = key.split(_SEP, 2)
-            entry = out.setdefault(
-                datamart, {"users": 0, "events": 0, "generation": 0}
-            )
+            entry = out.setdefault(datamart, {"users": 0, "events": 0})
             entry["events"] += 1
             if (datamart, user_id) not in seen_users:
                 seen_users.add((datamart, user_id))
                 entry["users"] += 1
-        for name, generation in self.backend.counters(self._gen_prefix).items():
-            datamart = name[len(self._gen_prefix):]
-            out.setdefault(
-                datamart, {"users": 0, "events": 0, "generation": 0}
-            )["generation"] = generation
         return out
 
     def __len__(self) -> int:

@@ -12,7 +12,7 @@ subsystem has journals to mine:
   "noise" queries; her similarity to Ana is low, so her workload ranks
   below Bruno's in Ana's recommendations.
 
-Used by the examples and the recommendation tests (whose cold/memo
+Used by the examples and the recommendation tests (whose cold/cached
 transparency check covers all three recommendation kinds); everything
 rides the public ``/api/v1`` surface so the journals are populated
 through the exact production path.

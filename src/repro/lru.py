@@ -1,10 +1,10 @@
 """A small thread-safe LRU map with hit/miss accounting.
 
-The cache hierarchy grew three hand-rolled copies of the same pattern —
-lock-guarded :class:`~collections.OrderedDict`, ``move_to_end`` on
-access, ``popitem(last=False)`` eviction, hit/miss counters — in the
-service query cache, the recommendation memo and the spatial-profile
-cache.  This is that pattern, once.  The backend-backed query cache
+One pattern — lock-guarded :class:`~collections.OrderedDict`,
+``move_to_end`` on access, ``popitem(last=False)`` eviction, hit/miss
+counters — shared by the service query cache, the recommender's
+spatial-profile cache and the as-of reconstruction cache.  The
+backend-backed query cache
 (:class:`~repro.cluster.stores.BackendQueryCache`) is this map with a
 shared second tier behind :meth:`ThreadSafeLRU._miss`.
 """

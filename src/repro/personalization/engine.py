@@ -53,6 +53,7 @@ from repro.prml.parser import parse_expression, parse_path, parse_rule
 from repro.prml.printer import print_expr
 from repro.prml.semantics import SemanticAnalyzer
 from repro.personalization.view_store import ViewStore
+from repro.storage.snapshot import StarHistory
 from repro.storage.star import StarMutation, StarSchema
 from repro.sus.model import UserModelSchema, UserProfile
 
@@ -169,15 +170,14 @@ class PersonalizedSession:
     materialized view without re-scanning the fact table, and any
     selection change (acquisition rules, instance re-runs) or star
     mutation (schema rules, data loads) makes the stamp differ, forcing a
-    refresh.  On a memo miss the session first consults the engine's
-    shared :class:`~repro.personalization.view_store.ViewStore` —
-    sessions whose selections hold the same content share one
-    materialization there — and only builds privately when the store is
-    disabled.  The memo itself stays per-session (one dict compare in
-    steady state, no store lock) and is guarded by ``_memo_lock``: the
-    threaded HTTP adapter can hit one session concurrently, and the
-    unlocked check-then-act used to let two threads race the dict.  With
-    the star's :attr:`~repro.storage.star.StarSchema.oracle` switch set,
+    refresh.  On a memo miss the session asks the engine's shared
+    :class:`~repro.personalization.view_store.ViewStore` — sessions whose
+    selections hold the same content share one materialization there.
+    The memo itself stays per-session (one dict compare in steady state,
+    no store lock) and is guarded by ``_memo_lock``: the threaded HTTP
+    adapter can hit one session concurrently, and the unlocked
+    check-then-act used to let two threads race the dict.  With the
+    star's :attr:`~repro.storage.star.StarSchema.oracle` switch set,
     every call rebuilds, bypassing both the memo and the store.
     """
 
@@ -223,16 +223,12 @@ class PersonalizedSession:
             memoized = self._view_memo.get(fact_name)
             if memoized is not None and memoized[0] == stamp:
                 return memoized[1]
-        store = self.engine.view_store
-        if store is not None:
-            view = store.get_or_build(
-                self.context.star,
-                self.context.geomd_schema,
-                fact_name,
-                self.context.selection,
-            )
-        else:
-            view = self._build_view(fact_name)
+        view = self.engine.view_store.get_or_build(
+            self.context.star,
+            self.context.geomd_schema,
+            fact_name,
+            self.context.selection,
+        )
         with self._memo_lock:
             self._view_memo[fact_name] = (stamp, view)
         return view
@@ -298,10 +294,7 @@ class PersonalizationEngine:
         metric: Metric | None = None,
         snap_tolerance: float = 1.0,
         validate_rules: bool = True,
-        session_factory: Callable[..., PersonalizedSession] | None = None,
-        view_store_size: int = 128,
         view_store: ViewStore | None = None,
-        enable_history: bool = True,
     ) -> None:
         schema = star.schema
         if not isinstance(schema, GeoMDSchema):
@@ -319,39 +312,23 @@ class PersonalizationEngine:
         self.validate_rules = validate_rules
         #: Shared materialized-view store: sessions with content-equal
         #: selections share one build, fact appends patch instead of
-        #: rebuilding.  ``view_store_size=0`` removes it (sessions fall
-        #: back to private memo + rebuild).  An explicit ``view_store``
-        #: instance overrides construction — the cluster tier passes a
-        #: backend-backed store with a fixed namespace so pool workers
-        #: share builds; the default goes through the env-selected
-        #: factory.
-        if view_store is not None:
-            self.view_store: ViewStore | None = view_store
-        elif view_store_size > 0:
+        #: rebuilding.  The cluster tier passes a backend-backed store
+        #: with a fixed namespace so pool workers share builds; the
+        #: default goes through the env-selected factory.
+        if view_store is None:
             from repro.cluster.config import env_backend, make_view_store
 
-            self.view_store = make_view_store(
-                view_store_size, backend=env_backend()
-            )
-        else:
-            self.view_store = None
-        if self.view_store is not None:
-            star.add_mutation_listener(self._on_star_mutation)
+            view_store = make_view_store(128, backend=env_backend())
+        self.view_store = view_store
+        star.add_mutation_listener(self._on_star_mutation)
         #: Generation time travel: checkpoints + mutation-log replay so
         #: ``execute(..., as_of=g)`` answers against a past generation.
         #: One history per star — a second engine over the same star
         #: reuses the existing attachment.
-        if enable_history:
-            from repro.storage.snapshot import StarHistory
-
-            self.history = StarHistory.attach(star)
-        else:
-            self.history = star.history
+        self.history = StarHistory.attach(star)
         self.rules: list[RegisteredRule] = []
-        #: Hook points for service layers: a custom session class and
-        #: observers fired after SessionStart rules have run (used e.g.
+        #: Observers fired after SessionStart rules have run (used e.g.
         #: for per-tenant session accounting without subclassing).
-        self.session_factory = session_factory or PersonalizedSession
         self._session_hooks: list[Callable[[PersonalizedSession], None]] = []
 
     def add_session_hook(
@@ -368,9 +345,7 @@ class PersonalizationEngine:
         (carry, patch, or — for in-place member updates on referenced
         dimensions — drop; see :meth:`ViewStore.on_mutation`).
         """
-        store = self.view_store
-        if store is not None:
-            store.on_mutation(self.star, mutation)
+        self.view_store.on_mutation(self.star, mutation)
 
     def detach(self) -> None:
         """Stop maintaining the view store against the star.
@@ -380,9 +355,8 @@ class PersonalizationEngine:
         an engine over a live star calls this so the superseded store
         stops being patched and can be collected.
         """
-        if self.view_store is not None:
-            self.star.remove_mutation_listener(self._on_star_mutation)
-            self.view_store.invalidate()
+        self.star.remove_mutation_listener(self._on_star_mutation)
+        self.view_store.invalidate()
 
     # -- rule repository -----------------------------------------------------
 
@@ -459,7 +433,7 @@ class PersonalizationEngine:
             geo_source=self.geo_source,
             selection=SelectionSet(),
         )
-        session = self.session_factory(
+        session = PersonalizedSession(
             engine=self, profile=profile, context=context
         )
         session.outcomes.extend(

@@ -31,11 +31,10 @@ related work describes):
   by any existing fact row), and only a member *update* inside a
   referenced dimension still drops the entry.
 * **Bounds and transparency** — the store is LRU-bounded (``max_size``)
-  and thread-safe; ``PersonalizationEngine(view_store_size=0)`` removes
-  it entirely (sessions fall back to their private memo + rebuilds), and
-  sessions over a star whose :attr:`~repro.storage.star.StarSchema.oracle`
-  switch is set bypass it, which is how the benchmark harness proves
-  the store is transparent.
+  and thread-safe; every engine owns one.  Sessions over a star whose
+  :attr:`~repro.storage.star.StarSchema.oracle` switch is set bypass it,
+  which is how ``tests/workload/test_oracle_gate.py`` proves the store is
+  transparent.
 
 * **A shared tier** — on a miss, :meth:`ViewStore.get_or_build` asks
   ``_fetch`` for a view built elsewhere before it scans, and hands every
@@ -100,10 +99,7 @@ class ViewStore:
 
     def __init__(self, max_size: int = 128) -> None:
         if max_size < 1:
-            raise ValueError(
-                "max_size must be >= 1 (disable the store with "
-                "PersonalizationEngine(view_store_size=0) instead)"
-            )
+            raise ValueError("max_size must be >= 1")
         self.max_size = max_size
         self._lock = make_rlock("ViewStore._lock")
         # guarded-by: _lock

@@ -122,8 +122,8 @@ class SelectionSet:
 
     Each set carries a process-unique :attr:`uid` and a monotonic
     :attr:`generation` bumped whenever the selection actually grows.
-    ``(uid, generation)`` is a *session-private* cache identity (used e.g.
-    by the recommendation memo); :meth:`fingerprint` is the *content*
+    ``(uid, generation)`` is a *session-private* cache identity;
+    :meth:`fingerprint` is the *content*
     identity — two sessions whose selections hold the same member/feature
     triples produce the same fingerprint, which is what lets the shared
     view store and the service query cache serve one materialization to

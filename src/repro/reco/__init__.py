@@ -16,9 +16,8 @@ similarity decomposition).  This package provides the three parts:
   regions (envelope intersection + centroid distance);
 * :mod:`repro.reco.recommender` — ranked suggestions (GeoMDQL query
   texts, layers, dimension members) from the journals of the top-k most
-  similar users, excluding what the target user already has, memoized
-  under the same generation-keyed invalidation protocol as the rest of
-  the cache hierarchy.
+  similar users, excluding what the target user already has; each
+  user's spatial profile is cached under that user's journal position.
 """
 
 from repro.reco.journal import WorkloadEvent, WorkloadJournal

@@ -7,24 +7,24 @@ the same traffic the cache hierarchy observes.  Histories are keyed by
 evicted, but a user's analysis history survives and a re-login resumes
 it.
 
-The journal is the recommender's ground truth, so its contract mirrors
-the storage layer's invalidation protocol: a per-datamart monotonic
-:meth:`~WorkloadJournal.generation` counter is bumped by every append,
-and downstream memos (the recommender's) key on it — any new event in a
-tenant invalidates that tenant's recommendations, appends elsewhere do
-not.
+The journal is the recommender's ground truth.  A user's *position* is
+the sequence number of that user's last event, and
+:meth:`~WorkloadJournal.positions` reads every user's position in one
+tenant at once.  Only the user's own append moves it (a trim of old
+events comes only with one), so the recommender keys each user's
+spatial profile on it: another user's append leaves the profile warm.
 
 Memory is bounded per user (``max_events_per_user``, oldest dropped
 first) so a hot tenant cannot grow the journal without limit.
 
-Storage is six methods — :meth:`~WorkloadJournal.record`,
-:meth:`~WorkloadJournal.generation`, :meth:`~WorkloadJournal.users`,
-:meth:`~WorkloadJournal.events`, :meth:`~WorkloadJournal.stats` and
-``__len__``; the derived API (``record_query``/``record_selection``/
-``record_layer``, ``queries``, ``layers``, ``member_profile``) is written
-once over them.  :class:`~repro.cluster.stores.BackendWorkloadJournal`
-overrides only the storage methods, keeping events and generations in a
-shared :class:`~repro.cluster.backend.StateBackend`.
+Storage is five methods — :meth:`~WorkloadJournal.record`,
+:meth:`~WorkloadJournal.positions`, :meth:`~WorkloadJournal.events`,
+:meth:`~WorkloadJournal.stats` and ``__len__``; the derived API
+(``record_query``/``record_selection``/``record_layer``, ``users``,
+``queries``, ``layers``, ``member_profile``) is written once over them.
+:class:`~repro.cluster.stores.BackendWorkloadJournal` overrides only the
+storage methods, keeping events in a shared
+:class:`~repro.cluster.backend.StateBackend`.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class WorkloadEvent:
 
 
 class WorkloadJournal:
-    """Thread-safe, append-only workload log with per-tenant generations."""
+    """Thread-safe, append-only workload log per (datamart, user)."""
 
     def __init__(self, max_events_per_user: int = 10_000) -> None:
         if max_events_per_user < 1:
@@ -97,9 +97,6 @@ class WorkloadJournal:
         #: (datamart, user_id) -> events in append order.
         # guarded-by: _lock
         self._events: dict[tuple[str, str], list[WorkloadEvent]] = {}
-        #: datamart -> monotonic generation (bumped by every append).
-        # guarded-by: _lock
-        self._generations: dict[str, int] = {}
         # guarded-by: _lock
         self._seq = 0
 
@@ -127,7 +124,6 @@ class WorkloadJournal:
             history.append(event)
             if len(history) > self.max_events_per_user:
                 del history[: len(history) - self.max_events_per_user]
-            self._generations[datamart] = self._generations.get(datamart, 0) + 1
         return event
 
     def record_query(self, datamart: str, user_id: str, q: str) -> WorkloadEvent:
@@ -163,17 +159,19 @@ class WorkloadJournal:
 
     # -- reading ------------------------------------------------------------------
 
-    def generation(self, datamart: str) -> int:
-        """Monotonic per-tenant version; any append bumps it."""
+    def positions(self, datamart: str) -> dict[str, int]:
+        """``user -> sequence number of the user's last event``, for every
+        user of the tenant with at least one journaled event."""
         with self._lock:
-            return self._generations.get(datamart, 0)
+            return {
+                user: history[-1].seq
+                for (dm, user), history in self._events.items()
+                if dm == datamart
+            }
 
     def users(self, datamart: str) -> list[str]:
         """Users with at least one journaled event, sorted."""
-        with self._lock:
-            return sorted(
-                {user for dm, user in self._events if dm == datamart}
-            )
+        return sorted(self.positions(datamart))
 
     def events(self, datamart: str, user_id: str) -> list[WorkloadEvent]:
         """One user's history in append order (a copy)."""
@@ -215,16 +213,9 @@ class WorkloadJournal:
         with self._lock:
             out: dict[str, dict[str, int]] = {}
             for (datamart, _user), history in self._events.items():
-                entry = out.setdefault(
-                    datamart,
-                    {"users": 0, "events": 0, "generation": 0},
-                )
+                entry = out.setdefault(datamart, {"users": 0, "events": 0})
                 entry["users"] += 1
                 entry["events"] += len(history)
-            for datamart, generation in self._generations.items():
-                out.setdefault(
-                    datamart, {"users": 0, "events": 0, "generation": 0}
-                )["generation"] = generation
             return out
 
     def __len__(self) -> int:

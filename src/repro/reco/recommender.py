@@ -14,23 +14,24 @@ For a target ``(datamart, user)`` the recommender:
    an item shared by several close peers outranks one from a single
    distant user.
 
-Results are memoized under the cache hierarchy's invalidation protocol:
-the key carries the tenant's journal generation and star *metadata*
-generation (members/features/schema — suggestions never read fact rows,
-so fact appends keep the memo warm) plus a caller-supplied context stamp
-(e.g. the requesting session's selection ``(uid, generation)`` and its
-visible layers) — any journal append, metadata mutation or selection
-change is a miss, and nothing is ever invalidated by hand.
-``memo_size=0`` disables memoization, and a star whose
-:attr:`~repro.storage.star.StarSchema.oracle` switch is set bypasses
-both the result memo and the profile cache; the benchmark harness uses
-that to prove the memo is transparent.
+Only the profiles are cached.  A profile reads nothing but its user's
+journaled selections and the star's *metadata* (members, features,
+schema), so each one is keyed on ``(datamart, user, position, star
+metadata generation)``.  The position is the sequence number of the
+user's last journal event, read for every user at once by
+:meth:`~repro.reco.journal.WorkloadJournal.positions` per call.  Another
+user's append or a fact append keeps a profile warm; the user's own
+append or a metadata mutation misses, and nothing is ever invalidated by
+hand.  A star whose
+:attr:`~repro.storage.star.StarSchema.oracle` switch is set bypasses the
+cache.  The ranked answer itself is not cached: it depends on every
+user's journal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Iterable
 
 from repro.lru import ThreadSafeLRU
 from repro.reco.journal import WorkloadJournal
@@ -71,6 +72,11 @@ class Recommendation:
         }
 
 
+#: The profile cache's bound: one entry per journaled user of each tenant
+#: is the working set.
+PROFILE_CACHE_SIZE = 512
+
+
 class Recommender:
     """Similarity-driven recommendations over a :class:`WorkloadJournal`."""
 
@@ -80,48 +86,26 @@ class Recommender:
         *,
         top_k: int = 3,
         hierarchy_weight: float = 0.5,
-        memo_size: int = 128,
     ) -> None:
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if memo_size < 0:
-            raise ValueError("memo_size must be >= 0")
         self.journal = journal
         self.top_k = top_k
         self.hierarchy_weight = hierarchy_weight
-        self.memo_size = memo_size
-        self._memo = ThreadSafeLRU(memo_size)
-        #: Built profiles are pure functions of ``(datamart, user, journal
-        #: generation, star metadata generation)``, so one call per
-        #: kind (or per target user) reuses them instead of replaying the
-        #: journal per call.  Same invalidation protocol as the result memo;
-        #: one entry per journaled user is the working set, bounded
-        #: generously relative to the result memo.
-        self._profiles = ThreadSafeLRU(max(4 * memo_size, 64))
-
-    @property
-    def memo_hits(self) -> int:
-        return self._memo.hits
-
-    @property
-    def memo_misses(self) -> int:
-        return self._memo.misses
+        self._profiles = ThreadSafeLRU(PROFILE_CACHE_SIZE)
 
     # -- similarity ---------------------------------------------------------------
 
     def _profile(
-        self, datamart: str, user_id: str, star: StarSchema
+        self, datamart: str, user_id: str, position: int, star: StarSchema
     ) -> SpatialProfile:
-        if star.oracle or self.memo_size == 0:
+        """The user's profile.  ``position`` is read before the events,
+        so an entry never holds events older than its key says."""
+        if star.oracle:
             return build_spatial_profile(
                 star, self.journal.member_profile(datamart, user_id)
             )
-        key = (
-            datamart,
-            user_id,
-            self.journal.generation(datamart),
-            star.metadata_generation,
-        )
+        key = (datamart, user_id, position, star.metadata_generation)
         cached = self._profiles.get(key)
         if cached is None:
             cached = build_spatial_profile(
@@ -142,14 +126,17 @@ class Recommender:
         Ties break on the user id so rankings are deterministic.
         """
         k = self.top_k if k is None else k
-        target = self._profile(datamart, user_id, star)
+        positions = self.journal.positions(datamart)
+        target = self._profile(
+            datamart, user_id, positions.get(user_id, 0), star
+        )
         scored: list[tuple[str, float]] = []
-        for other in self.journal.users(datamart):
+        for other in sorted(positions):
             if other == user_id:
                 continue
             similarity = user_similarity(
                 target,
-                self._profile(datamart, other, star),
+                self._profile(datamart, other, positions[other], star),
                 self.hierarchy_weight,
             )
             if similarity > 0.0:
@@ -169,7 +156,6 @@ class Recommender:
         k: int | None = None,
         allowed_layers: Iterable[str] | None = None,
         exclude_members: Iterable[tuple[str, str, str]] = (),
-        context_key: Hashable = None,
     ) -> tuple[list[Recommendation], list[tuple[str, float]]]:
         """Ranked recommendations plus the similar-user ranking behind them.
 
@@ -177,33 +163,12 @@ class Recommender:
         session's personalized schema actually exposes (no leaking
         another user's wider schema); ``exclude_members`` removes the
         target session's own live selection on top of the journaled
-        exclusions.  ``context_key`` must capture whatever of that
-        session state the caller passed in (the façade uses the
-        selection's ``(uid, generation)``) so the memo can never answer
-        across contexts.
+        exclusions.
         """
         if kind not in KINDS:
             raise ValueError(
                 f"unknown recommendation kind {kind!r}; expected one of {KINDS}"
             )
-        k = self.top_k if k is None else k
-        memo_key = None
-        if not star.oracle and self.memo_size > 0:
-            memo_key = (
-                datamart,
-                user_id,
-                kind,
-                k,
-                self.journal.generation(datamart),
-                star.metadata_generation,
-                None if allowed_layers is None else frozenset(allowed_layers),
-                frozenset(exclude_members),
-                context_key,
-            )
-            cached = self._memo.get(memo_key)
-            if cached is not None:
-                return list(cached[0]), list(cached[1])
-
         neighbours = self.similar_users(datamart, user_id, star, k)
         if kind == "queries":
             items = self._query_candidates(datamart, user_id, neighbours)
@@ -215,8 +180,6 @@ class Recommender:
             items = self._member_candidates(
                 datamart, user_id, neighbours, exclude_members
             )
-        if memo_key is not None:
-            self._memo.put(memo_key, (tuple(items), tuple(neighbours)))
         return items, neighbours
 
     # -- candidate collection -----------------------------------------------------
@@ -321,11 +284,14 @@ class Recommender:
                     )
         return self._ranked("members", votes)
 
-    # -- memo ---------------------------------------------------------------------
+    # -- introspection ------------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
+        """The profile cache's counters.  The ``memo_*`` names are the
+        health schema's: dashboards and the benchmark read them."""
         return {
-            "memo_size": len(self._memo),
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
+            "memo_size": len(self._profiles),
+            "max_size": self._profiles.max_size,
+            "memo_hits": self._profiles.hits,
+            "memo_misses": self._profiles.misses,
         }

@@ -3,7 +3,7 @@ logic behind the versioned ``/api/v1`` web surface.
 
 The seed fused application logic, session state and transport into the
 portal class.  This package splits that into reusable parts — typed DTOs
-(:mod:`repro.service.dtos`), a pluggable session store with TTL/eviction
+(:mod:`repro.service.dtos`), a session store with TTL/eviction
 (:mod:`repro.service.sessions`), multi-datamart tenancy
 (:mod:`repro.service.registry`) and the façade that ties them together
 (:mod:`repro.service.facade`) — so any adapter (in-process, stdlib HTTP,
@@ -28,11 +28,7 @@ from repro.service.dtos import (
 )
 from repro.service.facade import CellSetPayload, PersonalizationService
 from repro.service.registry import Datamart, DatamartRegistry
-from repro.service.sessions import (
-    InMemorySessionStore,
-    SessionRecord,
-    SessionStore,
-)
+from repro.service.sessions import InMemorySessionStore, SessionRecord
 
 __all__ = [
     "CellSetPayload",
@@ -55,5 +51,4 @@ __all__ = [
     "SelectionRequest",
     "SelectionResult",
     "SessionRecord",
-    "SessionStore",
 ]

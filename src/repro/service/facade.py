@@ -8,9 +8,9 @@ the uniform error envelope.  The service owns:
 
 * tenant resolution through a :class:`~repro.service.registry.DatamartRegistry`
   (login's ``datamart`` field picks the star/engine);
-* authentication through a pluggable
-  :class:`~repro.service.sessions.SessionStore` (TTL, eviction,
-  thread-safety);
+* authentication through an
+  :class:`~repro.service.sessions.InMemorySessionStore` or its
+  backend-backed subclass (TTL, eviction, thread-safety);
 * the analysis operations themselves (profile, schema, view, GeoMDQL
   query, spatial-selection events, instance-rule rerun, layer export)
   with ``limit``/``offset`` pagination on list-shaped results;
@@ -27,9 +27,9 @@ the uniform error envelope.  The service owns:
   cache entry, while the datamart name keeps tenants strictly apart.
   ``as_of`` answers are immutable history, cached with empty stamps.
   Cached payload rows are frozen as tuples so a consumer mutating a
-  returned row can never poison later hits.  ``query_cache_size=0``
-  disables it, and a tenant whose star has its
-  :attr:`~repro.storage.star.StarSchema.oracle` switch set bypasses it.
+  returned row can never poison later hits.  A tenant whose star has
+  its :attr:`~repro.storage.star.StarSchema.oracle` switch set bypasses
+  it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from repro.service.dtos import (
     SelectionResult,
 )
 from repro.service.registry import Datamart, DatamartRegistry
-from repro.service.sessions import InMemorySessionStore, SessionRecord, SessionStore
+from repro.service.sessions import InMemorySessionStore, SessionRecord
 
 __all__ = ["PersonalizationService", "CellSetPayload"]
 
@@ -110,8 +110,7 @@ class PersonalizationService:
     def __init__(
         self,
         registry: DatamartRegistry,
-        session_store: SessionStore | None = None,
-        query_cache_size: int = 256,
+        session_store: InMemorySessionStore | None = None,
         journal: WorkloadJournal | None = None,
         recommender: Recommender | None = None,
         query_cache=None,
@@ -152,14 +151,11 @@ class PersonalizationService:
         #: match the live star; the hit/miss properties reclassify them.
         # guarded-by: _lock
         self._stale_query_hits = 0
-        if query_cache_size < 0:
-            raise ValueError("query_cache_size must be >= 0")
-        self.query_cache_size = query_cache_size
         #: A ThreadSafeLRU (backend-backed: entries shared across workers).
         self._query_cache = (
             query_cache
             if query_cache is not None
-            else make_query_cache(query_cache_size, backend=backend)
+            else make_query_cache(256, backend=backend)
         )
         #: Workload journal + recommender: every query, selection report
         #: and layer fetch is journaled per (datamart, user) — unless the
@@ -262,7 +258,7 @@ class PersonalizationService:
             session = record.session
             star = session.context.star
             cache_key = None
-            if self.query_cache_size > 0 and not star.oracle:
+            if not star.oracle:
                 selection = session.selection
                 cache_key = (
                     record.datamart,
@@ -546,24 +542,18 @@ class PersonalizationService:
             )
         with record.lock:
             session = record.session
-            star = session.context.star
-            selection = session.selection
             items, neighbours = self.recommender.recommend(
                 record.datamart,
                 record.user_id,
-                star,
+                session.context.star,
                 kind,
                 k=request.k,
                 allowed_layers=set(session.context.geomd_schema.layers)
                 if kind == "layers"
                 else None,
-                exclude_members=selection.member_triples()
+                exclude_members=session.selection.member_triples()
                 if kind == "members"
                 else (),
-                # The memo key must cover the session state consulted
-                # above — the selection's (uid, generation) is exactly the
-                # cache-identity protocol the view memo and query cache use.
-                context_key=(selection.uid, selection.generation),
             )
         paged, page_info = request.page.apply(
             [recommendation.to_dict() for recommendation in items]
@@ -586,7 +576,7 @@ class PersonalizationService:
         """Unauthenticated liveness/introspection snapshot (LB probes)."""
         query_cache = {
             "size": len(self._query_cache),
-            "max_size": self.query_cache_size,
+            "max_size": self._query_cache.max_size,
             "hits": self.query_cache_hits,
             "misses": self.query_cache_misses,
             "hit_rate": _hit_rate(
@@ -603,13 +593,8 @@ class PersonalizationService:
                     "name": dm.name,
                     "sessions_started": sessions_started.get(dm.name, 0),
                     "star_generation": dm.engine.star.generation,
-                    # Shared materialized-view store counters (None when
-                    # the tenant's engine runs with view_store_size=0).
-                    "view_store": (
-                        self._view_store_stats(dm.engine.view_store)
-                        if dm.engine.view_store is not None
-                        else None
-                    ),
+                    # Shared materialized-view store counters.
+                    "view_store": self._view_store_stats(dm.engine.view_store),
                     # The mutation pathway: per-kind log counters,
                     # retained-generation window, as-of history stats,
                     # and the patched-vs-rebuilt split of the view tier.
@@ -674,18 +659,12 @@ class PersonalizationService:
         log (per-kind counts, length, retained-generation window), the
         as-of history tier, and how often the view store patched or
         carried entries through mutations instead of rebuilding."""
-        star = engine.star
-        stats = star.mutation_log.stats()
-        history = star.history
-        stats["history"] = history.stats() if history is not None else None
-        view_store = engine.view_store
-        if view_store is not None:
-            view_stats = view_store.stats()
-            stats["view_patches"] = (
-                view_stats["patches"] + view_stats["carries"]
-            )
-            stats["view_rebuilds"] = view_stats["builds"]
-            stats["view_invalidations"] = view_stats["invalidations"]
+        stats = engine.star.mutation_log.stats()
+        stats["history"] = engine.history.stats()
+        view_stats = engine.view_store.stats()
+        stats["view_patches"] = view_stats["patches"] + view_stats["carries"]
+        stats["view_rebuilds"] = view_stats["builds"]
+        stats["view_invalidations"] = view_stats["invalidations"]
         return stats
 
     def _state_backend_stats(self) -> dict:

@@ -2,10 +2,10 @@
 
 The portal used to keep ``{token: session}`` in a bare dict: tokens never
 expired, memory grew without bound, and concurrent requests from the
-threaded stdlib adapter raced on the dict.  :class:`SessionStore` is the
-abstraction the service programs against; :class:`InMemorySessionStore`
-is the production-shaped default — opaque random tokens, idle-TTL expiry,
-LRU eviction at ``max_sessions``, and a lock around every mutation.
+threaded stdlib adapter raced on the dict.  :class:`InMemorySessionStore`
+is the store the service programs against — opaque random tokens,
+idle-TTL expiry, LRU eviction at ``max_sessions``, and a lock around
+every mutation.
 
 Expired or evicted analysis sessions are *ended* (SessionEnd rules fire,
 the profile session closes) on a best-effort basis, mirroring what an
@@ -26,7 +26,6 @@ from __future__ import annotations
 import secrets
 import threading
 import time
-from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -35,7 +34,7 @@ from typing import Callable, Iterator
 from repro.concurrency import make_lock
 from repro.errors import UnauthorizedError
 
-__all__ = ["SessionRecord", "SessionStore", "InMemorySessionStore"]
+__all__ = ["SessionRecord", "InMemorySessionStore"]
 
 
 @dataclass
@@ -57,64 +56,6 @@ class SessionRecord:
     lock: threading.Lock = field(
         default_factory=partial(make_lock, "SessionRecord.lock")
     )
-
-
-class SessionStore(ABC):
-    """Token -> session mapping with an authentication contract.
-
-    ``get`` raises :class:`~repro.errors.UnauthorizedError` (code
-    ``invalid_session`` or ``session_expired``) instead of returning a
-    sentinel, so every caller produces the same structured 401.
-    """
-
-    #: ``resolver(datamart, user_id, meta)`` rebuilds a live session for
-    #: a token whose record this store holds but whose live session it
-    #: does not (another worker issued it, or it was evicted).  The
-    #: service that owns the store binds it; a heap-resident store,
-    #: which keeps nothing beyond its live sessions, never calls it.
-    resolver: Callable[[str, str, dict], object] | None = None
-
-    @abstractmethod
-    def put(
-        self,
-        session: object,
-        *,
-        datamart: str,
-        user_id: str,
-        meta: dict | None = None,
-    ) -> SessionRecord:
-        """Admit a session, returning its record (with a fresh token).
-
-        ``meta`` seeds the record's service-level bookkeeping dict; a
-        persistent store serializes it, so values must be JSON-safe.
-        """
-
-    @abstractmethod
-    def get(self, token: str) -> SessionRecord:
-        """Resolve a token, refreshing its idle clock."""
-
-    @abstractmethod
-    def remove(self, token: str) -> None:
-        """Forget a token (no-op if absent); does not end the session."""
-
-    @abstractmethod
-    def purge_expired(self) -> int:
-        """Drop (and end) every expired session, returning how many."""
-
-    @abstractmethod
-    def __len__(self) -> int: ...
-
-    @abstractmethod
-    def __iter__(self) -> Iterator[SessionRecord]: ...
-
-    def persist(self, record: SessionRecord) -> None:
-        """Flush a record's mutated ``meta`` to durable storage.
-
-        No-op for heap-resident stores; the backend-backed store
-        re-encodes the record so meta mutations (journal opt-out,
-        selection replay log) survive a worker change.  Call with
-        ``record.lock`` held, like any same-token operation.
-        """
 
 
 def _default_token_factory() -> str:
@@ -145,13 +86,24 @@ def _end_quietly(record: SessionRecord) -> None:
         pass
 
 
-class InMemorySessionStore(SessionStore):
-    """Thread-safe in-process store with idle TTL and LRU eviction.
+class InMemorySessionStore:
+    """Thread-safe in-process token -> session store with idle TTL and
+    LRU eviction.
 
+    ``get`` raises :class:`~repro.errors.UnauthorizedError` (code
+    ``invalid_session`` or ``session_expired``) instead of returning a
+    sentinel, so every caller produces the same structured 401.
     ``clock`` and ``token_factory`` are injectable for deterministic
     tests; the defaults are ``time.monotonic`` and a ``secrets``-based
     opaque token.
     """
+
+    #: ``resolver(datamart, user_id, meta)`` rebuilds a live session for
+    #: a token whose record this store holds but whose live session it
+    #: does not (another worker issued it, or it was evicted).  The
+    #: service that owns the store binds it; the in-heap store, which
+    #: keeps nothing beyond its live sessions, never calls it.
+    resolver: Callable[[str, str, dict], object] | None = None
 
     def __init__(
         self,
@@ -175,7 +127,7 @@ class InMemorySessionStore(SessionStore):
         #: Live sessions ended to stay within ``max_sessions``.
         self.evictions = 0
 
-    # -- SessionStore API ---------------------------------------------------------
+    # -- the store API ------------------------------------------------------------
 
     def put(
         self,
@@ -185,6 +137,11 @@ class InMemorySessionStore(SessionStore):
         user_id: str,
         meta: dict | None = None,
     ) -> SessionRecord:
+        """Admit a session, returning its record (with a fresh token).
+
+        ``meta`` seeds the record's service-level bookkeeping dict; a
+        persistent store serializes it, so values must be JSON-safe.
+        """
         now = self._clock()
         ended = self._sweep(now)
         with self._lock:
@@ -205,6 +162,7 @@ class InMemorySessionStore(SessionStore):
         return record
 
     def get(self, token: str) -> SessionRecord:
+        """Resolve a token, refreshing its idle clock."""
         now = self._clock()
         with self._lock:
             record = self._records.get(token)
@@ -215,10 +173,21 @@ class InMemorySessionStore(SessionStore):
         return self._miss(token, record, now)
 
     def remove(self, token: str) -> None:
+        """Forget a token (no-op if absent); does not end the session."""
         with self._lock:
             self._records.pop(token, None)
 
+    def persist(self, record: SessionRecord) -> None:
+        """Flush a record's mutated ``meta`` to durable storage.
+
+        No-op here; the backend-backed store re-encodes the record so
+        meta mutations (journal opt-out, selection replay log) survive a
+        worker change.  Call with ``record.lock`` held, like any
+        same-token operation.
+        """
+
     def purge_expired(self) -> int:
+        """Drop (and end) every expired session, returning how many."""
         ended = self._sweep(self._clock())
         for record in ended:
             _end_quietly(record)

@@ -354,9 +354,8 @@ class StarSchema:
         self._feature_generations: dict[str, int] = {}
         self._schema_generation = 0
         # Bumped by member/feature/schema mutations but NOT by fact
-        # appends; the recommender's profile/suggestion memos key on
-        # this (suggestions read members, layers and the journal —
-        # never fact rows).
+        # appends; the recommender's profile cache keys on this
+        # (profiles read members and the journal, never fact rows).
         self._metadata_generation = 0
         #: When True, every layer over this star takes its reference
         #: path instead of its caches and indexes (see the module

@@ -9,7 +9,7 @@ inspect their profile and schema, and log out (SessionEnd).
 The portal itself is a thin, versioned route table: every handler parses
 a DTO, calls one :class:`~repro.service.facade.PersonalizationService`
 method, and serializes the result.  All application logic, session state
-(TTL/eviction via a pluggable store) and multi-datamart tenancy live in
+(TTL/eviction in the session store) and multi-datamart tenancy live in
 :mod:`repro.service`.
 
 Versioned routes (``/api/v1``):
@@ -54,13 +54,13 @@ import logging
 from repro.personalization.engine import PersonalizationEngine
 from repro.service import (
     DatamartRegistry,
+    InMemorySessionStore,
     LoginRequest,
     PageRequest,
     PersonalizationService,
     QueryRequest,
     RecommendationRequest,
     SelectionRequest,
-    SessionStore,
 )
 from repro.sus.model import UserProfile
 from repro.web.http import (
@@ -92,7 +92,7 @@ class PortalApp:
         *,
         service: PersonalizationService | None = None,
         registry: DatamartRegistry | None = None,
-        session_store: SessionStore | None = None,
+        session_store: InMemorySessionStore | None = None,
         datamart_name: str = "default",
         logger: logging.Logger | None = None,
     ) -> None:

@@ -1,9 +1,11 @@
-"""Optional stdlib HTTP adapter for the portal.
+"""The stdlib HTTP adapter for the portal.
 
 Serves a :class:`~repro.web.portal.PortalApp` over a real socket with
-``http.server`` — useful for poking the portal with curl on a developer
-machine.  Nothing in the test suite or the benchmarks uses this (the
-reproduction environment is offline); they drive the app object directly.
+``http.server``: ``repro serve`` and every worker of a pool
+(:func:`repro.cluster.pool._worker_main` calls :func:`make_server`), so
+``tests/cluster/test_pool*.py``, the benchmark's ``pool`` workload and
+``repro serve --workers`` all send their requests through it.  The other
+tests and the in-process workload drive the app object directly.
 
 The adapter is deliberately dumb: it parses the path, query string, JSON
 body and headers, hands everything to :meth:`PortalApp.handle`, and

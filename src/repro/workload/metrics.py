@@ -3,9 +3,9 @@
 The portal's unauthenticated ``/api/v1/health`` route already exposes
 every counter the benchmark JSON wants — query-cache hits/misses, the
 shared view store's patches-vs-rebuilds split, the state backend's
-spill/rehydration counts, the recommender memo, and (when the process
-started under ``REPRO_SANITIZE=1``) per-lock contention and hold
-totals.  This module turns a *pair* of snapshots bracketing a replay
+spill/rehydration counts, the recommender's profile cache, and (when
+the process started under ``REPRO_SANITIZE=1``) per-lock contention and
+hold totals.  This module turns a *pair* of snapshots bracketing a replay
 into the numbers a trajectory wants:
 
 * :func:`merge_health` — sum one snapshot per worker into a single

@@ -6,8 +6,8 @@ The satellite scenario end to end: a portal that grew up on the
 *freshly constructed* service — new engines, new stores, a stand-in for
 a new process — over the destination backend resumes it: the old
 session token resolves through rehydration with its selection reports
-replayed, the journal keeps its history and per-tenant generation
-counters, and the migrated query cache still answers.
+replayed, the journal keeps its history and its sequence counter, and
+the migrated query cache still answers.
 """
 
 import pytest
@@ -79,8 +79,8 @@ class TestLivePortalMigration:
                 target="GeoMD.Store.City", condition=WIDEN_CONDITION
             ),
         )
-        generation = old_service.journal.generation("sales")
-        assert generation > 0
+        positions = old_service.journal.positions("sales")
+        assert positions
 
         destination = SqliteBackend(str(tmp_path / "migrated.sqlite"))
         counts = migrate_backend(source, destination)
@@ -88,7 +88,7 @@ class TestLivePortalMigration:
         yield {
             "token": token,
             "baseline": baseline,
-            "generation": generation,
+            "positions": positions,
             "counts": counts,
             "old_service": old_service,
             "new_service": new_service,
@@ -100,7 +100,7 @@ class TestLivePortalMigration:
         assert counts["portal:sessions"] == 1
         assert counts["portal:journal"] == 2  # query + selection events
         assert counts["portal:qcache"] >= 1
-        assert counts["counters"] >= 2  # journal seq + tenant generation
+        assert counts["counters"] == 1  # the journal's sequence counter
 
     def test_old_token_resolves_in_new_process(self, migrated):
         record = migrated["new_service"].sessions.get(migrated["token"])
@@ -119,17 +119,18 @@ class TestLivePortalMigration:
         assert result.rows == migrated["baseline"].rows
         assert result.axes == migrated["baseline"].axes
 
-    def test_journal_history_and_generations_survive(self, migrated):
+    def test_journal_history_and_sequence_survive(self, migrated):
         new_journal = migrated["new_service"].journal
-        assert new_journal.generation("sales") == migrated["generation"]
+        assert new_journal.positions("sales") == migrated["positions"]
         events = new_journal.events("sales", "ana-garcia")
         assert [e.kind for e in events] == ["query", "selection"]
         assert events[0].payload["q"] == QUERY
-        # New traffic keeps counting from the migrated counters: the
-        # recommender's generation-keyed memos stay strictly ordered.
-        new_journal.record_query("sales", "ana-garcia", "q2")
-        assert new_journal.generation("sales") == migrated["generation"] + 1
-        assert events[-1].seq < new_journal.events("sales", "ana-garcia")[-1].seq
+        # New traffic keeps counting from the migrated sequence counter:
+        # a user's position, which the recommender's profile keys carry,
+        # only ever grows.
+        appended = new_journal.record_query("sales", "ana-garcia", "q2")
+        assert appended.seq > events[-1].seq
+        assert new_journal.positions("sales") == {"ana-garcia": appended.seq}
 
     def test_logout_in_new_process_kills_the_token(self, migrated):
         migrated["new_service"].logout(migrated["token"])

@@ -6,8 +6,8 @@ expired sessions never resolve (live, cold, or mid-eviction), a logout
 on one instance holds on every other one, a live copy that looks
 expired by its own clock defers to a fresher persisted record,
 query/view entries published by one instance are adopted by another,
-and the journal's sequence numbers and per-tenant generations are
-backend counters, so they stay coherent across instances.  The rules
+and the journal's sequence numbers are a backend counter, so histories
+and positions stay coherent across instances.  The rules
 the backend-backed stores share with the in-heap ones run in the
 contract suites of ``tests/service/test_sessions.py`` and
 ``tests/reco/test_journal.py``.
@@ -537,7 +537,7 @@ class TestBackendWorkloadJournal:
             "q1",
             "q2",
         ]
-        assert second.generation("sales") == 2
+        assert second.positions("sales") == {"ana": e2.seq}
 
     def test_corrupt_event_degrades_not_raises(self, backend):
         journal = BackendWorkloadJournal(backend, namespace="t")

@@ -87,33 +87,6 @@ class TestViewMemo:
         assert first.selection.fingerprint() != second.selection.fingerprint()
         assert first.view() is not second.view()
 
-    def test_view_store_disabled_falls_back_to_private_memo(
-        self, world, star, user_schema
-    ):
-        from repro.data import ALL_PAPER_RULES, WorldGeoSource
-        from repro.personalization import PersonalizationEngine
-
-        engine = PersonalizationEngine(
-            star,
-            user_schema,
-            geo_source=WorldGeoSource(world),
-            parameters={"threshold": 3},
-            view_store_size=0,
-        )
-        engine.add_rules(ALL_PAPER_RULES.values())
-        assert engine.view_store is None
-        first = engine.start_session(
-            build_regional_manager_profile(user_schema),
-            location=world.stores[0].location,
-        )
-        second = engine.start_session(
-            build_regional_manager_profile(user_schema, name="Bo Li"),
-            location=world.stores[0].location,
-        )
-        assert first.view() is first.view()  # memo still works
-        assert first.view() is not second.view()  # but nothing is shared
-        assert first.view().fact_rows == second.view().fact_rows
-
     def test_selection_generation_counts_only_growth(self, session):
         selection = session.selection
         (dimension, level), keys = next(iter(selection.members.items()))

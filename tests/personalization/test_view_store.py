@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from repro.cluster.config import env_backend, make_view_store
 from repro.data import (
     ALL_PAPER_RULES,
     WorldGeoSource,
@@ -163,7 +164,7 @@ class TestInvalidation:
             user_schema,
             geo_source=WorldGeoSource(world),
             parameters={"threshold": 3},
-            view_store_size=1,
+            view_store=make_view_store(1, backend=env_backend()),
         )
         engine.add_rules(ALL_PAPER_RULES.values())
         first = engine.start_session(profile, location=world.stores[0].location)

@@ -1,4 +1,4 @@
-"""WorkloadJournal: append-only semantics, per-user histories, generations,
+"""WorkloadJournal: append-only semantics, per-user histories, positions,
 bounded memory and thread-safety.
 
 One contract suite for both journals: the classes named after the rules
@@ -105,13 +105,13 @@ class TestRecording:
         with pytest.raises(TypeError):
             event.payload["q"] = "tampered"
 
-    def test_stats_count_users_events_and_generations(self, journal):
+    def test_stats_count_users_and_events(self, journal):
         journal.record_query("sales", "ana", "q")
         journal.record_query("sales", "bo", "q")
         journal.record_layer("twin", "carla", "rivers")
         stats = journal.stats()
-        assert stats["sales"] == {"users": 2, "events": 2, "generation": 2}
-        assert stats["twin"] == {"users": 1, "events": 1, "generation": 1}
+        assert stats["sales"] == {"users": 2, "events": 2}
+        assert stats["twin"] == {"users": 1, "events": 1}
 
     def test_payload_freeze_is_deep(self, journal):
         members = [["Store", "Store", "S1"]]
@@ -124,16 +124,18 @@ class TestRecording:
             event.payload["members"][0][2] = "tampered"
 
 
-class TestGenerations:
-    def test_every_append_bumps_only_its_tenant(self, journal):
-        assert journal.generation("sales") == 0
-        journal.record_query("sales", "ana", "Q1")
-        journal.record_layer("sales", "bob", "Airport")
-        assert journal.generation("sales") == 2
-        assert journal.generation("eu") == 0
-        journal.record_query("eu", "cara", "Q9")
-        assert journal.generation("sales") == 2
-        assert journal.generation("eu") == 1
+class TestPositions:
+    def test_append_moves_only_its_users_position(self, journal):
+        assert journal.positions("sales") == {}
+        a = journal.record_query("sales", "ana", "Q1")
+        b = journal.record_layer("sales", "bob", "Airport")
+        assert journal.positions("sales") == {"ana": a.seq, "bob": b.seq}
+        assert journal.positions("eu") == {}
+        c = journal.record_query("eu", "cara", "Q9")
+        d = journal.record_query("sales", "ana", "Q2")
+        assert journal.positions("sales") == {"ana": d.seq, "bob": b.seq}
+        assert journal.positions("eu") == {"cara": c.seq}
+        assert journal.users("sales") == ["ana", "bob"]
 
 
 class TestBoundsAndConcurrency:
@@ -144,8 +146,8 @@ class TestBoundsAndConcurrency:
         kept = [e.payload["q"] for e in journal.events("sales", "ana")]
         assert kept == ["Q2", "Q3", "Q4"]
         assert len(journal) == 3
-        # The generation keeps counting even when old events are dropped.
-        assert journal.generation("sales") == 5
+        # The position is the newest event's, whatever the trim dropped.
+        assert journal.positions("sales") == {"ana": 5}
 
     def test_invalid_cap_rejected(self, make_journal):
         with pytest.raises(ValueError):
@@ -166,20 +168,39 @@ class TestBoundsAndConcurrency:
         for t in threads:
             t.join()
         assert len(journal) == 8 * 50
-        assert journal.generation("sales") == 8 * 50
         seqs = [
             e.seq for u in journal.users("sales") for e in journal.events("sales", u)
         ]
         assert len(set(seqs)) == len(seqs)  # no duplicated sequence numbers
+        assert journal.positions("sales") == {
+            u: journal.events("sales", u)[-1].seq for u in journal.users("sales")
+        }
 
 
 class TestRecordingBackend(BackendJournals, TestRecording):
     pass
 
 
-class TestGenerationsBackend(BackendJournals, TestGenerations):
+class TestPositionsBackend(BackendJournals, TestPositions):
     pass
 
 
 class TestBoundsAndConcurrencyBackend(BackendJournals, TestBoundsAndConcurrency):
     pass
+
+
+class TestCorruptRowsBackend(BackendJournals):
+    def test_undecodable_row_is_deleted_and_frees_its_slot(self, make_journal):
+        journal = make_journal(max_events_per_user=3)
+        event = journal.record_query("sales", "ana", "Q0")
+        journal.backend.put(
+            "t:journal", f"sales\x1fana\x1f{event.seq:016d}", "{not json"
+        )
+        assert journal.events("sales", "ana") == []
+        assert len(journal) == 0
+        assert journal.stats() == {}
+        assert journal.positions("sales") == {}
+        for i in range(1, 4):
+            journal.record_query("sales", "ana", f"Q{i}")
+        kept = [e.payload["q"] for e in journal.events("sales", "ana")]
+        assert kept == ["Q1", "Q2", "Q3"]

@@ -1,10 +1,18 @@
-"""Recommender ranking, exclusions and the generation-keyed memo."""
+"""Recommender ranking, exclusions and the position-keyed profile cache."""
 
 import pytest
 
+from repro.cluster.backend import SqliteBackend
+from repro.cluster.stores import BackendWorkloadJournal
 from repro.reco import Recommender, WorkloadJournal
+from repro.reco.recommender import PROFILE_CACHE_SIZE
 
 DM = "sales"
+
+
+@pytest.fixture()
+def journal():
+    return WorkloadJournal()
 
 
 @pytest.fixture()
@@ -17,9 +25,8 @@ def spatial_star(world, star):
 
 
 @pytest.fixture()
-def seeded(world, spatial_star):
+def seeded(world, spatial_star, journal):
     """Journal with ana+bob on neighbouring stores, cara far away."""
-    journal = WorkloadJournal()
     anchor = world.stores[0]
     neighbour = next(s for s in world.stores[1:] if s.city == anchor.city)
     far = max(
@@ -113,60 +120,122 @@ class TestRanking:
         assert items == [] and neighbours == []
 
 
+def lookups(recommender):
+    stats = recommender.stats()
+    return stats["memo_hits"], stats["memo_misses"]
+
+
 class TestMemo:
+    """The spatial-profile cache, which the ``memo_*`` stats count.  Each
+    profile is keyed on its user's journal position and the star's
+    metadata generation, so exactly the events it reads make it miss."""
+
     def test_repeat_call_hits_and_returns_identical_results(
         self, seeded, spatial_star
     ):
         _journal, recommender = seeded
         cold = recommender.recommend(DM, "ana", spatial_star, "queries")
-        assert recommender.stats()["memo_misses"] == 1
+        assert lookups(recommender) == (0, 3)
         warm = recommender.recommend(DM, "ana", spatial_star, "queries")
-        assert recommender.stats()["memo_hits"] == 1
+        assert lookups(recommender) == (3, 3)
         assert warm == cold
         # The oracle switch recomputes but must agree.
         spatial_star.oracle = True
         assert recommender.recommend(DM, "ana", spatial_star, "queries") == cold
-        assert recommender.stats()["memo_hits"] == 1
+        assert lookups(recommender) == (3, 3)
 
     def test_journal_append_invalidates(self, seeded, spatial_star):
+        """Another user's append rebuilds that user's profile only."""
         journal, recommender = seeded
         recommender.recommend(DM, "ana", spatial_star, "queries")
         journal.record_query(DM, "bob", "Q_NEW")
         items, _ = recommender.recommend(DM, "ana", spatial_star, "queries")
-        assert recommender.stats()["memo_hits"] == 0
+        assert lookups(recommender) == (2, 4)
         assert "Q_NEW" in [r.item["q"] for r in items]
 
-    def test_star_mutation_invalidates(self, seeded, spatial_star, world):
-        _journal, recommender = seeded
+    def test_own_append_misses(self, seeded, spatial_star, world):
+        journal, recommender = seeded
+        recommender.recommend(DM, "ana", spatial_star, "members")
+        journal.record_selection(
+            DM,
+            "ana",
+            "GeoMD.Store.City",
+            "c",
+            [("Store", "Store", world.stores[-1].name)],
+        )
+        warm = recommender.recommend(DM, "ana", spatial_star, "members")
+        assert lookups(recommender) == (2, 4)
+        assert warm == Recommender(journal).recommend(
+            DM, "ana", spatial_star, "members"
+        )
+
+    def test_star_mutation_invalidates(self, seeded, spatial_star):
+        """A member mutation misses every profile."""
+        journal, recommender = seeded
         recommender.recommend(DM, "ana", spatial_star, "queries")
         spatial_star.note_member_change("Store")
-        recommender.recommend(DM, "ana", spatial_star, "queries")
-        assert recommender.stats()["memo_misses"] == 2
+        warm = recommender.recommend(DM, "ana", spatial_star, "queries")
+        assert lookups(recommender) == (0, 6)
+        assert warm == Recommender(journal).recommend(
+            DM, "ana", spatial_star, "queries"
+        )
 
-    def test_context_key_partitions_entries(self, seeded, spatial_star):
+    def test_fact_append_hits(self, seeded, spatial_star):
         _journal, recommender = seeded
-        recommender.recommend(
-            DM, "ana", spatial_star, "queries", context_key=(1, 0)
+        cold = recommender.recommend(DM, "ana", spatial_star, "queries")
+        table = spatial_star.fact_table()
+        row = table.row(0)
+        spatial_star.insert_fact(
+            table.fact.name,
+            {d: row[d] for d in table.fact.dimension_names},
+            {m: row[m] for m in table.fact.measures},
         )
-        recommender.recommend(
-            DM, "ana", spatial_star, "queries", context_key=(2, 0)
-        )
-        assert recommender.stats()["memo_misses"] == 2
+        assert recommender.recommend(DM, "ana", spatial_star, "queries") == cold
+        assert lookups(recommender) == (3, 3)
 
-    def test_memo_size_zero_disables(self, seeded, spatial_star):
-        journal, _ = seeded
-        recommender = Recommender(journal, memo_size=0)
-        recommender.recommend(DM, "ana", spatial_star, "queries")
-        recommender.recommend(DM, "ana", spatial_star, "queries")
-        assert recommender.stats() == {
-            "memo_size": 0,
-            "memo_hits": 0,
-            "memo_misses": 0,
-        }
+    def test_lru_bound(self, journal, spatial_star, world):
+        for i in range(PROFILE_CACHE_SIZE + 8):
+            journal.record_selection(
+                DM,
+                f"u{i:04d}",
+                "GeoMD.Store.City",
+                "c",
+                [("Store", "Store", world.stores[i % len(world.stores)].name)],
+            )
+        recommender = Recommender(journal)
+        recommender.recommend(DM, "u0000", spatial_star, "queries")
+        stats = recommender.stats()
+        assert stats["max_size"] == PROFILE_CACHE_SIZE
+        assert stats["memo_size"] == PROFILE_CACHE_SIZE
 
-    def test_lru_bound(self, seeded, spatial_star):
-        journal, _ = seeded
-        recommender = Recommender(journal, memo_size=2)
-        for kind in ("queries", "layers", "members"):
-            recommender.recommend(DM, "ana", spatial_star, kind)
-        assert recommender.stats()["memo_size"] == 2
+
+class TestMemoSqlite(TestMemo):
+    """The same cache over a journal kept in a sqlite backend."""
+
+    @pytest.fixture()
+    def journal(self, tmp_path):
+        backend = SqliteBackend(str(tmp_path / "state.sqlite"))
+        yield BackendWorkloadJournal(backend, namespace="t")
+        backend.close()
+
+    def test_append_in_another_process_rebuilds_that_profile(
+        self, seeded, spatial_star, tmp_path
+    ):
+        """Two journals on one sqlite file, each over its own connection
+        and with its own recommender: an append through the first makes
+        the second rebuild that user's profile, and only that one."""
+        journal, _recommender = seeded
+        backend = SqliteBackend(str(tmp_path / "state.sqlite"))
+        try:
+            other = BackendWorkloadJournal(backend, namespace="t")
+            second = Recommender(other)
+            second.recommend(DM, "ana", spatial_star, "queries")
+            journal.record_query(DM, "bob", "Q_NEW")
+            warm = second.recommend(DM, "ana", spatial_star, "queries")
+            assert lookups(second) == (2, 4)
+            assert "Q_NEW" in [r.item["q"] for r in warm[0]]
+            assert warm == Recommender(other).recommend(
+                DM, "ana", spatial_star, "queries"
+            )
+        finally:
+            backend.close()

@@ -1,4 +1,4 @@
-"""SessionStore TTL/LRU eviction must never touch journaled history.
+"""Session-store TTL/LRU eviction must never touch journaled history.
 
 The journal is keyed ``(datamart, user)`` while the session store is
 keyed by token: expiring or evicting a session ends the *session* (as
@@ -122,7 +122,7 @@ class TestLRUEviction:
         )
         token = login(portal, profile.user_id, world)
         run_query(portal, token, QUERY_A)
-        generation = portal.service.journal.generation("sales")
+        positions = portal.service.journal.positions("sales")
 
         # Two more logins evict the LRU session (the profile user's).
         login(portal, "bo-li", world)
@@ -130,9 +130,9 @@ class TestLRUEviction:
         evicted = portal.handle("GET", "/api/v1/view", token=token)
         assert evicted.status == 401
 
-        # Eviction neither dropped events nor bumped the journal.
+        # Eviction neither dropped events nor moved a position.
         assert journaled_queries(portal, profile.user_id) == [QUERY_A]
-        assert portal.service.journal.generation("sales") == generation
+        assert portal.service.journal.positions("sales") == positions
 
         fresh = login(portal, profile.user_id, world)
         run_query(portal, fresh, QUERY_B)

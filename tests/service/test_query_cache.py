@@ -7,11 +7,13 @@ while every stamp matches, misses on any selection change or any star
 mutation the query's inputs depend on, warm entries through mutations
 they provably don't (PR 9), entries shared across sessions exactly when
 their selections hold the same content, never across tenants,
-byte-identical responses with the cache disabled, and bounded size.
+byte-identical responses with the star's ``oracle`` switch set, and
+bounded size.
 """
 
 import pytest
 
+from repro.cluster.config import env_backend, make_query_cache
 from repro.data import (
     WorldGeoSource,
     build_regional_manager_profile,
@@ -296,24 +298,24 @@ class TestMultiFactDatamart:
 class TestConfiguration:
     def test_disabled_cache_is_transparent(self, registry, world):
         cached_service = PersonalizationService(registry)
-        uncached_service = PersonalizationService(registry, query_cache_size=0)
         cached_token = _login(cached_service, world)
-        uncached_token = _login(uncached_service, world)
         warm = cached_service.query(cached_token, QueryRequest(q=QUERY))
         hit = cached_service.query(cached_token, QueryRequest(q=QUERY))
-        cold = uncached_service.query(uncached_token, QueryRequest(q=QUERY))
-        again = uncached_service.query(uncached_token, QueryRequest(q=QUERY))
-        assert uncached_service.query_cache_hits == 0
-        assert uncached_service.query_cache_misses == 0
+        for datamart in registry:
+            datamart.engine.star.oracle = True
+        oracle_service = PersonalizationService(registry)
+        oracle_token = _login(oracle_service, world)
+        cold = oracle_service.query(oracle_token, QueryRequest(q=QUERY))
+        again = oracle_service.query(oracle_token, QueryRequest(q=QUERY))
+        assert oracle_service.query_cache_hits == 0
+        assert oracle_service.query_cache_misses == 0
         assert hit.to_dict() == warm.to_dict() == cold.to_dict()
         assert again.to_dict() == cold.to_dict()
 
-    def test_negative_size_rejected(self, registry):
-        with pytest.raises(ValueError):
-            PersonalizationService(registry, query_cache_size=-1)
-
     def test_lru_eviction_bounds_entries(self, registry, world):
-        service = PersonalizationService(registry, query_cache_size=2)
+        service = PersonalizationService(
+            registry, query_cache=make_query_cache(2, backend=env_backend())
+        )
         token = _login(service, world)
         queries = [
             QUERY,

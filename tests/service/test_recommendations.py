@@ -1,20 +1,33 @@
 """End-to-end recommendation subsystem over the /api/v1 surface.
 
-Covers the PR acceptance criteria: overlapping workloads yield nonzero
-mutual similarity, a similar user's query outranks dissimilar noise,
-recommendations never leak outside the target's own personalization,
-and repeated calls answer from the generation-keyed memo with results
-identical to a cold run.
+Overlapping workloads yield nonzero mutual similarity, a similar user's
+query outranks dissimilar noise, recommendations never leak outside the
+target's own personalization, and repeated calls answer from the
+position-keyed profile cache with results identical to a cold run.  The
+differential gate replays a schedule of re-logins, selection reports,
+queries and layer fetches on two demo portals, one with the ``oracle``
+switch set, and every recommendation body must be equal.
 """
 
 import pytest
 
+from repro.cluster.backend import SqliteBackend
+from repro.cluster.config import make_journal
 from repro.data import (
+    ALL_PAPER_RULES,
     DEMO_NOISE_QUERIES,
     DEMO_QUERY_RECOMMENDED,
     DEMO_QUERY_SHARED,
+    DEMO_SELECTION_CONDITION,
+    DEMO_SELECTION_TARGET,
+    DEMO_USERS,
+    WorldGeoSource,
+    build_motivating_user_model,
+    build_sales_star,
     replay_demo_workload,
 )
+from repro.personalization import PersonalizationEngine
+from repro.service import DatamartRegistry, PersonalizationService
 from repro.web import PortalApp
 
 
@@ -141,6 +154,110 @@ class TestAcceptance:
         assert fresh in [item["item"]["q"] for item in payload["items"]]
 
 
+GATE_STEPS = 12
+KINDS = ("queries", "layers", "members")
+SELECTION = {
+    "target": DEMO_SELECTION_TARGET,
+    "condition": DEMO_SELECTION_CONDITION,
+}
+#: What each step runs after its selection report, in turn.
+GATE_REQUESTS = [
+    ("POST", "/api/v1/query", {"q": DEMO_QUERY_SHARED}),
+    ("GET", "/api/v1/layers/Airport", None),
+    ("POST", "/api/v1/query", {"q": DEMO_QUERY_RECOMMENDED}),
+    ("POST", "/api/v1/query", {"q": DEMO_NOISE_QUERIES[0]}),
+    ("POST", "/api/v1/query", {"q": DEMO_NOISE_QUERIES[1]}),
+]
+
+
+class TestDifferentialGate:
+    """Recommendations with the profile cache answer like the oracle.
+
+    Two demo portals, one with its star's ``oracle`` switch set, run the
+    same schedule.  Each step re-logs one demo user in at another store,
+    files Example 5.3's selection report and a query or layer fetch, and
+    then asks both portals for every kind of recommendation for every
+    user.  Every report moves its user's journal position, so a profile
+    served past it would show in the bodies.
+    """
+
+    @pytest.fixture(params=["in_heap", "sqlite"])
+    def make_portal(self, request, world, tmp_path):
+        backends = []
+
+        def make(oracle):
+            journal = None
+            if request.param == "sqlite":
+                backend = SqliteBackend(str(tmp_path / f"{oracle}.sqlite"))
+                backends.append(backend)
+                journal = make_journal(backend=backend, namespace="gate")
+            engine = PersonalizationEngine(
+                build_sales_star(world),
+                build_motivating_user_model(),
+                geo_source=WorldGeoSource(world),
+                parameters={"threshold": 3},
+            )
+            engine.add_rules(ALL_PAPER_RULES.values())
+            engine.star.oracle = oracle
+            registry = DatamartRegistry()
+            registry.register("sales", engine, default=True)
+            app = PortalApp(
+                service=PersonalizationService(registry, journal=journal)
+            )
+            return app, replay_demo_workload(app, world)
+
+        yield make
+        for backend in backends:
+            backend.close()
+
+    def test_every_recommendation_equals_the_oracle_portal(
+        self, make_portal, world
+    ):
+        portals = [make_portal(oracle=False), make_portal(oracle=True)]
+        users = list(DEMO_USERS)
+        bodies = 0
+        nonempty = 0
+        for step in range(GATE_STEPS):
+            user = users[step % len(users)]
+            store = world.stores[(7 * step + 3) % len(world.stores)]
+            method, path, body = GATE_REQUESTS[step % len(GATE_REQUESTS)]
+            requests = [
+                ("POST", "/api/v1/selection", SELECTION, user),
+                (method, path, body, user),
+            ] + [
+                ("GET", f"/api/v1/recommendations/{kind}", None, other)
+                for other in users
+                for kind in KINDS
+            ]
+            answers = []
+            for app, tokens in portals:
+                login = app.handle(
+                    "POST",
+                    "/api/v1/login",
+                    {
+                        "user": user,
+                        "location": [store.location.x, store.location.y],
+                    },
+                )
+                assert login.ok, login.body
+                tokens[user] = login.json()["token"]
+                step_bodies = []
+                for verb, route, payload, owner in requests:
+                    response = app.handle(
+                        verb, route, payload, token=tokens[owner]
+                    )
+                    assert response.ok, response.body
+                    step_bodies.append(response.body)
+                answers.append(step_bodies)
+            cached, oracle = answers
+            assert cached == oracle, f"step {step} differs"
+            recommendations = cached[2:]
+            bodies += len(recommendations)
+            nonempty += sum(1 for body in recommendations if body["items"])
+        assert bodies == GATE_STEPS * len(users) * len(KINDS)
+        assert nonempty * 2 >= bodies
+
+
 class TestJournalingControls:
     def test_opt_out_at_login(self, portal, tokens, world):
         location = world.stores[0].location
@@ -209,6 +326,7 @@ class TestHealth:
         assert payload["journal"]["sales"]["events"] > 0
         assert set(payload["recommender"]) == {
             "memo_size",
+            "max_size",
             "memo_hits",
             "memo_misses",
             "memo_hit_rate",

@@ -271,7 +271,7 @@ class TestHealthHitRates:
     def test_recommender_memo_rate_after_lookups(self, service, profile, world):
         token = _login(service, profile, world).token
         service.recommendations(token, "queries")  # miss
-        service.recommendations(token, "queries")  # memo hit
+        service.recommendations(token, "queries")  # profile-cache hit
         reco = service.health()["recommender"]
         total = reco["memo_hits"] + reco["memo_misses"]
         assert total >= 2

@@ -1,4 +1,5 @@
-"""The shared thread-safe LRU behind the query cache and reco memos."""
+"""The shared thread-safe LRU behind the query cache and the recommender's
+profile cache."""
 
 import threading
 

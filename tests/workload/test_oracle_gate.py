@@ -2,8 +2,8 @@
 
 A smoke-tier stream replays against two fresh workload portals, one as
 built and one with the ``oracle`` switch set on every tenant's star (no
-view memo or store, no query cache, no recommender memo, scans instead
-of indexes, the row-loop executor).  Before every 8th request the same
+view memo or store, no query cache, no recommender profile cache, scans
+instead of indexes, the row-loop executor).  Before every 8th request the same
 sale is appended to every tenant of both portals, as the repository
 benchmark's ingest loader does, so view patches, stale query-cache
 stamps and as-of replays over a moving star are all part of the
