@@ -5,9 +5,9 @@ design (see README "Concurrency invariants"):
 
 ``gen-key``
     Every insertion into a cache-like attribute (a ``ThreadSafeLRU`` or
-    a ``*memo*``/``*cache*`` dict) must key — or, for memo dicts whose
-    values carry the stamp, value — on a generation component
-    (``star.generation``, ``selection.generation``...).  A
+    a ``*memo*``/``*cache*`` dict) must key on a generation component
+    (``star.generation``, ``selection.generation``...); only a subscript
+    store into a memo dict may carry it in the stored value instead.  A
     generation-less key can serve stale data forever.
 
 ``lock-guard``
@@ -211,23 +211,17 @@ class GenKeyRule:
                     and func.attr in ("put", "setdefault")
                     and _is_self_attr(func.value, info.caches)
                     and node.args
+                    # A shared LRU serves whatever its key finds, so the
+                    # generation must be in the key.
+                    and not self._has_generation(node.args[0], assignments)
                 ):
-                    key_ok = self._has_generation(node.args[0], assignments)
-                    # Stamped-value idiom (mirrors the subscript-store
-                    # branch below): the key is a plain identity and the
-                    # stored value carries the generation stamps that are
-                    # revalidated on read — that protocol also passes.
-                    value_ok = len(node.args) > 1 and self._has_generation(
-                        node.args[1], assignments
+                    yield module.violation(
+                        self.id,
+                        node,
+                        f"insertion into self.{func.value.attr} whose "  # type: ignore[union-attr]
+                        "key carries no generation component "
+                        "(star/selection generation)",
                     )
-                    if not key_ok and not value_ok:
-                        yield module.violation(
-                            self.id,
-                            node,
-                            f"insertion into self.{func.value.attr} whose "  # type: ignore[union-attr]
-                            "key and value carry no generation component "
-                            "(star/selection generation)",
-                        )
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Subscript) and _is_self_attr(

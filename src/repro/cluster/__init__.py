@@ -7,8 +7,9 @@ persistent ``sqlite3`` with ``REPRO_BACKEND=sqlite``) and serves it
 from a pre-fork :class:`~repro.cluster.pool.WorkerPool` with
 tenant→worker affinity.  Each backend-backed store is its in-heap store
 plus a shared tier; :mod:`repro.cluster.config` is where every store is
-built.  Generation stamps are the cross-process invalidation protocol;
-the versioned codecs are the wire format.
+built.  The star generation in each view and query-cache key is the
+cross-process invalidation protocol; the versioned codecs are the wire
+format.
 """
 from repro.cluster.backend import InMemoryBackend, SqliteBackend, StateBackend
 from repro.cluster.codecs import CodecError

@@ -95,8 +95,8 @@ class StateBackend(ABC):
         """Drop the oldest-written entries beyond ``max_rows``.
 
         Bounds unbounded-growth stores (the shared query/view caches,
-        whose generation-stamped keys go stale rather than being
-        deleted); returns how many entries were dropped.
+        whose generation-keyed rows become unreachable rather than
+        being deleted); returns how many entries were dropped.
         """
 
     # -- counters -------------------------------------------------------------

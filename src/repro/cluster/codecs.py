@@ -30,9 +30,9 @@ The four entry kinds mirror the shared stores:
 * **query-cache entries** — :class:`~repro.service.facade.CellSetPayload`
   with its nested tuples restored on decode, so a payload served from
   the persistent cache is structurally identical (and therefore
-  byte-identical once JSON-serialized) to one served from the heap;
-  since v2 the payload carries the per-dimension generation ``stamps``
-  the façade revalidates on every hit.
+  byte-identical once JSON-serialized) to one served from the heap.
+  Like a view entry's, its freshness is the star generation in the
+  entry's *key*.
 
 Timestamps are ``time.monotonic()`` values.  On Linux that clock is
 machine-wide (``CLOCK_MONOTONIC``), so TTL arithmetic stays valid across
@@ -285,10 +285,10 @@ def decode_view_entry(text: str, star, schema, fingerprint: str):
 
 # -- query-cache entries -----------------------------------------------------------
 
-# v2 (PR 9): payloads carry per-dimension generation ``stamps`` the
-# façade revalidates on every hit — a v1 row has no stamps and therefore
-# no proof of freshness, so the version check turns it into a miss.
-QUERY_PAYLOAD_VERSION = 2
+# v3: the payload no longer carries per-dimension generation counters;
+# its freshness is the star generation in the key.  A v1 or v2 row fails
+# the version check, a miss that deletes the row.
+QUERY_PAYLOAD_VERSION = 3
 
 
 def encode_query_payload(payload) -> str:
@@ -301,7 +301,6 @@ def encode_query_payload(payload) -> str:
             "rows": _thaw(payload.rows),
             "fact_rows_scanned": payload.fact_rows_scanned,
             "fact_rows_matched": payload.fact_rows_matched,
-            "stamps": _thaw(payload.stamps),
         },
         separators=(",", ":"),
     )
@@ -316,21 +315,10 @@ def decode_query_payload(text: str):
     axes = _field(data, "query-payload", "axes", list)
     labels = _field(data, "query-payload", "labels", list)
     rows = _field(data, "query-payload", "rows", list)
-    stamps = _field(data, "query-payload", "stamps", list)
     if not all(isinstance(axis, str) for axis in axes):
         raise CodecError("corrupt query-payload entry: non-string axis")
     if not all(isinstance(row, list) for row in rows):
         raise CodecError("corrupt query-payload entry: non-list row")
-    for stamp in stamps:
-        if (
-            not isinstance(stamp, list)
-            or len(stamp) != 3
-            or not isinstance(stamp[0], str)
-            or not isinstance(stamp[1], str)
-            or isinstance(stamp[2], bool)
-            or not isinstance(stamp[2], int)
-        ):
-            raise CodecError("corrupt query-payload entry: malformed stamp")
     return CellSetPayload(
         axes=tuple(axes),
         labels=_deep_tuple(labels),
@@ -341,5 +329,4 @@ def decode_query_payload(text: str):
         fact_rows_matched=int(
             _field(data, "query-payload", "fact_rows_matched", int)
         ),
-        stamps=_deep_tuple(stamps),
     )

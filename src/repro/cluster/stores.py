@@ -5,10 +5,10 @@ hit path — plus the rows it keeps in a shared
 :class:`~repro.cluster.backend.StateBackend`, so every worker process
 of a pool sees them.  The in-heap store is the per-process live tier
 (L1); this module adds only the L2 work: persisting and fetching rows,
-rehydrating sessions, and sweeping and pruning rows.  Generation stamps
-are the cross-process invalidation protocol: view keys carry the star
-generation, and query-cache payloads carry the per-dimension stamps the
-façade revalidates on every hit.
+rehydrating sessions, and sweeping and pruning rows.  The star
+generation in the key is the cross-process invalidation protocol: view
+and live query-cache keys both carry it, so a row written for another
+star state is never read.
 
 * :class:`BackendSessionStore` — an
   :class:`~repro.service.sessions.InMemorySessionStore` whose records
@@ -21,7 +21,9 @@ façade revalidates on every hit.
   ``tests/cluster/test_pool_gate.py`` checks that a pool whose every
   request crosses a spill and a rehydration answers like one process.
 * :class:`BackendQueryCache` — a :class:`~repro.lru.ThreadSafeLRU` whose
-  miss path reads the L2; every put is published.
+  miss path reads the L2; every put is published.  Like the view store,
+  it assumes workers whose stars are at one generation hold the same
+  star.
 * :class:`BackendViewStore` — a
   :class:`~repro.personalization.view_store.ViewStore` whose ``_fetch``
   adopts a peer worker's build (decode beats a fact scan) and whose
@@ -317,12 +319,11 @@ class BackendQueryCache(ThreadSafeLRU):
     """The façade's query-result LRU over shared encoded entries.
 
     Keys are the façade's tuples ``(datamart, query text, selection
-    fingerprint, as_of)``; freshness is the *stored payload's*
-    per-dimension generation stamps, which the façade revalidates on
-    every hit — in-process and across workers alike (a stale entry is
-    simply rebuilt and overwritten under the same key).  An L2 hit
-    counts as a hit and is promoted into the L1.  The L2 is pruned by
-    write age to ``l2_max_rows``.
+    fingerprint, as_of, star generation)``, so an entry is served as it
+    is, in-process and across workers alike; a mutation leaves the old
+    rows unreachable, and they age out.  An L2 hit counts as a hit and
+    is promoted into the L1.  The L2 is pruned by write age to
+    ``l2_max_rows``.
     """
 
     def __init__(

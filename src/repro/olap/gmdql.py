@@ -36,6 +36,7 @@ from repro.olap.query import (
     LevelRef,
     SpatialFilter,
     SpatialRelation,
+    resolve_name,
 )
 
 __all__ = ["parse_query"]
@@ -186,7 +187,7 @@ def _attribute_filter(
     schema: MDSchema, parts: list[str], op: ComparisonOp, value: object
 ) -> AttributeFilter:
     if len(parts) == 2:
-        dim = schema.dimension(parts[0])
+        dim = resolve_name(schema.dimension, parts[0])
         # Two-part paths are Dimension.attr on the leaf level, unless the
         # second part names a level (then the level key is compared).
         if parts[1] in dim.levels:
@@ -195,12 +196,12 @@ def _attribute_filter(
         else:
             ref = LevelRef(parts[0])
             attribute = parts[1]
-            dim.leaf_level.attribute(attribute)
+            resolve_name(dim.leaf_level.attribute, attribute)
         return AttributeFilter(ref, attribute, op, value)
     if len(parts) == 3:
-        dim = schema.dimension(parts[0])
-        level = dim.level(parts[1])
-        level.attribute(parts[2])
+        dim = resolve_name(schema.dimension, parts[0])
+        level = resolve_name(dim.level, parts[1])
+        resolve_name(level.attribute, parts[2])
         return AttributeFilter(LevelRef(parts[0], parts[1]), parts[2], op, value)
     raise QueryError(
         f"bad attribute path {'.'.join(parts)!r}; expected "
@@ -259,7 +260,7 @@ def parse_query(text: str, schema: MDSchema) -> CubeQuery:
         aggregations.append(_parse_agg(tokens))
     tokens.expect_keyword("FROM")
     fact_name = tokens.next()
-    schema.fact(fact_name)  # existence check
+    resolve_name(schema.fact, fact_name)  # existence check
 
     group_by: list[LevelRef] = []
     if tokens.accept_keyword("BY"):

@@ -20,9 +20,9 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from repro.errors import QueryError
+from repro.errors import QueryError, SchemaError, StorageError
 from repro.geomd.schema import GeoMDSchema
 from repro.geometry import Geometry, PlanarMetric, Metric
 from repro.geometry import contains as g_contains
@@ -49,6 +49,17 @@ __all__ = [
     "execute_reference",
 ]
 
+_T = TypeVar("_T")
+
+
+def resolve_name(lookup: Callable[[str], _T], name: str) -> _T:
+    """``lookup(name)`` on the schema or star; a name neither holds is the
+    query's own mistake, so it raises :class:`QueryError`."""
+    try:
+        return lookup(name)
+    except (SchemaError, StorageError) as exc:
+        raise QueryError(str(exc)) from None
+
 
 @dataclass(frozen=True)
 class LevelRef:
@@ -67,10 +78,10 @@ class LevelRef:
         raise QueryError(f"bad level reference {text!r}; expected 'Dim[.Level]'")
 
     def resolve_level(self, schema: MDSchema) -> str:
-        dimension = schema.dimension(self.dimension)
+        dimension = resolve_name(schema.dimension, self.dimension)
         if self.level is None:
             return dimension.leaf
-        dimension.level(self.level)  # existence check
+        resolve_name(dimension.level, self.level)  # existence check
         return self.level
 
     def __str__(self) -> str:
@@ -169,6 +180,11 @@ class SpatialFilter:
             if self.op is None or self.threshold is None:
                 raise QueryError(
                     "DISTANCE spatial filters require op and threshold"
+                )
+            if self.threshold < 0:
+                raise QueryError(
+                    f"DISTANCE threshold must be non-negative, got "
+                    f"{self.threshold}"
                 )
         elif self.op is not None or self.threshold is not None:
             raise QueryError(
@@ -328,7 +344,8 @@ def _allowed_keys_for_attribute_filter(
 
 def _target_geometries(star: StarSchema, target: LayerRef | Geometry) -> list[Geometry]:
     if isinstance(target, LayerRef):
-        return [f.geometry for f in star.layer_table(target.name).features()]
+        table = resolve_name(star.layer_table, target.name)
+        return [f.geometry for f in table.features()]
     return [target]
 
 
@@ -499,12 +516,12 @@ def _prepare(star: StarSchema, query: CubeQuery, metric: Metric | None):
     """
     metric = metric or PlanarMetric()
     schema = star.schema
-    fact = schema.fact(query.fact)
-    fact_table = star.fact_table(query.fact)
+    fact = resolve_name(schema.fact, query.fact)
+    fact_table = resolve_name(star.fact_table, query.fact)
 
     for spec in query.aggregations:
         if spec.measure != "*":
-            fact.measure(spec.measure)  # existence check
+            resolve_name(fact.measure, spec.measure)  # existence check
         elif spec.aggregator not in (Aggregator.COUNT,):
             raise QueryError(
                 f"{spec.aggregator.value}(*) is not meaningful; only COUNT(*)"

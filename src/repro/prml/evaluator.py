@@ -120,22 +120,17 @@ class SelectionSet:
     connection").  Distinct dimensions still compose as intersection, each
     restricting its own axis.
 
-    Each set carries a process-unique :attr:`uid` and a monotonic
-    :attr:`generation` bumped whenever the selection actually grows.
-    ``(uid, generation)`` is a *session-private* cache identity;
-    :meth:`fingerprint` is the *content*
+    Each set carries a monotonic :attr:`generation` bumped whenever the
+    selection actually grows.  :meth:`fingerprint` is the *content*
     identity — two sessions whose selections hold the same member/feature
     triples produce the same fingerprint, which is what lets the shared
     view store and the service query cache serve one materialization to
     any number of sessions with identical selections.
     """
 
-    _uid_source = itertools.count(1)
-
     def __init__(self) -> None:
         self.members: dict[tuple[str, str], set[str]] = {}
         self.features: dict[str, set[str]] = {}
-        self.uid = next(SelectionSet._uid_source)
         self.generation = 0
         # (generation, digest) — recomputed only after the selection grows.
         self._fingerprint: tuple[int, str] | None = None
@@ -171,10 +166,9 @@ class SelectionSet:
     def fingerprint(self) -> str:
         """Canonical, content-based identity of this selection.
 
-        A digest over the sorted member triples and feature pairs —
-        deliberately *not* the per-session :attr:`uid` — so two sessions
-        that selected the same instances (however they got there) key the
-        same shared materialized view / query-cache entry.  Cached per
+        A digest over the sorted member triples and feature pairs, so two
+        sessions that selected the same instances (however they got there)
+        key the same shared materialized view / query-cache entry.  Cached per
         :attr:`generation`; the steady-state request path pays one dict
         compare, not a re-hash.
         """
@@ -200,8 +194,8 @@ class SelectionSet:
 
         Shared materialized views must not alias a live session's
         selection: the session may keep growing it (acquisition rules)
-        while other sessions still hold the shared view.  The snapshot has
-        its own uid — it is a warehouse object, not session state.
+        while other sessions still hold the shared view.  The snapshot is
+        a warehouse object, not session state.
         """
         clone = SelectionSet()
         clone.members = {key: set(keys) for key, keys in self.members.items()}

@@ -15,21 +15,17 @@ the uniform error envelope.  The service owns:
   query, spatial-selection events, instance-rule rerun, layer export)
   with ``limit``/``offset`` pagination on list-shaped results;
 * a small LRU cache over query *results* keyed on ``(datamart,
-  stripped query text, selection fingerprint, as_of)``.  The key carries
-  no star generation: each cached payload instead stores the
-  *per-dimension generation stamps* its answer depended on (fact,
-  schema, the fact's dimensions, the layers its spatial filters read)
-  and a hit revalidates those stamps against the live star — so a
-  mutation of an unrelated dimension keeps every unaffected entry warm
-  instead of evicting the whole tenant.  The selection fingerprint is
-  the *content* identity of the session's selection: two sessions of one
-  tenant whose personalization landed on the same instances share a
-  cache entry, while the datamart name keeps tenants strictly apart.
-  ``as_of`` answers are immutable history, cached with empty stamps.
-  Cached payload rows are frozen as tuples so a consumer mutating a
-  returned row can never poison later hits.  A tenant whose star has
-  its :attr:`~repro.storage.star.StarSchema.oracle` switch set bypasses
-  it.
+  stripped query text, selection fingerprint, as_of, star generation)``
+  — the view store's protocol: any mutation of the star moves its
+  generation, so every live entry of the tenant becomes unreachable and
+  a hit is served as it is.  As-of answers are immutable history and
+  key on ``as_of`` alone.  The selection fingerprint is the *content*
+  identity of the session's selection: two sessions of one tenant whose
+  personalization landed on the same instances share a cache entry,
+  while the datamart name keeps tenants strictly apart.  Cached payload
+  rows are frozen as tuples so a consumer mutating a returned row can
+  never poison later hits.  A tenant whose star has its
+  :attr:`~repro.storage.star.StarSchema.oracle` switch set bypasses it.
 """
 
 from __future__ import annotations
@@ -86,14 +82,8 @@ class CellSetPayload(NamedTuple):
     sessions), so handing out references to mutable inner row lists would
     let one consumer's in-place edit silently corrupt every subsequent
     response; :meth:`PersonalizationService._paged_result` materializes
-    fresh lists per request instead.
-
-    ``stamps`` records the per-dimension generations this answer was
-    computed against, as ``(kind, name, generation)`` triples (kinds:
-    ``fact``/``schema``/``member``/``layer``); a cache hit is served only
-    while every stamp still matches the live star, so a mutation
-    invalidates exactly the entries whose inputs it touched.  As-of
-    payloads are immutable history and carry no stamps.
+    fresh lists per request instead.  The payload carries no freshness
+    of its own: the star generation in its cache key does.
     """
 
     axes: tuple[str, ...]
@@ -101,7 +91,6 @@ class CellSetPayload(NamedTuple):
     rows: tuple[tuple, ...]
     fact_rows_scanned: int
     fact_rows_matched: int
-    stamps: tuple = ()
 
 
 class PersonalizationService:
@@ -147,10 +136,6 @@ class PersonalizationService:
         self._lock = make_lock("PersonalizationService._lock")
         # guarded-by: _lock
         self._engine_locks: dict[int, threading.Lock] = {}
-        #: Lookups that found an entry whose generation stamps no longer
-        #: match the live star; the hit/miss properties reclassify them.
-        # guarded-by: _lock
-        self._stale_query_hits = 0
         #: A ThreadSafeLRU (backend-backed: entries shared across workers).
         self._query_cache = (
             query_cache
@@ -259,7 +244,6 @@ class PersonalizationService:
             star = session.context.star
             cache_key = None
             if not star.oracle:
-                selection = session.selection
                 cache_key = (
                     record.datamart,
                     # Stripped query text only: internal whitespace can be
@@ -268,53 +252,32 @@ class PersonalizationService:
                     # the parse entirely; malformed queries never populate
                     # the cache and keep raising on every request.
                     request.q.strip(),
-                    # Content fingerprint, not the session uid: sessions
+                    # Content fingerprint, not a session identity: sessions
                     # of one tenant whose selections hold the same
                     # instances share the entry (and a selection change
                     # changes the fingerprint).  The datamart component
                     # keeps tenants isolated.
-                    selection.fingerprint(),
-                    # Live and as-of reads share the namespace; the star
-                    # generation is deliberately absent — freshness is
-                    # the stored payload's stamps, revalidated below.
+                    session.selection.fingerprint(),
                     request.as_of,
+                    # Read before the parse, the view and the scan: a row
+                    # appended meanwhile files this answer under a
+                    # generation the star has already left, so the next
+                    # lookup recomputes.  A past generation never changes,
+                    # so an as-of answer keys on ``as_of`` alone.
+                    star.generation if request.as_of is None else None,
                 )
                 payload = self._query_cache.get(cache_key)
                 if payload is not None:
-                    if request.as_of is not None or self._stamps_current(
-                        star, payload.stamps
-                    ):
-                        # A cache hit is still workload: the journal
-                        # observes the same traffic the caches do.  As-of
-                        # answers are immutable history — no stamps to
-                        # revalidate.
-                        self._journal_query(record, request)
-                        return self._paged_result(payload, request)
-                    # Stale stamps: the raw LRU counted a lookup hit but
-                    # nothing was served — reclassified as a miss by the
-                    # query_cache_hits/misses properties.
-                    with self._lock:
-                        self._stale_query_hits += 1
+                    # A cache hit is still workload: the journal observes
+                    # the same traffic the caches do.
+                    self._journal_query(record, request)
+                    return self._paged_result(payload, request)
             try:
                 query = parse_query(request.q, session.context.geomd_schema)
-            except QueryError as exc:
-                raise BadRequestError(
-                    str(exc), code="query_error", detail={"q": request.q}
-                ) from exc
-            # Stamped before the view and the scan read the star: a row
-            # appended meanwhile then leaves a stamp older than the star,
-            # and the next lookup recomputes instead of serving an answer
-            # that lacks the row.
-            stamps = (
-                ()
-                if request.as_of is not None
-                else self._generation_stamps(star, query)
-            )
-            # The parsed query names the fact, so multi-fact stars
-            # materialize the right per-fact view.
-            view = session.view(query.fact)
-            row_selection = view.fact_rows if view.is_restricted else None
-            try:
+                # The parsed query names the fact, so multi-fact stars
+                # materialize the right per-fact view.
+                view = session.view(query.fact)
+                row_selection = view.fact_rows if view.is_restricted else None
                 cell_set = execute(
                     view.star,
                     query,
@@ -322,6 +285,10 @@ class PersonalizationService:
                     session.engine.metric,
                     as_of=request.as_of,
                 )
+            except QueryError as exc:
+                raise BadRequestError(
+                    str(exc), code="query_error", detail={"q": request.q}
+                ) from exc
             except HistoryError as exc:
                 raise BadRequestError(
                     str(exc),
@@ -336,65 +303,11 @@ class PersonalizationService:
                 rows=tuple(cell_set.to_rows()),
                 fact_rows_scanned=cell_set.fact_rows_scanned,
                 fact_rows_matched=cell_set.fact_rows_matched,
-                stamps=stamps,
             )
             if cache_key is not None:
                 self._query_cache.put(cache_key, payload)
             self._journal_query(record, request)
         return self._paged_result(payload, request)
-
-    @staticmethod
-    def _generation_stamps(star, query) -> tuple:
-        """The ``(kind, name, generation)`` triples a live answer to
-        ``query`` depends on: the fact table's rows, the schema layout,
-        the member state of each of the fact's dimensions, and the
-        feature state of every layer the query's spatial filters read.
-        Mutations elsewhere (other facts, other dimensions, other
-        layers) leave every stamp intact and the entry stays warm.
-        """
-        from repro.olap.query import LayerRef, SpatialFilter
-
-        stamps = [
-            ("fact", query.fact, star.fact_generation(query.fact)),
-            ("schema", "", star.schema_generation),
-        ]
-        fact = star.fact_table(query.fact).fact
-        for dimension in fact.dimension_names:
-            stamps.append(
-                ("member", dimension, star.member_generation(dimension))
-            )
-        layers = set()
-        for flt in query.where:
-            if isinstance(flt, SpatialFilter) and isinstance(
-                flt.target, LayerRef
-            ):
-                layers.add(flt.target.name)
-        for name in sorted(layers):
-            stamps.append(("layer", name, star.feature_generation(name)))
-        return tuple(stamps)
-
-    @staticmethod
-    def _stamps_current(star, stamps) -> bool:
-        """Whether every recorded generation stamp still matches the live
-        star — the read half of the stamped-value cache protocol."""
-        if not stamps:
-            # A stampless live payload (e.g. decoded from an older
-            # process that recorded none) carries no proof of freshness.
-            return False
-        for kind, name, generation in stamps:
-            if kind == "fact":
-                live = star.fact_generation(name)
-            elif kind == "schema":
-                live = star.schema_generation
-            elif kind == "member":
-                live = star.member_generation(name)
-            elif kind == "layer":
-                live = star.feature_generation(name)
-            else:
-                return False
-            if live != generation:
-                return False
-        return True
 
     def _paged_result(
         self, payload: CellSetPayload, request: QueryRequest
@@ -413,17 +326,11 @@ class PersonalizationService:
 
     @property
     def query_cache_hits(self) -> int:
-        """Lookups served from cache: raw store hits minus the lookups
-        whose stamps had gone stale (those served nothing)."""
-        with self._lock:
-            stale = self._stale_query_hits
-        return self._query_cache.hits - stale
+        return self._query_cache.hits
 
     @property
     def query_cache_misses(self) -> int:
-        with self._lock:
-            stale = self._stale_query_hits
-        return self._query_cache.misses + stale
+        return self._query_cache.misses
 
     def record_selection(
         self, token: str | None, request: SelectionRequest

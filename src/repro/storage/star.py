@@ -37,7 +37,7 @@ cache and index returns exactly what the reference paths return.
 The mutation log
 ----------------
 
-On top of the per-kind counters every ``note_*_change`` appends a typed
+On top of the generation counters every ``note_*_change`` appends a typed
 :class:`StarMutation` — now carrying the actual delta payload where the
 caller can name it — to a bounded, generation-ordered :class:`MutationLog`
 owned by the star.  Listeners still receive each mutation exactly once
@@ -188,9 +188,8 @@ class MutationLog:
 
     Appended by the star inside its cache lock (so entries are strictly
     ordered by generation) and read by :class:`repro.storage.snapshot.StarHistory`
-    replay, the health endpoint and the cluster mutation-event codec.
-    Eviction drops the oldest entries; per-kind counters are cumulative
-    and survive eviction.
+    replay and the health endpoint.  Eviction drops the oldest entries;
+    per-kind counters are cumulative and survive eviction.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -217,37 +216,10 @@ class MutationLog:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def oldest_generation(self) -> int | None:
-        """Generation of the oldest retained entry (``None`` when empty)."""
-        with self._lock:
-            return self._entries[0].generation if self._entries else None
-
-    @property
-    def newest_generation(self) -> int | None:
-        """Generation of the newest retained entry (``None`` when empty)."""
-        with self._lock:
-            return self._entries[-1].generation if self._entries else None
-
-    def entries(self) -> list[StarMutation]:
-        """Snapshot of the retained entries, oldest first."""
-        with self._lock:
-            return list(self._entries)
-
     def between(self, start: int, end: int) -> list[StarMutation]:
         """Retained mutations with ``start < generation <= end``, in order."""
         with self._lock:
             return [m for m in self._entries if start < m.generation <= end]
-
-    def since(self, generation: int) -> list[StarMutation]:
-        """Retained mutations newer than ``generation``, in order."""
-        with self._lock:
-            return [m for m in self._entries if m.generation > generation]
-
-    def kind_counts(self) -> dict[str, int]:
-        """Cumulative mutation counts per kind (unaffected by eviction)."""
-        with self._lock:
-            return dict(self._kind_counts)
 
     def stats(self) -> dict[str, object]:
         with self._lock:
@@ -346,13 +318,6 @@ class StarSchema:
         # links are fixed at creation and a new leaf is referenced by
         # no existing fact, so every resolved roll-up stays correct.
         self._member_generations: dict[str, int] = {}
-        # fact name -> count of its appends; the query cache stamps
-        # results with these so a member edit on one dimension does not
-        # evict results over unrelated facts.
-        self._fact_generations: dict[str, int] = {}
-        # layer name -> count of its feature mutations.
-        self._feature_generations: dict[str, int] = {}
-        self._schema_generation = 0
         # Bumped by member/feature/schema mutations but NOT by fact
         # appends; the recommender's profile cache keys on this
         # (profiles read members and the journal, never fact rows).
@@ -410,23 +375,6 @@ class StarSchema:
     def metadata_generation(self) -> int:
         """Version of everything but fact rows (members, features, schema)."""
         return self._metadata_generation
-
-    @property
-    def schema_generation(self) -> int:
-        """Count of schema personalization patches (AddLayer/BecomeSpatial)."""
-        return self._schema_generation
-
-    def member_generation(self, dimension: str) -> int:
-        """Count of one dimension's cache-invalidating member mutations."""
-        return self._member_generations.get(dimension, 0)
-
-    def fact_generation(self, fact: str) -> int:
-        """Count of one fact table's append batches."""
-        return self._fact_generations.get(fact, 0)
-
-    def feature_generation(self, layer: str) -> int:
-        """Count of one layer's feature mutations."""
-        return self._feature_generations.get(layer, 0)
 
     def add_mutation_listener(
         self, listener: Callable[[StarMutation], None]
@@ -548,15 +496,6 @@ class StarSchema:
         with self._cache_lock:
             self._generation += 1
             generation = self._generation
-            if fact is not None:
-                self._fact_generations[fact] = (
-                    self._fact_generations.get(fact, 0) + 1
-                )
-            else:
-                for name in self._facts:
-                    self._fact_generations[name] = (
-                        self._fact_generations.get(name, 0) + 1
-                    )
             mutation = StarMutation(
                 kind="fact",
                 generation=generation,
@@ -589,9 +528,6 @@ class StarSchema:
             self._generation += 1
             generation = self._generation
             self._metadata_generation += 1
-            self._feature_generations[layer] = (
-                self._feature_generations.get(layer, 0) + 1
-            )
             if additive:
                 self._patch_feature_add(layer, details["geometry"])
             else:
@@ -641,7 +577,6 @@ class StarSchema:
             self._generation += 1
             generation = self._generation
             self._metadata_generation += 1
-            self._schema_generation += 1
             mutation = StarMutation(
                 kind="schema", generation=generation, op=op, payload=frozen
             )

@@ -12,7 +12,9 @@ body and headers, hands everything to :meth:`PortalApp.handle`, and
 writes the response (status, JSON body and response headers) back out.
 A request whose ``Content-Length`` is not a decimal number cannot be
 framed, so it is answered ``400 bad_request`` and its connection closed.
-Concurrent
+One that declares more than :data:`MAX_BODY_BYTES` is answered ``413
+payload_too_large`` before any of its body is read, and its connection
+closed too.  Concurrent
 requests are safe under the threading server: the session store is
 lock-protected, logins are serialized per engine, and requests carrying
 the same token are serialized per session record in the service layer.
@@ -29,7 +31,11 @@ from repro.errors import WebError
 from repro.web.http import error_response, parse_json_body
 from repro.web.portal import PortalApp
 
-__all__ = ["make_server", "serve"]
+__all__ = ["MAX_BODY_BYTES", "make_server", "serve"]
+
+#: The largest request body read (1 MiB); the API's largest body is a
+#: query string.
+MAX_BODY_BYTES = 1 << 20
 
 
 def _make_handler(app: PortalApp) -> type[BaseHTTPRequestHandler]:
@@ -42,14 +48,24 @@ def _make_handler(app: PortalApp) -> type[BaseHTTPRequestHandler]:
 
         def _dispatch(self, method: str) -> None:
             length = self.headers.get("Content-Length", "0") or "0"
+            refusal = None
             if not (length.isascii() and length.isdigit()):
-                # Without a body length the next request on this
-                # connection cannot be found either: answer, then close.
-                response = error_response(
+                refusal = error_response(
                     "bad_request", f"malformed Content-Length: {length!r}", 400
                 )
-                response.headers["Connection"] = "close"
-                self._respond(response)
+            elif int(length) > MAX_BODY_BYTES:
+                refusal = error_response(
+                    "payload_too_large",
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                    413,
+                    detail={"max_bytes": MAX_BODY_BYTES},
+                )
+            if refusal is not None:
+                # The body is unframed or left unread, so the next request
+                # on this connection cannot be found: answer, then close.
+                refusal.headers["Connection"] = "close"
+                self._respond(refusal)
                 return
             raw = self.rfile.read(int(length))
             split = urlsplit(self.path)

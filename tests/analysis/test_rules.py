@@ -53,10 +53,9 @@ class TestGenKey:
         )
         assert _by_rule(violations, "gen-key") == []
 
-    def test_stamped_value_put_passes(self, lint):
-        # PR 9 query-cache idiom: the key drops the generation (so as-of
-        # and live reads share one namespace) and the stored payload
-        # carries per-dimension generation stamps revalidated on read.
+    def test_stamped_value_put_is_flagged(self, lint):
+        # An LRU put must key on the generation: a generation carried
+        # only in the stored value is served by any later lookup.
         violations = lint(
             """
             class Service:
@@ -69,7 +68,9 @@ class TestGenKey:
                     self._query_cache.put(key, (stamps, object()))
             """
         )
-        assert _by_rule(violations, "gen-key") == []
+        (violation,) = _by_rule(violations, "gen-key")
+        assert violation.line == 9
+        assert "key carries no generation" in violation.message
 
     def test_lru_put_without_generation_is_flagged(self, lint):
         violations = lint(

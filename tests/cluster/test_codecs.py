@@ -156,35 +156,25 @@ class TestQueryPayloadCodec:
         ).map(tuple),
         scanned=st.integers(min_value=0, max_value=10**6),
         matched=st.integers(min_value=0, max_value=10**6),
-        stamps=st.lists(
-            st.tuples(
-                st.sampled_from(["fact", "schema", "member", "layer"]),
-                st.text(max_size=10),
-                st.integers(min_value=0, max_value=10**6),
-            ),
-            max_size=4,
-        ).map(tuple),
     )
     @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
-    def test_round_trip(self, axes, labels, rows, scanned, matched, stamps):
+    def test_round_trip(self, axes, labels, rows, scanned, matched):
         payload = CellSetPayload(
             axes=axes,
             labels=labels,
             rows=rows,
             fact_rows_scanned=scanned,
             fact_rows_matched=matched,
-            stamps=stamps,
         )
         decoded = decode_query_payload(encode_query_payload(payload))
         assert decoded == payload
         # Frozen all the way down: rows stay tuples of tuples.
         assert all(isinstance(row, tuple) for row in decoded.rows)
-        assert all(isinstance(stamp, tuple) for stamp in decoded.stamps)
 
     def test_v1_rows_are_version_skew_misses(self):
-        """A pre-PR 9 (v1) row carries no stamps and therefore no proof
-        of freshness — the version check must reject it so the caller
-        treats it as a miss and rebuilds."""
+        """A v1 row's key carries no star generation and therefore no
+        proof of freshness — the version check must reject it so the
+        caller treats it as a miss and rebuilds."""
         v1 = json.dumps(
             {"v": 1, "axes": [], "labels": [], "rows": [],
              "fact_rows_scanned": 0, "fact_rows_matched": 0}
@@ -192,25 +182,29 @@ class TestQueryPayloadCodec:
         with pytest.raises(CodecError):
             decode_query_payload(v1)
 
+    def test_v2_rows_are_version_skew_misses(self):
+        """A v2 row was fresh only while its per-dimension stamps held,
+        and its key carries no star generation: rejected like a v1 row."""
+        v2 = json.dumps(
+            {"v": 2, "axes": [], "labels": [], "rows": [],
+             "fact_rows_scanned": 0, "fact_rows_matched": 0,
+             "stamps": [["fact", "Sales", 0]]}
+        )
+        with pytest.raises(CodecError):
+            decode_query_payload(v2)
+
     @pytest.mark.parametrize(
         "text",
         [
             "nope",
-            json.dumps({"v": 2, "axes": [1], "labels": [], "rows": [],
-                        "fact_rows_scanned": 0, "fact_rows_matched": 0,
-                        "stamps": []}),
-            json.dumps({"v": 2, "axes": [], "labels": [], "rows": ["flat"],
-                        "fact_rows_scanned": 0, "fact_rows_matched": 0,
-                        "stamps": []}),
-            json.dumps({"v": 2, "axes": [], "labels": [], "rows": [],
-                        "fact_rows_scanned": "lots", "fact_rows_matched": 0,
-                        "stamps": []}),
-            json.dumps({"v": 2, "axes": [], "labels": [], "rows": [],
-                        "fact_rows_scanned": 0, "fact_rows_matched": 0,
-                        "stamps": [["fact", "Sales"]]}),
-            json.dumps({"v": 2, "axes": [], "labels": [], "rows": [],
-                        "fact_rows_scanned": 0, "fact_rows_matched": 0,
-                        "stamps": [["fact", "Sales", "new"]]}),
+            json.dumps({"v": 3, "axes": [1], "labels": [], "rows": [],
+                        "fact_rows_scanned": 0, "fact_rows_matched": 0}),
+            json.dumps({"v": 3, "axes": [], "labels": [], "rows": ["flat"],
+                        "fact_rows_scanned": 0, "fact_rows_matched": 0}),
+            json.dumps({"v": 3, "axes": [], "labels": [], "rows": [],
+                        "fact_rows_scanned": "lots", "fact_rows_matched": 0}),
+            json.dumps({"v": 3, "axes": [], "labels": "flat", "rows": [],
+                        "fact_rows_scanned": 0, "fact_rows_matched": 0}),
         ],
     )
     def test_corrupt_rejected(self, text):

@@ -59,7 +59,6 @@ class TestViewMemo:
             build_regional_manager_profile(user_schema, name="Bo Li"),
             location=world.stores[0].location,
         )
-        assert first.selection.uid != second.selection.uid
         assert first.selection.fingerprint() == second.selection.fingerprint()
         assert first.view() is second.view()
         # The shared view aliases neither session's live selection.

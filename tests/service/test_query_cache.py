@@ -1,14 +1,13 @@
 """Tests for the façade's LRU query-result cache.
 
 The cache key is ``(datamart, canonical query text, selection
-fingerprint, as_of)`` and each payload carries per-dimension generation
-stamps revalidated on read — these tests pin the protocol: hits only
-while every stamp matches, misses on any selection change or any star
-mutation the query's inputs depend on, warm entries through mutations
-they provably don't (PR 9), entries shared across sessions exactly when
-their selections hold the same content, never across tenants,
-byte-identical responses with the star's ``oracle`` switch set, and
-bounded size.
+fingerprint, as_of, star generation)``, the generation read before the
+answer is computed; an as-of key carries no live generation — these
+tests pin the protocol: hits only while the star stands still, misses on
+any selection change or any star mutation, as-of entries warm across
+mutations, entries shared across sessions exactly when their selections
+hold the same content, never across tenants, byte-identical responses
+with the star's ``oracle`` switch set, and bounded size.
 """
 
 import pytest
@@ -138,23 +137,63 @@ class TestHitsAndMisses:
         assert service.query_cache_misses == 2
         assert widened.fact_rows_scanned > 0
 
-    def test_unrelated_feature_mutation_keeps_entry_warm(
+    def test_feature_member_and_schema_mutations_miss(
         self, service, token, engine
     ):
-        """PR 9: the payload's stamps cover only the layers the query's
-        spatial filters read — a feature insert elsewhere leaves the
-        entry warm, and the warm answer equals a fresh build."""
+        """Every mutation moves the star generation, so the repeat query
+        misses even when the mutation cannot change its answer: a
+        feature add on a layer the query does not read, a member add
+        no fact row references, and a schema patch adding a layer.  The
+        fresh answer equals the first."""
+        from repro.geomd import GeometricType
         from repro.geometry import Point
 
+        star = engine.star
+
+        def add_layer():
+            star.schema.add_layer("Harbour", GeometricType.POINT)
+            star.ensure_layer_table("Harbour")
+
         first = service.query(token, QueryRequest(q=QUERY))
-        engine.star.add_feature("Airport", "Test Field", Point(0.0, 0.0))
-        warm = service.query(token, QueryRequest(q=QUERY))
-        assert service.query_cache_hits == 1
+        mutations = [
+            lambda: star.add_feature("Airport", "Test Field", Point(0.0, 0.0)),
+            lambda: star.add_member("Product", "Family", "Test Family"),
+            add_layer,
+        ]
+        for count, mutate in enumerate(mutations, start=2):
+            mutate()
+            fresh = service.query(token, QueryRequest(q=QUERY))
+            assert service.query_cache_hits == 0
+            assert service.query_cache_misses == count
+            assert fresh.to_dict() == first.to_dict()
+
+    def test_as_of_entry_stays_warm_across_mutations(
+        self, service, token, engine
+    ):
+        """An as-of answer is history: its key carries no live
+        generation, so a fact append and a feature add leave it cached,
+        and the cached answer equals the first."""
+        from repro.geometry import Point
+
+        star = engine.star
+        fact_table = star.fact_table()
+        row = fact_table.row(0)
+        past = QueryRequest(q=QUERY, as_of=star.generation)
+        first = service.query(token, past)
+        star.insert_fact(
+            fact_table.fact.name,
+            {d: row[d] for d in fact_table.fact.dimension_names},
+            {m: row[m] for m in fact_table.fact.measures},
+        )
+        star.add_feature("Airport", "Test Field", Point(0.0, 0.0))
+        again = service.query(token, past)
         assert service.query_cache_misses == 1
-        assert warm.to_dict() == first.to_dict()
+        assert service.query_cache_hits == 1
+        assert again.to_dict() == first.to_dict()
 
     def test_fact_insert_misses(self, service, token, engine):
-        """A fact append moves the fact stamp, so the entry is stale."""
+        """A fact append moves the star generation, so the entry is
+        unreachable."""
         service.query(token, QueryRequest(q=QUERY))
         star = engine.star
         fact_table = star.fact_table()
@@ -171,9 +210,9 @@ class TestHitsAndMisses:
     def test_sale_appended_during_the_scan_is_not_served_stale(
         self, service, token, engine, monkeypatch
     ):
-        """The answer is stamped with the generations it was computed
-        from: a sale that lands while the scan runs leaves the entry
-        stale, so the repeated query counts it."""
+        """The answer is keyed on the generation read before the scan:
+        a sale that lands while the scan runs files the entry under a
+        generation the star has left, so the repeated query counts it."""
         from repro.service import facade
 
         star = engine.star
@@ -204,7 +243,7 @@ class TestHitsAndMisses:
 
     def test_member_update_misses(self, service, token, engine):
         """An in-place member update on a dimension of the queried fact
-        moves that dimension's stamp."""
+        moves the star generation."""
         service.query(token, QueryRequest(q=QUERY))
         engine.star.note_member_change("Product", op="update")
         service.query(token, QueryRequest(q=QUERY))

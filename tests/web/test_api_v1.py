@@ -19,6 +19,32 @@ from repro.web import PortalApp
 CONDITION = "Distance(GeoMD.Store.City.geometry, GeoMD.Airport.geometry)<20km"
 
 
+#: Queries that are wrong in themselves: names the schema or the star
+#: lacks, a wrong aggregation, a non-spatial level, a negative distance.
+#: ``Train`` is added only by a TrainAirportCity login, which the
+#: fixture's first login does not fire.
+QUERY_MISTAKES = [
+    "SELECT COUNT(*) FROM Nope",
+    "SELECT SUM(x) FROM Sales",
+    "SELECT AVG(Nope) FROM Sales",
+    "SELECT SUM(*) FROM Sales",
+    "SELECT COUNT(*) FROM Sales BY Nope",
+    "SELECT COUNT(*) FROM Sales BY Nope.Level",
+    "SELECT COUNT(*) FROM Sales BY Store.Nope",
+    "SELECT COUNT(*) FROM Sales BY Store.geometry",
+    "SELECT COUNT(*) FROM Sales BY Customer.Nope",
+    "SELECT COUNT(*) FROM Sales WHERE Nope.x = 1",
+    "SELECT COUNT(*) FROM Sales WHERE Store.Nope.x = 1",
+    "SELECT COUNT(*) FROM Sales WHERE Store.City.nope = 1",
+    "SELECT COUNT(*) FROM Sales WHERE DISTANCE(Store.Nope, LAYER Airport) < 5 KM",
+    "SELECT COUNT(*) FROM Sales WHERE INSIDE(Store, LAYER Nope)",
+    "SELECT COUNT(*) FROM Sales WHERE INSIDE(Store, LAYER Train)",
+    "SELECT COUNT(*) FROM Sales WHERE DISTANCE(Customer, LAYER Airport) < 5 KM",
+    "SELECT COUNT(*) FROM Sales WHERE DISTANCE(Store.State, LAYER Airport) < 5 KM",
+    "SELECT COUNT(*) FROM Sales WHERE DISTANCE(Store, LAYER Airport) < -5 KM",
+]
+
+
 class Clock:
     def __init__(self):
         self.now = 0.0
@@ -162,6 +188,30 @@ class TestErrorEnvelope:
             400,
             "query_error",
         )
+
+    @pytest.mark.parametrize("q", QUERY_MISTAKES)
+    def test_query_mistake_answers_400_on_both_paths(
+        self, portal, engine, profile, world, q
+    ):
+        """A query's own mistake answers 400 ``query_error`` with the
+        same body whether the star's ``oracle`` switch is set or not,
+        and leaves nothing in the journal or the query cache."""
+        token = _login(portal, profile, world)
+        service = portal.service
+        journaled = len(service.journal.events("sales", profile.user_id))
+        bodies = []
+        for oracle in (False, True):
+            engine.star.oracle = oracle
+            response = portal.handle(
+                "POST", "/api/v1/query", {"q": q}, token=token
+            )
+            _assert_envelope(response, 400, "query_error")
+            assert response.body["error"]["detail"] == {"q": q}
+            bodies.append(response.body)
+        assert bodies[0] == bodies[1]
+        events = service.journal.events("sales", profile.user_id)
+        assert len(events) == journaled
+        assert len(service._query_cache) == 0
 
     def test_missing_selection_fields(self, portal, profile, world):
         token = _login(portal, profile, world)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.web import PortalApp
 from repro.web.http import json_response
-from repro.web.server import make_server
+from repro.web.server import MAX_BODY_BYTES, make_server
 
 
 @pytest.fixture()
@@ -123,6 +123,29 @@ class TestHTTPAdapter:
         error = json.loads(body)["error"]
         assert error["code"] == "bad_request"
         assert set(error) == {"code", "message", "detail"}
+
+    @pytest.mark.parametrize("length", [2_000_000_000, 1_000_000_000_000])
+    def test_oversized_body_answers_413_unread_and_closes(
+        self, http_portal, length
+    ):
+        """A declared length past the limit is refused before the body
+        is read: no allocation of that size, and no thread left waiting
+        for bytes that never come."""
+        request = (
+            "POST /api/v1/login HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(http_portal, timeout=5) as client:
+            client.sendall(request)
+            received = b""
+            while chunk := client.recv(65536):  # EOF: the server closed
+                received += chunk
+        lines, body = _split_response(received)
+        assert lines[0].split()[1] == b"413"
+        assert b"Connection: close" in lines
+        error = json.loads(body)["error"]
+        assert error["code"] == "payload_too_large"
+        assert error["detail"] == {"max_bytes": MAX_BODY_BYTES}
 
 
 class _RecordingConnection:

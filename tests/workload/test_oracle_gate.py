@@ -5,11 +5,11 @@ built and one with the ``oracle`` switch set on every tenant's star (no
 view memo or store, no query cache, no recommender profile cache, scans
 instead of indexes, the row-loop executor).  Before every 8th request the same
 sale is appended to every tenant of both portals, as the repository
-benchmark's ingest loader does, so view patches, stale query-cache
-stamps and as-of replays over a moving star are all part of the
-comparison.  Every response body must be equal, login tokens aside.
-The gate runs over the in-heap stores and over the backend-backed ones
-a worker pool serves from.
+benchmark's ingest loader does, so view patches, query-cache entries
+left behind by the star's generation and as-of replays over a moving
+star are all part of the comparison.  Every response body must be
+equal, login tokens aside.  The gate runs over the in-heap stores and
+over the backend-backed ones a worker pool serves from.
 
 The churn gate drives one session through member and feature churn at
 every step and a sale from inside its view every 8th step, over the
