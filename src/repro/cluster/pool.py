@@ -180,6 +180,9 @@ class ClusterClient:
         #: token -> worker id (the worker that served the login).
         # guarded-by: _lock
         self._token_workers: dict[str, int] = {}
+        #: Every connection :meth:`_connection` opened, on any thread.
+        # guarded-by: _lock
+        self._connections: list[http.client.HTTPConnection] = []
 
     def worker_for_tenant(self, datamart: str) -> int:
         return self.ring.lookup(datamart)
@@ -194,6 +197,8 @@ class ClusterClient:
                 address[0], address[1], timeout=self.timeout
             )
             cache[address] = conn
+            with self._lock:
+                self._connections.append(conn)
         return conn
 
     def _address_for(self, datamart: str | None, token: str | None):
@@ -267,8 +272,18 @@ class ClusterClient:
         return snapshots
 
     def close(self) -> None:
+        """Close every keep-alive connection, whichever thread opened it.
+
+        Valid once the threads that used the client are done: a thread
+        still inside :meth:`request` would find its connection closed.
+        """
+        with self._lock:
+            connections, self._connections = self._connections, []
+        # A subclass's _connection may cache connections it never
+        # recorded; this thread's cache is closed too, as it always was.
         cache = getattr(self._local, "connections", None)
         if cache:
-            for conn in cache.values():
-                conn.close()
+            connections.extend(cache.values())
             cache.clear()
+        for conn in connections:
+            conn.close()

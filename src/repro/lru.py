@@ -58,6 +58,12 @@ class ThreadSafeLRU:
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
 
+    def values(self) -> list[object]:
+        """The cached values, least recently used first; counts no hit
+        or miss."""
+        with self._lock:
+            return list(self._entries.values())
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()

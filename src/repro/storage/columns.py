@@ -100,6 +100,13 @@ class Dictionary:
                 mask[code] = 1
         return mask
 
+    def copy(self) -> "Dictionary":
+        """An independent dictionary assigning the same codes."""
+        copy = Dictionary()
+        copy._keys = list(self._keys)
+        copy._codes = dict(self._codes)
+        return copy
+
     def keys(self) -> list[str]:
         """The interned keys in code order (a copy)."""
         return list(self._keys)

@@ -7,16 +7,19 @@ document and loads back bit-identically.  Geometries travel as WKT inside
 a ``{"__wkt__": ...}`` wrapper so plain JSON tooling can still read the
 files.
 
-:class:`StarHistory` builds on the same serialization for
-**as-of-generation reads** (the Iceberg time-travel idiom): it listens to
-the star's mutation stream, takes generation-stamped checkpoints
-(eagerly whenever a mutation has no replayable delta, periodically
-otherwise), and answers :meth:`StarHistory.as_of` by rehydrating the
-newest checkpoint at or before the requested generation and replaying
-the mutation log's typed deltas forward.  Reconstruction preserves
-insertion order end to end — member levels, fact row order, dictionary
-code assignment — so a query against the reconstructed star is
-bit-identical to the answer the live star gave at that generation.
+:class:`StarHistory` answers **as-of-generation reads** (the Iceberg
+time-travel idiom) without this serialization: it listens to the star's
+mutation stream, keeps generation-stamped checkpoints as
+:meth:`~repro.storage.star.StarSchema.copy` copies of the star (eagerly
+after every mutation that has no replayable delta, periodically
+otherwise), and answers :meth:`StarHistory.as_of` by copying the newest
+checkpoint at or before the requested generation and replaying the
+mutation log's typed deltas forward onto the copy.  Copies and replay
+preserve insertion order end to end — member levels, fact row order,
+dictionary code assignment — so a query against the reconstructed star
+is bit-identical to the answer the live star gave at that generation.
+:func:`star_to_dict` and :func:`star_from_dict` serve :func:`save_star`
+and :func:`load_star`.
 """
 
 from __future__ import annotations
@@ -224,50 +227,53 @@ def load_star(path: str | Path) -> StarSchema:
     return star_from_dict(json.loads(Path(path).read_text()))
 
 
+#: Checkpoints a :class:`StarHistory` keeps (the oldest is dropped first).
+MAX_CHECKPOINTS = 8
+
+#: Reconstructed past stars a :class:`StarHistory` keeps, least recently
+#: read dropped first.
+MAX_RECONSTRUCTIONS = 4
+
+
 class StarHistory:
     """Generation-stamped checkpoints + log replay for as-of reads.
 
     Attached to a live star (one history per star), this listens to its
-    mutation stream and maintains a small set of :func:`star_to_dict`
-    checkpoints keyed by the generation they captured:
+    mutation stream and keeps up to :data:`MAX_CHECKPOINTS` checkpoints,
+    each a :meth:`StarSchema.copy` of the star at the generation it
+    captured:
 
     * a **baseline** checkpoint at attach time;
     * an **eager** checkpoint after every mutation that carries no
       replayable delta (in-place member updates, payload-less
-      degradations) — the log cannot reproduce those, so the checkpoint
-      re-anchors answerability;
+      degradations).  It runs as a mutation listener, so it captures
+      the star with the mutation applied: the log cannot reproduce
+      such a mutation, so the checkpoint re-anchors answerability;
     * a **periodic** checkpoint every ``checkpoint_interval`` generations
       so replay chains stay bounded under pure-delta churn.
 
-    :meth:`as_of` answers a read at generation ``g`` by rehydrating the
+    :meth:`as_of` answers a read at generation ``g`` by copying the
     newest checkpoint at or before ``g`` and replaying the retained
-    mutation-log deltas forward.  Retention is explicit: a request older
-    than the oldest checkpoint, or whose replay range has been evicted
-    from the bounded log, raises :class:`HistoryError` (mapped to the
-    API error envelope as ``as_of_unavailable``).
+    mutation-log deltas forward onto the copy; the last
+    :data:`MAX_RECONSTRUCTIONS` reconstructions are cached.  Retention
+    is explicit: a request older than the oldest checkpoint, or whose
+    replay range has been evicted from the bounded log, raises
+    :class:`HistoryError` (mapped to the API error envelope as
+    ``as_of_unavailable``).
     """
 
-    def __init__(
-        self,
-        star: StarSchema,
-        *,
-        checkpoint_interval: int = 4096,
-        max_checkpoints: int = 8,
-        reconstruction_cache: int = 4,
-    ) -> None:
+    def __init__(self, star: StarSchema, *, checkpoint_interval: int = 4096) -> None:
         if checkpoint_interval < 1:
             raise HistoryError("checkpoint_interval must be >= 1")
-        if max_checkpoints < 1:
-            raise HistoryError("max_checkpoints must be >= 1")
         self.star = star
         self.checkpoint_interval = checkpoint_interval
-        self.max_checkpoints = max_checkpoints
         self._lock = make_rlock("StarHistory._lock")
-        # generation -> star_to_dict checkpoint taken at that generation.
+        # generation -> copy of the star taken at that generation; never
+        # mutated (as_of replays onto a copy of it).
         # guarded-by: _lock
-        self._checkpoints: dict[int, dict] = {}
+        self._checkpoints: dict[int, StarSchema] = {}
         # generation -> reconstructed StarSchema (immutable once built).
-        self._stars = ThreadSafeLRU(reconstruction_cache)
+        self._stars = ThreadSafeLRU(MAX_RECONSTRUCTIONS)
         self.checkpoints_taken = 0
         self.replays = 0
         self._take_checkpoint()
@@ -301,19 +307,18 @@ class StarHistory:
     def _take_checkpoint(self) -> None:
         """Checkpoint the star's current state, stamped with its generation.
 
-        The star's cache lock is held across the (generation, contents)
-        pair so a concurrent ``note_*_change`` cannot slide the counter
-        under a half-serialized snapshot; table writes that precede
-        their ``note_*`` call can still leak in, which replay tolerates
-        by skipping already-present members/features.
+        :meth:`StarSchema.copy` reads the generation and the contents
+        under the star's cache lock, so a concurrent ``note_*_change``
+        cannot slide the counter under a half-copied star; table writes
+        that precede their ``note_*`` call can still leak in, which
+        replay tolerates by skipping already-present rows, members and
+        features.
         """
-        with self.star._cache_lock:
-            generation = self.star.generation
-            data = star_to_dict(self.star)
+        checkpoint = self.star.copy()
         with self._lock:
-            self._checkpoints[generation] = data
+            self._checkpoints[checkpoint.generation] = checkpoint
             self.checkpoints_taken += 1
-            while len(self._checkpoints) > self.max_checkpoints:
+            while len(self._checkpoints) > MAX_CHECKPOINTS:
                 del self._checkpoints[min(self._checkpoints)]
 
     # -- as-of reads ----------------------------------------------------------
@@ -351,7 +356,7 @@ class StarHistory:
                     f"as_of generation {generation} predates the retained "
                     f"history (oldest checkpoint: {oldest})"
                 )
-            data = self._checkpoints[base]
+            checkpoint = self._checkpoints[base]
         mutations = self.star.mutation_log.between(base, generation)
         if len(mutations) != generation - base or not all(
             m.is_replayable for m in mutations
@@ -361,7 +366,7 @@ class StarHistory:
                 f"({base}, {generation}] is no longer fully retained or "
                 f"replayable"
             )
-        reconstructed = star_from_dict(data)
+        reconstructed = checkpoint.copy()
         reconstructed.oracle = self.star.oracle
         for mutation in mutations:
             self._replay(reconstructed, mutation)
@@ -469,14 +474,27 @@ class StarHistory:
     # -- introspection --------------------------------------------------------
 
     def stats(self) -> dict:
+        """The health endpoint's per-datamart ``mutations.history`` block:
+        the retained window, the bounds, checkpoint and replay counts,
+        and ``fact_rows_held``, the fact rows held by the checkpoints
+        and the cached reconstructions."""
+        reconstructions = self._stars.values()
         with self._lock:
             generations = sorted(self._checkpoints)
-            return {
-                "checkpoints": len(generations),
-                "oldest_checkpoint": generations[0] if generations else None,
-                "newest_checkpoint": generations[-1] if generations else None,
-                "checkpoint_interval": self.checkpoint_interval,
-                "checkpoints_taken": self.checkpoints_taken,
-                "replays": self.replays,
-                "reconstructions_cached": len(self._stars),
-            }
+            held = [*self._checkpoints.values(), *reconstructions]
+        return {
+            "checkpoints": len(generations),
+            "max_checkpoints": MAX_CHECKPOINTS,
+            "oldest_checkpoint": generations[0] if generations else None,
+            "newest_checkpoint": generations[-1] if generations else None,
+            "checkpoint_interval": self.checkpoint_interval,
+            "checkpoints_taken": self.checkpoints_taken,
+            "replays": self.replays,
+            "reconstructions_cached": len(reconstructions),
+            "max_reconstructions": MAX_RECONSTRUCTIONS,
+            "fact_rows_held": sum(
+                len(star.fact_table(name))
+                for star in held
+                for name in star.schema.facts
+            ),
+        }

@@ -46,6 +46,17 @@ patch instead of blanket-invalidating, and
 :class:`repro.storage.snapshot.StarHistory` replays the retained suffix
 over generation-stamped checkpoints to answer ``as_of`` reads against a
 past generation.
+
+Copies
+------
+
+:meth:`StarSchema.copy` makes an independent star with the same
+contents, generation counters and mutation log, but no lazy caches,
+listeners or history.  The fact columns are copied as ``array`` slices,
+so a copy costs a small fraction of a load.  The workload harness gives
+each tenant a copy of one loaded star, and
+:class:`repro.storage.snapshot.StarHistory` keeps its checkpoints as
+copies and rebuilds a past generation on a copy of one.
 """
 
 from __future__ import annotations
@@ -215,6 +226,15 @@ class MutationLog:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def copy(self) -> "MutationLog":
+        """An independent log with the same bound, entries and per-kind
+        counts (entries are frozen, so they are shared)."""
+        log = MutationLog(self.max_entries)
+        with self._lock:
+            log._entries = deque(self._entries)
+            log._kind_counts = dict(self._kind_counts)
+        return log
 
     def between(self, start: int, end: int) -> list[StarMutation]:
         """Retained mutations with ``start < generation <= end``, in order."""
@@ -913,6 +933,50 @@ class StarSchema:
                     cached = None
                 self._level_grid[cache_key] = cached
         return cached  # type: ignore[return-value]
+
+    # -- copying --------------------------------------------------------------------
+
+    def copy(self) -> "StarSchema":
+        """An independent star holding this star's contents and counters.
+
+        The copy has its own schema (a ``to_dict``/``from_dict`` round
+        trip), its own :class:`Member` and :class:`Feature` objects with
+        their own attribute and parent dicts (geometries are immutable
+        and shared), its own key dictionaries, ``array`` slices of every
+        fact column and a copy of the :class:`MutationLog`, each in
+        insertion or code order.  It stands at the same generation,
+        metadata generation and per-dimension member generations, with
+        the same :attr:`oracle` switch, so it answers every read as this
+        star does, and mutating either side leaves the other untouched.
+        It has no lazy caches, listeners or history, and copying logs
+        no mutation.
+
+        Everything is read under ``_cache_lock`` (and each fact table's
+        insert lock), so the copy pairs its generation with the contents
+        the star held at it, as a
+        :class:`~repro.storage.snapshot.StarHistory` checkpoint needs.
+        """
+        with self._cache_lock:
+            schema = type(self.schema).from_dict(self.schema.to_dict())
+            copy = StarSchema(schema)
+            copy._dimensions = {
+                name: table.copy(schema.dimensions[name])
+                for name, table in self._dimensions.items()
+            }
+            copy._facts = {
+                name: table.copy(schema.facts[name])
+                for name, table in self._facts.items()
+            }
+            copy._layers = {
+                name: table.copy(schema.layers[name])  # type: ignore[attr-defined]
+                for name, table in self._layers.items()
+            }
+            copy._member_generations = dict(self._member_generations)
+            copy._metadata_generation = self._metadata_generation
+            copy._generation = self._generation
+            copy.mutation_log = self.mutation_log.copy()
+        copy.oracle = self.oracle
+        return copy
 
     # -- statistics -----------------------------------------------------------------
 

@@ -133,6 +133,18 @@ class DimensionTable:
         self._levels[level][key] = member
         return member
 
+    def copy(self, dimension: Dimension) -> "DimensionTable":
+        """This table's members under ``dimension`` (a copied schema's
+        definition of the same dimension), in insertion order, each a
+        new :class:`Member` with its own attribute and parent dicts."""
+        table = DimensionTable(dimension)
+        for level, members in self._levels.items():
+            table._levels[level] = {
+                key: Member(level, key, member.attributes, member.parents)
+                for key, member in list(members.items())
+            }
+        return table
+
     def member(self, level: str, key: str) -> Member:
         try:
             return self._levels[level][key]
@@ -281,6 +293,28 @@ class FactTable:
                         first_row + offset
                     )
         return list(range(first_row, first_row + len(prepared)))
+
+    def copy(self, fact: Fact) -> "FactTable":
+        """This table's rows under ``fact`` (a copied schema's definition
+        of the same fact): its own dictionaries and ``array`` slices of
+        every column, all read at one row count under the insert lock.
+        Postings are not copied; the copy builds its own on first use."""
+        table = FactTable(fact)
+        with self._lock:
+            count = self._count
+            table._dictionaries = {
+                dim: dictionary.copy()
+                for dim, dictionary in self._dictionaries.items()
+            }
+            table._codes = {
+                dim: column[:count] for dim, column in self._codes.items()
+            }
+            table._measures = {
+                measure: column[:count]
+                for measure, column in self._measures.items()
+            }
+        table._count = count
+        return table
 
     def __len__(self) -> int:
         return self._count
@@ -456,6 +490,20 @@ class LayerTable:
         self._features.append(feature)
         self._by_name[name] = feature
         return feature
+
+    def copy(self, layer: Layer) -> "LayerTable":
+        """This table's features under ``layer`` (a copied schema's
+        definition of the same layer), in order, each a new
+        :class:`Feature` with its own attribute dict and the same
+        (immutable) geometry."""
+        table = LayerTable(layer)
+        for feature in list(self._features):
+            copied = Feature(
+                feature.feature_id, feature.name, feature.geometry, feature.attributes
+            )
+            table._features.append(copied)
+            table._by_name[copied.name] = copied
+        return table
 
     def features(self) -> list[Feature]:
         return list(self._features)

@@ -81,6 +81,10 @@ class HttpTarget:
         self.address = (host, port)
         self.timeout = timeout
         self._local = threading.local()
+        self._lock = threading.Lock()
+        #: Every connection :meth:`_connection` opened, on any thread.
+        # guarded-by: _lock
+        self._connections: list = []
 
     def _connection(self):
         import http.client
@@ -91,6 +95,8 @@ class HttpTarget:
                 self.address[0], self.address[1], timeout=self.timeout
             )
             self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
         return conn
 
     def request(self, method, path, body=None, token=None, datamart=None):
@@ -110,9 +116,9 @@ class HttpTarget:
             response = conn.getresponse()
             raw = response.read()
         except (http.client.HTTPException, OSError):
+            # A dropped keep-alive connection gets one fresh retry; a
+            # closed HTTPConnection reconnects on its next request.
             conn.close()
-            self._local.conn = None
-            conn = self._connection()
             conn.request(method, path, body=payload, headers=headers)
             response = conn.getresponse()
             raw = response.read()
@@ -122,10 +128,16 @@ class HttpTarget:
         return [self.request("GET", "/api/v1/health")[1]]
 
     def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
+        """Close every keep-alive connection, whichever thread opened it.
+
+        Valid once the threads that used the target are done: a thread
+        still inside :meth:`request` would find its connection closed.
+        """
+        with self._lock:
+            connections, self._connections = self._connections, []
+        self._local.conn = None
+        for conn in connections:
             conn.close()
-            self._local.conn = None
 
 
 class ClusterTarget:

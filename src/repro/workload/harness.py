@@ -248,13 +248,27 @@ def build_workload_portal(
     With ``backend``, every store is backend-backed under fixed
     ``wl-*`` namespaces — pass the same backend to every worker of a
     pool; without, in-heap stores.
+
+    The world is loaded once per portal: every tenant serves its own
+    :meth:`~repro.storage.star.StarSchema.copy` of one loaded star,
+    which answers every read as a star loaded for that tenant alone.
     """
+    from repro.data import build_sales_star
+
+    star = build_sales_star(world)
+    return _portal_over(
+        world, {name: star.copy() for name in datamarts}, active_users, backend
+    )
+
+
+def _portal_over(world, stars, active_users, backend):
+    """The portal :func:`build_workload_portal` describes, over ``stars``
+    (datamart name -> the tenant's star, in registration order)."""
     from repro.cluster.config import make_service_stores, make_view_store
     from repro.data import (
         ALL_PAPER_RULES,
         WorldGeoSource,
         build_motivating_user_model,
-        build_sales_star,
     )
     from repro.personalization import PersonalizationEngine
     from repro.service import DatamartRegistry, PersonalizationService
@@ -263,15 +277,15 @@ def build_workload_portal(
     users_by_tenant: dict[str, list[str]] = {}
     for datamart, user_id, _cohort in active_users:
         users_by_tenant.setdefault(datamart, []).append(user_id)
-    unknown = set(users_by_tenant) - set(datamarts)
+    unknown = set(users_by_tenant) - set(stars)
     if unknown:
         raise ReproError(
             f"stream logs into unregistered datamarts: {sorted(unknown)}"
         )
     registry = DatamartRegistry()
-    for index, name in enumerate(datamarts):
+    for index, (name, star) in enumerate(stars.items()):
         engine = PersonalizationEngine(
-            build_sales_star(world),
+            star,
             build_motivating_user_model(),
             geo_source=WorldGeoSource(world),
             parameters={"threshold": THRESHOLD},

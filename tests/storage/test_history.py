@@ -1,23 +1,27 @@
 """PR 9: :class:`StarHistory` — checkpoints, log replay, as-of reads.
 
 The contract: ``history.as_of(g)`` reconstructs the star exactly as it
-stood at generation ``g`` (checkpoint rehydration + typed-delta replay),
-so any query answered against it is *bit-identical* to the answer that
-was recorded at ``g`` — pinned here both with explicit scripts and with
-a hypothesis property over random mutation schedules.  Retention is
-explicit: generations in the future, before the oldest checkpoint, or
-across an evicted/non-replayable log range raise :class:`HistoryError`.
+stood at generation ``g`` (a copy of the newest checkpoint at or before
+``g`` + typed-delta replay), so the reconstructed star serializes like
+the live star did at ``g`` and any query answered against it is
+*bit-identical* to the answer that was recorded at ``g`` — pinned here
+both with explicit scripts and with a hypothesis property over random
+mutation schedules.  Retention is explicit: generations in the future,
+before the oldest checkpoint, or across an evicted/non-replayable log
+range raise :class:`HistoryError`.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.geomd import GeoMDSchema
+from repro.geomd import GeoMDSchema, GeometricType
+from repro.geomd.schema import GEOMETRY_ATTRIBUTE
+from repro.geometry import Point
 from repro.mdm import Aggregator, Dimension, Fact, Hierarchy, Level, Measure
 from repro.olap import AggSpec, CubeQuery, LevelRef, execute
 from repro.storage import StarSchema
-from repro.storage.snapshot import HistoryError, StarHistory
+from repro.storage.snapshot import HistoryError, StarHistory, star_to_dict
 from repro.uml.core import REAL
 
 
@@ -184,13 +188,20 @@ class TestReplay:
 
 
 class TestBitIdentity:
-    """Acceptance pin: ``as_of=g`` answers are bit-identical to answers
-    recorded at generation ``g``, for random mutation schedules."""
+    """Acceptance pin: at every generation ``g``, ``as_of=g`` answers and
+    the whole reconstructed star are bit-identical to what was recorded
+    live at ``g``, for random schedules of fact appends, member adds,
+    layer adds, feature adds, BecomeSpatial patches and in-place member
+    updates.  The updates are not replayable, so they force eager
+    checkpoints; comparing the whole star catches a checkpoint or a
+    reconstruction that shares state with the live star."""
 
-    # Each step: 0 = fact append to d0/d1, 1 = new member + fact on it.
+    # Each step: 0 = fact append to d0/d1, 1 = new member + fact on it,
+    # 2 = new layer, 3 = feature on the newest layer, 4 = BecomeSpatial
+    # of the next non-spatial level, 5 = in-place geometry update.
     steps = st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=5),
             st.floats(
                 min_value=-1e6, max_value=1e6, allow_nan=False
             ).map(lambda v: round(v, 4)),
@@ -199,21 +210,60 @@ class TestBitIdentity:
         max_size=12,
     )
 
-    @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+    @staticmethod
+    def _step(star, index, kind, value, layers):
+        if kind == 0:
+            star.insert_fact("F", {"D": f"d{index % 2}"}, {"v": value})
+        elif kind == 1:
+            name = f"dx{index}"
+            star.add_member("D", "D", name, parents={"G": "g0"})
+            star.insert_fact("F", {"D": name}, {"v": value})
+        elif kind == 2 or (kind == 3 and not layers):
+            layers.append(f"L{index}")
+            star.schema.add_layer(layers[-1], GeometricType.POINT)
+            star.ensure_layer_table(layers[-1])
+        elif kind == 3:
+            star.add_feature(layers[-1], f"f{index}", Point(value, index))
+        elif kind == 4:
+            level = next(
+                (ref for ref in ("D.G", "D.D")
+                 if ref not in star.schema.spatial_levels),
+                None,
+            )
+            if level is not None:
+                # As the PRML evaluator runs BecomeSpatial.
+                star.schema.become_spatial(level, GeometricType.POINT)
+                star.note_schema_change(
+                    op="become_spatial",
+                    payload={"level": level, "geometric_type": "POINT"},
+                )
+        else:
+            member = star.dimension_table("D").member("D", f"d{index % 2}")
+            member.attributes[GEOMETRY_ATTRIBUTE] = Point(value, index)
+            star.note_member_change("D", op="update")
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
     @given(steps=steps)
     def test_as_of_matches_recorded_answers(self, steps):
         star = _tiny_star()
-        StarHistory.attach(star, checkpoint_interval=5)
-        recorded = {star.generation: _rows(star)}
+        history = StarHistory.attach(star, checkpoint_interval=5)
+        recorded = {star.generation: (_rows(star), star_to_dict(star))}
+        layers = []
         for index, (kind, value) in enumerate(steps):
-            if kind == 0:
-                star.insert_fact("F", {"D": f"d{index % 2}"}, {"v": value})
-            else:
-                name = f"dx{index}"
-                star.add_member("D", "D", name, parents={"G": "g0"})
-                star.insert_fact("F", {"D": name}, {"v": value})
-            recorded[star.generation] = _rows(star)
-        for generation, rows in recorded.items():
+            self._step(star, index, kind, value, layers)
+            recorded[star.generation] = (_rows(star), star_to_dict(star))
+        oldest = history.stats()["oldest_checkpoint"]
+        for generation, (rows, data) in recorded.items():
+            if generation < oldest:
+                # Eager checkpoints pushed this one out of the bound.
+                with pytest.raises(HistoryError, match="predates"):
+                    history.as_of(generation)
+                continue
             # Bit-identical: exact equality on the float cells, no
             # approx — replay must take the same code paths.
             assert _rows(star, as_of=generation) == rows
+            assert star_to_dict(history.as_of(generation)) == data

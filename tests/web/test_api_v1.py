@@ -591,6 +591,46 @@ class TestAsOfQueries:
                 "invalid_request",
             )
 
+    def test_health_reports_the_history_bounds_and_rows_held(
+        self, portal, profile, world, engine
+    ):
+        token = _login(portal, profile, world)
+        generation = engine.star.generation
+        self._churn(engine, world, profile)
+
+        def history():
+            health = portal.handle("GET", "/api/v1/health").json()
+            (sales,) = [dm for dm in health["datamarts"] if dm["name"] == "sales"]
+            return sales["mutations"]["history"]
+
+        before = history()
+        assert set(before) == {
+            "checkpoints",
+            "max_checkpoints",
+            "oldest_checkpoint",
+            "newest_checkpoint",
+            "checkpoint_interval",
+            "checkpoints_taken",
+            "replays",
+            "reconstructions_cached",
+            "max_reconstructions",
+            "fact_rows_held",
+        }
+        assert (before["max_checkpoints"], before["max_reconstructions"]) == (8, 4)
+        assert 1 <= before["checkpoints"] <= before["max_checkpoints"]
+        assert before["fact_rows_held"] > 0
+        response = portal.handle(
+            "POST", "/api/v1/query", {**self.BODY, "as_of": generation}, token=token
+        )
+        assert response.ok, response.body
+        after = history()
+        # One reconstruction of the star before the churn's one sale.
+        assert after["replays"] == before["replays"] + 1
+        assert after["reconstructions_cached"] == before["reconstructions_cached"] + 1
+        assert after["fact_rows_held"] == (
+            before["fact_rows_held"] + len(engine.star.fact_table()) - 1
+        )
+
     def test_as_of_answers_are_cached_separately(
         self, portal, profile, world, engine
     ):

@@ -1,10 +1,18 @@
-"""Replay driver: serial/closed/open modes against the in-process target."""
+"""Replay driver: serial/closed/open modes against the in-process target,
+and the socket targets' connection lifetime."""
+
+import http.client
+import threading
+import types
 
 import pytest
 
 from repro.errors import ReproError
+from repro.web.server import make_server
 from repro.workload import (
     WORKLOAD_TENANTS,
+    ClusterTarget,
+    HttpTarget,
     InProcessTarget,
     LatencyStats,
     ReplayDriver,
@@ -100,6 +108,53 @@ class TestConcurrentReplay:
             driver.replay_closed(tiny_stream, actors=0)
         with pytest.raises(ReproError):
             driver.replay_open(tiny_stream, rate_per_s=0.0)
+
+
+@pytest.fixture()
+def served(tiny_portal):
+    """The tiny portal behind the threaded HTTP adapter on a free port."""
+    server = make_server(tiny_portal, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestSocketTargetsClose:
+    """``close()`` closes the keep-alive connection of every thread that
+    used the target, so a closed loop's actors leave no socket for the
+    garbage collector (``python -X dev`` reports those as unclosed)."""
+
+    @pytest.mark.parametrize("kind", ["http", "cluster"])
+    def test_close_closes_every_actor_connection(
+        self, served, tiny_stream, monkeypatch, kind
+    ):
+        opened = []
+
+        class Recording(http.client.HTTPConnection):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(http.client, "HTTPConnection", Recording)
+        if kind == "http":
+            target = HttpTarget(*served)
+        else:
+            # A one-worker pool whose only shard is the served portal.
+            pool = types.SimpleNamespace(
+                workers=1, address=served, shard_addresses=[served]
+            )
+            target = ClusterTarget(pool)
+        driver = ReplayDriver(target)
+        driver.resolve_as_of()
+        report = driver.replay_closed(tiny_stream, actors=4)
+        assert report.errors == 0, report.error_statuses
+        target.close()
+        assert len(opened) == 5  # the health probe's and one per actor
+        assert [conn for conn in opened if conn.sock is not None] == []
 
 
 class TestAsOfResolution:

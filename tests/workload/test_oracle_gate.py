@@ -11,6 +11,12 @@ star are all part of the comparison.  Every response body must be
 equal, login tokens aside.  The gate runs over the in-heap stores and
 over the backend-backed ones a worker pool serves from.
 
+The copy gates: a workload portal loads the world once and gives each
+tenant a copy of the loaded star.  Replayed the same way, it must answer
+with the same bytes as a portal whose tenants each load the world, as-of
+reads included, and a login on one tenant must leave the others equal
+to a freshly loaded star.
+
 The churn gate drives one session through member and feature churn at
 every step and a sale from inside its view every 8th step, over the
 small world at ten times its sales: the typed deltas must keep answering
@@ -20,13 +26,15 @@ dropping them.
 
 import dataclasses
 import itertools
+import json
 
 import pytest
 
 from repro.cluster.backend import InMemoryBackend
-from repro.data import WorldConfig, generate_world
+from repro.data import WorldConfig, build_sales_star, generate_world
 from repro.geomd import GeometricType
 from repro.geometry import Point
+from repro.storage.snapshot import star_to_dict
 from repro.workload import (
     InProcessTarget,
     ReplayDriver,
@@ -34,6 +42,7 @@ from repro.workload import (
     merge_health,
 )
 from repro.workload.harness import (
+    _portal_over,
     build_tier_world,
     build_workload_portal,
     generator_for_tier,
@@ -95,13 +104,20 @@ def _sales(star, world, stream, count):
     return sales
 
 
-def _replay(world, stream, oracle, backend):
-    app = build_workload_portal(
-        world,
-        stream.active_users(),
-        datamarts=tuple(stream.header["config"]["datamarts"]),
-        backend=backend,
-    )
+def _replay(world, stream, oracle, backend, loaded_one_by_one=False):
+    datamarts = tuple(stream.header["config"]["datamarts"])
+    if loaded_one_by_one:
+        # The reference for the portal's one load and per-tenant copies.
+        app = _portal_over(
+            world,
+            {name: build_sales_star(world) for name in datamarts},
+            stream.active_users(),
+            backend,
+        )
+    else:
+        app = build_workload_portal(
+            world, stream.active_users(), datamarts=datamarts, backend=backend
+        )
     stars = [tenant.engine.star for tenant in app.service.registry]
     for star in stars:
         star.oracle = oracle
@@ -115,14 +131,19 @@ def _replay(world, stream, oracle, backend):
     return report, bodies, window
 
 
-@pytest.fixture(scope="module", params=["in_heap", "backend"])
-def replays(request):
-    smoke = tier("smoke")
-    smoke = dataclasses.replace(
-        smoke, config=dataclasses.replace(smoke.config, seed=SEED)
+@pytest.fixture(scope="module")
+def smoke():
+    selected = tier("smoke")
+    selected = dataclasses.replace(
+        selected, config=dataclasses.replace(selected.config, seed=SEED)
     )
-    world = build_tier_world(smoke)
-    stream = generator_for_tier(smoke, world).stream()
+    world = build_tier_world(selected)
+    return world, generator_for_tier(selected, world).stream()
+
+
+@pytest.fixture(scope="module", params=["in_heap", "backend"])
+def replays(request, smoke):
+    world, stream = smoke
 
     def backend():
         return InMemoryBackend() if request.param == "backend" else None
@@ -140,6 +161,49 @@ def test_every_response_equals_the_oracle_portal(replays):
     assert len(bodies) == len(stream)
     for event, body, oracle_body in zip(stream, bodies, oracle_bodies):
         assert body == oracle_body, f"{event.kind} #{event.seq} differs"
+
+
+@pytest.fixture(scope="module")
+def loaded_replay(smoke):
+    world, stream = smoke
+    return _replay(
+        world, stream, oracle=False, backend=None, loaded_one_by_one=True
+    )
+
+
+def test_every_response_equals_tenants_loaded_one_by_one(replays, loaded_replay):
+    """The portal loads the world once and gives each tenant a copy; a
+    portal whose tenants each load it answers with the same bytes."""
+    stream, (report, bodies, _), _ = replays
+    loaded_report, loaded_bodies, _ = loaded_replay
+    assert report.errors == loaded_report.errors
+    assert len(loaded_bodies) == len(stream)
+    for event, body, loaded in zip(stream, bodies, loaded_bodies):
+        assert json.dumps(body) == json.dumps(loaded), (
+            f"{event.kind} #{event.seq} differs"
+        )
+
+
+def test_a_login_leaves_the_other_tenants_as_loaded(smoke):
+    world, stream = smoke
+    app = build_workload_portal(world, stream.active_users())
+    stars = {tenant.name: tenant.engine.star for tenant in app.service.registry}
+    loaded = star_to_dict(build_sales_star(world))
+    assert all(star_to_dict(star) == loaded for star in stars.values())
+    location = world.stores[0].location
+    user = next(
+        user for datamart, user, _ in stream.active_users() if datamart == "dm-0"
+    )
+    response = app.handle(
+        "POST",
+        "/api/v1/login",
+        {"user": user, "datamart": "dm-0", "location": [location.x, location.y]},
+    )
+    assert response.ok, response.body
+    # The login's schema rules added layers and backfilled geometries.
+    assert star_to_dict(stars["dm-0"]) != loaded
+    for name in ("dm-1", "dm-2", "dm-3"):
+        assert star_to_dict(stars[name]) == loaded, name
 
 
 def test_as_of_reads_ran(replays):
