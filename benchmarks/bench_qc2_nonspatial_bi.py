@@ -39,7 +39,7 @@ def test_qc2_nonspatial_bi(benchmark, engine, star, user_schema):
     session = engine.start_session(profile)
     view = session.view()
 
-    plain = parse_query(PLAIN_QUERY, view.schema)
+    plain = parse_query(PLAIN_QUERY, session.context.geomd_schema)
 
     def non_spatial_tool():
         return execute(star, plain, view.fact_rows)
@@ -47,7 +47,7 @@ def test_qc2_nonspatial_bi(benchmark, engine, star, user_schema):
     personalized_result = benchmark(non_spatial_tool)
 
     # A spatial engine evaluating the condition itself must agree.
-    spatial_result = execute(star, parse_query(SPATIAL_QUERY, view.schema))
+    spatial_result = execute(star, parse_query(SPATIAL_QUERY, session.context.geomd_schema))
     assert personalized_result.cells == spatial_result.cells
     assert personalized_result.fact_rows_scanned < len(star.fact_table())
 

@@ -32,7 +32,7 @@ def main() -> None:
 
     profile = build_regional_manager_profile()
     session = engine.start_session(profile)
-    schema = session.view().schema
+    schema = session.context.geomd_schema
 
     print(generate_ddl(schema, dialect="postgis"))
     session.end()

@@ -43,7 +43,7 @@ def main() -> None:
     session = engine.start_session(profile, location=location)
 
     print("\n--- Example 5.1: schema personalization (Fig. 2 -> Fig. 6) ---")
-    print(diff_schemas(before, session.view().schema).summary())
+    print(diff_schemas(before, session.context.geomd_schema).summary())
 
     print("\n--- Example 5.2: instance personalization ---")
     selected = sorted(session.selection.members[("Store", "Store")])
@@ -57,7 +57,7 @@ def main() -> None:
     view = session.view()
     query = parse_query(
         "SELECT SUM(StoreSales), COUNT(*) FROM Sales BY Time.Month",
-        view.schema,
+        session.context.geomd_schema,
     )
     result = execute(star, query, view.fact_rows)
     print(result.format_table())

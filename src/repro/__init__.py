@@ -47,7 +47,7 @@ Quickstart::
     engine.add_rules(ALL_PAPER_RULES.values())
     profile = build_regional_manager_profile()
     session = engine.start_session(profile, location=Point(0.0, 0.0))
-    print(session.view().stats())
+    print(session.view_stats())
 """
 
 __version__ = "1.0.0"

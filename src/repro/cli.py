@@ -73,7 +73,7 @@ def _open_session(world, engine):
 def cmd_demo(args: argparse.Namespace) -> int:
     world, star, engine = _build_engine(args.seed, args.threshold)
     session = _open_session(world, engine)
-    print("personalized view:", session.view().stats())
+    print("personalized view:", session.view_stats())
     for outcome in session.outcomes:
         status = f"error: {outcome.error}" if outcome.error else (
             f"actions={outcome.fired_actions} selected={outcome.selected_instances}"
@@ -99,12 +99,12 @@ def cmd_rules(args: argparse.Namespace) -> int:
         return 1
     world, _star, engine = _build_engine(args.seed, args.threshold)
     del world
+    # The tenant schema holds every layer and level the paper rules add.
     analyzer = SemanticAnalyzer(
         engine.user_schema,
         engine.geomd_schema,
         engine.geomd_schema,
         engine.parameters,
-        known_layers=engine._promised_layers() | {"Airport", "Train"},
     )
     status = 0
     for rule in rules:
@@ -123,7 +123,7 @@ def cmd_rules(args: argparse.Namespace) -> int:
 def cmd_ddl(args: argparse.Namespace) -> int:
     world, _star, engine = _build_engine(args.seed, args.threshold)
     session = _open_session(world, engine)
-    print(generate_ddl(session.view().schema, dialect=args.dialect), end="")
+    print(generate_ddl(session.context.geomd_schema, dialect=args.dialect), end="")
     session.end()
     return 0
 
@@ -143,7 +143,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     session = _open_session(world, engine)
     view = session.view()
     try:
-        query = parse_query(args.q, view.schema)
+        query = parse_query(args.q, session.context.geomd_schema)
     except ReproError as exc:
         print(f"query error: {exc}", file=sys.stderr)
         session.end()

@@ -23,9 +23,9 @@ The four entry kinds mirror the shared stores:
 * **view entries** — a :class:`~repro.personalization.engine.PersonalizedView`
   reduced to its data: fact name, the frozen selection's members/
   features, the surviving fact row ids, and the star generation stamp.
-  The star/schema objects are supplied at decode time by the worker
-  that owns them — the generation stamp in the entry's *key* is what
-  guarantees both sides describe the same star state (the same
+  A view carries no schema.  The star is supplied at decode time by the
+  worker that owns it — the generation stamp in the entry's *key* is
+  what guarantees both sides describe the same star state (the same
   invalidation protocol as in-heap, applied cross-process).
 * **query-cache entries** — :class:`~repro.service.facade.CellSetPayload`
   with its nested tuples restored on decode, so a payload served from
@@ -238,8 +238,8 @@ def encode_view_entry(view) -> str:
     )
 
 
-def decode_view_entry(text: str, star, schema, fingerprint: str):
-    """Decode to a live view over the caller's star/schema objects.
+def decode_view_entry(text: str, star, fingerprint: str):
+    """Decode to a live view over the caller's star.
 
     ``fingerprint`` is the selection fingerprint from the lookup key;
     the rebuilt selection must reproduce it exactly (a content check on
@@ -276,7 +276,6 @@ def decode_view_entry(text: str, star, schema, fingerprint: str):
         raise CodecError("corrupt view-entry entry: non-integer fact row id")
     return PersonalizedView(
         star=star,
-        schema=schema,
         selection=selection,
         fact_rows=list(fact_rows),
         fact=fact,

@@ -395,14 +395,14 @@ class BackendViewStore(ViewStore):
         self.l2_hits = 0
         self.l2_publishes = 0
 
-    def _fetch(self, key, star, schema):  # guarded-by-caller: _lock
+    def _fetch(self, key, star):  # guarded-by-caller: _lock
         """Adopt a peer worker's build for this exact key, if published."""
         _fact, fingerprint, _generation = key
         encoded = self.backend.get(self._store, _key_text(key))
         if encoded is None:
             return None
         try:
-            view = decode_view_entry(encoded, star, schema, fingerprint)
+            view = decode_view_entry(encoded, star, fingerprint)
         except CodecError:
             self.backend.delete(self._store, _key_text(key))
             return None
@@ -418,7 +418,7 @@ class BackendViewStore(ViewStore):
     def invalidate(self) -> None:
         """Drop L1 *and* this namespace's published entries.
 
-        The parent calls this for member/feature/schema mutations; the
+        The parent calls this for mutations it cannot carry; the
         generation bump alone already unreaches the stale keys, but
         clearing keeps the benchmark's oracle phases honest (nothing
         warm survives into the next phase) and reclaims the rows early.

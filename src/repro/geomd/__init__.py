@@ -8,7 +8,7 @@ hierarchy constraints (after Malinowski & Zimányi).
 """
 
 from repro.geomd.gtypes_enum import GeometricType, geometric_types_enumeration
-from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema, Layer
+from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema, Layer, SchemaSets
 from repro.geomd.topology import (
     HierarchyConstraint,
     TopologicalRelation,
@@ -22,6 +22,7 @@ __all__ = [
     "GeometricType",
     "HierarchyConstraint",
     "Layer",
+    "SchemaSets",
     "TopologicalRelation",
     "check_constraint",
     "geometric_types_enumeration",

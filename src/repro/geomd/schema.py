@@ -10,20 +10,27 @@ with:
   ``<<Layer>>`` stereotype: airports, train lines, highways), created by
   the ``AddLayer`` personalization action.
 
-The two mutation methods *are* the paper's schema-personalization algebra;
-:mod:`repro.prml.evaluator` calls them when executing schema rules.
+The two mutation methods *are* the paper's schema-personalization algebra.
+A tenant applies them once, when a rule is registered
+(:meth:`repro.personalization.engine.PersonalizationEngine.add_rule`
+loads everything the rule's ``AddLayer``/``BecomeSpatial`` actions can
+name into the star's schema).  A session never mutates a schema: its
+schema actions pick, from the tenant's :class:`SchemaSets`, the shared
+schema of the set of layers and spatial levels they named, so what one
+user's rules add is never seen by another user.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from repro.concurrency import make_lock
 from repro.errors import SchemaError
 from repro.geomd.gtypes_enum import GeometricType
 from repro.mdm.model import Attribute, AttributeKind, Dimension, Fact, MDSchema
 from repro.uml.core import GEOMETRY, DataType, STRING
 
-__all__ = ["Layer", "GeoMDSchema", "GEOMETRY_ATTRIBUTE"]
+__all__ = ["Layer", "GeoMDSchema", "SchemaSets", "GEOMETRY_ATTRIBUTE"]
 
 #: Conventional name of the geometry attribute added by ``BecomeSpatial``.
 GEOMETRY_ATTRIBUTE = "geometry"
@@ -260,3 +267,53 @@ class GeoMDSchema(MDSchema):
             f"dims={sorted(self.dimensions)} layers={sorted(self.layers)} "
             f"spatial={sorted(self.spatial_levels)}>"
         )
+
+
+class SchemaSets:
+    """The shared :class:`GeoMDSchema` of each set of added layers and
+    spatial levels.
+
+    ``loaded`` is the tenant's schema, into which rule registration loads
+    every layer and spatial level the rules can name; :attr:`base` is
+    that schema as it stood before.  A set is keyed by a sorted tuple of
+    ``"layer:<name>"`` and ``"level:<Dim.Level>"`` strings (JSON-safe,
+    ``()`` for the base).  Its schema is the base plus those layers and
+    levels, added in ``loaded``'s order; it is built once and shared,
+    read-only, by every session holding the set.
+    """
+
+    def __init__(self, loaded: GeoMDSchema) -> None:
+        self.loaded = loaded
+        self._base = loaded.to_dict()
+        self.base = GeoMDSchema.from_dict(self._base)
+        self._lock = make_lock("SchemaSets._lock")
+        # guarded-by: _lock
+        self._schemas: dict[tuple[str, ...], GeoMDSchema] = {(): self.base}
+
+    def with_item(
+        self, key: tuple[str, ...], item: str
+    ) -> tuple[tuple[str, ...], GeoMDSchema]:
+        """The set ``key`` plus ``item``, and that set's schema."""
+        key = tuple(sorted({*key, item}))
+        with self._lock:
+            schema = self._schemas.get(key)
+            if schema is None:
+                schema = self._schemas[key] = self._build(key)
+        return key, schema
+
+    def _build(self, key: tuple[str, ...]) -> GeoMDSchema:
+        schema = GeoMDSchema.from_dict(self._base)
+        for name, layer in self.loaded.layers.items():
+            if f"layer:{name}" in key:
+                schema.add_layer(name, layer.geometric_type)
+        for ref, geometric_type in self.loaded.spatial_levels.items():
+            if f"level:{ref}" in key:
+                schema.become_spatial(ref, geometric_type)
+        built = {f"layer:{name}" for name in schema.layers}
+        built |= {f"level:{ref}" for ref in schema.spatial_levels}
+        if not built.issuperset(key):
+            raise SchemaError(
+                f"{sorted(set(key) - built)} not loaded with the tenant; "
+                f"only registered rules' layers and levels can be added"
+            )
+        return schema

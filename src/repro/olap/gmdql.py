@@ -18,6 +18,11 @@ compiling to :class:`~repro.olap.query.CubeQuery`:
 Keywords are case-insensitive; identifiers are case-sensitive (they name
 schema elements).  Distance quantities accept ``M``, ``KM`` and ``MI``
 suffixes (default metres).
+
+A query is parsed against the schema its reader sees — a session's
+personalized GeoMD schema — so a spatial filter on a level that schema
+has not made spatial, or against a layer it lacks, is rejected here even
+when the tenant's star holds the geometries.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import re
 
 from repro.errors import QueryError
+from repro.geomd.schema import GeoMDSchema
 from repro.geometry.metrics import convert_to_metres
 from repro.mdm.model import Aggregator, MDSchema
 from repro.olap.query import (
@@ -37,6 +43,7 @@ from repro.olap.query import (
     SpatialFilter,
     SpatialRelation,
     resolve_name,
+    resolve_spatial_level,
 )
 
 __all__ = ["parse_query"]
@@ -222,6 +229,9 @@ def _parse_condition(
         tokens.expect_keyword("LAYER")
         layer = LayerRef(tokens.next())
         tokens.expect_punct(")")
+        if isinstance(schema, GeoMDSchema):
+            resolve_spatial_level(schema, ref)
+            resolve_name(schema.layer, layer.name)
         if relation is SpatialRelation.DISTANCE:
             op_token = tokens.next()
             if op_token not in _COMPARISONS:

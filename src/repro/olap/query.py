@@ -61,6 +61,18 @@ def resolve_name(lookup: Callable[[str], _T], name: str) -> _T:
         raise QueryError(str(exc)) from None
 
 
+def resolve_spatial_level(schema: GeoMDSchema, ref: "LevelRef") -> str:
+    """``ref``'s level, which ``schema`` must make spatial."""
+    level = ref.resolve_level(schema)
+    level_ref = f"{ref.dimension}.{level}"
+    if level_ref not in schema.spatial_levels:
+        raise QueryError(
+            f"level {level_ref} is not spatial; apply BecomeSpatial first "
+            f"(spatial levels: {sorted(schema.spatial_levels)})"
+        )
+    return level
+
+
 @dataclass(frozen=True)
 class LevelRef:
     """Reference to a dimension level, e.g. ``Store.City``."""
@@ -459,13 +471,7 @@ def _allowed_keys_for_spatial_filter(
             "spatial filters require a GeoMD schema (run schema "
             "personalization first)"
         )
-    level = flt.ref.resolve_level(schema)
-    ref = f"{flt.ref.dimension}.{level}"
-    if ref not in schema.spatial_levels:
-        raise QueryError(
-            f"level {ref} is not spatial; apply BecomeSpatial first "
-            f"(spatial levels: {sorted(schema.spatial_levels)})"
-        )
+    level = resolve_spatial_level(schema, flt.ref)
     targets = _target_geometries(star, flt.target)
     table = star.dimension_table(flt.ref.dimension)
     # Boolean relations imply (or are implied by) envelope intersection,

@@ -8,13 +8,22 @@ obtained is personalized using Spatial Instance Rules."
 
 Rule classification (automatic, overridable at registration):
 
-* **schema rules** — mutate the schema only (``AddLayer`` /
+* **schema rules** — personalize the schema only (``AddLayer`` /
   ``BecomeSpatial``, no ``SelectInstance``): run first on SessionStart;
 * **instance rules** — contain ``SelectInstance``: run after every schema
   rule, against the already-spatialized GeoMD;
 * **acquisition rules** — triggered by ``SpatialSelection`` events (the
   user-interest tracking of Example 5.3): run when the front-end reports
   a matching selection.
+
+Schema personalization belongs to the session.  Registering a rule
+loads what its ``AddLayer``/``BecomeSpatial`` actions name into the
+tenant's star and schema (layer features and level geometries from the
+:class:`~repro.prml.evaluator.GeoDataSource`), the only place they are
+written.  At login a schema action only switches the session to the
+engine's shared schema for its set of added layers and spatial levels
+(:class:`~repro.geomd.schema.SchemaSets`): no login writes the star,
+and what one user's rules add no other user sees.
 
 A :class:`PersonalizedSession` wraps one analysis session of one decision
 maker; ending the session fires SessionEnd rules and releases the user's
@@ -27,15 +36,17 @@ import enum
 import threading
 from functools import partial
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.concurrency import make_lock
-from repro.errors import PersonalizationError, PRMLRuntimeError
+from repro.errors import PersonalizationError, PRMLRuntimeError, SchemaError
 from repro.geometry import Metric, PlanarMetric, Point
-from repro.geomd.schema import GeoMDSchema
+from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema, SchemaSets
+from repro.mdm.model import ResolvedLevel
 from repro.olap.cube import Cube
 from repro.prml.ast import (
     AddLayerAction,
+    BecomeSpatialAction,
     Rule,
     SelectInstanceAction,
     SessionEndEvent,
@@ -119,11 +130,12 @@ class PersonalizedView:
 
     ``fact`` names the fact table the rows belong to; sessions over
     multi-fact stars materialize one view per fact
-    (``session.view(fact=...)``).
+    (``session.view(fact=...)``).  A view carries no schema: sessions
+    whose selections hold the same content share it, whatever their
+    schemas (read a session's from ``session.context.geomd_schema``).
     """
 
     star: StarSchema
-    schema: GeoMDSchema
     selection: SelectionSet
     fact_rows: list[int]
     fact: str | None = None
@@ -155,8 +167,6 @@ class PersonalizedView:
             "fact_rows_total": total,
             "fact_rows_kept": kept,
             "members_selected": self.selection.member_count(),
-            "layers": len(self.schema.layers),
-            "spatial_levels": len(self.schema.spatial_levels),
         }
 
 
@@ -169,8 +179,8 @@ class PersonalizedSession:
     session begins the spatial analysis have been done") serves the
     materialized view without re-scanning the fact table, and any
     selection change (acquisition rules, instance re-runs) or star
-    mutation (schema rules, data loads) makes the stamp differ, forcing a
-    refresh.  On a memo miss the session asks the engine's shared
+    mutation (data loads) makes the stamp differ, forcing a refresh.  On
+    a memo miss the session asks the engine's shared
     :class:`~repro.personalization.view_store.ViewStore` — sessions whose
     selections hold the same content share one materialization there.
     The memo itself stays per-session (one dict compare in steady state,
@@ -224,10 +234,7 @@ class PersonalizedSession:
             if memoized is not None and memoized[0] == stamp:
                 return memoized[1]
         view = self.engine.view_store.get_or_build(
-            self.context.star,
-            self.context.geomd_schema,
-            fact_name,
-            self.context.selection,
+            self.context.star, fact_name, self.context.selection
         )
         with self._memo_lock:
             self._view_memo[fact_name] = (stamp, view)
@@ -242,11 +249,20 @@ class PersonalizedSession:
         )
         return PersonalizedView(
             star=self.context.star,
-            schema=self.context.geomd_schema,
             selection=selection,
             fact_rows=fact_rows,
             fact=fact_name,
         )
+
+    def view_stats(self, fact: str | None = None) -> dict[str, int]:
+        """The view's stats plus the layers and spatial levels of the
+        session's schema."""
+        schema = self.context.geomd_schema
+        return {
+            **self.view(fact).stats(),
+            "layers": len(schema.layers),
+            "spatial_levels": len(schema.spatial_levels),
+        }
 
     def record_spatial_selection(self, target: str, condition: str) -> list[RuleOutcome]:
         """Report a user spatial selection to the engine (Section 4.2.1).
@@ -283,7 +299,14 @@ class PersonalizedSession:
 
 
 class PersonalizationEngine:
-    """Rule repository + execution over one star schema."""
+    """Rule repository + execution over one star schema.
+
+    ``geomd_schema`` is the tenant's schema, the star's: it holds the
+    base schema plus everything registered rules can name.  Sessions
+    read their own set's schema from :attr:`schemas`.  ``start_session``
+    is serialized on the engine's lock: concurrent logins share user
+    profiles (one user may hold several sessions).
+    """
 
     def __init__(
         self,
@@ -304,6 +327,9 @@ class PersonalizationEngine:
             )
         self.star = star
         self.geomd_schema: GeoMDSchema = schema
+        #: The shared schema of each session set; its base is the schema
+        #: as it stands before any rule is registered.
+        self.schemas = SchemaSets(schema)
         self.user_schema = user_schema
         self.geo_source = geo_source
         self.parameters = dict(parameters or {})
@@ -321,21 +347,20 @@ class PersonalizationEngine:
             view_store = make_view_store(128, backend=env_backend())
         self.view_store = view_store
         star.add_mutation_listener(self._on_star_mutation)
-        #: Generation time travel: checkpoints + mutation-log replay so
-        #: ``execute(..., as_of=g)`` answers against a past generation.
-        #: One history per star — a second engine over the same star
-        #: reuses the existing attachment.
-        self.history = StarHistory.attach(star)
         self.rules: list[RegisteredRule] = []
-        #: Observers fired after SessionStart rules have run (used e.g.
-        #: for per-tenant session accounting without subclassing).
-        self._session_hooks: list[Callable[[PersonalizedSession], None]] = []
+        self._lock = make_lock("PersonalizationEngine._lock")
+        #: Sessions started on this engine, rehydrations included (a
+        #: worker rebuilding a session it did not start runs a login).
+        # guarded-by: _lock
+        self.sessions_started = 0
 
-    def add_session_hook(
-        self, hook: Callable[[PersonalizedSession], None]
-    ) -> None:
-        """Register an observer called with each newly started session."""
-        self._session_hooks.append(hook)
+    @property
+    def history(self) -> StarHistory:
+        """The star's as-of history (one per star, shared by engines),
+        attached on first use — this read or the first login — so its
+        baseline copy holds what registration loaded."""
+        with self._lock:
+            return StarHistory.attach(self.star)
 
     def _on_star_mutation(self, mutation: StarMutation) -> None:
         """Maintain the shared view store on every star mutation.
@@ -365,7 +390,13 @@ class PersonalizationEngine:
         source: str | Rule,
         phase: RulePhase | None = None,
     ) -> RegisteredRule:
-        """Parse, analyze and register one rule."""
+        """Parse, analyze, load and register one rule.
+
+        Loading writes what the rule's schema actions name into the star
+        and the tenant schema.  Register rules before serving: a geometry
+        load is an in-place member update, which as-of reads cannot
+        replay across.
+        """
         if isinstance(source, Rule):
             rule = source
             text = ""
@@ -380,9 +411,13 @@ class PersonalizationEngine:
                 self.geomd_schema,
                 self.geomd_schema,
                 self.parameters,
-                known_layers=self._promised_layers(),
             )
             analyzer.check(rule)
+        for action in rule.actions():
+            if isinstance(action, AddLayerAction):
+                self._load_layer(action)
+            elif isinstance(action, BecomeSpatialAction):
+                self._load_level(action)
         registered = RegisteredRule(
             rule=rule,
             source=text,
@@ -394,14 +429,72 @@ class PersonalizationEngine:
     def add_rules(self, sources: Iterable[str | Rule]) -> list[RegisteredRule]:
         return [self.add_rule(source) for source in sources]
 
-    def _promised_layers(self) -> set[str]:
-        """Layer names any registered rule's AddLayer will create."""
-        promised: set[str] = set()
-        for registered in self.rules:
-            for action in registered.rule.actions():
-                if isinstance(action, AddLayerAction):
-                    promised.add(action.layer_name.value)
-        return promised
+    def _load_layer(self, action: AddLayerAction) -> None:
+        """Add the layer to the tenant schema and load its table from the
+        geo source (once: a table that already holds features is kept)."""
+        name = action.layer_name.value
+        self.geomd_schema.add_layer(name, action.geometric_type.value)
+        table = self.star.ensure_layer_table(name)
+        source = self.geo_source
+        if source is None or len(table):
+            return
+        features = source.layer_features(name)
+        if not features:
+            return
+        for feature_name, geometry, attributes in features:
+            table.add_feature(feature_name, geometry, attributes)
+        # One bulk mutation for the whole load, carrying the feature
+        # tuples so the history can replay the load for as-of reads.
+        self.star.note_feature_change(
+            name,
+            op="bulk",
+            payload={
+                "features": [
+                    (feature_name, geometry, dict(attributes or {}))
+                    for feature_name, geometry, attributes in features
+                ]
+            },
+        )
+
+    def _load_level(self, action: BecomeSpatialAction) -> None:
+        """Make the level spatial in the tenant schema and give its
+        members the geo source's geometries, checked against the declared
+        type before any is written.  A target that names no level loads
+        nothing; the action reports it when it runs."""
+        steps = list(action.element.steps)
+        if steps and steps[-1] == GEOMETRY_ATTRIBUTE:
+            steps = steps[:-1]
+        try:
+            resolved = self.geomd_schema.resolve(steps)
+        except SchemaError:  # lint-ok: swallowed-error - the action raises it at login
+            return
+        if not isinstance(resolved, ResolvedLevel):
+            return
+        dimension, level = resolved.dimension.name, resolved.level.name
+        level_ref = f"{dimension}.{level}"
+        declared = action.geometric_type.value
+        source = self.geo_source
+        geometries = (
+            source.level_geometries(dimension, level) if source is not None else None
+        ) or {}
+        members = [
+            (member, geometries[member.key])
+            for member in self.star.dimension_table(dimension).members(level)
+            if member.key in geometries
+        ]
+        for member, geometry in members:
+            if not declared.accepts(geometry):
+                raise PersonalizationError(
+                    f"external geometry for {member.key!r} is a "
+                    f"{geometry.geom_type}, but {level_ref} was declared "
+                    f"{declared.name}"
+                )
+        self.geomd_schema.become_spatial(level_ref, declared)
+        for member, geometry in members:
+            member.attributes[GEOMETRY_ATTRIBUTE] = geometry
+        if members:
+            # An in-place update: the level's geometry index is rebuilt.
+            self.star.note_member_change(dimension, op="update")
 
     def rule(self, name: str) -> RegisteredRule:
         for registered in self.rules:
@@ -419,32 +512,36 @@ class PersonalizationEngine:
         """Open an analysis session and fire SessionStart rules.
 
         Schema rules run before instance rules, implementing the two-step
-        process of Fig. 1 within a single trigger.
+        process of Fig. 1 within a single trigger.  The session starts on
+        the base schema; its schema actions move it to its set's.  The
+        first login attaches the star's history.
         """
-        profile.open_session(location)
-        context = RuntimeContext(
-            user_profile=profile,
-            md_schema=self.geomd_schema,
-            geomd_schema=self.geomd_schema,
-            star=self.star,
-            parameters=dict(self.parameters),
-            metric=self.metric,
-            snap_tolerance=self.snap_tolerance,
-            geo_source=self.geo_source,
-            selection=SelectionSet(),
-        )
-        session = PersonalizedSession(
-            engine=self, profile=profile, context=context
-        )
-        session.outcomes.extend(
-            self._run_event(
-                context,
-                SessionStartEvent(),
-                phases=(RulePhase.SCHEMA, RulePhase.INSTANCE),
+        with self._lock:
+            StarHistory.attach(self.star)
+            profile.open_session(location)
+            base = self.schemas.base
+            context = RuntimeContext(
+                user_profile=profile,
+                md_schema=base,
+                geomd_schema=base,
+                star=self.star,
+                parameters=dict(self.parameters),
+                metric=self.metric,
+                snap_tolerance=self.snap_tolerance,
+                schemas=self.schemas,
+                selection=SelectionSet(),
             )
-        )
-        for hook in self._session_hooks:
-            hook(session)
+            session = PersonalizedSession(
+                engine=self, profile=profile, context=context
+            )
+            session.outcomes.extend(
+                self._run_event(
+                    context,
+                    SessionStartEvent(),
+                    phases=(RulePhase.SCHEMA, RulePhase.INSTANCE),
+                )
+            )
+            self.sessions_started += 1
         return session
 
     # -- internal firing ---------------------------------------------------------

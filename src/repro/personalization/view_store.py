@@ -23,13 +23,14 @@ related work describes):
   mutations now dispatch on their delta too: a view's ``fact_rows``
   depend only on member *existence and parent links* of the dimensions
   its selection references (never on features, layers or member
-  attributes), so feature mutations and schema patches carry every
+  attributes), so feature mutations and layer adds carry every
   entry, a member mutation carries the entries whose selection does not
   reference the mutated dimension (the PR 9 bugfix — these used to be
   thrown away), a member *add* inside a referenced dimension carries the
   entry and re-derives its patch filter (a new leaf cannot be referenced
   by any existing fact row), and only a member *update* inside a
-  referenced dimension still drops the entry.
+  referenced dimension still drops the entry.  A view carries no
+  schema, so sessions with different schema sets share it.
 * **Bounds and transparency** — the store is LRU-bounded (``max_size``)
   and thread-safe; every engine owns one.  Sessions over a star whose
   :attr:`~repro.storage.star.StarSchema.oracle` switch is set bypass it,
@@ -58,7 +59,6 @@ from repro.concurrency import make_rlock
 from repro.storage.star import StarMutation, StarSchema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.geomd.schema import GeoMDSchema
     from repro.personalization.engine import PersonalizedView
     from repro.prml.evaluator import SelectionSet
 
@@ -115,11 +115,7 @@ class ViewStore:
     # -- lookup / build -------------------------------------------------------
 
     def get_or_build(
-        self,
-        star: StarSchema,
-        schema: "GeoMDSchema",
-        fact: str,
-        selection: "SelectionSet",
+        self, star: StarSchema, fact: str, selection: "SelectionSet"
     ) -> "PersonalizedView":
         """The shared view for ``(fact, selection content, star state)``.
 
@@ -147,9 +143,9 @@ class ViewStore:
             # whose selection still fingerprints to the old key).
             frozen = selection.snapshot()
             key = (fact, frozen.fingerprint(), star.generation)
-            view = self._fetch(key, star, schema)
+            view = self._fetch(key, star)
             if view is None:
-                view = self._build(star, schema, fact, frozen)
+                view = self._build(star, fact, frozen)
                 self.builds += 1
                 self._publish(key, view)
             self._entries[key] = _Entry(view)
@@ -157,7 +153,7 @@ class ViewStore:
             return view
 
     def _fetch(  # guarded-by-caller: _lock
-        self, key: _Key, star: StarSchema, schema: "GeoMDSchema"
+        self, key: _Key, star: StarSchema
     ) -> "PersonalizedView | None":
         """A view for ``key`` that another store already built, or
         ``None``.  The in-heap store shares with no one; the
@@ -168,11 +164,7 @@ class ViewStore:
         """Offer a fresh build to other stores (no-op in-heap)."""
 
     def _build(
-        self,
-        star: StarSchema,
-        schema: "GeoMDSchema",
-        fact: str,
-        frozen: "SelectionSet",
+        self, star: StarSchema, fact: str, frozen: "SelectionSet"
     ) -> "PersonalizedView":
         """Materialize from an already-frozen selection (the stored view
         must not alias live session state — the session keeps mutating
@@ -185,7 +177,6 @@ class ViewStore:
             fact_rows = frozen.fact_row_ids(star, fact)
         return PersonalizedView(
             star=star,
-            schema=schema,
             selection=frozen,
             fact_rows=fact_rows,
             fact=fact,
@@ -204,9 +195,8 @@ class ViewStore:
             # on features — every entry survives as-is.
             self._carry_all(mutation)
         elif mutation.kind == "schema" and mutation.is_schema_patch:
-            # AddLayer / BecomeSpatial change the schema, not membership;
-            # row sets are unaffected (a geometry backfill arrives as a
-            # separate member-update mutation and is handled above).
+            # A layer add changes the schema, not membership; row sets
+            # are unaffected.
             self._carry_all(mutation)
         else:
             self.invalidate()
@@ -312,7 +302,6 @@ class ViewStore:
             return view
         return PersonalizedView(
             star=view.star,
-            schema=view.schema,
             selection=selection,
             fact_rows=view.fact_rows + fresh,
             fact=view.fact,

@@ -7,11 +7,18 @@ The evaluator executes a rule body (the engine in
   user profile, ``MD.``/``GeoMD.`` paths resolve to member/feature
   collections, loop variables hold bound members/features;
 * ``SetContent`` writes through the user profile;
-* ``BecomeSpatial``/``AddLayer`` mutate the GeoMD schema (and backfill
-  geometry from the bound :class:`GeoDataSource`, standing in for the
-  external geographic providers the paper assumes — SDIs, geo-portals);
+* ``BecomeSpatial``/``AddLayer`` write nothing: the tenant loaded the
+  layer or level when the rule was registered, and the action switches
+  the context's ``geomd_schema`` to the tenant's shared schema for the
+  session's set of added layers and spatial levels
+  (:class:`~repro.geomd.schema.SchemaSets`);
 * ``SelectInstance`` accumulates into a :class:`SelectionSet`, which the
   personalization engine later turns into a fact-row selection.
+
+Every read follows the session's schema: a layer it lacks does not
+resolve, and a member of a level it has not made spatial shows no
+geometry (checked once per level, when the level's members are bound),
+whatever the star holds.
 
 Statements are interpreted node by node, with one exception: a
 ``Foreach`` of Example 5.2's shape (select the members of one level
@@ -36,7 +43,7 @@ from repro.errors import (
     StorageError,
     UserModelError,
 )
-from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema
+from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema, SchemaSets
 from repro.geometry import Geometry, LineString, Metric, PlanarMetric, Point, Polygon
 from repro.geometry.index import candidate_probe, distance_prefilter_sound
 from repro.mdm.model import MDSchema, ResolvedLevel
@@ -86,14 +93,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundMember:
-    """A dimension member bound to a loop variable (carries its origin)."""
+    """A dimension member bound to a loop variable (carries its origin).
+
+    ``spatial`` says whether the session's schema makes the member's
+    level spatial; when it does not, the member shows no geometry even
+    though the tenant loaded one.
+    """
 
     member: Member
     dimension: str
+    spatial: bool
 
     @property
     def key(self) -> str:
         return self.member.key
+
+    @property
+    def geometry(self) -> Geometry | None:
+        return self.member.geometry if self.spatial else None
 
 
 @dataclass(frozen=True)
@@ -306,9 +323,11 @@ class SelectionSet:
 class GeoDataSource(Protocol):
     """External geographic data provider (SDI / geo-portal stand-in).
 
-    ``AddLayer``/``BecomeSpatial`` pull geometry from here — the paper's
-    layers describe data "external to the domain" that the warehouse does
-    not itself store.
+    The engine loads the layers and level geometries a rule's
+    ``AddLayer``/``BecomeSpatial`` actions name from here when the rule
+    is registered — the paper's layers describe data "external to the
+    domain" that the warehouse does not itself store.  Rule execution
+    never reads it.
     """
 
     def layer_features(
@@ -326,7 +345,11 @@ class GeoDataSource(Protocol):
 
 @dataclass
 class RuntimeContext:
-    """Everything a rule execution can read or mutate."""
+    """Everything a rule execution can read or mutate.
+
+    ``geomd_schema`` is the session's schema: ``schemas``' shared schema
+    for the set ``schema_set`` names.  Schema actions need ``schemas``.
+    """
 
     user_profile: UserProfile
     md_schema: MDSchema
@@ -335,7 +358,8 @@ class RuntimeContext:
     parameters: dict[str, object] = field(default_factory=dict)
     metric: Metric = field(default_factory=PlanarMetric)
     snap_tolerance: float = 1.0
-    geo_source: GeoDataSource | None = None
+    schemas: SchemaSets | None = None
+    schema_set: tuple[str, ...] = ()
     selection: SelectionSet = field(default_factory=SelectionSet)
 
 
@@ -530,8 +554,9 @@ class Evaluator:
 
         Returns False, and the caller runs the loop, for any other shape;
         with :attr:`StarSchema.oracle` set; for a non-planar metric;
-        for a layer, an empty level or a member whose geometry is missing
-        or not a point, line or polygon; and when ``X`` or ``d`` does not
+        for a layer, a level the session's schema has not made spatial,
+        an empty level or a member whose geometry is missing or not a
+        point, line or polygon; and when ``X`` or ``d`` does not
         evaluate to a geometry the first member can be measured against
         and a finite, non-negative number.  The loop then raises the
         interpreter's own errors, in its own order.
@@ -551,6 +576,8 @@ class Evaluator:
             dimension, level = resolved.dimension.name, resolved.level.name
             members = context.star.dimension_table(dimension).members(level)
         except (PRMLRuntimeError, StorageError):
+            return False
+        if not self._is_spatial(dimension, level):
             return False
         geometries = [member.attributes.get(GEOMETRY_ATTRIBUTE) for member in members]
         if not members or not {type(g) for g in geometries} <= _PRIMITIVE_TYPES:
@@ -594,9 +621,8 @@ class Evaluator:
         steps = list(stmt.element.steps)
         if steps and steps[-1] == GEOMETRY_ATTRIBUTE:
             steps = steps[:-1]
-        schema = self.context.geomd_schema
         try:
-            resolved = schema.resolve(steps)
+            resolved = self.context.geomd_schema.resolve(steps)
         except SchemaError as exc:
             raise PRMLRuntimeError(
                 f"BecomeSpatial target {stmt.element}: {exc}"
@@ -606,85 +632,32 @@ class Evaluator:
                 f"BecomeSpatial target {stmt.element} must name a level"
             )
         level_ref = f"{resolved.dimension.name}.{resolved.level.name}"
-        newly_spatial = level_ref not in schema.spatial_levels
-        schema.become_spatial(level_ref, stmt.geometric_type.value)
-        if newly_spatial:
-            self.context.star.note_schema_change(
-                op="become_spatial",
-                payload={
-                    "level": level_ref,
-                    "geometric_type": stmt.geometric_type.value.name,
-                },
-            )
+        self._add_to_schema(f"level:{level_ref}")
         outcome.levels_spatialized.append(level_ref)
         outcome.fired_actions += 1
-        # Backfill member geometries from the external source.
-        source = self.context.geo_source
-        if source is None:
-            return
-        geometries = source.level_geometries(
-            resolved.dimension.name, resolved.level.name
-        )
-        if geometries is None:
-            return
-        table = self.context.star.dimension_table(resolved.dimension.name)
-        declared = stmt.geometric_type.value
-        backfilled = False
-        for member in table.members(resolved.level.name):
-            geometry = geometries.get(member.key)
-            if geometry is None:
-                continue
-            if not declared.accepts(geometry):
-                raise PRMLRuntimeError(
-                    f"external geometry for {member.key!r} is a "
-                    f"{geometry.geom_type}, but {level_ref} was declared "
-                    f"{declared.name}"
-                )
-            existing = member.attributes.get(GEOMETRY_ATTRIBUTE)
-            if existing is not geometry and existing != geometry:
-                member.attributes[GEOMETRY_ATTRIBUTE] = geometry
-                backfilled = True
-        # The backfill mutates members in place, bypassing the star's
-        # insert hooks — invalidate its member-derived caches explicitly
-        # (but not when an idempotent re-run wrote nothing new, so one
-        # session's SessionStart cannot evict every other session's
-        # caches).
-        if backfilled:
-            # An in-place update, not an add: roll-up structure is
-            # untouched but geometry attributes changed, so this takes
-            # the full per-dimension invalidation path (and forces an
-            # eager history checkpoint — it cannot be replayed).
-            self.context.star.note_member_change(
-                resolved.dimension.name, op="update"
-            )
 
     def _exec_add_layer(self, stmt: AddLayerAction, outcome: RuleOutcome) -> None:
         name = stmt.layer_name.value
-        self.context.geomd_schema.add_layer(name, stmt.geometric_type.value)
-        table = self.context.star.ensure_layer_table(name)
+        self._add_to_schema(f"layer:{name}")
         outcome.layers_added.append(name)
         outcome.fired_actions += 1
-        source = self.context.geo_source
-        if source is None or len(table):
-            return
-        features = source.layer_features(name)
-        if features is None:
-            return
-        for feature_name, geometry, attributes in features:
-            table.add_feature(feature_name, geometry, attributes)
-        if features:
-            # One bulk mutation for the whole load, carrying the feature
-            # tuples so the history can replay the load for as-of reads.
-            self.context.star.note_feature_change(
-                name,
-                op="bulk",
-                payload={
-                    "features": [
-                        (feature_name, geometry, dict(attributes or {}))
-                        for feature_name, geometry, attributes in features
-                    ]
-                },
+
+    def _add_to_schema(self, item: str) -> None:
+        """Switch the session to the shared schema of its set plus one
+        layer or level (loaded into the star at registration)."""
+        context = self.context
+        if context.schemas is None:
+            raise PRMLRuntimeError(f"cannot add {item}: the context has no schema sets")
+        try:
+            context.schema_set, context.geomd_schema = context.schemas.with_item(
+                context.schema_set, item
             )
+        except SchemaError as exc:
+            raise PRMLRuntimeError(str(exc)) from exc
+
+    def _is_spatial(self, dimension: str, level: str) -> bool:
+        """Whether the session's schema makes ``dimension.level`` spatial."""
+        return f"{dimension}.{level}" in self.context.geomd_schema.spatial_levels
 
     # -- expression evaluation ------------------------------------------------------
 
@@ -732,7 +705,7 @@ class Evaluator:
         step = expr.steps[0]
         if isinstance(value, BoundMember):
             if step == GEOMETRY_ATTRIBUTE:
-                geometry = value.member.geometry
+                geometry = value.geometry
                 if geometry is None:
                     raise PRMLRuntimeError(
                         f"member {value.member.key!r} has no geometry; did "
@@ -769,10 +742,11 @@ class Evaluator:
             layer = path.steps[0]
             table = self.context.star.layer_table(layer)
             return [BoundFeature(f, layer) for f in table.features()]
-        table = self.context.star.dimension_table(resolved.dimension.name)
+        dimension, level = resolved.dimension.name, resolved.level.name
+        spatial = self._is_spatial(dimension, level)
         return [
-            BoundMember(m, resolved.dimension.name)
-            for m in table.members(resolved.level.name)
+            BoundMember(m, dimension, spatial)
+            for m in self.context.star.dimension_table(dimension).members(level)
         ]
 
     def _resolve_level(self, path: PathExpr) -> ResolvedLevel | None:
@@ -804,7 +778,7 @@ class Evaluator:
         if isinstance(value, (Geometry, LineAnchoredCollection)):
             return value
         if isinstance(value, BoundMember):
-            geometry = value.member.geometry
+            geometry = value.geometry
             if geometry is None:
                 raise PRMLRuntimeError(
                     f"member {value.member.key!r} (from {origin}) has no "

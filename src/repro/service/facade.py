@@ -13,33 +13,42 @@ the uniform error envelope.  The service owns:
   backend-backed subclass (TTL, eviction, thread-safety);
 * the analysis operations themselves (profile, schema, view, GeoMDQL
   query, spatial-selection events, instance-rule rerun, layer export)
-  with ``limit``/``offset`` pagination on list-shaped results;
+  with ``limit``/``offset`` pagination on list-shaped results.  Each
+  reads the session's personalized schema
+  (``session.context.geomd_schema``): schema rules personalize the
+  session, never the tenant, and no request writes the star;
 * a small LRU cache over query *results* keyed on ``(datamart,
-  stripped query text, selection fingerprint, as_of, star generation)``
-  — the view store's protocol: any mutation of the star moves its
-  generation, so every live entry of the tenant becomes unreachable and
-  a hit is served as it is.  As-of answers are immutable history and
-  key on ``as_of`` alone.  The selection fingerprint is the *content*
-  identity of the session's selection: two sessions of one tenant whose
-  personalization landed on the same instances share a cache entry,
-  while the datamart name keeps tenants strictly apart.  Cached payload
-  rows are frozen as tuples so a consumer mutating a returned row can
-  never poison later hits.  A tenant whose star has its
+  stripped query text, selection fingerprint, schema set, as_of, star
+  generation)`` — the view store's protocol: any mutation of the star
+  moves its generation, so every live entry of the tenant becomes
+  unreachable and a hit is served as it is.  As-of answers are
+  immutable history and key on ``as_of`` alone.  The selection
+  fingerprint is the *content* identity of the session's selection and
+  the schema set names the session's added layers and spatial levels:
+  two sessions of one tenant whose personalization landed on the same
+  instances and schema share a cache entry, while the datamart name
+  keeps tenants strictly apart.  Cached payload rows are frozen as
+  tuples so a consumer mutating a returned row can never poison later
+  hits.  A tenant whose star has its
   :attr:`~repro.storage.star.StarSchema.oracle` switch set bypasses it.
+
+Logins are serialized by each engine's own lock, and each engine counts
+the sessions started on it (rehydrations included).  A login's,
+logout's or rerun's ``rules_fired`` names the rules that fired at least
+one action; a rule whose condition failed or that errored is left out.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.concurrency import make_lock
 from repro.errors import BadRequestError, PRMLError, QueryError, UnauthorizedError
 from repro.geometry import Point
 from repro.olap.gmdql import parse_query
 from repro.olap.query import execute
 from repro.personalization.engine import PersonalizationEngine, PersonalizedSession
+from repro.prml.evaluator import RuleOutcome
 from repro.reco import Recommender, WorkloadJournal
 from repro.service.dtos import (
     DatamartInfo,
@@ -56,10 +65,15 @@ from repro.service.dtos import (
     SelectionRequest,
     SelectionResult,
 )
-from repro.service.registry import Datamart, DatamartRegistry
+from repro.service.registry import DatamartRegistry
 from repro.service.sessions import InMemorySessionStore, SessionRecord
 
 __all__ = ["PersonalizationService", "CellSetPayload"]
+
+
+def _fired(outcomes: Iterable[RuleOutcome]) -> list[str]:
+    """The names of the rules that fired at least one action."""
+    return [o.rule_name for o in outcomes if o.fired_actions > 0]
 
 
 def _hit_rate(hits: int, misses: int) -> float | None:
@@ -126,16 +140,6 @@ class PersonalizationService:
         #: Tokens whose live session the store lacks resolve through a
         #: login-equivalent rebuild (persisted stores only).
         self.sessions.resolver = self._rehydrate_session
-        # guarded-by: _lock
-        self._sessions_started: dict[str, int] = {}
-        # guarded-by: _lock
-        self._hooked_engines: set[int] = set()
-        #: Guards hook registration and the per-tenant counters; engines
-        #: themselves are not thread-safe, so logins are serialized per
-        #: engine and same-token requests per session record.
-        self._lock = make_lock("PersonalizationService._lock")
-        # guarded-by: _lock
-        self._engine_locks: dict[int, threading.Lock] = {}
         #: A ThreadSafeLRU (backend-backed: entries shared across workers).
         self._query_cache = (
             query_cache
@@ -159,11 +163,7 @@ class PersonalizationService:
         """Open a personalized session on the requested datamart."""
         datamart = self.registry.get(request.datamart)
         profile = datamart.profile(request.user)
-        self._ensure_hooked(datamart)
-        with self._engine_lock(datamart.engine):
-            session = datamart.engine.start_session(
-                profile, location=request.location
-            )
+        session = datamart.engine.start_session(profile, location=request.location)
         # The journaling opt-out travels with the session record, not the
         # user: a later login may opt back in and resume the history.  The
         # login location rides along so a persistent store can rebuild
@@ -186,7 +186,7 @@ class PersonalizationService:
             token=record.token,
             user=request.user,
             datamart=datamart.name,
-            rules_fired=[o.rule_name for o in session.outcomes],
+            rules_fired=_fired(session.outcomes),
             view=self._view_stats(session),
             journal=request.journal,
         )
@@ -196,9 +196,7 @@ class PersonalizationService:
         with record.lock:
             outcomes = record.session.end()
             self.sessions.remove(record.token)
-        return LogoutResult(
-            ended=True, rules_fired=[o.rule_name for o in outcomes]
-        )
+        return LogoutResult(ended=True, rules_fired=_fired(outcomes))
 
     # -- analysis operations ------------------------------------------------------
 
@@ -210,9 +208,8 @@ class PersonalizationService:
     def schema(self, token: str | None) -> dict:
         record = self._record(token)
         with record.lock:
-            # The personalized schema is the session context's GeoMD
-            # schema (the view only carries a reference to it) — no need
-            # to materialize fact rows, and multi-fact stars stay valid.
+            # The session's shared schema for its set of added layers
+            # and spatial levels — no need to materialize fact rows.
             return record.session.context.geomd_schema.to_dict()
 
     def view_stats(self, token: str | None) -> dict:
@@ -222,7 +219,8 @@ class PersonalizationService:
 
     @staticmethod
     def _view_stats(session) -> dict:
-        """Stats of the materialized view(s).
+        """Stats of the materialized view(s), with the layers and spatial
+        levels of the session's schema.
 
         Single-fact stars (the common case) keep the flat shape; a
         multi-fact star answers with one stats block per fact under
@@ -230,9 +228,9 @@ class PersonalizationService:
         """
         facts = session.context.star.schema.facts
         if len(facts) == 1:
-            return session.view().stats()
+            return session.view_stats()
         return {
-            "facts": {name: session.view(name).stats() for name in sorted(facts)}
+            "facts": {name: session.view_stats(name) for name in sorted(facts)}
         }
 
     def query(self, token: str | None, request: QueryRequest) -> QueryResult:
@@ -258,6 +256,10 @@ class PersonalizationService:
                     # changes the fingerprint).  The datamart component
                     # keeps tenants isolated.
                     session.selection.fingerprint(),
+                    # The parse checks spatial filters against the
+                    # session's schema, so sessions with different sets
+                    # of layers and spatial levels answer apart.
+                    session.context.schema_set,
                     request.as_of,
                     # Read before the parse, the view and the scan: a row
                     # appended meanwhile files this answer under a
@@ -380,7 +382,7 @@ class PersonalizationService:
         with record.lock:
             outcomes = record.session.rerun_instance_rules()
             return RerunResult(
-                rules_fired=[o.rule_name for o in outcomes],
+                rules_fired=_fired(outcomes),
                 view=self._view_stats(record.session),
             )
 
@@ -490,15 +492,13 @@ class PersonalizationService:
                 self.query_cache_hits, self.query_cache_misses
             ),
         }
-        with self._lock:
-            sessions_started = dict(self._sessions_started)
         sanitizer = _sanitizer.current()
         return {
             "status": "ok",
             "datamarts": [
                 {
                     "name": dm.name,
-                    "sessions_started": sessions_started.get(dm.name, 0),
+                    "sessions_started": dm.engine.sessions_started,
                     "star_generation": dm.engine.star.generation,
                     # Shared materialized-view store counters.
                     "view_store": self._view_store_stats(dm.engine.view_store),
@@ -526,8 +526,6 @@ class PersonalizationService:
 
     def datamarts(self) -> list[DatamartInfo]:
         """Describe every tenant this service hosts."""
-        with self._lock:
-            sessions_started = dict(self._sessions_started)
         return [
             DatamartInfo(
                 name=dm.name,
@@ -535,14 +533,14 @@ class PersonalizationService:
                 default=dm.name == self.registry.default_name,
                 users=len(dm.profiles),
                 rules=len(dm.engine.rules),
-                sessions_started=sessions_started.get(dm.name, 0),
+                sessions_started=dm.engine.sessions_started,
             )
             for dm in sorted(self.registry, key=lambda d: d.name)
         ]
 
     def sessions_started(self, datamart: str) -> int:
-        with self._lock:
-            return self._sessions_started.get(datamart, 0)
+        """Sessions started on the tenant's engine (rehydrations included)."""
+        return self.registry.get(datamart).engine.sessions_started
 
     @staticmethod
     def _view_store_stats(view_store) -> dict:
@@ -611,22 +609,22 @@ class PersonalizationService:
         issued the token, or this worker spilled the live session).
 
         A login-equivalent engine call — SessionStart rules fire against
-        the user's profile and login location — followed by a replay of
-        the selection reports the record logged, so the rehydrated
-        session's selection *content* (and therefore its fingerprint,
-        its shared view and its query-cache keys) matches the original.
+        the user's profile and login location, re-deriving the session's
+        schema set, and the engine counts a started session — followed
+        by a replay of the selection reports the record logged, so the
+        rehydrated session's selection *content* (and therefore its
+        fingerprint, its shared view and its query-cache keys) matches
+        the original.
         """
         datamart = self.registry.get(datamart_name)
         profile = datamart.profile(user_id)
-        self._ensure_hooked(datamart)
         coordinates = meta.get("location")
         location = (
             Point(coordinates[0], coordinates[1])
             if isinstance(coordinates, (list, tuple)) and len(coordinates) == 2
             else None
         )
-        with self._engine_lock(datamart.engine):
-            session = datamart.engine.start_session(profile, location=location)
+        session = datamart.engine.start_session(profile, location=location)
         for report in meta.get("selections", ()):
             if isinstance(report, (list, tuple)) and len(report) == 2:
                 session.record_spatial_selection(report[0], report[1])
@@ -646,25 +644,3 @@ class PersonalizationService:
                 "session already ended", code="invalid_session"
             )
         return record
-
-    def _engine_lock(self, engine: PersonalizationEngine) -> threading.Lock:
-        """One lock per engine: start_session mutates shared engine state."""
-        with self._lock:
-            return self._engine_locks.setdefault(id(engine), threading.Lock())
-
-    def _ensure_hooked(self, datamart: Datamart) -> None:
-        """Attach a session-start hook to count sessions per tenant."""
-        engine: PersonalizationEngine = datamart.engine
-        name = datamart.name
-
-        def _count(_session: PersonalizedSession) -> None:
-            with self._lock:
-                self._sessions_started[name] = (
-                    self._sessions_started.get(name, 0) + 1
-                )
-
-        with self._lock:
-            if id(engine) in self._hooked_engines:
-                return
-            engine.add_session_hook(_count)
-            self._hooked_engines.add(id(engine))

@@ -1,11 +1,12 @@
 """In-memory star-schema storage for (Geo)MD schemas.
 
 Dimension tables with explicit roll-up links, columnar fact tables,
-geographic layer tables, referential-integrity checks, roll-up caches
-and JSON snapshot persistence.
+geographic layer tables, referential-integrity checks and roll-up
+caches.  A star is rebuilt, not restored: it is a function of the world,
+the registered rules and the ingested rows.
 """
 
-from repro.storage.snapshot import load_star, save_star, star_from_dict, star_to_dict
+from repro.storage.snapshot import star_to_dict
 from repro.storage.star import StarMutation, StarSchema
 from repro.storage.tables import (
     DimensionTable,
@@ -23,8 +24,5 @@ __all__ = [
     "Member",
     "StarMutation",
     "StarSchema",
-    "load_star",
-    "save_star",
-    "star_from_dict",
     "star_to_dict",
 ]

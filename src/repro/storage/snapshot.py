@@ -1,48 +1,39 @@
-"""JSON snapshots of loaded star schemas, and generation time travel.
-
-The repository side of the warehouse: a loaded (and possibly already
-personalized) star — schema, dimension members with roll-up links and
-geometries, fact columns, layer features — serializes to one JSON
-document and loads back bit-identically.  Geometries travel as WKT inside
-a ``{"__wkt__": ...}`` wrapper so plain JSON tooling can still read the
-files.
+"""Generation time travel over a live star, and its equality oracle.
 
 :class:`StarHistory` answers **as-of-generation reads** (the Iceberg
-time-travel idiom) without this serialization: it listens to the star's
-mutation stream, keeps generation-stamped checkpoints as
-:meth:`~repro.storage.star.StarSchema.copy` copies of the star (eagerly
-after every mutation that has no replayable delta, periodically
-otherwise), and answers :meth:`StarHistory.as_of` by copying the newest
-checkpoint at or before the requested generation and replaying the
-mutation log's typed deltas forward onto the copy.  Copies and replay
-preserve insertion order end to end — member levels, fact row order,
-dictionary code assignment — so a query against the reconstructed star
-is bit-identical to the answer the live star gave at that generation.
-:func:`star_to_dict` and :func:`star_from_dict` serve :func:`save_star`
-and :func:`load_star`.
+time-travel idiom): it listens to the star's mutation stream, keeps
+generation-stamped checkpoints as
+:meth:`~repro.storage.star.StarSchema.copy` copies of the star (a
+baseline when it attaches, then one every ``checkpoint_interval``
+generations), and answers :meth:`StarHistory.as_of` by copying the
+newest checkpoint at or before the requested generation and replaying
+the mutation log's typed deltas forward onto the copy.  Copies and
+replay preserve insertion order end to end — member levels, fact row
+order, dictionary code assignment — so a query against the
+reconstructed star is bit-identical to the answer the live star gave at
+that generation.
+
+The star has no persistence path: it is a function of the world, the
+registered rules and the ingested rows.  :func:`star_to_dict` renders a
+star — schema, members with roll-up links and geometries (as WKT inside
+a ``{"__wkt__": ...}`` wrapper), fact columns, layer features — as one
+JSON-ready dict, the equality oracle of the copy and history tests.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.concurrency import make_rlock
 from repro.errors import StorageError
 from repro.geomd.gtypes_enum import GeometricType
 from repro.geomd.schema import GeoMDSchema
-from repro.geometry import Geometry, wkt_dumps, wkt_loads
+from repro.geometry import Geometry, wkt_dumps
 from repro.lru import ThreadSafeLRU
-from repro.mdm.model import MDSchema
 from repro.storage.star import StarMutation, StarSchema, thaw_mapping
 
 __all__ = [
     "HistoryError",
     "StarHistory",
     "star_to_dict",
-    "star_from_dict",
-    "save_star",
-    "load_star",
 ]
 
 
@@ -58,14 +49,8 @@ def _encode_value(value: object) -> object:
     return value
 
 
-def _decode_value(value: object) -> object:
-    if isinstance(value, dict) and set(value) == {_WKT_KEY}:
-        return wkt_loads(value[_WKT_KEY])
-    return value
-
-
 def star_to_dict(star: StarSchema) -> dict:
-    """Serialize a loaded star schema to a JSON-ready dict."""
+    """Render a loaded star schema as a JSON-ready dict."""
     schema = star.schema
     data: dict = {
         "schema": schema.to_dict(),
@@ -122,111 +107,6 @@ def star_to_dict(star: StarSchema) -> dict:
     return data
 
 
-def star_from_dict(data: dict) -> StarSchema:
-    """Rebuild a star schema (and its contents) from a snapshot dict."""
-    if data.get("schema_kind") == "geomd":
-        schema: MDSchema = GeoMDSchema.from_dict(data["schema"])
-    else:
-        schema = MDSchema.from_dict(data["schema"])
-    star = StarSchema(schema)
-
-    for dim_name, levels in data["dimensions"].items():
-        dimension = schema.dimension(dim_name)
-        # Parents must exist before children: insert levels coarsest-first
-        # (reverse of any hierarchy path order containing them).
-        ordered: list[str] = []
-        remaining = set(levels)
-        while remaining:
-            progressed = False
-            for level_name in sorted(remaining):
-                parents = {
-                    coarser
-                    for h in dimension.hierarchies.values()
-                    for finer, coarser in h.rollup_edges()
-                    if finer == level_name
-                }
-                if parents <= set(ordered):
-                    ordered.append(level_name)
-                    remaining.discard(level_name)
-                    progressed = True
-            if not progressed:
-                raise StorageError(
-                    f"snapshot dimension {dim_name!r} has an unsatisfiable "
-                    f"level order"
-                )
-        for level_name in ordered:
-            for member_data in levels[level_name]:
-                star.add_member(
-                    dim_name,
-                    level_name,
-                    member_data["key"],
-                    {
-                        name: _decode_value(value)
-                        for name, value in member_data["attributes"].items()
-                    },
-                    parents=member_data["parents"],
-                )
-
-    for fact_name, fact_data in data["facts"].items():
-        if "codes" in fact_data:
-            # Dictionary-encoded format: decode each dimension's code
-            # column through its interned key list.
-            dictionaries = fact_data["dictionaries"]
-            keys = {}
-            for dim, codes in fact_data["codes"].items():
-                interned = dictionaries.get(dim, [])
-                try:
-                    keys[dim] = [interned[code] for code in codes]
-                except (IndexError, TypeError):
-                    raise StorageError(
-                        f"snapshot fact {fact_name!r}: code column for "
-                        f"{dim!r} references codes beyond its dictionary "
-                        f"({len(interned)} keys)"
-                    ) from None
-        else:
-            keys = fact_data["keys"]  # legacy row-keys format
-        measures = fact_data["measures"]
-        dims = list(keys)
-        measure_names = list(measures)
-        counts = {len(column) for column in keys.values()} | {
-            len(column) for column in measures.values()
-        }
-        if len(counts) > 1:
-            raise StorageError(
-                f"snapshot fact {fact_name!r} has ragged columns: {counts}"
-            )
-        star.insert_facts(
-            fact_name,
-            [
-                (
-                    {dim: keys[dim][row] for dim in dims},
-                    {m: measures[m][row] for m in measure_names},
-                )
-                for row in range(next(iter(counts), 0))
-            ],
-        )
-
-    for layer_name, features in data["layers"].items():
-        table = star.ensure_layer_table(layer_name)
-        for feature in features:
-            table.add_feature(
-                feature["name"],
-                wkt_loads(feature["wkt"]),
-                feature["attributes"],
-            )
-    return star
-
-
-def save_star(star: StarSchema, path: str | Path) -> None:
-    """Write a star snapshot as JSON."""
-    Path(path).write_text(json.dumps(star_to_dict(star), sort_keys=True))
-
-
-def load_star(path: str | Path) -> StarSchema:
-    """Load a star snapshot written by :func:`save_star`."""
-    return star_from_dict(json.loads(Path(path).read_text()))
-
-
 #: Checkpoints a :class:`StarHistory` keeps (the oldest is dropped first).
 MAX_CHECKPOINTS = 8
 
@@ -243,23 +123,20 @@ class StarHistory:
     each a :meth:`StarSchema.copy` of the star at the generation it
     captured:
 
-    * a **baseline** checkpoint at attach time;
-    * an **eager** checkpoint after every mutation that carries no
-      replayable delta (in-place member updates, payload-less
-      degradations).  It runs as a mutation listener, so it captures
-      the star with the mutation applied: the log cannot reproduce
-      such a mutation, so the checkpoint re-anchors answerability;
+    * a **baseline** checkpoint at attach time (an engine attaches on
+      first use, after registration loaded the tenant);
     * a **periodic** checkpoint every ``checkpoint_interval`` generations
-      so replay chains stay bounded under pure-delta churn.
+      so replay chains stay bounded.
 
     :meth:`as_of` answers a read at generation ``g`` by copying the
     newest checkpoint at or before ``g`` and replaying the retained
     mutation-log deltas forward onto the copy; the last
     :data:`MAX_RECONSTRUCTIONS` reconstructions are cached.  Retention
     is explicit: a request older than the oldest checkpoint, or whose
-    replay range has been evicted from the bounded log, raises
-    :class:`HistoryError` (mapped to the API error envelope as
-    ``as_of_unavailable``).
+    replay range has been evicted from the bounded log or crosses a
+    mutation that carries no replayable delta (an in-place member
+    update, a payload-less degradation), raises :class:`HistoryError`
+    (mapped to the API error envelope as ``as_of_unavailable``).
     """
 
     def __init__(self, star: StarSchema, *, checkpoint_interval: int = 4096) -> None:
@@ -296,9 +173,6 @@ class StarHistory:
     # -- checkpointing --------------------------------------------------------
 
     def _on_mutation(self, mutation: StarMutation) -> None:
-        if not mutation.is_replayable:
-            self._take_checkpoint()
-            return
         with self._lock:
             newest = max(self._checkpoints, default=-1)
         if mutation.generation - newest >= self.checkpoint_interval:
@@ -439,14 +313,11 @@ class StarHistory:
             schema = star.schema
             if not isinstance(schema, GeoMDSchema):
                 raise HistoryError(
-                    "cannot replay a schema patch onto a non-GeoMD star"
+                    "cannot replay a layer add onto a non-GeoMD star"
                 )
-            geometric_type = GeometricType[str(payload["geometric_type"])]
-            if mutation.op == "add_layer":
-                schema.add_layer(str(payload["layer"]), geometric_type)
-                star.ensure_layer_table(str(payload["layer"]))
-            else:
-                schema.become_spatial(str(payload["level"]), geometric_type)
+            layer = str(payload["layer"])
+            schema.add_layer(layer, GeometricType[str(payload["geometric_type"])])
+            star.ensure_layer_table(layer)
         else:  # pragma: no cover - as_of() pre-validates replayability
             raise HistoryError(
                 f"mutation at generation {mutation.generation} "

@@ -14,9 +14,12 @@ The star is the shared substrate of every cache in the hot request path
 (memoized personalized views, the service query cache, the lazy indexes
 below), so it carries a monotonically-increasing :attr:`~StarSchema.generation`
 counter.  Every mutation — member/fact/feature inserts, layer-table
-creation, schema personalization reported through
-:meth:`note_schema_change` — bumps it; downstream caches store the
-generation they were built at and treat any difference as a miss.  The
+creation reported through :meth:`note_schema_change`, in-place member
+updates — bumps it; downstream caches store the generation they were
+built at and treat any difference as a miss.  A tenant's rules write
+the star only when they are registered (the layers and level
+geometries their schema actions name); serving never writes it, so
+besides registration only ingest moves the generation.  The
 lazy structures owned here (the inverted roll-up index, the leaf-code
 roll-up translation tables, the per-layer and per-level
 :class:`~repro.geometry.index.EnvelopeColumns` envelope columns) are
@@ -128,8 +131,8 @@ class StarMutation:
 
     ``generation`` is the star generation *after* the mutation.  Fact
     appends carry the appended ``row_ids``; member/feature adds and
-    schema personalization patches carry their delta in ``payload``
-    (a :func:`freeze_payload` tuple) tagged by ``op``.  Downstream caches
+    layer adds carry their delta in ``payload`` (a
+    :func:`freeze_payload` tuple) tagged by ``op``.  Downstream caches
     patch through these deltas; a mutation whose caller could not name
     the delta (``op is None``) degrades to the pre-log behaviour — a
     full invalidation of the affected scope.
@@ -141,7 +144,7 @@ class StarMutation:
     layer: str | None = None
     fact: str | None = None
     row_ids: tuple[int, ...] = ()
-    op: str | None = None  # "add" | "update" | "append" | "add_layer" | "become_spatial"
+    op: str | None = None  # "add" | "update" | "append" | "bulk" | "add_layer"
     payload: tuple = ()
 
     @property
@@ -166,20 +169,15 @@ class StarMutation:
 
     @property
     def is_schema_patch(self) -> bool:
-        """True for an AddLayer/BecomeSpatial patch carrying its arguments."""
-        return (
-            self.kind == "schema"
-            and self.op in ("add_layer", "become_spatial")
-            and bool(self.payload)
-        )
+        """True for a layer add carrying its name and geometric type."""
+        return self.kind == "schema" and self.op == "add_layer" and bool(self.payload)
 
     @property
     def is_replayable(self) -> bool:
         """True when :class:`repro.storage.snapshot.StarHistory` can replay this.
 
-        Non-replayable mutations (in-place member updates, payload-less
-        degradations) force an eager checkpoint so as-of reads stay
-        answerable across them.
+        As-of reads cannot cross a non-replayable mutation (an in-place
+        member update, a payload-less degradation).
         """
         return (
             self.is_fact_delta
@@ -429,9 +427,9 @@ class StarSchema:
     ) -> None:
         """Record a member mutation; patch or invalidate the dimension's caches.
 
-        Called on member inserts and on in-place member mutation (the
-        ``BecomeSpatial`` geometry backfill writes member attributes
-        directly).  ``op="add"`` with a ``{"level", "key", ...}`` payload
+        Called on member inserts and on in-place member mutation (rule
+        registration writes the geometries of a ``BecomeSpatial`` level
+        into member attributes directly).  ``op="add"`` with a ``{"level", "key", ...}`` payload
         is the additive fast path: parent links are fixed at member
         creation and a brand-new member is referenced by no existing
         fact row, so every resolved roll-up stays correct — the inverted
@@ -586,11 +584,11 @@ class StarSchema:
         op: str | None = None,
         payload: Mapping[str, object] | None = None,
     ) -> None:
-        """Record a schema mutation (AddLayer / BecomeSpatial).
+        """Record a schema mutation (a layer add, from :meth:`ensure_layer_table`).
 
-        ``op``/``payload`` carry the personalization patch arguments
-        (layer or level reference plus geometric type name) so the
-        mutation log can replay the patch for as-of reads.
+        ``op``/``payload`` carry the arguments (layer name plus geometric
+        type name) so the mutation log can replay the add for as-of
+        reads.
         """
         frozen = freeze_payload(payload)
         with self._cache_lock:
@@ -646,8 +644,8 @@ class StarSchema:
     def ensure_layer_table(self, name: str) -> LayerTable:
         """Create the table for a layer added to the schema after binding.
 
-        Schema personalization can run ``AddLayer`` on a star that is
-        already loaded; the engine then materializes the table here.
+        Registering a rule whose ``AddLayer`` names a new layer adds it
+        to a loaded star's schema; the engine then creates the table here.
         """
         if name in self._layers:  # lint-ok: check-then-act - GIL-atomic fast path; the store below rechecks under the lock
             return self._layers[name]
@@ -706,7 +704,7 @@ class StarSchema:
             return
         geometry = member.geometry
         if geometry is None:
-            return  # levels may be spatialized before data is backfilled
+            return  # a level may be spatial before its geometries load
         declared = self.schema.spatial_levels[ref]
         if not declared.accepts(geometry):
             raise StorageError(

@@ -72,8 +72,8 @@ def render_session_map(
     selected_stores = selection.members.get(("Store", "Store"), set())
     widened_cities = selection.members.get(("Store", "City"), set())
 
-    # Layers present in the personalized schema.
-    schema = session.view().schema
+    # Layers present in the session's personalized schema.
+    schema = session.context.geomd_schema
     if "Train" in schema.layers:
         for line in world.train_lines:
             canvas.polyline(

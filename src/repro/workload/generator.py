@@ -43,7 +43,8 @@ STREAM_FORMAT = "repro-workload-stream/1"
 
 #: Symbolic ``as_of`` marker: the driver resolves it to the target
 #: star's generation at replay start (the stream itself never mutates
-#: the star, so the epoch read stays answerable and bit-stable).
+#: the star — no request, logins included, writes it — so the epoch
+#: read stays answerable and bit-stable).
 AS_OF_EPOCH = "epoch"
 
 

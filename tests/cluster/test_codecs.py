@@ -223,7 +223,7 @@ class TestViewEntryCodec:
     def test_round_trip(self, view, star):
         fingerprint = view.selection.fingerprint()
         encoded = encode_view_entry(view)
-        decoded = decode_view_entry(encoded, star, star.schema, fingerprint)
+        decoded = decode_view_entry(encoded, star, fingerprint)
         assert decoded.fact == view.fact
         assert decoded.fact_rows == list(view.fact_rows)
         assert decoded.selection.members == view.selection.members
@@ -234,7 +234,7 @@ class TestViewEntryCodec:
     def test_fingerprint_mismatch_rejected(self, view, star):
         encoded = encode_view_entry(view)
         with pytest.raises(CodecError):
-            decode_view_entry(encoded, star, star.schema, "sha1:not-it")
+            decode_view_entry(encoded, star, "sha1:not-it")
 
     def test_tampered_members_rejected(self, view, star):
         """Corruption the field checks miss still fails the fingerprint
@@ -244,7 +244,7 @@ class TestViewEntryCodec:
         data["members"] = data["members"][1:]  # drop one entry
         with pytest.raises(CodecError):
             decode_view_entry(
-                json.dumps(data), star, star.schema, fingerprint
+                json.dumps(data), star, fingerprint
             )
 
     def test_non_integer_fact_rows_rejected(self, view, star):
@@ -253,7 +253,7 @@ class TestViewEntryCodec:
         data["fact_rows"] = ["zero", 1]
         with pytest.raises(CodecError):
             decode_view_entry(
-                json.dumps(data), star, star.schema, fingerprint
+                json.dumps(data), star, fingerprint
             )
 
     @pytest.mark.parametrize(
@@ -261,4 +261,4 @@ class TestViewEntryCodec:
     )
     def test_corrupt_rejected(self, text, star):
         with pytest.raises(CodecError):
-            decode_view_entry(text, star, star.schema, "fp")
+            decode_view_entry(text, star, "fp")

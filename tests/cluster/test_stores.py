@@ -482,11 +482,11 @@ class TestBackendViewStore:
     def test_peer_build_is_adopted(self, backend, star, selection):
         fact = star.fact_table().fact.name
         first = BackendViewStore(backend, namespace="t", max_size=8)
-        built = first.get_or_build(star, star.schema, fact, selection)
+        built = first.get_or_build(star, fact, selection)
         assert first.stats()["builds"] == 1
         assert first.stats()["l2_publishes"] == 1
         second = BackendViewStore(backend, namespace="t", max_size=8)
-        adopted = second.get_or_build(star, star.schema, fact, selection)
+        adopted = second.get_or_build(star, fact, selection)
         assert second.stats()["builds"] == 0
         assert second.stats()["l2_hits"] == 1
         assert adopted.fact_rows == built.fact_rows
@@ -495,8 +495,8 @@ class TestBackendViewStore:
     def test_l1_hit_beats_l2(self, backend, star, selection):
         fact = star.fact_table().fact.name
         store = BackendViewStore(backend, namespace="t", max_size=8)
-        store.get_or_build(star, star.schema, fact, selection)
-        store.get_or_build(star, star.schema, fact, selection)
+        store.get_or_build(star, fact, selection)
+        store.get_or_build(star, fact, selection)
         stats = store.stats()
         assert stats["builds"] == 1
         assert stats["hits"] == 1
@@ -505,7 +505,7 @@ class TestBackendViewStore:
     def test_invalidate_clears_published_entries(self, backend, star, selection):
         fact = star.fact_table().fact.name
         store = BackendViewStore(backend, namespace="t", max_size=8)
-        store.get_or_build(star, star.schema, fact, selection)
+        store.get_or_build(star, fact, selection)
         assert backend.count("t:views") == 1
         store.invalidate()
         assert backend.count("t:views") == 0
@@ -516,10 +516,10 @@ class TestBackendViewStore:
         generation in the key is the invalidation protocol."""
         fact = star.fact_table().fact.name
         first = BackendViewStore(backend, namespace="t", max_size=8)
-        first.get_or_build(star, star.schema, fact, selection)
+        first.get_or_build(star, fact, selection)
         star.note_member_change("Store")  # bump the generation
         second = BackendViewStore(backend, namespace="t", max_size=8)
-        second.get_or_build(star, star.schema, fact, selection)
+        second.get_or_build(star, fact, selection)
         assert second.stats()["l2_hits"] == 0
         assert second.stats()["builds"] == 1
 

@@ -16,19 +16,28 @@ class TestExample51SchemaRule:
         )
         assert outcome.layers_added == ["Airport"]
         assert outcome.levels_spatialized == ["Store.Store"]
-        schema = session.view().schema
+        schema = session.context.geomd_schema
         assert schema.layer("Airport").geometric_type is GeometricType.POINT
         session.end()
 
-    def test_other_role_does_not_trigger(self, engine, user_schema):
+    def test_other_role_does_not_trigger(self, engine, profile, user_schema, world):
+        location = world.stores[0].location
+        # A regional manager logs in first on the same engine: what the
+        # rule adds for that session must not reach the analyst's.
+        engine.start_session(profile, location).end()
         analyst = build_regional_manager_profile(user_schema, name="Bob")
         analyst.set("DecisionMaker.dm2role.name", "Analyst")
-        session = engine.start_session(analyst)
+        session = engine.start_session(analyst, location)
         outcome = next(
             o for o in session.outcomes if o.rule_name == "addSpatiality"
         )
         assert outcome.fired_actions == 0
-        assert session.view().schema.layers == {}
+        schema = session.context.geomd_schema
+        assert schema.layers == {}
+        assert schema.spatial_levels == {}
+        five_km = next(o for o in session.outcomes if o.rule_name == "5kmStores")
+        assert five_km.selected_instances == 0
+        assert session.selection.is_empty
         session.end()
 
     def test_airport_features_loaded(self, engine, profile, world):
@@ -106,11 +115,11 @@ class TestExample53InterestRule:
 
     def test_train_layer_added_on_trigger(self, engine, profile, world):
         session = engine.start_session(profile, world.stores[0].location)
-        schema = session.view().schema
-        assert "Train" not in schema.layers
+        assert "Train" not in session.context.geomd_schema.layers
         for _ in range(4):
             session.record_spatial_selection("GeoMD.Store.City", self.CONDITION)
         session.rerun_instance_rules()
+        schema = session.context.geomd_schema
         assert schema.layer("Train").geometric_type is GeometricType.LINE
         session.end()
 

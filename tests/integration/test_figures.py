@@ -179,7 +179,7 @@ class TestFig6GeoMDModel:
         for _ in range(4):
             session.record_spatial_selection("GeoMD.Store.City", condition)
         session.rerun_instance_rules()
-        schema = session.view().schema
+        schema = session.context.geomd_schema
         session.end()
         return schema
 
@@ -215,8 +215,8 @@ class TestFig1Process:
         session = engine.start_session(profile, world.stores[0].location)
         view = session.view()
         # Step 1 (schema rules): spatiality was added.
-        assert view.schema.layers
-        assert view.schema.spatial_levels
+        assert session.context.geomd_schema.layers
+        assert session.context.geomd_schema.spatial_levels
         # Step 2 (instance rules): the instance got personalized.
         assert view.is_restricted
         assert 0 < len(view.fact_rows) < view.stats()["fact_rows_total"]

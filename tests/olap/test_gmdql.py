@@ -21,6 +21,16 @@ def schema(star):
     return star.schema
 
 
+@pytest.fixture()
+def spatial_schema(schema):
+    """Store made spatial, with an Airport and a Region layer: the parse
+    checks a spatial filter against the schema it is given."""
+    schema.become_spatial("Store.Store", GeometricType.POINT)
+    schema.add_layer("Airport", GeometricType.POINT)
+    schema.add_layer("Region", GeometricType.POLYGON)
+    return schema
+
+
 class TestParsing:
     def test_minimal(self, schema):
         query = parse_query("SELECT COUNT(*) FROM Sales", schema)
@@ -87,23 +97,42 @@ class TestParsing:
         )
         assert query.where[0].value == "O'Hare"
 
-    def test_distance_condition(self, schema):
+    def test_distance_condition(self, spatial_schema):
         query = parse_query(
             "SELECT COUNT(*) FROM Sales WHERE DISTANCE(Store, LAYER Airport) < 20 KM",
-            schema,
+            spatial_schema,
         )
         flt = query.where[0]
         assert isinstance(flt, SpatialFilter)
         assert flt.relation is SpatialRelation.DISTANCE
         assert flt.threshold == 20_000.0
 
-    def test_inside_condition(self, schema):
+    def test_inside_condition(self, spatial_schema):
         query = parse_query(
             "SELECT COUNT(*) FROM Sales WHERE WITHIN(Store, LAYER Region)",
-            schema,
+            spatial_schema,
         )
         flt = query.where[0]
         assert flt.relation is SpatialRelation.INSIDE
+
+    def test_spatial_filter_on_a_level_the_schema_has_not_made_spatial(
+        self, spatial_schema
+    ):
+        with pytest.raises(QueryError, match="Store.City is not spatial"):
+            parse_query(
+                "SELECT COUNT(*) FROM Sales "
+                "WHERE DISTANCE(Store.City, LAYER Airport) < 20 KM",
+                spatial_schema,
+            )
+
+    def test_spatial_filter_against_a_layer_the_schema_lacks(
+        self, spatial_schema
+    ):
+        with pytest.raises(QueryError, match="no layer 'Train'"):
+            parse_query(
+                "SELECT COUNT(*) FROM Sales WHERE DISTANCE(Store, LAYER Train) < 1",
+                spatial_schema,
+            )
 
     def test_unknown_fact(self, schema):
         with pytest.raises(Exception):

@@ -166,7 +166,7 @@ class TestInvalidation:
 
     def test_layer_table_creation_carries_view(self, session):
         star = session.context.star
-        schema = session.context.geomd_schema
+        schema = star.schema
         stale = session.view()
         schema.add_layer("Harbour", schema.layers["Airport"].geometric_type)
         star.ensure_layer_table("Harbour")

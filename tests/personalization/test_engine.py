@@ -120,11 +120,21 @@ class TestSessionLifecycle:
         assert view.stats()["fact_rows_kept"] == view.stats()["fact_rows_total"]
         session.end()
 
-    def test_unauthorized_role_gets_no_spatiality(self, engine, user_schema):
-        profile = build_regional_manager_profile(user_schema, name="Plain User")
-        profile.set("DecisionMaker.dm2role.name", "Analyst")
-        session = engine.start_session(profile)
-        assert session.view().schema.layers == {}
+    def test_unauthorized_role_gets_no_spatiality(
+        self, engine, profile, user_schema, world
+    ):
+        location = world.stores[0].location
+        # A regional manager's session first, on the same engine.
+        engine.start_session(profile, location).end()
+        analyst = build_regional_manager_profile(user_schema, name="Plain User")
+        analyst.set("DecisionMaker.dm2role.name", "Analyst")
+        session = engine.start_session(analyst, location)
+        schema = session.context.geomd_schema
+        assert schema.layers == {}
+        assert schema.spatial_levels == {}
+        five_km = next(o for o in session.outcomes if o.rule_name == "5kmStores")
+        assert five_km.selected_instances == 0
+        assert session.selection.is_empty
         session.end()
 
 

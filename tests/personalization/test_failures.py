@@ -10,7 +10,7 @@ from repro.data import (
     build_regional_manager_profile,
     build_sales_star,
 )
-from repro.errors import PRMLRuntimeError, PRMLSyntaxError
+from repro.errors import PersonalizationError, PRMLSyntaxError
 from repro.geometry import LineString, Point
 from repro.personalization import PersonalizationEngine
 
@@ -49,13 +49,13 @@ class TestGeoSourceFailures:
             else None
         )
         engine = PersonalizationEngine(star, user_schema, geo_source=source)
-        engine.add_rule(ADD_SPATIALITY)
-        profile = build_regional_manager_profile(user_schema)
-        session = engine.start_session(profile)
-        outcome = next(o for o in session.outcomes if o.rule_name == "addSpatiality")
-        assert outcome.error is not None
-        assert "declared POINT" in outcome.error
-        session.end()
+        # The tenant loads the level's geometries when the rule is
+        # registered, so that is where the mismatch is reported.
+        with pytest.raises(PersonalizationError, match="declared POINT"):
+            engine.add_rule(ADD_SPATIALITY)
+        assert engine.rules == []
+        member = star.dimension_table("Store").members("Store")[0]
+        assert member.geometry is None
 
     def test_missing_source_data_leaves_members_bare(self, world, user_schema):
         star = build_sales_star(world)
@@ -66,7 +66,7 @@ class TestGeoSourceFailures:
         profile = build_regional_manager_profile(user_schema)
         session = engine.start_session(profile)
         # Schema change applied; no geometries backfilled; no crash.
-        assert session.view().schema.is_spatial_level("Store.Store")
+        assert session.context.geomd_schema.is_spatial_level("Store.Store")
         member = star.dimension_table("Store").members("Store")[0]
         assert member.geometry is None
         session.end()
@@ -77,7 +77,7 @@ class TestGeoSourceFailures:
         engine.add_rule(ADD_SPATIALITY)
         profile = build_regional_manager_profile(user_schema)
         session = engine.start_session(profile)
-        assert session.view().schema.is_spatial_level("Store.Store")
+        assert session.context.geomd_schema.is_spatial_level("Store.Store")
         session.end()
 
 
@@ -150,12 +150,15 @@ class TestMultiUser:
             parameters={"threshold": 3},
         )
         engine.add_rules(ALL_PAPER_RULES.values())
+        schemas = []
         for name in ("Ana", "Bea", "Cris"):
             profile = build_regional_manager_profile(user_schema, name=name)
             session = engine.start_session(profile, world.cities[0].location)
+            schemas.append(session.context.geomd_schema)
             session.end()
-        schema = engine.geomd_schema
-        assert list(schema.layers) == ["Airport"]
+        # One shared schema for the three sessions' equal sets.
+        assert schemas[0] is schemas[1] is schemas[2]
+        assert list(schemas[0].layers) == ["Airport"]
         assert len(star.layer_table("Airport")) == len(world.airports)
 
 

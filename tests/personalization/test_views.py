@@ -47,6 +47,9 @@ class TestPersonalizedView:
             "fact_rows_total",
             "fact_rows_kept",
             "members_selected",
+        }
+        # The layer counts come from the session's schema, not the view.
+        assert set(session.view_stats()) == set(stats) | {
             "layers",
             "spatial_levels",
         }

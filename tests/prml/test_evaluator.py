@@ -10,20 +10,43 @@ from repro.data import (
 from repro.errors import PRMLRuntimeError
 from repro.geomd import GeometricType
 from repro.geometry import Point
+from repro.personalization import PersonalizationEngine
 from repro.prml import Evaluator, RuntimeContext, SelectionSet, parse_rule
+from repro.storage.snapshot import star_to_dict
+
+#: What the schema actions below name, loaded into the star the way rule
+#: registration loads it (Airport and Train from the world, Store's
+#: geometries; Rivers, A and B have no source data).
+LOADED = [
+    f"Rule:load{index} When SessionStart do {action} endWhen"
+    for index, action in enumerate(
+        [
+            "AddLayer('Airport', POINT)",
+            "AddLayer('Train', LINE)",
+            "AddLayer('Rivers', LINE)",
+            "AddLayer('A', POINT)",
+            "AddLayer('B', POINT)",
+            "BecomeSpatial(MD.Sales.Store.geometry, POINT)",
+        ]
+    )
+]
 
 
 @pytest.fixture()
 def context(world, star, user_schema):
+    engine = PersonalizationEngine(
+        star, user_schema, geo_source=WorldGeoSource(world)
+    )
+    engine.add_rules(LOADED)
     profile = build_regional_manager_profile(user_schema)
     profile.open_session(Point(0.0, 0.0))
     return RuntimeContext(
         user_profile=profile,
-        md_schema=star.schema,
-        geomd_schema=star.schema,
+        md_schema=engine.schemas.base,
+        geomd_schema=engine.schemas.base,
         star=star,
         parameters={"threshold": 3},
-        geo_source=WorldGeoSource(world),
+        schemas=engine.schemas,
     )
 
 
@@ -32,14 +55,38 @@ def run(context, source):
 
 
 class TestSchemaActions:
-    def test_add_layer_populates_from_source(self, context):
+    def test_add_layer_populates_from_source(self, context, world):
         outcome = run(
             context,
             "Rule:r When SessionStart do AddLayer('Airport', POINT) endWhen",
         )
         assert outcome.layers_added == ["Airport"]
+        assert "Airport" in context.geomd_schema.layers
         table = context.star.layer_table("Airport")
-        assert len(table) == len(context.geo_source.world.airports)
+        assert len(table) == len(world.airports)
+
+    def test_schema_actions_write_nothing(self, context):
+        """They switch the context to a shared schema; the star stays
+        as registration left it."""
+        before, generation = star_to_dict(context.star), context.star.generation
+        base = context.geomd_schema
+        run(
+            context,
+            "Rule:r When SessionStart do AddLayer('Airport', POINT) "
+            "BecomeSpatial(MD.Sales.Store.geometry, POINT) endWhen",
+        )
+        assert context.schema_set == ("layer:Airport", "level:Store.Store")
+        assert context.geomd_schema is not base
+        assert not base.layers and not base.spatial_levels
+        assert context.star.generation == generation
+        assert star_to_dict(context.star) == before
+
+    def test_unloaded_layer_is_a_runtime_error(self, context):
+        with pytest.raises(PRMLRuntimeError, match="not loaded"):
+            run(
+                context,
+                "Rule:r When SessionStart do AddLayer('Highway', LINE) endWhen",
+            )
 
     def test_add_layer_without_source_data(self, context):
         outcome = run(
@@ -186,7 +233,8 @@ class TestForeachAndSelection:
         assert outcome.iterations == n_trains * n_airports
 
     def test_member_geometry_missing_error(self, context):
-        # Stores are not spatialized here: s.geometry must fail clearly.
+        # The session has not made Store spatial (although the star holds
+        # the geometries): s.geometry must fail clearly.
         with pytest.raises(PRMLRuntimeError, match="no geometry"):
             run(
                 context,

@@ -29,6 +29,7 @@ from repro.errors import ReproError
 from repro.geomd import GeoMDSchema
 from repro.geometry import GeometryCollection, HaversineMetric, PlanarMetric, Point
 from repro.geometry import distance as planar_distance
+from repro.personalization import PersonalizationEngine
 from repro.prml import Evaluator, RuntimeContext, parse_rule
 from repro.prml import evaluator as evaluator_module
 from repro.storage import StarSchema
@@ -49,17 +50,13 @@ def nearby_rule(level="GeoMD.Store", op="<", member_first=True, threshold="radiu
 
 
 def spatialize(star, world):
-    """The paper's schema rules: Store and City become spatial."""
-    context = RuntimeContext(
-        user_profile=build_regional_manager_profile(USER_SCHEMA),
-        md_schema=star.schema,
-        geomd_schema=star.schema,
-        star=star,
-        geo_source=WorldGeoSource(world),
+    """The paper's schema rules, registered: the star's schema makes
+    Store and City spatial and its members carry their geometries."""
+    engine = PersonalizationEngine(
+        star, USER_SCHEMA, geo_source=WorldGeoSource(world)
     )
-    evaluator = Evaluator(context)
-    evaluator.execute(parse_rule(ADD_SPATIALITY))
-    evaluator.execute(parse_rule(ADD_CITY_SPATIALITY))
+    engine.add_rules([ADD_SPATIALITY, ADD_CITY_SPATIALITY])
+    engine.detach()
     return star
 
 

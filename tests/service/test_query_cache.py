@@ -1,18 +1,20 @@
 """Tests for the façade's LRU query-result cache.
 
 The cache key is ``(datamart, canonical query text, selection
-fingerprint, as_of, star generation)``, the generation read before the
-answer is computed; an as-of key carries no live generation — these
-tests pin the protocol: hits only while the star stands still, misses on
-any selection change or any star mutation, as-of entries warm across
-mutations, entries shared across sessions exactly when their selections
-hold the same content, never across tenants, byte-identical responses
-with the star's ``oracle`` switch set, and bounded size.
+fingerprint, schema set, as_of, star generation)``, the generation read
+before the answer is computed; an as-of key carries no live generation —
+these tests pin the protocol: hits only while the star stands still,
+misses on any selection change or any star mutation, as-of entries warm
+across mutations, entries shared across sessions exactly when their
+selections hold the same content under the same schema, never across
+tenants, byte-identical responses with the star's ``oracle`` switch
+set, and bounded size.
 """
 
 import pytest
 
 from repro.cluster.config import env_backend, make_query_cache
+from repro.errors import BadRequestError
 from repro.data import (
     WorldGeoSource,
     build_regional_manager_profile,
@@ -281,6 +283,24 @@ class TestIsolation:
         service.rerun_instance_rules(second)
         service.query(second, QueryRequest(q=QUERY))
         assert service.query_cache_misses == 2
+        assert service.query_cache_hits == 0
+
+    def test_differing_schema_sets_never_share_entries(
+        self, service, registry, user_schema
+    ):
+        """Without a location both selections are empty, but only the
+        manager's schema makes Store spatial and holds the Airport
+        layer: the analyst's spatial query stays a query error."""
+        analyst = build_regional_manager_profile(user_schema, name="Dan Analyst")
+        analyst.set("DecisionMaker.dm2role.name", "Analyst")
+        registry.get("sales").register_user(analyst)
+        manager = service.login(LoginRequest(user="ana-garcia")).token
+        other = service.login(LoginRequest(user="dan-analyst")).token
+        spatial = "SELECT COUNT(*) FROM Sales WHERE DISTANCE(Store, LAYER Airport) < 20 KM"
+        assert service.query(manager, QueryRequest(q=spatial)).rows
+        with pytest.raises(BadRequestError) as excinfo:
+            service.query(other, QueryRequest(q=spatial))
+        assert excinfo.value.code == "query_error"
         assert service.query_cache_hits == 0
 
     def test_tenants_never_share_entries(self, service, world):

@@ -104,6 +104,29 @@ class TestLoginRouting:
         assert info["bare"].rules == 0
 
 
+class TestRulesFired:
+    """Login, rerun and logout name only the rules that fired an action;
+    a rule whose condition failed or that errored is left out."""
+
+    def test_analyst_login_fires_nothing(self, service, user_schema, world):
+        analyst = build_regional_manager_profile(user_schema, name="Dan Analyst")
+        analyst.set("DecisionMaker.dm2role.name", "Analyst")
+        service.registry.get("sales").register_user(analyst)
+        result = _login(service, analyst, world)
+        assert result.rules_fired == []
+
+    def test_manager_below_the_threshold(self, service, profile, world):
+        result = _login(service, profile, world)
+        assert result.rules_fired == [
+            "addSpatiality",
+            "addCitySpatiality",
+            "5kmStores",
+        ]
+        rerun = service.rerun_instance_rules(result.token)
+        assert rerun.rules_fired == ["5kmStores"]
+        assert service.logout(result.token).rules_fired == []
+
+
 class TestSessionLifecycle:
     def test_missing_token(self, service):
         with pytest.raises(UnauthorizedError) as excinfo:
@@ -226,7 +249,9 @@ class TestHealthLocks:
             sanitizer.deactivate(previous)
         assert locks["enabled"] is True
         assert locks["cycles"] == []
-        assert locks["locks"]["PersonalizationService._lock"]["instances"] == 1
+        # The façade owns no lock of its own; the session store it was
+        # given inside the sanitized window is instrumented.
+        assert locks["locks"]["InMemorySessionStore._lock"]["instances"] == 1
         assert "InMemorySessionStore._lock" in locks["locks"]
 
 

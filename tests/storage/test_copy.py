@@ -81,13 +81,9 @@ def _layer_add(star, world):
 
 
 def _become_spatial(star, world):
-    """``BecomeSpatial(Store.City, POINT)`` with its geometry backfill, as
-    the PRML evaluator runs it."""
+    """``BecomeSpatial(Store.City, POINT)`` with its geometry load, as
+    rule registration runs it."""
     star.schema.become_spatial("Store.City", GeometricType.POINT)
-    star.note_schema_change(
-        op="become_spatial",
-        payload={"level": "Store.City", "geometric_type": "POINT"},
-    )
     geometries = WorldGeoSource(world).level_geometries("Store", "City")
     for member in star.dimension_table("Store").members("City"):
         member.attributes[GEOMETRY_ATTRIBUTE] = geometries[member.key]

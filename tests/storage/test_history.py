@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geomd import GeoMDSchema, GeometricType
-from repro.geomd.schema import GEOMETRY_ATTRIBUTE
 from repro.geometry import Point
 from repro.mdm import Aggregator, Dimension, Fact, Hierarchy, Level, Measure
 from repro.olap import AggSpec, CubeQuery, LevelRef, execute
@@ -111,28 +110,30 @@ class TestReplay:
         with pytest.raises(Exception):
             historical.dimension_table("D").member("G", "g2")
 
-    def test_eager_checkpoint_reanchors_nonreplayable(self):
-        """An in-place member update carries no delta; the eager
-        checkpoint re-anchors so generations after it stay answerable."""
+    def test_read_across_an_in_place_update_raises(self):
+        """An in-place member update carries no delta and takes no
+        checkpoint, so no read can replay across it (an engine loads its
+        rules' geometries before its history attaches)."""
         star = _tiny_star()
         history = StarHistory.attach(star)
         star.note_member_change("D", op="update")
         anchor = star.generation
-        before = _rows(star)
         star.insert_fact("F", {"D": "d1"}, {"v": 7.5})
-        assert history.stats()["newest_checkpoint"] == anchor
-        assert _rows(star, as_of=anchor) == before
+        assert history.stats()["checkpoints_taken"] == 1
+        with pytest.raises(HistoryError, match="replayable"):
+            history.as_of(anchor)
 
     def test_generation_before_eager_checkpoint_needs_older_base(self):
-        """A read *across* a non-replayable mutation uses the older
-        checkpoint but the range fails the replayability check."""
+        """A read at a generation before an in-place update is answered
+        from the checkpoint at that generation itself, replaying
+        nothing."""
         star = _tiny_star()
         StarHistory.attach(star)
         generation = star.generation
         before = _rows(star)
         star.note_member_change("D", op="update")
-        # Still answerable: the baseline checkpoint anchors `generation`
-        # itself (zero-length replay range).
+        # The baseline checkpoint anchors `generation` itself
+        # (zero-length replay range).
         assert _rows(star, as_of=generation) == before
 
     def test_reconstructions_are_cached(self):
@@ -190,18 +191,16 @@ class TestReplay:
 class TestBitIdentity:
     """Acceptance pin: at every generation ``g``, ``as_of=g`` answers and
     the whole reconstructed star are bit-identical to what was recorded
-    live at ``g``, for random schedules of fact appends, member adds,
-    layer adds, feature adds, BecomeSpatial patches and in-place member
-    updates.  The updates are not replayable, so they force eager
-    checkpoints; comparing the whole star catches a checkpoint or a
+    live at ``g``, for random schedules of every mutation a star sees
+    once its tenant is loaded: fact appends, member adds, layer adds and
+    feature adds.  Comparing the whole star catches a checkpoint or a
     reconstruction that shares state with the live star."""
 
     # Each step: 0 = fact append to d0/d1, 1 = new member + fact on it,
-    # 2 = new layer, 3 = feature on the newest layer, 4 = BecomeSpatial
-    # of the next non-spatial level, 5 = in-place geometry update.
+    # 2 = new layer, 3 = feature on the newest layer.
     steps = st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=3),
             st.floats(
                 min_value=-1e6, max_value=1e6, allow_nan=False
             ).map(lambda v: round(v, 4)),
@@ -222,25 +221,8 @@ class TestBitIdentity:
             layers.append(f"L{index}")
             star.schema.add_layer(layers[-1], GeometricType.POINT)
             star.ensure_layer_table(layers[-1])
-        elif kind == 3:
-            star.add_feature(layers[-1], f"f{index}", Point(value, index))
-        elif kind == 4:
-            level = next(
-                (ref for ref in ("D.G", "D.D")
-                 if ref not in star.schema.spatial_levels),
-                None,
-            )
-            if level is not None:
-                # As the PRML evaluator runs BecomeSpatial.
-                star.schema.become_spatial(level, GeometricType.POINT)
-                star.note_schema_change(
-                    op="become_spatial",
-                    payload={"level": level, "geometric_type": "POINT"},
-                )
         else:
-            member = star.dimension_table("D").member("D", f"d{index % 2}")
-            member.attributes[GEOMETRY_ATTRIBUTE] = Point(value, index)
-            star.note_member_change("D", op="update")
+            star.add_feature(layers[-1], f"f{index}", Point(value, index))
 
     @settings(
         max_examples=200,
@@ -256,13 +238,7 @@ class TestBitIdentity:
         for index, (kind, value) in enumerate(steps):
             self._step(star, index, kind, value, layers)
             recorded[star.generation] = (_rows(star), star_to_dict(star))
-        oldest = history.stats()["oldest_checkpoint"]
         for generation, (rows, data) in recorded.items():
-            if generation < oldest:
-                # Eager checkpoints pushed this one out of the bound.
-                with pytest.raises(HistoryError, match="predates"):
-                    history.as_of(generation)
-                continue
             # Bit-identical: exact equality on the float cells, no
             # approx — replay must take the same code paths.
             assert _rows(star, as_of=generation) == rows

@@ -14,8 +14,12 @@ over the backend-backed ones a worker pool serves from.
 The copy gates: a workload portal loads the world once and gives each
 tenant a copy of the loaded star.  Replayed the same way, it must answer
 with the same bytes as a portal whose tenants each load the world, as-of
-reads included, and a login on one tenant must leave the others equal
-to a freshly loaded star.
+reads included.
+
+The no-write gates: registration loads what the rules name, and after
+that no request writes a star — a login leaves every tenant as
+registration left it, and the whole stream replayed without ingest
+leaves every star's generation, mutation log and contents as they were.
 
 The churn gate drives one session through member and feature churn at
 every step and a sale from inside its view every 8th step, over the
@@ -184,12 +188,25 @@ def test_every_response_equals_tenants_loaded_one_by_one(replays, loaded_replay)
         )
 
 
+def _star_states(app) -> dict:
+    return {
+        tenant.name: (
+            tenant.engine.star.generation,
+            len(tenant.engine.star.mutation_log),
+            star_to_dict(tenant.engine.star),
+        )
+        for tenant in app.service.registry
+    }
+
+
 def test_a_login_leaves_the_other_tenants_as_loaded(smoke):
+    """A login leaves every tenant — its own too — as registration left it."""
     world, stream = smoke
     app = build_workload_portal(world, stream.active_users())
-    stars = {tenant.name: tenant.engine.star for tenant in app.service.registry}
+    registered = _star_states(app)
+    # Registration loaded the layers and geometries the rules name.
     loaded = star_to_dict(build_sales_star(world))
-    assert all(star_to_dict(star) == loaded for star in stars.values())
+    assert all(state[2] != loaded for state in registered.values())
     location = world.stores[0].location
     user = next(
         user for datamart, user, _ in stream.active_users() if datamart == "dm-0"
@@ -200,10 +217,23 @@ def test_a_login_leaves_the_other_tenants_as_loaded(smoke):
         {"user": user, "datamart": "dm-0", "location": [location.x, location.y]},
     )
     assert response.ok, response.body
-    # The login's schema rules added layers and backfilled geometries.
-    assert star_to_dict(stars["dm-0"]) != loaded
-    for name in ("dm-1", "dm-2", "dm-3"):
-        assert star_to_dict(stars[name]) == loaded, name
+    assert response.json()["rules_fired"]
+    assert _star_states(app) == registered
+
+
+def test_no_request_writes_the_star(smoke):
+    """The whole stream, replayed without ingest, leaves every tenant's
+    star generation, mutation log and contents where construction and
+    registration left them."""
+    world, stream = smoke
+    app = build_workload_portal(world, stream.active_users())
+    registered = _star_states(app)
+    driver = ReplayDriver(InProcessTarget(app))
+    driver.resolve_as_of()
+    report, _ = driver.replay_serial(stream)
+    assert report.requests == len(stream)
+    assert report.by_kind["login"] > 0
+    assert _star_states(app) == registered
 
 
 def test_as_of_reads_ran(replays):
