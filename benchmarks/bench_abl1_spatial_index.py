@@ -5,6 +5,12 @@ this ablation measures the strategies the kernel offers on the large
 world's store set.  ``envelope`` is the path Example 5.2 takes in the
 engine: an :class:`EnvelopeColumns` probe loosened by
 :func:`candidate_probe`, then the exact distance test on the candidates.
+The columns are sorted on ``min_x``, so the probe bisects to the slab
+``[min_x - w, max_x]`` (``w`` the widest envelope's width) and
+range-tests only the entries in it.  The engine does not use the
+``strtree``: a radius of a few kilometres keeps a handful of stores,
+and in Python walking the tree's node envelopes costs more than the
+bisect, and more than scanning every envelope, at a level's size.
 Expected shape: both indexes beat brute force, with the gap growing with
 the point count.
 """

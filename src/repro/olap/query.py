@@ -369,36 +369,42 @@ def _spatial_matching_with_index(
     level: str,
     targets: list[Geometry],
 ) -> set[str]:
-    """Member keys matching ``flt``, pre-filtered through the star's
-    cached :class:`~repro.geometry.index.EnvelopeColumns` envelopes.
+    """Member keys matching ``flt``, pre-filtered through the envelope
+    columns of the level's cached record (:meth:`StarSchema.level_grid_index`).
 
     Two orientations, chosen by which side is smaller: usually targets
     are few (layer features, literal geometries), so each target's
-    envelope queries the member index (:meth:`StarSchema.level_grid_index`)
-    and only surviving candidates get exact tests; when a layer has more
-    features than the level has members, each member instead queries the
-    layer's feature index (:meth:`StarSchema.layer_grid_index`).
+    envelope queries the member index and only surviving candidates get
+    exact tests; when a layer has more features than the level has
+    located members, each member instead queries the layer's feature
+    index (:meth:`StarSchema.layer_grid_index`).
     """
-    cached = star.level_grid_index(dimension, level)
-    if cached is None:
+    record = star.level_grid_index(dimension, level)
+    if record is None:
         return set()  # no member of the level carries a geometry yet
-    index, geometry_of = cached
-    if isinstance(flt.target, LayerRef) and len(targets) > len(geometry_of):
+    index, members, geometries = record.index, record.members, record.geometries
+    if isinstance(flt.target, LayerRef) and len(targets) > len(index):
         layer_cached = star.layer_grid_index(flt.target.name)
         if layer_cached is not None:
+            located = [
+                (member.key, geometry)
+                for member, geometry in zip(members, geometries)
+                if geometry is not None
+            ]
             return _match_members_against_layer_index(
-                flt, metric, geometry_of, *layer_cached
+                flt, metric, located, *layer_cached
             )
     matching: set[str] = set()
     if flt.relation is SpatialRelation.DISTANCE:
         assert flt.op is not None and flt.threshold is not None
         for target in targets:
             probe = candidate_probe(target.envelope, flt.threshold)
-            for key in index.query_envelope(probe):
+            for position in index.query_envelope(probe):
+                key = members[position].key
                 if key in matching:
                     continue
                 if flt.op.apply(
-                    metric.distance(geometry_of[key], target), flt.threshold
+                    metric.distance(geometries[position], target), flt.threshold
                 ):
                     matching.add(key)
         return matching
@@ -407,19 +413,24 @@ def _spatial_matching_with_index(
         # A member whose (loosened) envelope intersects no target
         # envelope is geometrically disjoint from every target; only
         # envelope-level candidates need the exact all-targets test.
-        candidates: set[str] = set()
+        candidates: set[int] = set()
         for target in targets:
             candidates.update(index.query_envelope(candidate_probe(target.envelope)))
-        matching = set(geometry_of)
-        for key in candidates:
-            if not all(predicate(geometry_of[key], t) for t in targets):
-                matching.discard(key)
+        matching = {
+            member.key
+            for member, geometry in zip(members, geometries)
+            if geometry is not None
+        }
+        for position in candidates:
+            if not all(predicate(geometries[position], t) for t in targets):
+                matching.discard(members[position].key)
         return matching
     for target in targets:
-        for key in index.query_envelope(candidate_probe(target.envelope)):
+        for position in index.query_envelope(candidate_probe(target.envelope)):
+            key = members[position].key
             if key in matching:
                 continue
-            if predicate(geometry_of[key], target):
+            if predicate(geometries[position], target):
                 matching.add(key)
     return matching
 
@@ -427,16 +438,16 @@ def _spatial_matching_with_index(
 def _match_members_against_layer_index(
     flt: SpatialFilter,
     metric: Metric,
-    geometry_of: Mapping[str, Geometry],
+    located: list[tuple[str, Geometry]],
     target_index,
     target_geoms: list[Geometry],
 ) -> set[str]:
-    """The member-iterating orientation: each member's envelope queries
-    the layer's feature grid for candidate targets."""
+    """The member-iterating orientation: each located member's envelope
+    queries the layer's feature grid for candidate targets."""
     matching: set[str] = set()
     if flt.relation is SpatialRelation.DISTANCE:
         assert flt.op is not None and flt.threshold is not None
-        for key, geometry in geometry_of.items():
+        for key, geometry in located:
             probe = candidate_probe(geometry.envelope, flt.threshold)
             if any(
                 flt.op.apply(
@@ -447,7 +458,7 @@ def _match_members_against_layer_index(
                 matching.add(key)
         return matching
     predicate = _relation_predicate(flt.relation)
-    for key, geometry in geometry_of.items():
+    for key, geometry in located:
         candidates = target_index.query_envelope(
             candidate_probe(geometry.envelope)
         )

@@ -59,6 +59,7 @@ from repro.prml.evaluator import (
     RuleOutcome,
     RuntimeContext,
     SelectionSet,
+    nearby_shapes,
 )
 from repro.prml.parser import parse_expression, parse_path, parse_rule
 from repro.prml.printer import print_expr
@@ -92,7 +93,10 @@ class RegisteredRule:
     ``SpatialSelection(target, condition)`` pattern are computed once at
     registration (``event_target`` / ``event_condition``), so matching a
     reported selection is two string compares per rule instead of a
-    re-print of every rule's AST on every report.
+    re-print of every rule's AST on every report.  Likewise the rule's
+    Foreach statements of Example 5.2's shape are taken apart once
+    (``nearby``, see :func:`~repro.prml.evaluator.nearby_shapes`), not at
+    every login.
     """
 
     rule: Rule
@@ -101,8 +105,10 @@ class RegisteredRule:
     enabled: bool = True
     event_target: str | None = None
     event_condition: str | None = None
+    nearby: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.nearby = nearby_shapes(self.rule)
         event = self.rule.event
         if isinstance(event, SpatialSelectionEvent):
             if self.event_target is None:
@@ -550,11 +556,18 @@ class PersonalizationEngine:
     def _safe_execute(evaluator: Evaluator, registered: RegisteredRule) -> RuleOutcome:
         """Execute one rule; missing context data skips it (ECA semantics:
         an unfulfillable condition fires no action) instead of aborting the
-        whole session."""
+        whole session.  A rule that raises leaves the session on the
+        schema it started on: its schema actions before the error do not
+        stand.  What it selected before the error stays selected."""
+        context = evaluator.context
+        schema_set, schema = context.schema_set, context.geomd_schema
         try:
-            return evaluator.execute(registered.rule)
-        except PRMLRuntimeError as exc:
-            return RuleOutcome(rule_name=registered.rule.name, error=str(exc))
+            return evaluator.execute(registered.rule, registered.nearby)
+        except BaseException as exc:
+            context.schema_set, context.geomd_schema = schema_set, schema
+            if isinstance(exc, PRMLRuntimeError):
+                return RuleOutcome(rule_name=registered.rule.name, error=str(exc))
+            raise
 
     def _run_event(
         self,

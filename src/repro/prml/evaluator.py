@@ -24,7 +24,12 @@ Statements are interpreted node by node, with one exception: a
 ``Foreach`` of Example 5.2's shape (select the members of one level
 within a distance of a fixed geometry) is answered from the star's
 envelope index when that gives the loop's exact result — see
-:meth:`Evaluator._select_nearby_with_index`.
+:meth:`Evaluator._select_nearby_with_index`.  The shape is recognised
+once per statement (:func:`nearby_shapes`, which the engine runs when
+it registers a rule), and the level's members, geometries and envelope
+columns come from the star's one cached record per level
+(:meth:`~repro.storage.star.StarSchema.level_grid_index`), so a login
+measures only the members near its location.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import itertools
 import operator
 import sys
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Mapping, Protocol
 
 from repro.errors import (
     GeometryError,
@@ -44,7 +49,7 @@ from repro.errors import (
     UserModelError,
 )
 from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema, SchemaSets
-from repro.geometry import Geometry, LineString, Metric, PlanarMetric, Point, Polygon
+from repro.geometry import Geometry, Metric, PlanarMetric
 from repro.geometry.index import candidate_probe, distance_prefilter_sound
 from repro.mdm.model import MDSchema, ResolvedLevel
 from repro.prml.ast import (
@@ -88,6 +93,7 @@ __all__ = [
     "RuntimeContext",
     "RuleOutcome",
     "Evaluator",
+    "nearby_shapes",
 ]
 
 
@@ -448,10 +454,22 @@ def _nearby_selection(stmt: ForeachStmt) -> _NearbySelection | None:
     return None
 
 
-#: Geometry types that are never empty, so ``Distance`` measures them
-#: against any geometry it measures at all (a collection with an empty
-#: part could make it raise on some members and not on others).
-_PRIMITIVE_TYPES = frozenset((Point, LineString, Polygon))
+def nearby_shapes(rule: Rule) -> dict[int, _NearbySelection]:
+    """Each ``Foreach`` of ``rule`` that has Example 5.2's shape, taken
+    apart, keyed by the statement's ``id`` (valid while ``rule`` lives)."""
+    shapes: dict[int, _NearbySelection] = {}
+    pending = list(rule.body)
+    while pending:
+        stmt = pending.pop()
+        if isinstance(stmt, IfStmt):
+            pending.extend(stmt.then_body)
+            pending.extend(stmt.else_body)
+        elif isinstance(stmt, ForeachStmt):
+            shape = _nearby_selection(stmt)
+            if shape is not None:
+                shapes[id(stmt)] = shape
+            pending.extend(stmt.body)
+    return shapes
 
 
 class Evaluator:
@@ -459,10 +477,17 @@ class Evaluator:
 
     def __init__(self, context: RuntimeContext) -> None:
         self.context = context
+        self._shapes: Mapping[int, _NearbySelection] = {}
 
     # -- rule execution --------------------------------------------------------
 
-    def execute(self, rule: Rule) -> RuleOutcome:
+    def execute(
+        self, rule: Rule, shapes: Mapping[int, _NearbySelection] | None = None
+    ) -> RuleOutcome:
+        """Run ``rule``'s body.  ``shapes`` is :func:`nearby_shapes` of
+        ``rule``, taken apart once when the rule is registered; without it
+        the rule is taken apart here."""
+        self._shapes = nearby_shapes(rule) if shapes is None else shapes
         outcome = RuleOutcome(rule_name=rule.name)
         env: dict[str, object] = {}
         for stmt in rule.body:
@@ -544,8 +569,9 @@ class Evaluator:
 
         The loop evaluates ``X`` and ``d`` again and measures every member
         of the level.  Here both are evaluated once, in the loop's order,
-        and the star's cached :class:`~repro.geometry.index.EnvelopeColumns`
-        over the level yields the members whose envelope meets ``X``'s,
+        and the envelope columns of the level's cached record
+        (:meth:`~repro.storage.star.StarSchema.level_grid_index`) yield
+        the positions of the members whose envelope meets ``X``'s,
         loosened by ``d`` (:func:`~repro.geometry.index.candidate_probe`).
         Only those take the loop's ``prml_distance`` test, with the
         arguments in the rule's order, and the ones that pass are
@@ -561,7 +587,7 @@ class Evaluator:
         and a finite, non-negative number.  The loop then raises the
         interpreter's own errors, in its own order.
         """
-        shape = _nearby_selection(stmt)
+        shape = self._shapes.get(id(stmt))
         context = self.context
         if (
             shape is None
@@ -574,14 +600,14 @@ class Evaluator:
             if resolved is None:
                 return False  # a layer's features
             dimension, level = resolved.dimension.name, resolved.level.name
-            members = context.star.dimension_table(dimension).members(level)
+            if not self._is_spatial(dimension, level):
+                return False
+            record = context.star.level_grid_index(dimension, level)
         except (PRMLRuntimeError, StorageError):
             return False
-        if not self._is_spatial(dimension, level):
+        if record is None or not record.primitive:
             return False
-        geometries = [member.attributes.get(GEOMETRY_ATTRIBUTE) for member in members]
-        if not members or not {type(g) for g in geometries} <= _PRIMITIVE_TYPES:
-            return False
+        geometries = record.geometries
 
         def measure(geometry: Geometry, other: Geometry) -> float:
             args = (geometry, other) if shape.member_first else (other, geometry)
@@ -602,15 +628,14 @@ class Evaluator:
             0 <= threshold <= sys.float_info.max
         ):
             return False
-        cached = context.star.level_grid_index(dimension, level)
-        if cached is None or len(cached[1]) != len(members):
-            return False
-        near = set(cached[0].query_envelope(candidate_probe(other.envelope, threshold)))
         passes = operator.le if shape.comparison is BinaryOperator.LE else operator.lt
+        members = record.members
         outcome.iterations += len(members)
-        for member, geometry in zip(members, geometries):
-            if member.key in near and passes(measure(geometry, other), threshold):
-                context.selection.add_member(dimension, level, member.key)
+        for position in record.index.query_envelope(
+            candidate_probe(other.envelope, threshold)
+        ):
+            if passes(measure(geometries[position], other), threshold):
+                context.selection.add_member(dimension, level, members[position].key)
                 outcome.selected_instances += 1
                 outcome.fired_actions += 1
         return True

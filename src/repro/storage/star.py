@@ -21,10 +21,10 @@ the star only when they are registered (the layers and level
 geometries their schema actions name); serving never writes it, so
 besides registration only ingest moves the generation.  The
 lazy structures owned here (the inverted roll-up index, the leaf-code
-roll-up translation tables, the per-layer and per-level
-:class:`~repro.geometry.index.EnvelopeColumns` envelope columns) are
-instead invalidated *in place* by the same hooks, so they can never
-serve stale data.
+roll-up translation tables, the per-layer
+:class:`~repro.geometry.index.EnvelopeColumns` envelope columns and the
+per-level :class:`LevelGeometries` records) are instead invalidated *in
+place* by the same hooks, so they can never serve stale data.
 
 The oracle switch
 -----------------
@@ -72,12 +72,13 @@ from typing import Callable, Iterable, Mapping
 from repro.concurrency import make_rlock
 from repro.errors import StorageError
 from repro.geomd.schema import GeoMDSchema
-from repro.geometry import Geometry
+from repro.geometry import Geometry, LineString, Point, Polygon
 from repro.geometry.index import EnvelopeColumns
 from repro.mdm.model import MDSchema
 from repro.storage.tables import DimensionTable, FactTable, Feature, LayerTable, Member
 
 __all__ = [
+    "LevelGeometries",
     "MutationLog",
     "StarMutation",
     "StarSchema",
@@ -306,6 +307,32 @@ class _RollupTranslation:
             self.codes.append(ordinal)
 
 
+#: Geometry types that are never empty, so ``Distance`` measures them
+#: against any geometry it measures at all (a collection with an empty
+#: part could make it raise on some members and not on others).
+_PRIMITIVE_TYPES = frozenset((Point, LineString, Polygon))
+
+
+@dataclass(frozen=True, slots=True)
+class LevelGeometries:
+    """One level's members as the spatial readers see them.
+
+    ``members`` holds the level's members in member order and
+    ``geometries[i]`` the geometry of ``members[i]`` (``None`` where it
+    has none).  ``primitive`` says whether every one is a ``Point``,
+    ``LineString`` or ``Polygon``.  ``index`` is the envelope columns
+    over the positions of the members that carry a geometry, so its
+    answers come in member order.  Built by
+    :meth:`StarSchema.level_grid_index` and never changed: a member
+    mutation drops it.
+    """
+
+    members: tuple[Member, ...]
+    geometries: tuple[Geometry | None, ...]
+    primitive: bool
+    index: EnvelopeColumns
+
+
 class StarSchema:
     """Instance storage for one (Geo)MD schema."""
 
@@ -356,8 +383,7 @@ class StarSchema:
         # layer name -> (EnvelopeColumns over feature ids, [geometries]) | None.
         # guarded-by: _cache_lock
         self._layer_grid: dict[str, object] = {}
-        # (dimension, level) -> (EnvelopeColumns over member keys,
-        #                        {member key -> geometry}) | None.
+        # (dimension, level) -> LevelGeometries | None.
         # guarded-by: _cache_lock
         self._level_grid: dict[tuple[str, str], object] = {}
         #: Linearizes lazy index builds against the ``note_*_change``
@@ -434,9 +460,9 @@ class StarSchema:
         creation and a brand-new member is referenced by no existing
         fact row, so every resolved roll-up stays correct — the inverted
         roll-up index is extended in place, only the added level's
-        envelope grid is dropped, and the dimension's member generation
-        does **not** bump (translation tables and roll-up caches
-        survive).  Any other ``op`` (or none) keeps the original
+        :class:`LevelGeometries` record is dropped, and the dimension's
+        member generation does **not** bump (translation tables and
+        roll-up caches survive).  Any other ``op`` (or none) keeps the original
         behaviour: full invalidation of the dimension's derived caches.
         """
         frozen = freeze_payload(payload)
@@ -484,7 +510,7 @@ class StarSchema:
         built inverted index for its dimension; a new non-leaf member
         has no leaf descendants yet, so the indexes need no entry
         (readers fall back to an empty set).  Only the added level's
-        envelope grid is rebuilt.
+        record is dropped; its next read rebuilds it.
         """
         table = self.dimension_table(dimension)
         if level == table.dimension.leaf:
@@ -905,30 +931,37 @@ class StarSchema:
 
     def level_grid_index(
         self, dimension: str, level: str
-    ) -> tuple[EnvelopeColumns, dict[str, Geometry]] | None:
-        """Cached envelope columns over a level's geometry-bearing members.
+    ) -> LevelGeometries | None:
+        """The level's cached :class:`LevelGeometries` record.
 
-        Returns ``(index, {member key -> geometry})`` (index items are the
-        member keys), or ``None`` when no member of the level carries a
-        geometry yet.  Invalidated by :meth:`note_member_change`.
+        ``None`` when no member of the level carries a geometry yet.
+        Reading the members' geometries raises the
+        :class:`~repro.errors.StorageError` of the first one whose
+        geometry attribute holds something else, and caches nothing.
+        Dropped by :meth:`note_member_change` (a member add drops only
+        its level's record).
         """
         cache_key = (dimension, level)
         with self._cache_lock:
             cached = self._level_grid.get(cache_key, _UNBUILT)
             if cached is _UNBUILT:
-                table = self.dimension_table(dimension)
-                entries: list[tuple[Geometry, str]] = []
-                for member in table.members(level):
-                    geometry = member.geometry
-                    if geometry is not None:
-                        entries.append((geometry, member.key))
-                if entries:
-                    cached = (
-                        EnvelopeColumns(entries),
-                        {key: geometry for geometry, key in entries},
+                members = tuple(self.dimension_table(dimension).members(level))
+                geometries = tuple(member.geometry for member in members)
+                located = [
+                    (geometry, position)
+                    for position, geometry in enumerate(geometries)
+                    if geometry is not None
+                ]
+                cached = (
+                    LevelGeometries(
+                        members,
+                        geometries,
+                        all(type(g) in _PRIMITIVE_TYPES for g in geometries),
+                        EnvelopeColumns(located),
                     )
-                else:
-                    cached = None
+                    if located
+                    else None
+                )
                 self._level_grid[cache_key] = cached
         return cached  # type: ignore[return-value]
 

@@ -220,6 +220,8 @@ class ReplayReport:
     latency: LatencyStats
     by_kind: dict[str, int] = field(default_factory=dict)
     error_statuses: dict[str, int] = field(default_factory=dict)
+    #: The latency of each event kind's requests, from the same samples.
+    latency_by_kind: dict[str, LatencyStats] = field(default_factory=dict)
     #: Open-loop only: configured rate and mean dispatch lag.
     arrival_rate_per_s: float | None = None
     dispatch_lag_ms: float | None = None
@@ -235,11 +237,37 @@ class ReplayReport:
             "latency": self.latency.to_dict(),
             "by_kind": dict(sorted(self.by_kind.items())),
             "error_statuses": dict(sorted(self.error_statuses.items())),
+            "latency_by_kind": {
+                kind: {
+                    "count": stats.count,
+                    "p50_ms": stats.p50_ms,
+                    "p95_ms": stats.p95_ms,
+                }
+                for kind, stats in sorted(self.latency_by_kind.items())
+            },
         }
         if self.arrival_rate_per_s is not None:
             out["arrival_rate_per_s"] = self.arrival_rate_per_s
             out["dispatch_lag_ms"] = self.dispatch_lag_ms
         return out
+
+
+class _Tally:
+    """What one replay thread saw: its latency samples per event kind and
+    the statuses of its failed requests."""
+
+    __slots__ = ("samples", "error_statuses")
+
+    def __init__(self) -> None:
+        self.samples: dict[str, list[float]] = {}
+        self.error_statuses: dict[str, int] = {}
+
+    def record(self, kind: str, status: int, seconds: float) -> None:
+        """Count one request whose timer has stopped."""
+        self.samples.setdefault(kind, []).append(seconds)
+        if not 200 <= status < 300:
+            key = str(status)
+            self.error_statuses[key] = self.error_statuses.get(key, 0) + 1
 
 
 class _SessionState:
@@ -338,23 +366,14 @@ class ReplayDriver:
         back in stream order — the input to the identical-response gate.
         """
         sessions: dict[str, _SessionState] = {}
-        samples: list[float] = []
-        by_kind: dict[str, int] = {}
-        error_statuses: dict[str, int] = {}
-        errors = 0
+        tally = _Tally()
         bodies: list | None = [] if collect_bodies else None
         started = time.perf_counter()
         for event in stream:
             state = sessions.setdefault(event.session, _SessionState())
             sent = time.perf_counter()
             status, response = self._issue(event, state)
-            samples.append(time.perf_counter() - sent)
-            by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
-            if not 200 <= status < 300:
-                errors += 1
-                error_statuses[str(status)] = (
-                    error_statuses.get(str(status), 0) + 1
-                )
+            tally.record(event.kind, status, time.perf_counter() - sent)
             if bodies is not None:
                 if event.kind == "login":
                     response = {
@@ -362,17 +381,7 @@ class ReplayDriver:
                     }
                 bodies.append(response)
         elapsed = time.perf_counter() - started
-        report = ReplayReport(
-            mode="serial",
-            target=getattr(self.target, "name", "target"),
-            requests=len(stream),
-            errors=errors,
-            elapsed_s=elapsed,
-            req_per_s=len(stream) / elapsed if elapsed > 0 else 0.0,
-            latency=LatencyStats.from_samples(samples),
-            by_kind=by_kind,
-            error_statuses=error_statuses,
-        )
+        report = self._report("serial", stream, elapsed, [tally])
         return report, bodies
 
     # -- concurrent modes ---------------------------------------------------------
@@ -397,31 +406,18 @@ class ReplayDriver:
         if actors < 1:
             raise ReproError("actors must be >= 1")
         slices = self._session_slices(stream, actors)
-        samples_per_actor: list[list[float]] = [[] for _ in range(actors)]
-        counters: list[dict] = [
-            {"by_kind": {}, "errors": 0, "error_statuses": {}}
-            for _ in range(actors)
-        ]
+        tallies = [_Tally() for _ in range(actors)]
         failures: list[Exception] = []
 
         def drive(actor: int) -> None:
             try:
-                samples = samples_per_actor[actor]
-                counts = counters[actor]
+                tally = tallies[actor]
                 for session_events in slices[actor]:
                     state = _SessionState()
                     for event in session_events:
                         sent = time.perf_counter()
                         status, _response = self._issue(event, state)
-                        samples.append(time.perf_counter() - sent)
-                        counts["by_kind"][event.kind] = (
-                            counts["by_kind"].get(event.kind, 0) + 1
-                        )
-                        if not 200 <= status < 300:
-                            counts["errors"] += 1
-                            counts["error_statuses"][str(status)] = (
-                                counts["error_statuses"].get(str(status), 0) + 1
-                            )
+                        tally.record(event.kind, status, time.perf_counter() - sent)
             except Exception as exc:  # noqa: BLE001 - re-raised after join
                 failures.append(exc)
 
@@ -437,9 +433,7 @@ class ReplayDriver:
         elapsed = time.perf_counter() - started
         if failures:
             raise failures[0]
-        return self._merge_report(
-            "closed", stream, elapsed, samples_per_actor, counters
-        )
+        return self._report("closed", stream, elapsed, tallies)
 
     def replay_open(
         self,
@@ -460,19 +454,14 @@ class ReplayDriver:
         queues: list[queue.Queue] = [queue.Queue() for _ in range(senders)]
         #: session id -> sender index (first-seen round-robin pinning).
         pinned: dict[str, int] = {}
-        samples_per_sender: list[list[float]] = [[] for _ in range(senders)]
+        tallies = [_Tally() for _ in range(senders)]
         lags: list[list[float]] = [[] for _ in range(senders)]
-        counters: list[dict] = [
-            {"by_kind": {}, "errors": 0, "error_statuses": {}}
-            for _ in range(senders)
-        ]
         sessions: dict[str, _SessionState] = {}
         failures: list[Exception] = []
 
         def send_loop(index: int) -> None:
             try:
-                samples = samples_per_sender[index]
-                counts = counters[index]
+                tally = tallies[index]
                 while True:
                     item = queues[index].get()
                     if item is None:
@@ -481,17 +470,8 @@ class ReplayDriver:
                     state = sessions[event.session]
                     dispatch = time.perf_counter()
                     status, _response = self._issue(event, state)
-                    done = time.perf_counter()
-                    samples.append(done - scheduled)
+                    tally.record(event.kind, status, time.perf_counter() - scheduled)
                     lags[index].append(max(0.0, dispatch - scheduled))
-                    counts["by_kind"][event.kind] = (
-                        counts["by_kind"].get(event.kind, 0) + 1
-                    )
-                    if not 200 <= status < 300:
-                        counts["errors"] += 1
-                        counts["error_statuses"][str(status)] = (
-                            counts["error_statuses"].get(str(status), 0) + 1
-                        )
             except Exception as exc:  # noqa: BLE001 - re-raised after join
                 failures.append(exc)
 
@@ -519,9 +499,7 @@ class ReplayDriver:
         elapsed = time.perf_counter() - started
         if failures:
             raise failures[0]
-        report = self._merge_report(
-            "open", stream, elapsed, samples_per_sender, counters
-        )
+        report = self._report("open", stream, elapsed, tallies)
         lag_samples = [lag for per in lags for lag in per]
         report.arrival_rate_per_s = rate_per_s
         report.dispatch_lag_ms = round(
@@ -529,25 +507,28 @@ class ReplayDriver:
         ) if lag_samples else 0.0
         return report
 
-    def _merge_report(self, mode, stream, elapsed, samples_lists, counters):
-        samples = [sample for per in samples_lists for sample in per]
-        by_kind: dict[str, int] = {}
+    def _report(self, mode, stream, elapsed, tallies) -> ReplayReport:
+        samples: dict[str, list[float]] = {}
         error_statuses: dict[str, int] = {}
-        errors = 0
-        for counts in counters:
-            errors += counts["errors"]
-            for kind, count in counts["by_kind"].items():
-                by_kind[kind] = by_kind.get(kind, 0) + count
-            for status, count in counts["error_statuses"].items():
+        for tally in tallies:
+            for kind, taken in tally.samples.items():
+                samples.setdefault(kind, []).extend(taken)
+            for status, count in tally.error_statuses.items():
                 error_statuses[status] = error_statuses.get(status, 0) + count
         return ReplayReport(
             mode=mode,
             target=getattr(self.target, "name", "target"),
             requests=len(stream),
-            errors=errors,
+            errors=sum(error_statuses.values()),
             elapsed_s=elapsed,
             req_per_s=len(stream) / elapsed if elapsed > 0 else 0.0,
-            latency=LatencyStats.from_samples(samples),
-            by_kind=by_kind,
+            latency=LatencyStats.from_samples(
+                [sample for taken in samples.values() for sample in taken]
+            ),
+            by_kind={kind: len(taken) for kind, taken in samples.items()},
             error_statuses=error_statuses,
+            latency_by_kind={
+                kind: LatencyStats.from_samples(taken)
+                for kind, taken in samples.items()
+            },
         )

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
+    Envelope,
     LineString,
     Point,
     Polygon,
@@ -182,3 +183,43 @@ class TestIndexProperties:
         tree = STRtree(entries)
         (d, _item), = tree.nearest(center, k=1)
         assert d == min(distance(p, center) for p, _ in entries)
+
+
+#: Points, lines and polygons; the lines and polygons reach across up to
+#: the whole coordinate range, so some envelopes are far wider than most.
+mixed_geometries = st.one_of(points, linestrings, convex_polygons)
+
+
+@st.composite
+def envelope_queries(draw, geometries):
+    """A query envelope: anywhere, or touching one geometry's envelope at
+    its right edge (the entries a slab that ignored the widest
+    envelope's width would miss)."""
+    a, b = draw(coords), draw(coords)
+    anywhere = Envelope(
+        min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1])
+    )
+    env = draw(st.sampled_from(geometries)).envelope
+    right_edge = Envelope(env.max_x, env.min_y, env.max_x + abs(a[0]), env.max_y)
+    return draw(st.sampled_from([anywhere, right_edge]))
+
+
+class TestEnvelopeColumnsProperties:
+    @staticmethod
+    def _assert_linear(columns, held, data):
+        assert len(columns) == len(held)
+        for _ in range(4):
+            query = data.draw(envelope_queries(held))
+            assert columns.query_envelope(query) == [
+                i for i, g in enumerate(held) if g.envelope.intersects(query)
+            ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_query_equals_linear_intersects_filter(self, data):
+        held = data.draw(st.lists(mixed_geometries, min_size=1, max_size=40))
+        columns = EnvelopeColumns(list(zip(held, range(len(held)))))
+        self._assert_linear(columns, held, data)
+        more = data.draw(st.lists(mixed_geometries, min_size=1, max_size=20))
+        columns.extend(list(zip(more, range(len(held), len(held) + len(more)))))
+        self._assert_linear(columns, held + more, data)

@@ -27,7 +27,14 @@ from repro.data import (
 from repro.data.sales_schema import build_sales_schema
 from repro.errors import ReproError
 from repro.geomd import GeoMDSchema
-from repro.geometry import GeometryCollection, HaversineMetric, PlanarMetric, Point
+from repro.geometry import (
+    GeometryCollection,
+    HaversineMetric,
+    LineString,
+    PlanarMetric,
+    Point,
+    Polygon,
+)
 from repro.geometry import distance as planar_distance
 from repro.personalization import PersonalizationEngine
 from repro.prml import Evaluator, RuntimeContext, parse_rule
@@ -224,6 +231,123 @@ class TestPaperRule:
         (stmt,) = parse_rule(FIVE_KM_STORES).body
         shape = evaluator_module._nearby_selection(stmt)
         assert shape is not None and shape.member_first
+
+
+def mixed_geometry(position, at):
+    """A store's geometry in the mixed level: a point, a line through the
+    store or a square around it, and every seventh line a 60 km wide
+    one, so the level's widest envelope spans many stores."""
+    x, y = at.x, at.y
+    kind = position % 3
+    if kind == 0:
+        return Point(x, y)
+    if kind == 1:
+        half = 30_000.0 if position % 7 == 1 else 400.0
+        return LineString([(x - half, y - 150.0), (x + half, y + 150.0)])
+    return Polygon(
+        [(x - 300, y - 300), (x + 300, y - 300), (x + 300, y + 300), (x - 300, y + 300)]
+    )
+
+
+class MixedGeoSource:
+    """A geo source whose Store level holds points, lines and polygons."""
+
+    def __init__(self, world):
+        self.world = world
+
+    def layer_features(self, layer_name):
+        return None
+
+    def level_geometries(self, dimension, level):
+        if (dimension, level) != ("Store", "Store"):
+            return None
+        return {
+            store.name: mixed_geometry(i, store.location)
+            for i, store in enumerate(self.world.stores)
+        }
+
+
+def mixed_star(world):
+    """A star whose Store level was made spatial, as a COLLECTION, from
+    :class:`MixedGeoSource` by a registered rule."""
+    star = build_sales_star(world)
+    engine = PersonalizationEngine(
+        star, USER_SCHEMA, geo_source=MixedGeoSource(world)
+    )
+    engine.add_rule(
+        "Rule:mixedStores When SessionStart do "
+        "BecomeSpatial(MD.Sales.Store.geometry, COLLECTION) endWhen"
+    )
+    engine.detach()
+    return star
+
+
+@pytest.fixture(scope="module")
+def shared_mixed_star(world):
+    return mixed_star(world)
+
+
+class TestLinesAndPolygons:
+    """The indexed path over a level of lines and polygons, some with
+    envelopes far wider than the radius, equals the loop; also after a
+    member add and an in-place update, which must drop the level's
+    cached record."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_indexed_equals_loop(self, shared_mixed_star, world, index_calls, data):
+        location, radius, _level, op, member_first = data.draw(
+            nearby_cases(world.stores)
+        )
+        assert_same_as_loop(
+            shared_mixed_star,
+            nearby_rule("GeoMD.Store", op, member_first),
+            location=location,
+            parameters={"radius": radius},
+        )
+        assert index_calls[-2:] == [True, False]
+
+    def test_member_added_near_the_location(self, world, index_calls):
+        star = mixed_star(world)
+        store = world.stores[3]
+        at = store.location
+        case = dict(location=at, parameters={"radius": 2_000.0})
+        before, _error, selection = assert_same_as_loop(star, nearby_rule(), **case)
+        passing = LineString([(at.x + 900, at.y - 50_000), (at.x + 900, at.y + 50_000)])
+        star.add_member(
+            "Store",
+            "Store",
+            "Store near the login",
+            {"geometry": passing},
+            parents={"City": store.city},
+        )
+        after, _error, grown = assert_same_as_loop(star, nearby_rule(), **case)
+        assert index_calls == [True, False, True, False]
+        assert after["iterations"] == before["iterations"] + 1
+        assert after["selected_instances"] == before["selected_instances"] + 1
+        assert grown.members[("Store", "Store")] == (
+            selection.members[("Store", "Store")] | {"Store near the login"}
+        )
+
+    def test_in_place_update(self, world, index_calls):
+        star = mixed_star(world)
+        at = world.stores[0].location
+        case = dict(location=at, parameters={"radius": 1_000.0})
+        members = star.dimension_table("Store").members("Store")
+        far = members[len(members) // 2]
+        _outcome, _error, selection = assert_same_as_loop(star, nearby_rule(), **case)
+        assert far.key not in selection.members[("Store", "Store")]
+        far.attributes["geometry"] = Polygon(
+            [(at.x - 10, at.y - 10), (at.x + 10, at.y - 10), (at.x, at.y + 10)]
+        )
+        star.note_member_change("Store", op="update")
+        _outcome, _error, moved = assert_same_as_loop(star, nearby_rule(), **case)
+        assert far.key in moved.members[("Store", "Store")]
+        assert index_calls == [True, False, True, False]
 
 
 class TestFallbacks:

@@ -151,3 +151,25 @@ def test_every_session_answers_as_if_alone(world, loaded, backend, seed):
     for user, steps in scripts.items():
         alone = _run(fresh(), {user: steps}, [user] * len(steps))
         assert together[user] == alone[user], user
+
+
+def test_a_rule_that_errors_keeps_no_schema_switch(world, loaded):
+    """An analyst past Example 5.3's threshold: TrainAirportCity adds the
+    Train layer, then errors on ``GeoMD.Airport``, which the analyst's
+    schema lacks.  The rule's schema switch does not stand, in the session
+    that reran it or in the user's next one."""
+    app = _portal(world, loaded, None)
+    store = world.stores[0].location
+    login = {"user": "dan-analyst", "location": [store.x, store.y]}
+    token = app.handle("POST", "/api/v1/login", login).json()["token"]
+    report = {"target": "GeoMD.Store.City", "condition": CONDITION}
+    for _ in range(4):
+        assert app.handle("POST", "/api/v1/selection", report, token=token).ok
+    rerun = app.handle("POST", "/api/v1/selection/rerun", None, token=token)
+    assert rerun.json()["rules_fired"] == []
+    again = app.handle("POST", "/api/v1/login", login).json()
+    assert again["view"]["layers"] == 0
+    for session in (token, again["token"]):
+        schema = app.handle("GET", "/api/v1/schema", token=session).json()
+        assert schema["layers"] == []
+        assert app.handle("GET", "/api/v1/layers/Train", token=session).status == 404

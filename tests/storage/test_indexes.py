@@ -154,8 +154,10 @@ class TestEnvelopeIndexCaches:
         self._spatialize(loaded_star)
         cached = loaded_star.level_grid_index("Store", "Store")
         assert cached is not None
-        index, geometry_of = cached
-        assert set(geometry_of) == {"S1", "S2"}
+        assert [m.key for m in cached.members] == ["S1", "S2"]
+        assert cached.geometries == (Point(0.0, 0.0), Point(1.0, 1.0))
+        assert cached.primitive
+        assert cached.index.query_envelope(Point(1.0, 1.0).envelope) == [1]
         assert loaded_star.level_grid_index("Store", "Store") is cached
         loaded_star.add_member(
             "Store",
@@ -166,7 +168,8 @@ class TestEnvelopeIndexCaches:
         )
         rebuilt = loaded_star.level_grid_index("Store", "Store")
         assert rebuilt is not cached
-        assert set(rebuilt[1]) == {"S1", "S2", "S3"}
+        assert [m.key for m in rebuilt.members] == ["S1", "S2", "S3"]
+        assert rebuilt.index.query_envelope(Point(5.0, 5.0).envelope) == [2]
 
     def test_level_grid_index_none_without_geometry(self, loaded_star):
         assert loaded_star.level_grid_index("Store", "Store") is None

@@ -97,3 +97,9 @@ class TestWorkload:
             assert report["mode"] == options[1]
             assert report["requests"] == described["events"]
             assert report["errors"] == 0
+            by_kind = report["latency_by_kind"]
+            assert {kind: stats["count"] for kind, stats in by_kind.items()} == (
+                report["by_kind"]
+            )
+            for stats in by_kind.values():
+                assert set(stats) == {"count", "p50_ms", "p95_ms"}

@@ -8,6 +8,7 @@ import types
 import pytest
 
 from repro.errors import ReproError
+from repro.workload import driver as driver_module
 from repro.web.server import make_server
 from repro.workload import (
     WORKLOAD_TENANTS,
@@ -80,6 +81,57 @@ class TestSerialReplay:
             "max_ms",
         }
         assert data["latency"]["count"] == len(tiny_stream)
+
+
+class _TimedTarget:
+    """Answers every request at once, on a fake clock that a login moves
+    by 5 ms and any other request by 1 ms."""
+
+    name = "timed"
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def request(self, method, path, body=None, token=None, datamart=None):
+        self.now += 0.005 if path.endswith("/login") else 0.001
+        return 200, {"token": "t"}
+
+
+class TestLatencyByKind:
+    @pytest.mark.parametrize("mode", ["serial", "closed"])
+    def test_each_kind_reports_its_own_samples(self, tiny_stream, monkeypatch, mode):
+        target = _TimedTarget()
+        clock = types.SimpleNamespace(perf_counter=target.perf_counter)
+        monkeypatch.setattr(driver_module, "time", clock)
+        epochs = {event.datamart: 0 for event in tiny_stream}
+        driver = ReplayDriver(target, as_of_generations=epochs)
+        if mode == "serial":
+            report, _bodies = driver.replay_serial(tiny_stream)
+        else:
+            report = driver.replay_closed(tiny_stream, actors=1)
+        assert set(report.latency_by_kind) == set(report.by_kind)
+        for kind, stats in report.latency_by_kind.items():
+            assert stats.count == report.by_kind[kind]
+            expected = 5.0 if kind == "login" else 1.0
+            assert stats.p50_ms == stats.p95_ms == expected
+        assert report.to_dict()["latency_by_kind"]["login"] == {
+            "count": report.by_kind["login"],
+            "p50_ms": 5.0,
+            "p95_ms": 5.0,
+        }
+
+    def test_open_loop_counts_every_kind(self, tiny_portal, tiny_stream):
+        report = _driver(tiny_portal).replay_open(
+            tiny_stream, rate_per_s=400.0, senders=2
+        )
+        counts = {
+            kind: stats.count for kind, stats in report.latency_by_kind.items()
+        }
+        assert counts == report.by_kind
+        assert sum(counts.values()) == report.latency.count == len(tiny_stream)
 
 
 class TestConcurrentReplay:
