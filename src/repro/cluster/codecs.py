@@ -10,19 +10,20 @@ garbage.
 
 The four entry kinds mirror the shared stores:
 
-* **session records** — the rehydratable part of a
+* **session records** — the restorable part of a
   :class:`~repro.service.sessions.SessionRecord`: token, tenant, user,
   clocks and the JSON-safe ``meta`` dict (journal opt-out, login
-  location, replayable selection reports).  The live session object is
-  *not* serialized — a worker resolving a cold token rebuilds it through
-  the engine (the rules are the authority, not a pickle).
+  location, and the session's selection and schema-set key in
+  :func:`encode_session_state` form).  The live session object is *not*
+  serialized — a worker resolving a cold token restores it through the
+  engine from that state, firing no rule.
 * **journal events** — :class:`~repro.reco.journal.WorkloadEvent` with
   its payload thawed to plain JSON; decoding re-freezes it through the
   event's own constructor, so persisted history is exactly as immutable
   as in-heap history.
 * **view entries** — a :class:`~repro.personalization.engine.PersonalizedView`
-  reduced to its data: fact name, the frozen selection's members/
-  features, the surviving fact row ids, and the star generation stamp.
+  reduced to its data: fact name, the frozen selection's fields in the
+  :func:`encode_selection` form and the surviving fact row ids.
   A view carries no schema.  The star is supplied at decode time by the
   worker that owns it — the generation stamp in the entry's *key* is
   what guarantees both sides describe the same star state (the same
@@ -49,8 +50,12 @@ from repro.errors import StorageError
 
 __all__ = [
     "CodecError",
+    "encode_selection",
+    "decode_selection",
     "encode_session_record",
     "decode_session_record",
+    "encode_session_state",
+    "decode_session_state",
     "encode_journal_event",
     "decode_journal_event",
     "encode_view_entry",
@@ -118,9 +123,62 @@ def _deep_tuple(value: object) -> object:
     return value
 
 
+# -- selections -------------------------------------------------------------------
+
+
+def encode_selection(selection) -> dict:
+    """The JSON form of a :class:`~repro.prml.evaluator.SelectionSet`:
+    its member and feature content, sorted, and its generation."""
+    return {
+        "members": sorted(
+            [dimension, level, sorted(keys)]
+            for (dimension, level), keys in selection.members.items()
+        ),
+        "features": sorted(
+            [layer, sorted(names)] for layer, names in selection.features.items()
+        ),
+        "generation": selection.generation,
+    }
+
+
+def decode_selection(data: object):
+    """Rebuild a :class:`SelectionSet` from :func:`encode_selection`'s
+    form, raising :class:`CodecError` on any other shape."""
+    from repro.prml.evaluator import SelectionSet
+
+    if not isinstance(data, dict):
+        raise CodecError(
+            f"corrupt selection: expected an object, got {type(data).__name__}"
+        )
+    members = _field(data, "selection", "members", list)
+    features = _field(data, "selection", "features", list)
+    selection = SelectionSet()
+    selection.generation = _field(data, "selection", "generation", int)
+    try:
+        for dimension, level, keys in members:
+            _check_names("selection", keys, dimension, level)
+            selection.members[(dimension, level)] = set(keys)
+        for layer, names in features:
+            _check_names("selection", names, layer)
+            selection.features[layer] = set(names)
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"corrupt selection: {exc}") from exc
+    return selection
+
+
+def _check_names(kind: str, keys: object, *names: object) -> None:
+    if not isinstance(keys, list) or not all(
+        isinstance(name, str) for name in (*names, *keys)
+    ):
+        raise CodecError(f"corrupt {kind}: a name or key is not a string")
+
+
 # -- session records ------------------------------------------------------------
 
-SESSION_RECORD_VERSION = 1
+# v2: ``meta`` carries the session's selection and schema set, which a
+# worker restores; a v1 row carried a log of selection reports to replay
+# and fails the version check, a miss that deletes the row.
+SESSION_RECORD_VERSION = 2
 
 
 def encode_session_record(
@@ -131,11 +189,11 @@ def encode_session_record(
     last_access: float,
     meta: dict,
 ) -> str:
-    """Encode the rehydratable fields of one session record.
+    """Encode the restorable fields of one session record.
 
     ``meta`` must be JSON-safe — the service keeps it that way (the
-    journal flag is a bool, the login location a ``[x, y]`` pair, the
-    replay log a list of ``[target, condition]`` pairs).
+    journal flag is a bool, the login location a ``[x, y]`` pair, and
+    :func:`encode_session_state` gives the selection and schema set).
     """
     return json.dumps(
         {
@@ -166,6 +224,25 @@ def decode_session_record(text: str) -> dict:
         ),
         "meta": _field(data, "session-record", "meta", dict),
     }
+
+
+def encode_session_state(session) -> dict:
+    """What a restore needs of a live session, as ``meta`` entries of
+    its record: the selection in :func:`encode_selection` form and the
+    schema-set key as a list."""
+    return {
+        "selection": encode_selection(session.selection),
+        "schema_set": list(session.context.schema_set),
+    }
+
+
+def decode_session_state(meta: dict):
+    """The ``(schema_set, selection)`` that :func:`encode_session_state`
+    wrote into ``meta``, raising :class:`CodecError` if either is
+    missing or malformed."""
+    schema_set = meta.get("schema_set")
+    _check_names("session state", schema_set)
+    return tuple(schema_set), decode_selection(meta.get("selection"))
 
 
 # -- journal events --------------------------------------------------------------
@@ -206,32 +283,26 @@ def decode_journal_event(text: str):
 
 # -- view entries ----------------------------------------------------------------
 
-VIEW_ENTRY_VERSION = 1
+# v2: the selection fields are :func:`encode_selection`'s (its
+# ``generation`` was ``selection_generation``); a v1 row fails the
+# version check, a miss that deletes the row.
+VIEW_ENTRY_VERSION = 2
 
 
 def encode_view_entry(view) -> str:
     """Encode one stored :class:`PersonalizedView` (data only).
 
-    The entry is stamped with the selection fingerprint and the star
-    generation it was built against — the decode side re-checks both
-    against its lookup key, so an entry can never be applied to a star
-    state it does not describe.
+    The entry is stamped with the selection fingerprint it was built
+    for — the decode side re-checks it against its lookup key, and the
+    star generation in that key, so an entry can never be applied to a
+    star state it does not describe.
     """
-    selection = view.selection
     return json.dumps(
         {
             "v": VIEW_ENTRY_VERSION,
             "fact": view.fact,
-            "fingerprint": selection.fingerprint(),
-            "members": sorted(
-                [dimension, level, sorted(keys)]
-                for (dimension, level), keys in selection.members.items()
-            ),
-            "features": sorted(
-                [layer, sorted(names)]
-                for layer, names in selection.features.items()
-            ),
-            "selection_generation": selection.generation,
+            "fingerprint": view.selection.fingerprint(),
+            **encode_selection(view.selection),
             "fact_rows": list(view.fact_rows),
         },
         separators=(",", ":"),
@@ -248,25 +319,11 @@ def decode_view_entry(text: str, star, fingerprint: str):
     here).
     """
     from repro.personalization.engine import PersonalizedView
-    from repro.prml.evaluator import SelectionSet
 
     data = _loads(text, "view-entry", VIEW_ENTRY_VERSION)
     fact = _field(data, "view-entry", "fact", str)
-    members = _field(data, "view-entry", "members", list)
-    features = _field(data, "view-entry", "features", list)
     fact_rows = _field(data, "view-entry", "fact_rows", list)
-    selection = SelectionSet()
-    try:
-        selection.members = {
-            (dimension, level): set(keys)
-            for dimension, level, keys in members
-        }
-        selection.features = {layer: set(names) for layer, names in features}
-    except (TypeError, ValueError) as exc:
-        raise CodecError(f"corrupt view-entry entry: {exc}") from exc
-    selection.generation = int(
-        _field(data, "view-entry", "selection_generation", int)
-    )
+    selection = decode_selection(data)
     if selection.fingerprint() != fingerprint or data.get("fingerprint") != fingerprint:
         raise CodecError(
             "corrupt view-entry entry: selection content does not match "

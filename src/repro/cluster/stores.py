@@ -13,11 +13,13 @@ star state is never read.
 * :class:`BackendSessionStore` — an
   :class:`~repro.service.sessions.InMemorySessionStore` whose records
   are also persisted, so tokens resolve in any worker.  A live session
-  evicted from the L1 is ended (the in-heap rule), but its record
-  survives, so the *token stays valid*: the next request rehydrates the
-  session through the resolver (profile lookup + ``start_session`` +
-  replay of the selection reports the service logged in ``meta``).
-  Aggregate live-session capacity therefore scales with worker count;
+  evicted from the L1 (spilled) is dropped, not ended: its record
+  survives, so the *token stays valid*, and the next request restores
+  the session through the resolver from the selection and schema set
+  the service keeps in ``meta`` — no rule fires.  A spilled session
+  that no request restores is never ended: its record's expiry ends
+  nothing (see :class:`BackendSessionStore`).  Aggregate
+  live-session capacity therefore scales with worker count;
   ``tests/cluster/test_pool_gate.py`` checks that a pool whose every
   request crosses a spill and a rehydration answers like one process.
 * :class:`BackendQueryCache` — a :class:`~repro.lru.ThreadSafeLRU` whose
@@ -88,11 +90,20 @@ class BackendSessionStore(InMemorySessionStore):
     """The in-heap session store over persisted records.
 
     The inherited map is the L1: at most ``max_sessions`` live sessions,
-    LRU, each ended when evicted.  Every record is also persisted, so a
-    token keeps resolving after its live session is gone — ``get``
-    rehydrates a fresh one through ``resolver(datamart, user_id, meta)``.
-    With no resolver, a token without a live session stops resolving,
-    as in the in-heap store.
+    LRU.  Every record is also persisted, so a token keeps resolving
+    after its live session is gone — ``get`` rehydrates a fresh one
+    through ``resolver(datamart, user_id, meta)``.  An eviction
+    therefore drops the live session without ending it: only a logout,
+    the TTL expiry of a live copy or a record lost to a logout elsewhere
+    ends one.  A spilled session that no request restores is never
+    ended — unlike the in-heap store, which ends what expires: its
+    record's expiry deletes a row and ends nothing, so its SessionEnd
+    rules never fire and the user's profile in this worker keeps that
+    session's link (and login location) until the user's next login or
+    logout here.  With no resolver, a token without a live session
+    stops resolving, as in the in-heap store.  A resolver that raises
+    :class:`~repro.cluster.codecs.CodecError` marks the record corrupt:
+    it is deleted and answers 401 ``invalid_session``.
 
     Writes after login only *update* the persisted record: once a
     logout on any worker deletes it, this worker's refresh, ``persist``
@@ -100,8 +111,18 @@ class BackendSessionStore(InMemorySessionStore):
     copy instead of re-creating the record.  A live copy that looks
     expired by this worker's clock is checked against the record first:
     another worker may have served the session since, and then the copy
-    is rebuilt from the record rather than expired.
+    is dropped and rebuilt from the record rather than expired.
+
+    A login sweeps the persisted records at most once per 5% of the TTL
+    (the cadence of the access refresh), since the sweep reads every
+    record; ``purge_expired`` always sweeps.  An expired record the
+    throttle leaves behind still answers ``session_expired`` when read,
+    and is deleted then.
     """
+
+    #: The share of the TTL between two writes of a live session's idle
+    #: clock to its record, and between two login sweeps.
+    _SYNC_SHARE = 0.05
 
     def __init__(
         self,
@@ -123,6 +144,9 @@ class BackendSessionStore(InMemorySessionStore):
         #: (refreshes are throttled; see get).
         # guarded-by: _lock
         self._synced: dict[str, float] = {}
+        #: The clock at the last sweep (see _sweep).
+        # guarded-by: _lock
+        self._swept_at = float("-inf")
         self.rehydrations = 0
 
     def get(self, token: str) -> SessionRecord:
@@ -133,7 +157,7 @@ class BackendSessionStore(InMemorySessionStore):
         # keeps the persisted expiry within 1.05x of the live one.
         with self._lock:
             synced = self._synced.get(token, 0.0)
-            due = record.last_access - synced >= self.ttl * 0.05
+            due = record.last_access - synced >= self.ttl * self._SYNC_SHARE
             if not due or self._write_locked(record, create=False):
                 return record
         self._lost(record)
@@ -144,18 +168,30 @@ class BackendSessionStore(InMemorySessionStore):
 
     def persist(self, record: SessionRecord) -> None:
         """Re-encode a record after a ``meta`` mutation (the service
-        calls this so selection-replay state survives a worker change).
-        Call with ``record.lock`` held, like any same-token operation."""
+        calls this so the session's selection and schema set survive a
+        worker change).  Call with ``record.lock`` held, like any
+        same-token operation."""
         with self._lock:
             if self._write_locked(record, create=False):
                 return
         self._lost(record)
+
+    def purge_expired(self) -> int:
+        """Sweep now, whether or not a login swept within the throttle
+        window."""
+        with self._lock:
+            self._swept_at = float("-inf")
+        return super().purge_expired()
 
     def __len__(self) -> int:
         """Persisted records, live here or not."""
         return self.backend.count(self._store)
 
     def stats(self) -> dict:
+        """The health block: ``persisted`` counts every record in the
+        backend, expired ones included until a sweep or a read of the
+        record deletes them (a login sweeps at most once per 5% of the
+        TTL); ``rehydrations`` counts restored sessions."""
         with self._lock:
             live = len(self._records)
         return {
@@ -171,8 +207,14 @@ class BackendSessionStore(InMemorySessionStore):
     def _sweep(self, now: float) -> list[SessionRecord]:
         """Drop every expired persisted record, and every expired live
         copy whose record is gone (another worker logged it out or swept
-        it), returning the live ones (callers end those; cold records
-        have nothing to end).  ``_synced`` keeps only live tokens."""
+        it), returning the live ones (callers end those; a cold record,
+        spilled here or never live here, has nothing to end).
+        ``_synced`` keeps only live tokens.  Skipped within 5% of the
+        TTL of the last sweep."""
+        with self._lock:
+            if now - self._swept_at < self.ttl * self._SYNC_SHARE:
+                return []
+            self._swept_at = now
         ended: list[SessionRecord] = []
         persisted: set[str] = set()
         for token, encoded in self.backend.items(self._store):
@@ -212,16 +254,24 @@ class BackendSessionStore(InMemorySessionStore):
             return False
         return self._write_locked(record)
 
+    def _spill_locked(  # guarded-by-caller: _lock
+        self, record: SessionRecord, ended: list[SessionRecord]
+    ) -> None:
+        """A spilled session lives on in its record: nothing is ended."""
+        self._synced.pop(record.token, None)
+
     def _miss(
         self, token: str, stale: SessionRecord | None, now: float
     ) -> SessionRecord:
         fields = self._load(token)
-        if stale is not None:
-            # Expired by this worker's clock: ended either way, and
-            # rebuilt below if another worker kept the session alive.
-            self._evict(token, stale)
         if fields is not None and now - fields["last_access"] <= self.ttl:
+            if stale is not None:
+                # Expired by this worker's clock only: another worker
+                # kept the session alive, so the record is rebuilt.
+                self._drop(token, stale)
             return self._rehydrate(token, fields, now)
+        if stale is not None:
+            self._evict(token, stale)
         if fields is None and stale is None:
             raise _invalid_session()
         if fields is not None:
@@ -279,10 +329,14 @@ class BackendSessionStore(InMemorySessionStore):
         """Rebuild a live session from its persisted record."""
         if self.resolver is None:
             raise _invalid_session()
-        session = self.resolver(
-            fields["datamart"], fields["user_id"], fields["meta"]
-        )
-        ended: list[SessionRecord] = []
+        try:
+            session = self.resolver(
+                fields["datamart"], fields["user_id"], fields["meta"]
+            )
+        except CodecError:
+            self._delete(token)
+            raise _invalid_session() from None
+        ended: list[SessionRecord] = []  # a spill here ends nothing
         with self._lock:
             record = self._records.get(token)
             if record is not None:
@@ -305,8 +359,6 @@ class BackendSessionStore(InMemorySessionStore):
                 if written:
                     self.rehydrations += 1
                     self._admit_locked(record, ended)
-        for stale in ended:
-            _end_quietly(stale)
         if not written:
             # Logged out while the resolver ran: the new session was
             # never live here.

@@ -290,18 +290,26 @@ class SchemaSets:
         # guarded-by: _lock
         self._schemas: dict[tuple[str, ...], GeoMDSchema] = {(): self.base}
 
+    def schema(self, key: tuple[str, ...]) -> GeoMDSchema:
+        """The shared schema of the set ``key``.  Raises
+        :class:`~repro.errors.SchemaError` for a key that is not sorted
+        and free of duplicates, or that names anything not loaded."""
+        with self._lock:
+            schema = self._schemas.get(key)
+            if schema is None:
+                schema = self._schemas[key] = self._build(key)
+        return schema
+
     def with_item(
         self, key: tuple[str, ...], item: str
     ) -> tuple[tuple[str, ...], GeoMDSchema]:
         """The set ``key`` plus ``item``, and that set's schema."""
         key = tuple(sorted({*key, item}))
-        with self._lock:
-            schema = self._schemas.get(key)
-            if schema is None:
-                schema = self._schemas[key] = self._build(key)
-        return key, schema
+        return key, self.schema(key)
 
     def _build(self, key: tuple[str, ...]) -> GeoMDSchema:
+        if list(key) != sorted(set(key)):
+            raise SchemaError(f"schema set {list(key)} is not sorted and unique")
         schema = GeoMDSchema.from_dict(self._base)
         for name, layer in self.loaded.layers.items():
             if f"layer:{name}" in key:

@@ -355,16 +355,16 @@ class PersonalizationEngine:
         star.add_mutation_listener(self._on_star_mutation)
         self.rules: list[RegisteredRule] = []
         self._lock = make_lock("PersonalizationEngine._lock")
-        #: Sessions started on this engine, rehydrations included (a
-        #: worker rebuilding a session it did not start runs a login).
+        #: Logins on this engine: a restored session fires no rule and
+        #: is not counted (its store counts the restore).
         # guarded-by: _lock
         self.sessions_started = 0
 
     @property
     def history(self) -> StarHistory:
         """The star's as-of history (one per star, shared by engines),
-        attached on first use — this read or the first login — so its
-        baseline copy holds what registration loaded."""
+        attached on first use — this read or the first session opened —
+        so its baseline copy holds what registration loaded."""
         with self._lock:
             return StarHistory.attach(self.star)
 
@@ -523,32 +523,64 @@ class PersonalizationEngine:
         first login attaches the star's history.
         """
         with self._lock:
-            StarHistory.attach(self.star)
             profile.open_session(location)
-            base = self.schemas.base
-            context = RuntimeContext(
-                user_profile=profile,
-                md_schema=base,
-                geomd_schema=base,
-                star=self.star,
-                parameters=dict(self.parameters),
-                metric=self.metric,
-                snap_tolerance=self.snap_tolerance,
-                schemas=self.schemas,
-                selection=SelectionSet(),
-            )
-            session = PersonalizedSession(
-                engine=self, profile=profile, context=context
-            )
+            session = self._open(profile, (), self.schemas.base, SelectionSet())
             session.outcomes.extend(
                 self._run_event(
-                    context,
+                    session.context,
                     SessionStartEvent(),
                     phases=(RulePhase.SCHEMA, RulePhase.INSTANCE),
                 )
             )
             self.sessions_started += 1
         return session
+
+    def restore_session(
+        self,
+        profile: UserProfile,
+        location: Point | None,
+        schema_set: tuple[str, ...],
+        selection: SelectionSet,
+    ) -> PersonalizedSession:
+        """Rebuild a session from what its rules left: the schema set's
+        shared schema and the selection.
+
+        No rule fires, so the profile's interest degrees stay as they
+        are, and no login is counted.  The profile's session link is
+        opened at ``location`` only when none is open (the user's other
+        sessions share that one link).  Raises
+        :class:`~repro.errors.SchemaError` for a set the tenant did not
+        load.
+        """
+        schema = self.schemas.schema(schema_set)
+        with self._lock:
+            if not profile.in_session:
+                profile.open_session(location)
+            return self._open(profile, schema_set, schema, selection)
+
+    def _open(  # guarded-by-caller: _lock
+        self,
+        profile: UserProfile,
+        schema_set: tuple[str, ...],
+        schema: GeoMDSchema,
+        selection: SelectionSet,
+    ) -> PersonalizedSession:
+        """A session on ``schema_set``'s schema with ``selection``,
+        attaching the star's history first."""
+        StarHistory.attach(self.star)
+        context = RuntimeContext(
+            user_profile=profile,
+            md_schema=self.schemas.base,
+            geomd_schema=schema,
+            star=self.star,
+            parameters=dict(self.parameters),
+            metric=self.metric,
+            snap_tolerance=self.snap_tolerance,
+            schemas=self.schemas,
+            schema_set=schema_set,
+            selection=selection,
+        )
+        return PersonalizedSession(engine=self, profile=profile, context=context)
 
     # -- internal firing ---------------------------------------------------------
 

@@ -33,7 +33,7 @@ the uniform error envelope.  The service owns:
   :attr:`~repro.storage.star.StarSchema.oracle` switch set bypasses it.
 
 Logins are serialized by each engine's own lock, and each engine counts
-the sessions started on it (rehydrations included).  A login's,
+its logins (a restored session is not one).  A login's,
 logout's or rerun's ``rules_fired`` names the rules that fired at least
 one action; a rule whose condition failed or that errored is left out.
 """
@@ -43,7 +43,18 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.errors import BadRequestError, PRMLError, QueryError, UnauthorizedError
+from repro.cluster.codecs import (
+    CodecError,
+    decode_session_state,
+    encode_session_state,
+)
+from repro.errors import (
+    BadRequestError,
+    PRMLError,
+    QueryError,
+    SchemaError,
+    UnauthorizedError,
+)
 from repro.geometry import Point
 from repro.olap.gmdql import parse_query
 from repro.olap.query import execute
@@ -137,8 +148,8 @@ class PersonalizationService:
             if session_store is not None
             else make_session_store(backend=backend)
         )
-        #: Tokens whose live session the store lacks resolve through a
-        #: login-equivalent rebuild (persisted stores only).
+        #: Tokens whose live session the store lacks resolve by
+        #: restoring it from the record (persisted stores only).
         self.sessions.resolver = self._rehydrate_session
         #: A ThreadSafeLRU (backend-backed: entries shared across workers).
         self._query_cache = (
@@ -166,9 +177,10 @@ class PersonalizationService:
         session = datamart.engine.start_session(profile, location=request.location)
         # The journaling opt-out travels with the session record, not the
         # user: a later login may opt back in and resume the history.  The
-        # login location rides along so a persistent store can rebuild
-        # the session in another process (see _rehydrate_session) —
-        # meta values must stay JSON-safe for exactly that reason.
+        # login location and what the rules left ride along so a
+        # persistent store can restore the session in another process
+        # (see _rehydrate_session) — meta values must stay JSON-safe for
+        # exactly that reason.
         record = self.sessions.put(
             session,
             datamart=datamart.name,
@@ -180,6 +192,7 @@ class PersonalizationService:
                     if request.location is not None
                     else None
                 ),
+                **encode_session_state(session),
             },
         )
         return LoginResult(
@@ -352,15 +365,7 @@ class PersonalizationService:
                         "condition": request.condition,
                     },
                 ) from exc
-            # Log the accepted report on the record so a persistent
-            # store can replay it: a rehydrated session re-fires the
-            # same acquisition rules and lands on the same selection
-            # content (selections are additive, so replay is idempotent
-            # in content).  Bounded by the session TTL, not by count.
-            record.meta.setdefault("selections", []).append(
-                [request.target, request.condition]
-            )
-            self.sessions.persist(record)
+            self._save_state(record)
             if self._journal_enabled(record):
                 # Snapshot the member selection *after* acquisition rules
                 # fired: this is the spatial footprint similarity is
@@ -381,6 +386,7 @@ class PersonalizationService:
         record = self._record(token)
         with record.lock:
             outcomes = record.session.rerun_instance_rules()
+            self._save_state(record)
             return RerunResult(
                 rules_fired=_fired(outcomes),
                 view=self._view_stats(record.session),
@@ -539,7 +545,7 @@ class PersonalizationService:
         ]
 
     def sessions_started(self, datamart: str) -> int:
-        """Sessions started on the tenant's engine (rehydrations included)."""
+        """Logins on the tenant's engine (restored sessions excluded)."""
         return self.registry.get(datamart).engine.sessions_started
 
     @staticmethod
@@ -604,18 +610,24 @@ class PersonalizationService:
         if self._journal_enabled(record):
             self.journal.record_layer(record.datamart, record.user_id, name)
 
-    def _rehydrate_session(self, datamart_name: str, user_id: str, meta: dict):
-        """Rebuild a live session for a persisted record (another worker
-        issued the token, or this worker spilled the live session).
+    def _save_state(self, record: SessionRecord) -> None:
+        """Write what the rules left on the session into its record, so
+        a persistent store restores the session as it is now.  Call with
+        ``record.lock`` held."""
+        record.meta.update(encode_session_state(record.session))
+        self.sessions.persist(record)
 
-        A login-equivalent engine call — SessionStart rules fire against
-        the user's profile and login location, re-deriving the session's
-        schema set, and the engine counts a started session — followed
-        by a replay of the selection reports the record logged, so the
-        rehydrated session's selection *content* (and therefore its
-        fingerprint, its shared view and its query-cache keys) matches
-        the original.
-        """
+    def _rehydrate_session(self, datamart_name: str, user_id: str, meta: dict):
+        """Restore a live session from its persisted record (another
+        worker issued the token, or this worker spilled the live
+        session): the record's selection and schema set, on the user's
+        profile, with no rule fired (see
+        :meth:`PersonalizationEngine.restore_session`).  A selection or
+        schema set that is missing, does not decode, or names what the
+        tenant did not load raises :class:`CodecError`, which the store
+        answers like any corrupt record (only the tenant knows what it
+        loaded, so its :class:`SchemaError` is turned into one here)."""
+        schema_set, selection = decode_session_state(meta)
         datamart = self.registry.get(datamart_name)
         profile = datamart.profile(user_id)
         coordinates = meta.get("location")
@@ -624,11 +636,12 @@ class PersonalizationService:
             if isinstance(coordinates, (list, tuple)) and len(coordinates) == 2
             else None
         )
-        session = datamart.engine.start_session(profile, location=location)
-        for report in meta.get("selections", ()):
-            if isinstance(report, (list, tuple)) and len(report) == 2:
-                session.record_spatial_selection(report[0], report[1])
-        return session
+        try:
+            return datamart.engine.restore_session(
+                profile, location, schema_set, selection
+            )
+        except SchemaError as exc:
+            raise CodecError(f"corrupt session record: {exc}") from exc
 
     def _record(self, token: str | None) -> SessionRecord:
         if token is None:

@@ -9,15 +9,19 @@ every mutation.
 
 Expired or evicted analysis sessions are *ended* (SessionEnd rules fire,
 the profile session closes) on a best-effort basis, mirroring what an
-explicit logout would have done.
+explicit logout would have done: an evicted token is dead here.
 
 :class:`InMemorySessionStore` is also the live tier (L1) of the
 backend-backed :class:`~repro.cluster.stores.BackendSessionStore`, which
-inherits every rule above.  Its shared tier plugs into three seams —
-``_sweep`` (which records the expiry sweep covers), ``_claim_locked``
-(whether a fresh token is free, and persisting it) and ``_miss`` (a
-token with no fresh live record) — and wraps ``get``, ``remove`` and
-``persist`` with its writes.  The hit path of
+inherits every rule above but one: a session it evicts (spills) lives
+on in its persisted record, so the spill ends nothing, and nor does
+the record's expiry if no request restores the session first.  Its
+shared tier plugs into four seams — ``_sweep`` (which records the
+expiry sweep covers), ``_claim_locked`` (whether a fresh token is
+free, and persisting it), ``_spill_locked`` (what an eviction does
+with the live session) and ``_miss`` (a token with no fresh live
+record) — and wraps ``get``, ``remove``, ``persist`` and
+``purge_expired`` with its writes.  The hit path of
 :meth:`InMemorySessionStore.get` calls none of the seams.
 """
 
@@ -98,11 +102,13 @@ class InMemorySessionStore:
     opaque token.
     """
 
-    #: ``resolver(datamart, user_id, meta)`` rebuilds a live session for
+    #: ``resolver(datamart, user_id, meta)`` restores a live session for
     #: a token whose record this store holds but whose live session it
-    #: does not (another worker issued it, or it was evicted).  The
-    #: service that owns the store binds it; the in-heap store, which
-    #: keeps nothing beyond its live sessions, never calls it.
+    #: does not (another worker issued it, or it was evicted), raising
+    #: :class:`~repro.cluster.codecs.CodecError` for a ``meta`` it cannot
+    #: restore from.  The service that owns the store binds it; the
+    #: in-heap store, which keeps nothing beyond its live sessions,
+    #: never calls it.
     resolver: Callable[[str, str, dict], object] | None = None
 
     def __init__(
@@ -124,7 +130,7 @@ class InMemorySessionStore:
         #: token -> record, ordered oldest-access-first (LRU discipline).
         # guarded-by: _lock
         self._records: OrderedDict[str, SessionRecord] = OrderedDict()
-        #: Live sessions ended to stay within ``max_sessions``.
+        #: Live sessions evicted to stay within ``max_sessions``.
         self.evictions = 0
 
     # -- the store API ------------------------------------------------------------
@@ -181,8 +187,8 @@ class InMemorySessionStore:
         """Flush a record's mutated ``meta`` to durable storage.
 
         No-op here; the backend-backed store re-encodes the record so
-        meta mutations (journal opt-out, selection replay log) survive a
-        worker change.  Call with ``record.lock`` held, like any
+        meta mutations (the session's selection and schema set) survive
+        a worker change.  Call with ``record.lock`` held, like any
         same-token operation.
         """
 
@@ -240,13 +246,25 @@ class InMemorySessionStore:
         while len(self._records) > self.max_sessions:
             _token, evicted = self._records.popitem(last=False)
             self.evictions += 1
-            ended.append(evicted)
+            self._spill_locked(evicted, ended)
+
+    def _spill_locked(  # guarded-by-caller: _lock
+        self, record: SessionRecord, ended: list[SessionRecord]
+    ) -> None:
+        """An evicted token is dead here: its session goes to ``ended``."""
+        ended.append(record)
 
     def _evict(self, token: str, record: SessionRecord) -> None:
         """Drop ``record`` from the live sessions and end it, unless a
         concurrent request already did."""
+        if self._drop(token, record):
+            _end_quietly(record)
+
+    def _drop(self, token: str, record: SessionRecord) -> bool:
+        """Drop ``record`` from the live sessions, unless a concurrent
+        request already did; whether this call dropped it."""
         with self._lock:
             if self._records.get(token) is not record:
-                return
+                return False
             del self._records[token]
-        _end_quietly(record)
+            return True

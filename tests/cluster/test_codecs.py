@@ -6,6 +6,7 @@ be rejected with :class:`CodecError` — never decoded into garbage.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,13 +16,19 @@ from repro.cluster.codecs import (
     CodecError,
     decode_journal_event,
     decode_query_payload,
+    decode_selection,
     decode_session_record,
+    decode_session_state,
     decode_view_entry,
     encode_journal_event,
     encode_query_payload,
+    encode_selection,
     encode_session_record,
+    encode_session_state,
     encode_view_entry,
 )
+from repro.personalization.engine import PersonalizedView
+from repro.prml.evaluator import SelectionSet
 from repro.reco.journal import WorkloadEvent
 from repro.service.facade import CellSetPayload
 
@@ -45,6 +52,28 @@ _json_value = st.recursive(
 )
 
 _meta = st.dictionaries(st.text(max_size=16), _json_value, max_size=5)
+
+_name = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def _selections(draw):
+    """A :class:`SelectionSet` grown through its own API."""
+    selection = SelectionSet()
+    for dimension, level, key in draw(
+        st.lists(st.tuples(_name, _name, _name), max_size=8)
+    ):
+        selection.add_member(dimension, level, key)
+    for layer, name in draw(st.lists(st.tuples(_name, _name), max_size=4)):
+        selection.add_feature(layer, name)
+    return selection
+
+
+def _same_selection(decoded, selection):
+    assert decoded.members == selection.members
+    assert decoded.features == selection.features
+    assert decoded.generation == selection.generation
+    assert decoded.fingerprint() == selection.fingerprint()
 
 
 class TestSessionRecordCodec:
@@ -76,6 +105,38 @@ class TestSessionRecordCodec:
         assert fields["last_access"] == last_access
         assert fields["meta"] == json.loads(json.dumps(meta))
 
+    @given(selection=_selections(), schema_set=st.lists(_name, max_size=4))
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+    def test_selection_round_trip(self, selection, schema_set):
+        """The session's state, as the service writes it into ``meta``."""
+        session = SimpleNamespace(
+            selection=selection,
+            context=SimpleNamespace(schema_set=tuple(schema_set)),
+        )
+        encoded = encode_session_record(
+            token="t",
+            datamart="d",
+            user_id="u",
+            created_at=0.0,
+            last_access=0.0,
+            meta={"journal": True, **encode_session_state(session)},
+        )
+        meta = decode_session_record(encoded)["meta"]
+        decoded_set, decoded = decode_session_state(meta)
+        _same_selection(decoded, selection)
+        assert decoded_set == tuple(schema_set)
+
+    def test_v1_rows_are_version_skew_misses(self):
+        """A v1 record carried a log of selection reports to replay, not
+        the session's state: rejected, so the store deletes it."""
+        v1 = json.dumps(
+            {"v": 1, "token": "t", "datamart": "d", "user_id": "u",
+             "created_at": 0, "last_access": 0,
+             "meta": {"selections": [["GeoMD.Store.City", "c"]]}}
+        )
+        with pytest.raises(CodecError):
+            decode_session_record(v1)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -90,11 +151,54 @@ class TestSessionRecordCodec:
                         "created_at": "soon", "last_access": 0, "meta": {}}),
             json.dumps({"v": 1, "token": "t", "datamart": "d", "user_id": "u",
                         "created_at": 0, "last_access": 0, "meta": [1]}),
+            # The same corrupt fields at the current version.
+            json.dumps({"v": 2, "token": 17, "datamart": "d", "user_id": "u",
+                        "created_at": 0, "last_access": 0, "meta": {}}),
+            json.dumps({"v": 2, "token": "t", "datamart": "d", "user_id": "u",
+                        "created_at": "soon", "last_access": 0, "meta": {}}),
+            json.dumps({"v": 2, "token": "t", "datamart": "d", "user_id": "u",
+                        "created_at": 0, "last_access": 0, "meta": [1]}),
         ],
     )
     def test_corrupt_rejected(self, text):
         with pytest.raises(CodecError):
             decode_session_record(text)
+
+
+class TestSelectionCodec:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            None,
+            [["Store", "Store", ["S1"]]],
+            {"members": [], "features": []},  # no generation
+            {"members": [["Store", "Store", "S1"]], "features": [],
+             "generation": 1},  # keys not a list
+            {"members": [["Store", "Store", [1]]], "features": [],
+             "generation": 1},
+            {"members": [["Store", ["S1"]]], "features": [], "generation": 1},
+            {"members": [], "features": [["Airport"]], "generation": 1},
+            {"members": "Store", "features": [], "generation": 1},
+        ],
+    )
+    def test_corrupt_rejected(self, data):
+        with pytest.raises(CodecError):
+            decode_selection(data)
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {},
+            {"selection": encode_selection(SelectionSet())},  # no schema set
+            {"selection": encode_selection(SelectionSet()), "schema_set": "layer:A"},
+            {"selection": encode_selection(SelectionSet()), "schema_set": [1]},
+            {"schema_set": []},  # no selection
+            {"selection": [], "schema_set": []},
+        ],
+    )
+    def test_corrupt_session_state_rejected(self, meta):
+        with pytest.raises(CodecError):
+            decode_session_state(meta)
 
 
 class TestJournalEventCodec:
@@ -213,6 +317,17 @@ class TestQueryPayloadCodec:
 
 
 class TestViewEntryCodec:
+    @given(selection=_selections())
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+    def test_selection_round_trip(self, selection):
+        view = PersonalizedView(
+            star=None, selection=selection, fact_rows=[3, 1, 2], fact="Sales"
+        )
+        fingerprint = selection.fingerprint()
+        decoded = decode_view_entry(encode_view_entry(view), None, fingerprint)
+        _same_selection(decoded.selection, selection)
+        assert decoded.fact_rows == [3, 1, 2]
+
     @pytest.fixture()
     def view(self, engine, profile, world):
         session = engine.start_session(

@@ -5,9 +5,9 @@ The satellite scenario end to end: a portal that grew up on the
 :func:`repro.cluster.migrate.migrate_backend` to a sqlite file, and a
 *freshly constructed* service — new engines, new stores, a stand-in for
 a new process — over the destination backend resumes it: the old
-session token resolves through rehydration with its selection reports
-replayed, the journal keeps its history and its sequence counter, and
-the migrated query cache still answers.
+session token resolves through rehydration with its selection and
+schema set restored (no rule fires), the journal keeps its history and
+its sequence counter, and the migrated query cache still answers.
 """
 
 import pytest
@@ -81,6 +81,7 @@ class TestLivePortalMigration:
         )
         positions = old_service.journal.positions("sales")
         assert positions
+        session = old_service.sessions.get(token).session
 
         destination = SqliteBackend(str(tmp_path / "migrated.sqlite"))
         counts = migrate_backend(source, destination)
@@ -89,6 +90,8 @@ class TestLivePortalMigration:
             "token": token,
             "baseline": baseline,
             "positions": positions,
+            "fingerprint": session.selection.fingerprint(),
+            "schema_set": session.context.schema_set,
             "counts": counts,
             "old_service": old_service,
             "new_service": new_service,
@@ -106,10 +109,10 @@ class TestLivePortalMigration:
         record = migrated["new_service"].sessions.get(migrated["token"])
         assert record.user_id == "ana-garcia"
         assert record.datamart == "sales"
-        # The selection report was replayed into the rebuilt session.
-        assert record.meta["selections"] == [
-            ["GeoMD.Store.City", WIDEN_CONDITION]
-        ]
+        # The rebuilt session holds the selection and schema set the
+        # old one had, restored from the record.
+        assert record.session.selection.fingerprint() == migrated["fingerprint"]
+        assert record.session.context.schema_set == migrated["schema_set"]
         assert migrated["new_service"].sessions.stats()["rehydrations"] == 1
 
     def test_queries_resume_with_identical_results(self, migrated):

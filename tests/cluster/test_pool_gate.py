@@ -6,9 +6,10 @@ over in-heap stores, built by the same factory over the same world:
 
 * the spill gate: four tenants with nine sessions each, and at most 24
   live sessions per worker.  On one worker no request finds its session
-  live, so each one rehydrates a session (SessionStart rules re-run at
-  the login location) and spills another; two tenant-sharded workers
-  hold all of them.  The requests are views and queries.
+  live, so each one restores a session from its record (no rule fires)
+  and spills another; two tenant-sharded workers hold all of them.  The
+  requests are one Example 5.3 selection report per session, then
+  views and queries.
 * the stream gate: the smoke tier's generated stream (views, queries,
   a selection report and recommendation fetches) replayed serially on
   a 2-worker pool, then again closed-loop with the tier's concurrent
@@ -36,6 +37,10 @@ from repro.workload.harness import (
 )
 
 QUERY = "SELECT SUM(UnitSales) FROM Sales BY Product.Family"
+REPORT = {
+    "target": "GeoMD.Store.City",
+    "condition": "Distance(GeoMD.Store.City.geometry, GeoMD.Airport.geometry)<20km",
+}
 SESSIONS_PER_TENANT = 9
 LIVE_CAP = 24
 ROUNDS = 2
@@ -73,8 +78,11 @@ def _spill_portal(world, backend=None):
 
 
 def _spill_sweep(target, world):
-    """Open every session, then request views and queries (four to one)
-    round-robin over them; returns the bodies, login tokens stripped."""
+    """Open every session, file one Example 5.3 selection report on
+    each, then request views and queries (four to one) round-robin over
+    them; returns the bodies, login tokens stripped.  The reports take
+    each tenant's user past the threshold, so a restore that re-counted
+    them would change the views."""
     location = world.stores[0].location
     bodies, tokens = [], []
     for name in WORKLOAD_TENANTS:
@@ -92,6 +100,12 @@ def _spill_sweep(target, world):
             assert status == 200, body
             tokens.append(body.pop("token"))
             bodies.append(body)
+    for token in tokens:
+        status, body = target.request(
+            "POST", "/api/v1/selection", REPORT, token=token
+        )
+        assert status == 200, body
+        bodies.append(body)
     for round_no in range(ROUNDS):
         for index, token in enumerate(tokens):
             if (round_no + index) % 5 == 4:
@@ -113,8 +127,11 @@ def test_spilled_sessions_answer_like_one_process(smoke, tmp_path, workers):
     ) as target:
         bodies = _spill_sweep(target, world)
         sessions = merge_health(target.health())["sessions_backend"]
-    assert bodies == reference
-    requests = ROUNDS * len(WORKLOAD_TENANTS) * SESSIONS_PER_TENANT
+    assert len(bodies) == len(reference)
+    for index, (body, expected) in enumerate(zip(bodies, reference)):
+        assert body == expected, f"body {index} differs"
+    # The reports, views and queries: 108 at this size.
+    requests = (ROUNDS + 1) * len(WORKLOAD_TENANTS) * SESSIONS_PER_TENANT
     assert sessions["rehydrations"] == (requests if workers == 1 else 0)
 
 

@@ -1,8 +1,11 @@
 """Tests for the backend-backed two-tier stores.
 
 The contracts under test: tokens resolve in any store instance over the
-shared backend (rehydration), spilled live sessions keep valid tokens,
-expired sessions never resolve (live, cold, or mid-eviction), a logout
+shared backend (rehydration), spilled live sessions keep valid tokens
+and are not ended, a record the service cannot restore is deleted and
+answers ``invalid_session``, a login sweeps the persisted records at
+most once per 5% of the TTL, expired sessions never resolve (live,
+cold, or mid-eviction), a logout
 on one instance holds on every other one, a live copy that looks
 expired by its own clock defers to a fresher persisted record,
 query/view entries published by one instance are adopted by another,
@@ -13,12 +16,14 @@ contract suites of ``tests/service/test_sessions.py`` and
 ``tests/reco/test_journal.py``.
 """
 
+import json
 import sys
 import threading
 
 import pytest
 
 from repro.cluster.backend import InMemoryBackend, SqliteBackend
+from repro.cluster.config import make_service_stores
 from repro.cluster.stores import (
     BackendQueryCache,
     BackendSessionStore,
@@ -27,7 +32,12 @@ from repro.cluster.stores import (
     _key_text,
 )
 from repro.errors import UnauthorizedError
-from repro.service import InMemorySessionStore
+from repro.service import (
+    DatamartRegistry,
+    InMemorySessionStore,
+    LoginRequest,
+    PersonalizationService,
+)
 from repro.service.facade import CellSetPayload
 
 
@@ -105,13 +115,26 @@ class TestBackendSessionStore:
             original, datamart="d", user_id="u1", meta={"journal": False}
         )
         store.put(StubSession(), datamart="d", user_id="u2")
-        assert original.ended == 1  # spill = in-heap eviction semantic
+        assert original.ended == 0  # a spill ends nothing: the record lives on
         record = store.get(first.token)  # rehydrates
         assert record.token == first.token
         assert record.user_id == "u1"
         assert record.meta == {"journal": False}
         assert resolved == [("d", "u1", {"journal": False})]
         assert store.stats()["rehydrations"] == 1
+
+    def test_an_abandoned_spilled_session_is_never_ended(self, backend, clock):
+        """Unlike the in-heap store, which ends what expires: a spilled
+        session no request restores is not ended when its record
+        expires, because the sweep finds a row and no live session."""
+        store = make_store(backend, clock, max_sessions=1)
+        spilled, live = StubSession(), StubSession()
+        store.put(spilled, datamart="d", user_id="u1")
+        store.put(live, datamart="d", user_id="u2")  # spills the first
+        clock.advance(11.0)
+        assert store.purge_expired() == 1
+        assert len(store) == 0
+        assert (spilled.ended, live.ended) == (0, 1)
 
     def test_cross_instance_resolution(self, backend, clock):
         """A second store over the same backend+namespace (another
@@ -132,10 +155,10 @@ class TestBackendSessionStore:
         store = make_store(backend, clock)
         record = store.put(StubSession(), datamart="d", user_id="u")
         with record.lock:
-            record.meta["selections"] = [["t", "c"]]
+            record.meta["schema_set"] = ["layer:Airport"]
             store.persist(record)
         other = make_store(backend, clock, resolver=lambda *a: StubSession())
-        assert other.get(record.token).meta["selections"] == [["t", "c"]]
+        assert other.get(record.token).meta["schema_set"] == ["layer:Airport"]
 
     def test_remove_deletes_both_tiers(self, backend, clock):
         store = make_store(backend, clock, resolver=lambda *a: StubSession())
@@ -286,7 +309,7 @@ class TestLogoutHoldsOnEveryWorker:
     def test_persist_after_a_selection_report(self, shared, clock):
         a, c, record, live = self.logged_out_elsewhere(shared, clock)
         with record.lock:
-            record.meta["selections"] = [["t", "c"]]
+            record.meta["schema_set"] = ["layer:Airport"]
             with pytest.raises(UnauthorizedError) as excinfo:
                 a.persist(record)
         assert excinfo.value.code == "invalid_session"
@@ -315,7 +338,8 @@ class TestLogoutHoldsOnEveryWorker:
         """A worker keeps no state for tokens it no longer holds: its
         sweep ends a live copy past the TTL whose record a logout
         elsewhere deleted, as the in-heap store's would, and keeps the
-        refresh map to its live sessions."""
+        refresh map to its live sessions.  The copies it spilled before
+        were dropped without being ended."""
         a, b = self.workers(shared, clock, count=2)
         issued = [StubSession() for _ in range(12)]
         for session in issued:
@@ -323,9 +347,139 @@ class TestLogoutHoldsOnEveryWorker:
         assert len(a._synced) <= a.max_sessions + 1
         clock.advance(200.0)
         assert a.purge_expired() == a.max_sessions
-        assert [session.ended for session in issued] == [1] * len(issued)
+        spilled = len(issued) - a.max_sessions
+        assert [session.ended for session in issued] == (
+            [0] * spilled + [1] * a.max_sessions
+        )
         assert list(a) == []
         assert a._synced == {}
+
+
+class CountingScans:
+    """A backend that counts full reads of a store (``items``)."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.scans = 0
+
+    def items(self, store, prefix=""):
+        self.scans += 1
+        return self.backend.items(store, prefix)
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+
+class TestLoginSweepThrottle:
+    """A login sweeps the persisted records at most once per 5% of the
+    TTL; ``purge_expired`` always sweeps, and an expired record the
+    throttle left behind still answers ``session_expired``."""
+
+    def test_logins_within_the_window_scan_once(self, shared, clock):
+        backend = CountingScans(shared)
+        store = make_store(backend, clock, ttl=100.0)
+        store.put(StubSession(), datamart="d", user_id="u1")
+        clock.advance(4.0)  # within 5 s of the sweep
+        store.put(StubSession(), datamart="d", user_id="u2")
+        assert backend.scans == 1
+        clock.advance(1.0)  # 5 s since the sweep
+        store.put(StubSession(), datamart="d", user_id="u3")
+        assert backend.scans == 2
+        store.purge_expired()
+        assert backend.scans == 3
+
+    def test_an_unswept_expired_record_still_expires(self, shared, clock):
+        backend = CountingScans(shared)
+        store = make_store(
+            backend,
+            clock,
+            ttl=100.0,
+            max_sessions=1,
+            resolver=lambda *a: StubSession(),
+        )
+        first = store.put(StubSession(), datamart="d", user_id="u1")
+        clock.advance(96.0)
+        store.put(StubSession(), datamart="d", user_id="u2")  # sweeps, spills
+        clock.advance(4.5)  # the first record expired after the sweep
+        store.put(StubSession(), datamart="d", user_id="u3")
+        assert backend.scans == 2
+        assert shared.get("t:sessions", first.token) is not None
+        with pytest.raises(UnauthorizedError) as excinfo:
+            store.get(first.token)
+        assert excinfo.value.code == "session_expired"
+        assert shared.get("t:sessions", first.token) is None
+        assert store.stats()["rehydrations"] == 0
+
+
+class TestUnrestorableRecords:
+    """A record the service cannot restore a session from is deleted
+    and answers 401 ``invalid_session``, like any corrupt record: a v1
+    record (a log of selection reports to replay), a selection without
+    the encoded shape, and a schema set naming a layer the tenant did
+    not load."""
+
+    @pytest.fixture()
+    def portal(self, engine, profile, world, shared):
+        registry = DatamartRegistry()
+        registry.register("sales", engine).register_user(profile)
+        issuer = PersonalizationService(registry, **make_service_stores(shared, "t"))
+        token = issuer.login(
+            LoginRequest(
+                user=profile.user_id,
+                datamart=None,
+                location=world.stores[0].location,
+            )
+        ).token
+        # Another worker over the same records, holding no live copy.
+        other = PersonalizationService(registry, **make_service_stores(shared, "t"))
+        return shared, token, other
+
+    def assert_refused(self, portal, change):
+        backend, token, service = portal
+        record = json.loads(backend.get("t:sessions", token))
+        change(record)
+        backend.put("t:sessions", token, json.dumps(record))
+        with pytest.raises(UnauthorizedError) as excinfo:
+            service.profile(token)
+        assert excinfo.value.code == "invalid_session"
+        assert backend.get("t:sessions", token) is None
+        assert service.sessions.stats()["rehydrations"] == 0
+
+    def test_a_v1_record_with_a_replay_log(self, portal):
+        def v1(record):
+            record["v"] = 1
+            meta = record["meta"]
+            del meta["selection"], meta["schema_set"]
+            meta["selections"] = [
+                [
+                    "GeoMD.Store.City",
+                    "Distance(GeoMD.Store.City.geometry, "
+                    "GeoMD.Airport.geometry)<20km",
+                ]
+            ]
+
+        self.assert_refused(portal, v1)
+
+    def test_a_selection_without_the_encoded_shape(self, portal):
+        def flat(record):
+            record["meta"]["selection"] = [["Store", "Store", "S1"]]
+
+        self.assert_refused(portal, flat)
+
+    def test_a_schema_set_naming_an_unloaded_layer(self, portal):
+        def harbour(record):
+            record["meta"]["schema_set"] = ["layer:Airport", "layer:Harbour"]
+
+        self.assert_refused(portal, harbour)
+
+    def test_a_schema_set_out_of_order(self, portal):
+        """Written sets are sorted; another order would build a second
+        schema for one set."""
+
+        def unsorted(record):
+            record["meta"]["schema_set"].reverse()
+
+        self.assert_refused(portal, unsorted)
 
 
 class TestConcurrentRehydration:
@@ -385,14 +539,15 @@ class TestStaleLiveCopy:
 
         a, _b, token, original, on_b = self.serve_elsewhere(shared, clock, resolver)
         with on_b.lock:
-            on_b.meta["selections"] = [["GeoMD.Store.City", "cond"]]
+            on_b.meta["schema_set"] = ["layer:Airport"]
             _b.persist(on_b)
         clock.advance(2.0)  # t=102: A last served it 102s ago
         record = a.get(token)
         assert record.session is not original
-        assert original.ended == 1
-        # The rebuild replays the selections logged on the other worker.
-        assert resolved == [{"selections": [["GeoMD.Store.City", "cond"]]}]
+        # The copy is dropped, not ended: the session lives on.
+        assert original.ended == 0
+        # The rebuild restores the state written on the other worker.
+        assert resolved == [{"schema_set": ["layer:Airport"]}]
         assert a.stats()["rehydrations"] == 1
         assert shared.get("t:sessions", token) is not None
 

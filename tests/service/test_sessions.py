@@ -63,8 +63,9 @@ def make_store(clock):
 
 
 def persisted(store):
-    """Known difference: a persisted store's ``len`` counts every
-    persisted record, including those with no live session here."""
+    """Known differences of a persisted store: its ``len`` counts every
+    persisted record, including those with no live session here, and
+    an eviction (a spill) ends nothing, since the record lives on."""
     return isinstance(store, BackendSessionStore)
 
 
@@ -183,7 +184,7 @@ class TestEviction:
         first = StubSession()
         store.put(first, datamart="d", user_id="u1")
         store.put(StubSession(), datamart="d", user_id="u2")
-        assert first.ended == 1
+        assert first.ended == (0 if persisted(store) else 1)
 
     def test_end_failure_does_not_break_eviction(self, make_store):
         store = make_store(max_sessions=1)
