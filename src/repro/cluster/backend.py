@@ -81,8 +81,9 @@ class StateBackend(ABC):
     def items(self, store: str, prefix: str = "") -> list[tuple[str, str]]:
         """``(key, value)`` pairs under the prefix, sorted by key."""
 
+    @abstractmethod
     def keys(self, store: str, prefix: str = "") -> list[str]:
-        return [key for key, _value in self.items(store, prefix)]
+        """The keys ``items`` would return, without reading a value."""
 
     @abstractmethod
     def count(self, store: str, prefix: str = "") -> int: ...
@@ -179,6 +180,12 @@ class InMemoryBackend(StateBackend):
                 (key, value)
                 for key, value in entries.items()
                 if key.startswith(prefix)
+            )
+
+    def keys(self, store: str, prefix: str = "") -> list[str]:
+        with self._lock:
+            return sorted(
+                key for key in self._stores.get(store, {}) if key.startswith(prefix)
             )
 
     def count(self, store: str, prefix: str = "") -> int:
@@ -323,20 +330,25 @@ class SqliteBackend(StateBackend):
             )
 
     def items(self, store: str, prefix: str = "") -> list[tuple[str, str]]:
+        return self._scan("key, value", store, prefix)
+
+    def keys(self, store: str, prefix: str = "") -> list[str]:
+        return [key for (key,) in self._scan("key", store, prefix)]
+
+    def _scan(self, columns: str, store: str, prefix: str) -> list[tuple]:
+        """``columns`` of the store's rows under the prefix, by key."""
         with self._lock:
             if prefix:
-                rows = self._connection().execute(
-                    "SELECT key, value FROM kv"
+                return self._connection().execute(
+                    f"SELECT {columns} FROM kv"
                     " WHERE store = ? AND key >= ? AND key < ?"
                     " ORDER BY key",
                     (store, prefix, prefix + _PREFIX_HI),
                 ).fetchall()
-            else:
-                rows = self._connection().execute(
-                    "SELECT key, value FROM kv WHERE store = ? ORDER BY key",
-                    (store,),
-                ).fetchall()
-            return [(key, value) for key, value in rows]
+            return self._connection().execute(
+                f"SELECT {columns} FROM kv WHERE store = ? ORDER BY key",
+                (store,),
+            ).fetchall()
 
     def count(self, store: str, prefix: str = "") -> int:
         with self._lock:

@@ -3,9 +3,7 @@
 A dependency-free, WSGI-flavoured micro-framework: enough for the portal
 (:mod:`repro.web.portal`) to behave like the web SOLAP clients the paper
 targets (GeWOlap-style), while keeping everything in-process and
-deterministic — the environment is offline, so no sockets are used in
-tests or examples (an optional stdlib server adapter is provided in
-:mod:`repro.web.server`).
+deterministic; :mod:`repro.web.server` serves it over a real socket.
 
 On top of the seed's :class:`Router`, this module provides a small
 middleware pipeline (``Callable[[Request, Handler], Response]``) and the
@@ -259,7 +257,10 @@ def _bind(middleware: Middleware, inner: Handler) -> Handler:
 def parse_json_body(raw: bytes | str) -> dict:
     """Parse a JSON request body, mapping errors to :class:`WebError`."""
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WebError(f"request body is not UTF-8: {exc}") from exc
     if not raw.strip():
         return {}
     try:

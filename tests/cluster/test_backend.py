@@ -60,6 +60,26 @@ class TestKeyValue:
         assert backend.keys("s", "u2\x1f") == ["u2\x1f002"]
         assert len(backend.items("s")) == 4
 
+    def test_keys_are_the_item_keys_without_their_values(
+        self, backend, monkeypatch
+    ):
+        for key in ("u2\x1f001", "u1\x1f002", "u1\x1f001", "v\x1f001"):
+            backend.put("s", key, f"value of {key}")
+        backend.put("other", "u1\x1f003", "elsewhere")
+        prefixes = ("", "u1\x1f", "u", "v\x1f", "none")
+        expected = {
+            prefix: [key for key, _value in backend.items("s", prefix)]
+            for prefix in prefixes
+        }
+
+        def no_values(*args):
+            raise AssertionError("keys() read the values")
+
+        monkeypatch.setattr(backend, "items", no_values)
+        for prefix in prefixes:
+            assert backend.keys("s", prefix) == expected[prefix]
+        assert backend.keys("missing") == []
+
     def test_count(self, backend):
         assert backend.count("s") == 0
         for i in range(5):

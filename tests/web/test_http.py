@@ -72,6 +72,10 @@ class TestBodyParsing:
         with pytest.raises(WebError):
             parse_json_body("{nope")
 
+    def test_not_utf8(self):
+        with pytest.raises(WebError):
+            parse_json_body(b'{"a": "\xff"}')
+
     def test_non_object(self):
         with pytest.raises(WebError):
             parse_json_body("[1, 2]")
