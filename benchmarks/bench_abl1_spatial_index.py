@@ -1,25 +1,22 @@
-"""ABL1 — spatial index ablation: R-tree vs envelope columns vs brute force.
+"""ABL1 — spatial index ablation: envelope columns vs brute force.
 
 The Example 5.2 hot loop is a radius query around the user's location;
-this ablation measures the strategies the kernel offers on the large
-world's store set.  ``envelope`` is the path Example 5.2 takes in the
-engine: an :class:`EnvelopeColumns` probe loosened by
+this ablation measures the path Example 5.2 takes in the engine against
+the reference linear scan, on the large world's store set.  ``envelope``
+is an :class:`EnvelopeColumns` probe loosened by
 :func:`candidate_probe`, then the exact distance test on the candidates.
 The columns are sorted on ``min_x``, so the probe bisects to the slab
 ``[min_x - w, max_x]`` (``w`` the widest envelope's width) and
-range-tests only the entries in it.  The engine does not use the
-``strtree``: a radius of a few kilometres keeps a handful of stores,
-and in Python walking the tree's node envelopes costs more than the
-bisect, and more than scanning every envelope, at a level's size.
-Expected shape: both indexes beat brute force, with the gap growing with
-the point count.
+range-tests only the entries in it; a radius of a few kilometres keeps
+a handful of stores.  Expected shape: the envelope columns beat brute
+force, with the gap growing with the point count.
 """
 
 import time
 
 from conftest import build_engine_at_scale
 
-from repro.geometry import STRtree, brute_force_within_distance, distance
+from repro.geometry import brute_force_within_distance, distance
 from repro.geometry.index import EnvelopeColumns, candidate_probe
 
 RADIUS = 5_000.0
@@ -52,9 +49,9 @@ def test_abl1_spatial_index(benchmark):
     world, _star, _engine = build_engine_at_scale("large")
     entries = _entries(world)
     center = world.cities[0].location
-    tree = STRtree(entries)
+    columns = _EnvelopeRadius(entries)
 
-    result = benchmark(tree.within_distance, center, RADIUS)
+    result = benchmark(columns.within_distance, center, RADIUS)
     expected = sorted(brute_force_within_distance(entries, center, RADIUS))
     assert sorted(result) == expected
 
@@ -63,7 +60,6 @@ def test_abl1_spatial_index(benchmark):
     for name, factory in (
         ("brute", None),
         ("envelope", _EnvelopeRadius),
-        ("strtree", STRtree),
     ):
         start = time.perf_counter()
         index = factory(entries) if factory else None

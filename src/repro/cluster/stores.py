@@ -470,10 +470,10 @@ class BackendViewStore(ViewStore):
     def invalidate(self) -> None:
         """Drop L1 *and* this namespace's published entries.
 
-        The parent calls this for mutations it cannot carry; the
-        generation bump alone already unreaches the stale keys, but
-        clearing keeps the benchmark's oracle phases honest (nothing
-        warm survives into the next phase) and reclaims the rows early.
+        An engine calls this when it detaches from its star
+        (:meth:`~repro.personalization.engine.PersonalizationEngine.detach`):
+        nothing warm outlives the superseded store, and its rows are
+        reclaimed before the write-age prune would reach them.
         """
         super().invalidate()
         self.backend.clear(self._store)

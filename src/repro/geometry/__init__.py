@@ -16,7 +16,7 @@ Public surface:
 * operations — :func:`distance`, :func:`intersection`, :func:`centroid`,
   :func:`convex_hull`, :func:`point_buffer`;
 * metrics — :class:`PlanarMetric`, :class:`HaversineMetric`;
-* indexes — :class:`STRtree`.
+* the reference radius scan — :func:`brute_force_within_distance`.
 """
 
 from repro.geometry.gtypes import (
@@ -32,7 +32,7 @@ from repro.geometry.gtypes import (
     as_point,
 )
 from repro.geometry.de9im import dim_char, matches, relate
-from repro.geometry.index import STRtree, brute_force_within_distance
+from repro.geometry.index import brute_force_within_distance
 from repro.geometry.metrics import (
     EARTH_RADIUS_M,
     HaversineMetric,
@@ -79,7 +79,6 @@ __all__ = [
     "dim_char",
     "matches",
     "relate",
-    "STRtree",
     "brute_force_within_distance",
     "EARTH_RADIUS_M",
     "HaversineMetric",

@@ -1,4 +1,4 @@
-"""Spatial indexes: envelope columns and an STR-packed R-tree.
+"""The spatial index: envelope columns sorted on ``min_x``.
 
 :class:`EnvelopeColumns` is the index the engine serves from: the star
 caches one per layer (:meth:`~repro.storage.star.StarSchema.layer_grid_index`)
@@ -10,15 +10,13 @@ than 5 km of my location") both query it through
 the pre-filter is exact for their metric and comparison; only the
 candidates then take the exact test.  Its columns are sorted on
 ``min_x``, so a query bisects to the slab of entries that can reach the
-probe and range-tests only those.  :class:`STRtree` answers envelope,
-radius and nearest-neighbour queries; the ablation benchmark ABL1
-compares it and the envelope columns against
-:func:`brute_force_within_distance`.
+probe and range-tests only those.  The ablation benchmark ABL1
+compares that path against :func:`brute_force_within_distance`, the
+reference linear scan.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from bisect import bisect_left, bisect_right
@@ -32,7 +30,6 @@ from repro.geometry.metrics import Metric, PlanarMetric
 
 __all__ = [
     "EnvelopeColumns",
-    "STRtree",
     "brute_force_within_distance",
     "candidate_probe",
     "distance_prefilter_sound",
@@ -93,12 +90,12 @@ class EnvelopeColumns(Generic[T]):
 
     Example 5.2 probes a few kilometres around a login among stores
     spread over a region, so the slab holds a handful of the level's
-    members.  The :class:`STRtree` answers the same query by walking
-    node envelopes, which in Python costs more than it saves at a
-    level's size: over the medium world's 240 stores, probing 5 km
-    around each store (best of 25 passes, one CPU of a 2-vCPU host), its
-    envelope query took about 62 us, a scan of all four columns about
-    31 us and the bisect about 5 us.
+    members.  That is why the index is not a tree: walking an R-tree's
+    node envelopes costs more in Python than it saves at a level's
+    size.  Over the medium world's 240 stores, probing 5 km around each
+    store (best of 25 passes, one CPU of a 2-vCPU host), an STR-packed
+    R-tree's envelope query took about 62 us, a scan of all four
+    columns about 31 us and the bisect about 5 us.
     """
 
     # One tuple of (items, entry numbers, min_x, min_y, max_x, max_y,
@@ -185,159 +182,3 @@ class EnvelopeColumns(Generic[T]):
         ]
         hits.sort()
         return [items[number] for number in hits]
-
-
-class _Node:
-    __slots__ = ("envelope", "children", "entries")
-
-    def __init__(
-        self,
-        envelope: Envelope,
-        children: list["_Node"] | None = None,
-        entries: list[int] | None = None,
-    ) -> None:
-        self.envelope = envelope
-        self.children = children or []
-        self.entries = entries or []
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-class STRtree(Generic[T]):
-    """Sort-Tile-Recursive packed R-tree (static, bulk-loaded).
-
-    The classic Leutenegger et al. packing: sort by x-centre, slice into
-    vertical tiles, sort each tile by y-centre, pack runs of ``node_capacity``
-    entries, and recurse on the resulting node envelopes.
-    """
-
-    def __init__(
-        self, entries: Sequence[tuple[Geometry, T]], node_capacity: int = 16
-    ) -> None:
-        if not entries:
-            raise GeometryError("cannot build an index over zero entries")
-        if node_capacity < 2:
-            raise GeometryError("node_capacity must be at least 2")
-        self.node_capacity = node_capacity
-        self._geoms = [geom for geom, _item in entries]
-        self._items = [item for _geom, item in entries]
-        envelopes = [geom.envelope for geom in self._geoms]
-        leaves = self._pack_leaves(envelopes)
-        self.root = self._build_upwards(leaves)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def _pack_leaves(self, envelopes: list[Envelope]) -> list[_Node]:
-        order = sorted(range(len(envelopes)), key=lambda i: envelopes[i].center[0])
-        leaf_count = math.ceil(len(order) / self.node_capacity)
-        slice_count = max(1, math.ceil(math.sqrt(leaf_count)))
-        slice_size = math.ceil(len(order) / slice_count)
-        leaves: list[_Node] = []
-        for s in range(0, len(order), slice_size):
-            tile = sorted(
-                order[s : s + slice_size], key=lambda i: envelopes[i].center[1]
-            )
-            for t in range(0, len(tile), self.node_capacity):
-                run = tile[t : t + self.node_capacity]
-                env = envelopes[run[0]]
-                for i in run[1:]:
-                    env = env.union(envelopes[i])
-                leaves.append(_Node(env, entries=list(run)))
-        return leaves
-
-    def _build_upwards(self, nodes: list[_Node]) -> _Node:
-        while len(nodes) > 1:
-            order = sorted(range(len(nodes)), key=lambda i: nodes[i].envelope.center[0])
-            parent_count = math.ceil(len(order) / self.node_capacity)
-            slice_count = max(1, math.ceil(math.sqrt(parent_count)))
-            slice_size = math.ceil(len(order) / slice_count)
-            parents: list[_Node] = []
-            for s in range(0, len(order), slice_size):
-                tile = sorted(
-                    order[s : s + slice_size],
-                    key=lambda i: nodes[i].envelope.center[1],
-                )
-                for t in range(0, len(tile), self.node_capacity):
-                    run = [nodes[i] for i in tile[t : t + self.node_capacity]]
-                    env = run[0].envelope
-                    for child in run[1:]:
-                        env = env.union(child.envelope)
-                    parents.append(_Node(env, children=run))
-            nodes = parents
-        return nodes[0]
-
-    def query_envelope(self, env: Envelope) -> list[T]:
-        """Items whose envelope intersects ``env``."""
-        out: list[T] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.envelope.intersects(env):
-                continue
-            if node.is_leaf:
-                for idx in node.entries:
-                    if self._geoms[idx].envelope.intersects(env):
-                        out.append(self._items[idx])
-            else:
-                stack.extend(node.children)
-        return out
-
-    def within_distance(self, center: Point, radius: float) -> list[T]:
-        """Items whose geometry lies within ``radius`` of ``center`` (exact)."""
-        from repro.geometry import ops
-
-        if radius < 0:
-            raise GeometryError("radius must be non-negative")
-        probe = candidate_probe(center.envelope, radius)
-        out: list[T] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.envelope.intersects(probe):
-                continue
-            if node.is_leaf:
-                for idx in node.entries:
-                    if ops.distance(self._geoms[idx], center) <= radius:
-                        out.append(self._items[idx])
-            else:
-                stack.extend(node.children)
-        return out
-
-    def nearest(self, center: Point, k: int = 1) -> list[tuple[float, T]]:
-        """The ``k`` nearest items as ``(distance, item)`` pairs, ascending.
-
-        Classic best-first search over node envelopes with a max-heap of
-        current results.
-        """
-        from repro.geometry import ops
-
-        if k < 1:
-            raise GeometryError("k must be at least 1")
-        probe = Envelope(center.x, center.y, center.x, center.y)
-        candidates: list[tuple[float, int, _Node]] = []
-        counter = 0
-        heapq.heappush(candidates, (self.root.envelope.distance(probe), counter, self.root))
-        results: list[tuple[float, int]] = []  # max-heap via negated distance
-        while candidates:
-            node_dist, _tie, node = heapq.heappop(candidates)
-            if len(results) == k and node_dist > -results[0][0]:
-                break
-            if node.is_leaf:
-                for idx in node.entries:
-                    d = ops.distance(self._geoms[idx], center)
-                    if len(results) < k:
-                        heapq.heappush(results, (-d, idx))
-                    elif d < -results[0][0]:
-                        heapq.heapreplace(results, (-d, idx))
-            else:
-                for child in node.children:
-                    counter += 1
-                    heapq.heappush(
-                        candidates,
-                        (child.envelope.distance(probe), counter, child),
-                    )
-        ordered = sorted(((-negd, idx) for negd, idx in results), key=lambda t: t[0])
-        return [(d, self._items[idx]) for d, idx in ordered]

@@ -39,7 +39,12 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.concurrency import make_lock
-from repro.errors import PersonalizationError, PRMLRuntimeError, SchemaError
+from repro.errors import (
+    PersonalizationError,
+    PRMLRuntimeError,
+    SchemaError,
+    StorageError,
+)
 from repro.geometry import Metric, PlanarMetric, Point
 from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema, SchemaSets
 from repro.mdm.model import ResolvedLevel
@@ -369,13 +374,9 @@ class PersonalizationEngine:
             return StarHistory.attach(self.star)
 
     def _on_star_mutation(self, mutation: StarMutation) -> None:
-        """Maintain the shared view store on every star mutation.
-
-        Fact appends carry a typed delta and are patched incrementally;
-        member/feature/schema mutations dispatch on their delta payload
-        (carry, patch, or — for in-place member updates on referenced
-        dimensions — drop; see :meth:`ViewStore.on_mutation`).
-        """
+        """Maintain the shared view store on every star mutation: a fact
+        append patches the views over its fact, and every other write
+        carries them (see :meth:`ViewStore.on_mutation`)."""
         self.view_store.on_mutation(self.star, mutation)
 
     def detach(self) -> None:
@@ -399,9 +400,8 @@ class PersonalizationEngine:
         """Parse, analyze, load and register one rule.
 
         Loading writes what the rule's schema actions name into the star
-        and the tenant schema.  Register rules before serving: a geometry
-        load is an in-place member update, which as-of reads cannot
-        replay across.
+        and the tenant schema, each as one logged star write that as-of
+        reads replay.
         """
         if isinstance(source, Rule):
             rule = source
@@ -445,28 +445,15 @@ class PersonalizationEngine:
         if source is None or len(table):
             return
         features = source.layer_features(name)
-        if not features:
-            return
-        for feature_name, geometry, attributes in features:
-            table.add_feature(feature_name, geometry, attributes)
-        # One bulk mutation for the whole load, carrying the feature
-        # tuples so the history can replay the load for as-of reads.
-        self.star.note_feature_change(
-            name,
-            op="bulk",
-            payload={
-                "features": [
-                    (feature_name, geometry, dict(attributes or {}))
-                    for feature_name, geometry, attributes in features
-                ]
-            },
-        )
+        if features:
+            self.star.add_features(name, features)
 
     def _load_level(self, action: BecomeSpatialAction) -> None:
         """Make the level spatial in the tenant schema and give its
-        members the geo source's geometries, checked against the declared
-        type before any is written.  A target that names no level loads
-        nothing; the action reports it when it runs."""
+        members the geo source's geometries (:meth:`StarSchema.become_spatial`,
+        which checks them against the declared type before it writes
+        any).  A target that names no level loads nothing; the action
+        reports it when it runs."""
         steps = list(action.element.steps)
         if steps and steps[-1] == GEOMETRY_ATTRIBUTE:
             steps = steps[:-1]
@@ -477,30 +464,21 @@ class PersonalizationEngine:
         if not isinstance(resolved, ResolvedLevel):
             return
         dimension, level = resolved.dimension.name, resolved.level.name
-        level_ref = f"{dimension}.{level}"
-        declared = action.geometric_type.value
         source = self.geo_source
         geometries = (
             source.level_geometries(dimension, level) if source is not None else None
         ) or {}
-        members = [
-            (member, geometries[member.key])
+        loaded = {
+            member.key: geometries[member.key]
             for member in self.star.dimension_table(dimension).members(level)
             if member.key in geometries
-        ]
-        for member, geometry in members:
-            if not declared.accepts(geometry):
-                raise PersonalizationError(
-                    f"external geometry for {member.key!r} is a "
-                    f"{geometry.geom_type}, but {level_ref} was declared "
-                    f"{declared.name}"
-                )
-        self.geomd_schema.become_spatial(level_ref, declared)
-        for member, geometry in members:
-            member.attributes[GEOMETRY_ATTRIBUTE] = geometry
-        if members:
-            # An in-place update: the level's geometry index is rebuilt.
-            self.star.note_member_change(dimension, op="update")
+        }
+        try:
+            self.star.become_spatial(
+                f"{dimension}.{level}", action.geometric_type.value, loaded
+            )
+        except StorageError as exc:
+            raise PersonalizationError(str(exc)) from exc
 
     def rule(self, name: str) -> RegisteredRule:
         for registered in self.rules:

@@ -19,18 +19,14 @@ related work describes):
   row ids.  Instead of rebuilding, every live view is *patched*: the
   delta rows are filtered through the view's selection and the survivors
   appended.  Views over other fact tables of a multi-fact star are
-  carried to the new generation untouched.  Member/feature/schema
-  mutations now dispatch on their delta too: a view's ``fact_rows``
-  depend only on member *existence and parent links* of the dimensions
-  its selection references (never on features, layers or member
-  attributes), so feature mutations and layer adds carry every
-  entry, a member mutation carries the entries whose selection does not
-  reference the mutated dimension (the PR 9 bugfix — these used to be
-  thrown away), a member *add* inside a referenced dimension carries the
-  entry and re-derives its patch filter (a new leaf cannot be referenced
-  by any existing fact row), and only a member *update* inside a
-  referenced dimension still drops the entry.  A view carries no
-  schema, so sessions with different schema sets share it.
+  carried to the new generation untouched.  Every other write carries
+  every entry: a view's ``fact_rows`` depend only on member *existence
+  and parent links* of the dimensions its selection references (never on
+  features, layers or member geometries), no write moves a parent link,
+  and a brand-new member is referenced by no existing fact row.  A member
+  add inside a referenced dimension only resets the entry's cached patch
+  filter, since a new leaf under a selected ancestor joins it.  A view
+  carries no schema, so sessions with different schema sets share it.
 * **Bounds and transparency** — the store is LRU-bounded (``max_size``)
   and thread-safe; every engine owns one.  Sessions over a star whose
   :attr:`~repro.storage.star.StarSchema.oracle` switch is set bypass it,
@@ -74,10 +70,9 @@ class _Entry:
     ``relevant`` caches ``selection.relevant_leaf_keys`` (the projected
     row filter) the first time the entry is patched.  The projection
     depends only on the members of the dimensions the selection
-    references: mutations that could change it either drop the entry
-    (member update in a referenced dimension) or reset the cache to
-    ``None`` (member add in a referenced dimension — a new leaf under a
-    selected ancestor joins the filter), so appends pay plain
+    references, so the one write that can change it, a member add in a
+    referenced dimension (a new leaf under a selected ancestor joins the
+    filter), resets the cache to ``None``; appends pay plain
     set-membership checks instead of re-resolving roll-ups per insert.
     """
 
@@ -124,7 +119,7 @@ class ViewStore:
         one fact scan, not N (single-flight).  The accepted trade: cold
         builds of *different* selections serialize behind it, and a
         mutation's ``on_mutation`` delivery waits for an in-flight build
-        (never the reverse — ``note_*_change`` releases the star's cache
+        (never the reverse — a star write releases the star's cache
         lock before notifying, so the two locks cannot deadlock).
         """
         with self._lock:
@@ -185,75 +180,15 @@ class ViewStore:
     # -- maintenance ----------------------------------------------------------
 
     def on_mutation(self, star: StarSchema, mutation: StarMutation) -> None:
-        """React to one star mutation (the engine's listener target)."""
-        if mutation.is_fact_delta:
-            self._apply_fact_delta(star, mutation)
-        elif mutation.kind == "member" and mutation.dimension is not None:
-            self._apply_member_mutation(mutation)
-        elif mutation.kind == "feature":
-            # Layers are append-only and a view's fact_rows never depend
-            # on features — every entry survives as-is.
-            self._carry_all(mutation)
-        elif mutation.kind == "schema" and mutation.is_schema_patch:
-            # A layer add changes the schema, not membership; row sets
-            # are unaffected.
-            self._carry_all(mutation)
-        else:
-            self.invalidate()
+        """React to one star mutation (the engine's listener target).
 
-    def _apply_member_mutation(self, mutation: StarMutation) -> None:
-        """Scope a member mutation to the entries it can actually affect.
-
-        Entries whose selection does not reference the mutated dimension
-        carry to the new generation untouched (their row filter cannot
-        mention it).  Member *adds* inside a referenced dimension also
-        carry — a brand-new member is referenced by no existing fact
-        row — but the cached patch filter is re-derived on next use
-        because a new leaf under a selected ancestor joins it.  Member
-        *updates* inside a referenced dimension drop the entry.
-        """
-        dimension = mutation.dimension
-        additive = mutation.is_member_add
-        with self._lock:
-            for key in list(self._entries):
-                fact, fingerprint, generation = key
-                entry = self._entries.pop(key)
-                if generation != mutation.generation - 1:
-                    self.invalidations += 1
-                    continue
-                referenced = entry.references_dimension(dimension)
-                if referenced and not additive:
-                    self.invalidations += 1
-                    continue
-                if referenced:
-                    entry.relevant = None
-                self._entries[(fact, fingerprint, mutation.generation)] = entry
-                self.carries += 1
-            self._trim()
-
-    def _carry_all(self, mutation: StarMutation) -> None:
-        """Rekey every contiguous entry to the mutation's generation."""
-        with self._lock:
-            for key in list(self._entries):
-                fact, fingerprint, generation = key
-                entry = self._entries.pop(key)
-                if generation != mutation.generation - 1:
-                    self.invalidations += 1
-                    continue
-                self._entries[(fact, fingerprint, mutation.generation)] = entry
-                self.carries += 1
-            self._trim()
-
-    def _apply_fact_delta(
-        self, star: StarSchema, mutation: StarMutation
-    ) -> None:
-        """Patch every live view instead of rebuilding it.
-
-        Only entries exactly one generation behind the delta are
-        patchable; anything older missed an intermediate mutation and is
-        dropped (the build path recreates it on demand).  Entries over
-        *other* facts of a multi-fact star are unaffected by a fact append
-        and are carried to the new generation as-is.
+        Only entries exactly one generation behind the mutation are
+        maintained; anything older missed an intermediate mutation and
+        is dropped (the build path recreates it on demand).  A fact
+        append *patches* the entries over its fact; every other entry,
+        and every entry under any other write, is carried to the new
+        generation as-is.  A member add resets the cached patch filter
+        of the entries that reference its dimension.
         """
         with self._lock:
             for key in list(self._entries):
@@ -262,14 +197,16 @@ class ViewStore:
                 if generation != mutation.generation - 1:
                     self.invalidations += 1
                     continue
-                new_key = (fact, fingerprint, mutation.generation)
-                if fact != mutation.fact:
-                    self._entries[new_key] = entry
+                if mutation.is_fact_delta and fact == mutation.fact:
+                    entry.view = self._patch(star, entry, mutation.row_ids)
+                    self.patches += 1
+                else:
+                    if mutation.is_member_add and entry.references_dimension(
+                        mutation.dimension
+                    ):
+                        entry.relevant = None
                     self.carries += 1
-                    continue
-                entry.view = self._patch(star, entry, mutation.row_ids)
-                self._entries[new_key] = entry
-                self.patches += 1
+                self._entries[(fact, fingerprint, mutation.generation)] = entry
             self._trim()
 
     def _patch(
@@ -308,7 +245,7 @@ class ViewStore:
         )
 
     def invalidate(self) -> None:
-        """Drop every entry (member/feature/schema mutation fallback)."""
+        """Drop every entry (an engine detaching from its star)."""
         with self._lock:
             self.invalidations += len(self._entries)
             self._entries.clear()

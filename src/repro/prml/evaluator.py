@@ -240,10 +240,10 @@ class SelectionSet:
     def allowed_leaf_keys(self, star: StarSchema) -> dict[str, set[str]]:
         """Per-dimension allowed leaf keys implied by member selections.
 
-        Selections can outlive the data they named (snapshot reloads,
-        journal replays, rules selecting against since-mutated members):
-        stale entries — a dimension, level or member key no longer in the
-        star — are *dropped* instead of raising on the request path,
+        Selections can name data the star does not hold (a session
+        restored from its record, a selection built by hand): stale
+        entries — a dimension, level or member key not in the star —
+        are *dropped* instead of raising on the request path,
         mirroring the journal-profile degradation in
         :func:`repro.reco.similarity.build_spatial_profile`.  A selection
         whose every key for some dimension went stale leaves that

@@ -7,8 +7,10 @@ generation-stamped checkpoints as
 baseline when it attaches, then one every ``checkpoint_interval``
 generations), and answers :meth:`StarHistory.as_of` by copying the
 newest checkpoint at or before the requested generation and replaying
-the mutation log's typed deltas forward onto the copy.  Copies and
-replay preserve insertion order end to end — member levels, fact row
+the mutation log's typed deltas forward onto the copy.  Every star
+write (a level's geometry load included) logs its delta, so any range
+the bounded log still holds replays.  Copies and replay preserve
+insertion order end to end — member levels, fact row
 order, dictionary code assignment — so a query against the
 reconstructed star is bit-identical to the answer the live star gave at
 that generation.
@@ -130,13 +132,13 @@ class StarHistory:
 
     :meth:`as_of` answers a read at generation ``g`` by copying the
     newest checkpoint at or before ``g`` and replaying the retained
-    mutation-log deltas forward onto the copy; the last
+    mutation-log deltas forward onto the copy; every star write logs
+    one, so every retained range replays.  The last
     :data:`MAX_RECONSTRUCTIONS` reconstructions are cached.  Retention
-    is explicit: a request older than the oldest checkpoint, or whose
-    replay range has been evicted from the bounded log or crosses a
-    mutation that carries no replayable delta (an in-place member
-    update, a payload-less degradation), raises :class:`HistoryError`
-    (mapped to the API error envelope as ``as_of_unavailable``).
+    is explicit: a request in the future, older than the oldest
+    checkpoint, or whose replay range has been evicted from the
+    bounded log raises :class:`HistoryError` (mapped to the API error
+    envelope as ``as_of_unavailable``).
     """
 
     def __init__(self, star: StarSchema, *, checkpoint_interval: int = 4096) -> None:
@@ -182,11 +184,11 @@ class StarHistory:
         """Checkpoint the star's current state, stamped with its generation.
 
         :meth:`StarSchema.copy` reads the generation and the contents
-        under the star's cache lock, so a concurrent ``note_*_change``
-        cannot slide the counter under a half-copied star; table writes
-        that precede their ``note_*`` call can still leak in, which
-        replay tolerates by skipping already-present rows, members and
-        features.
+        under the star's cache lock, so a concurrent write cannot slide
+        the counter under a half-copied star; a table write that
+        precedes the lock its mutation is logged under can still leak
+        in, which replay tolerates by skipping already-present rows,
+        members and features.
         """
         checkpoint = self.star.copy()
         with self._lock:
@@ -232,13 +234,10 @@ class StarHistory:
                 )
             checkpoint = self._checkpoints[base]
         mutations = self.star.mutation_log.between(base, generation)
-        if len(mutations) != generation - base or not all(
-            m.is_replayable for m in mutations
-        ):
+        if len(mutations) != generation - base:
             raise HistoryError(
                 f"as_of generation {generation}: the mutation range "
-                f"({base}, {generation}] is no longer fully retained or "
-                f"replayable"
+                f"({base}, {generation}] is no longer fully retained"
             )
         reconstructed = checkpoint.copy()
         reconstructed.oracle = self.star.oracle
@@ -251,9 +250,10 @@ class StarHistory:
     def _replay(self, star: StarSchema, mutation: StarMutation) -> None:
         """Apply one logged delta to a reconstructed star.
 
-        Replay is idempotent per entry (already-present members and
-        features are skipped) so a checkpoint that raced a table write
-        cannot poison reconstruction.
+        Replay is idempotent per entry (already-present rows, members
+        and features are skipped, and a geometry load rewrites the same
+        geometries) so a checkpoint that raced a table write cannot
+        poison reconstruction.
         """
         payload = mutation.payload_dict()
         if mutation.is_fact_delta:
@@ -294,53 +294,33 @@ class StarHistory:
                         for p, k in thaw_mapping(payload.get("parents")).items()
                     },
                 )
-        elif mutation.is_feature_add:
-            self._replay_feature(
-                star,
-                mutation.layer,
-                str(payload["name"]),
-                payload.get("geometry"),
-                thaw_mapping(payload.get("attributes")),
+        elif mutation.kind == "member":
+            star.become_spatial(
+                f"{mutation.dimension}.{payload['level']}",
+                GeometricType[str(payload["geometric_type"])],
+                thaw_mapping(payload["geometries"]),
             )
-        elif mutation.is_feature_bulk:
-            for entry in payload.get("features", ()):
-                name, geometry, attributes = entry
-                self._replay_feature(
-                    star, mutation.layer, str(name), geometry,
-                    thaw_mapping(attributes),
-                )
-        elif mutation.is_schema_patch:
-            schema = star.schema
-            if not isinstance(schema, GeoMDSchema):
-                raise HistoryError(
-                    "cannot replay a layer add onto a non-GeoMD star"
-                )
+        elif mutation.kind == "feature":
+            entries = (
+                [(payload["name"], payload["geometry"], payload["attributes"])]
+                if mutation.op == "add"
+                else payload["features"]
+            )
+            table = star.layer_table(mutation.layer)
+            fresh = []
+            for name, geometry, attributes in entries:
+                try:
+                    table.feature(str(name))
+                except StorageError:
+                    fresh.append((str(name), geometry, thaw_mapping(attributes)))
+            if fresh:
+                star.add_features(mutation.layer, fresh)
+        else:  # a layer add
             layer = str(payload["layer"])
-            schema.add_layer(layer, GeometricType[str(payload["geometric_type"])])
+            star.schema.add_layer(  # type: ignore[attr-defined]
+                layer, GeometricType[str(payload["geometric_type"])]
+            )
             star.ensure_layer_table(layer)
-        else:  # pragma: no cover - as_of() pre-validates replayability
-            raise HistoryError(
-                f"mutation at generation {mutation.generation} "
-                f"({mutation.kind}/{mutation.op}) is not replayable"
-            )
-
-    def _replay_feature(
-        self,
-        star: StarSchema,
-        layer: str,
-        name: str,
-        geometry: object,
-        attributes: dict,
-    ) -> None:
-        if not isinstance(geometry, Geometry):
-            raise HistoryError(
-                f"feature delta for layer {layer!r} carries no geometry"
-            )
-        table = star.ensure_layer_table(layer)
-        try:
-            table.feature(name)
-        except StorageError:
-            star.add_feature(layer, name, geometry, attributes)
 
     # -- introspection --------------------------------------------------------
 

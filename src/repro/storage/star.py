@@ -13,18 +13,19 @@ Generation-based invalidation
 The star is the shared substrate of every cache in the hot request path
 (memoized personalized views, the service query cache, the lazy indexes
 below), so it carries a monotonically-increasing :attr:`~StarSchema.generation`
-counter.  Every mutation — member/fact/feature inserts, layer-table
-creation reported through :meth:`note_schema_change`, in-place member
-updates — bumps it; downstream caches store the generation they were
-built at and treat any difference as a miss.  A tenant's rules write
-the star only when they are registered (the layers and level
-geometries their schema actions name); serving never writes it, so
-besides registration only ingest moves the generation.  The
+counter.  Every write — a member add, a level's geometry load
+(:meth:`~StarSchema.become_spatial`), a fact append, a feature add or
+bulk load, a layer add — bumps it; downstream caches store the
+generation they were built at and treat any difference as a miss.  A
+tenant's rules write the star only when they are registered (the layers
+and level geometries their schema actions name); serving never writes
+it, so besides registration only ingest moves the generation.  The
 lazy structures owned here (the inverted roll-up index, the leaf-code
 roll-up translation tables, the per-layer
 :class:`~repro.geometry.index.EnvelopeColumns` envelope columns and the
-per-level :class:`LevelGeometries` records) are instead invalidated *in
-place* by the same hooks, so they can never serve stale data.
+per-level :class:`LevelGeometries` records) are instead patched or
+dropped *in place* by the write itself, so they can never serve stale
+data.
 
 The oracle switch
 -----------------
@@ -40,15 +41,13 @@ cache and index returns exactly what the reference paths return.
 The mutation log
 ----------------
 
-On top of the generation counters every ``note_*_change`` appends a typed
-:class:`StarMutation` — now carrying the actual delta payload where the
-caller can name it — to a bounded, generation-ordered :class:`MutationLog`
-owned by the star.  Listeners still receive each mutation exactly once
-(outside the lock), but the log is the durable record: downstream layers
-patch instead of blanket-invalidating, and
-:class:`repro.storage.snapshot.StarHistory` replays the retained suffix
-over generation-stamped checkpoints to answer ``as_of`` reads against a
-past generation.
+Every write logs one typed :class:`StarMutation` carrying its delta to
+a bounded, generation-ordered :class:`MutationLog` owned by the star.
+Listeners receive each mutation exactly once (outside the lock), but
+the log is the durable record: downstream layers patch instead of
+invalidating, and :class:`repro.storage.snapshot.StarHistory` replays
+the retained suffix over generation-stamped checkpoints to answer
+``as_of`` reads against a past generation.
 
 Copies
 ------
@@ -71,7 +70,8 @@ from typing import Callable, Iterable, Mapping
 
 from repro.concurrency import make_rlock
 from repro.errors import StorageError
-from repro.geomd.schema import GeoMDSchema
+from repro.geomd.gtypes_enum import GeometricType
+from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema
 from repro.geometry import Geometry, LineString, Point, Polygon
 from repro.geometry.index import EnvelopeColumns
 from repro.mdm.model import MDSchema
@@ -128,15 +128,14 @@ def thaw_mapping(value: object) -> dict:
 
 @dataclass(frozen=True)
 class StarMutation:
-    """Typed description of one star mutation, logged and delivered to listeners.
+    """Typed description of one star write, logged and delivered to listeners.
 
-    ``generation`` is the star generation *after* the mutation.  Fact
-    appends carry the appended ``row_ids``; member/feature adds and
-    layer adds carry their delta in ``payload`` (a
-    :func:`freeze_payload` tuple) tagged by ``op``.  Downstream caches
-    patch through these deltas; a mutation whose caller could not name
-    the delta (``op is None``) degrades to the pre-log behaviour — a
-    full invalidation of the affected scope.
+    ``generation`` is the star generation *after* the write.  Every
+    mutation carries its delta: a fact append the appended ``row_ids``;
+    a member add, a geometry load, a feature add or bulk load and a
+    layer add their arguments in ``payload`` (a :func:`freeze_payload`
+    tuple), tagged by ``op``.  Downstream caches patch through these
+    deltas and :class:`repro.storage.snapshot.StarHistory` replays them.
     """
 
     kind: str  # "member" | "fact" | "feature" | "schema"
@@ -145,48 +144,19 @@ class StarMutation:
     layer: str | None = None
     fact: str | None = None
     row_ids: tuple[int, ...] = ()
-    op: str | None = None  # "add" | "update" | "append" | "bulk" | "add_layer"
+    # "add" | "become_spatial" | "append" | "bulk" | "add_layer"
+    op: str | None = None
     payload: tuple = ()
 
     @property
     def is_fact_delta(self) -> bool:
-        """True when this mutation can be applied as an incremental patch."""
-        return self.kind == "fact" and self.fact is not None and bool(self.row_ids)
+        """True for a fact append (the one write that patches views)."""
+        return self.kind == "fact"
 
     @property
     def is_member_add(self) -> bool:
-        """True for a member insert carrying its full delta (new leaf/ancestor)."""
-        return self.kind == "member" and self.op == "add" and bool(self.payload)
-
-    @property
-    def is_feature_add(self) -> bool:
-        """True for a single-feature insert carrying its geometry delta."""
-        return self.kind == "feature" and self.op == "add" and bool(self.payload)
-
-    @property
-    def is_feature_bulk(self) -> bool:
-        """True for a bulk feature load carrying every loaded feature."""
-        return self.kind == "feature" and self.op == "bulk" and bool(self.payload)
-
-    @property
-    def is_schema_patch(self) -> bool:
-        """True for a layer add carrying its name and geometric type."""
-        return self.kind == "schema" and self.op == "add_layer" and bool(self.payload)
-
-    @property
-    def is_replayable(self) -> bool:
-        """True when :class:`repro.storage.snapshot.StarHistory` can replay this.
-
-        As-of reads cannot cross a non-replayable mutation (an in-place
-        member update, a payload-less degradation).
-        """
-        return (
-            self.is_fact_delta
-            or self.is_member_add
-            or self.is_feature_add
-            or self.is_feature_bulk
-            or self.is_schema_patch
-        )
+        """True for a member insert (a new leaf or ancestor)."""
+        return self.kind == "member" and self.op == "add"
 
     def payload_dict(self) -> dict[str, object]:
         """The delta payload as a plain dict (top level only)."""
@@ -252,7 +222,6 @@ class MutationLog:
                 "newest_generation": (
                     self._entries[-1].generation if self._entries else None
                 ),
-                "replayable": sum(1 for m in self._entries if m.is_replayable),
             }
 
 #: Sentinel distinguishing "not cached yet" from a cached ``None``
@@ -349,23 +318,21 @@ class StarSchema:
             for name, layer in schema.layers.items():
                 self._layers[name] = LayerTable(layer)
         # (dimension, leaf_key, level, member generation) -> ancestor
-        # member; filled lazily.  The generation component keeps a
-        # roll-up resolved before a member mutation from ever answering
-        # after one; note_member_change also drops the dimension's
-        # entries.
+        # member; filled lazily.
         # guarded-by: _cache_lock
         self._rollup_cache: dict[tuple[str, str, str, int], Member] = {}
-        # dimension -> count of its member mutations.  Roll-up ancestry
-        # depends only on a dimension's members, so its cache keys on
-        # this instead of the global generation — fact appends and
-        # schema/feature changes must not evict resolved roll-ups.
-        # Member ADDs with a delta payload do NOT bump this: parent
-        # links are fixed at creation and a new leaf is referenced by
-        # no existing fact, so every resolved roll-up stays correct.
+        # dimension -> member generation, the stamp of its roll-up
+        # caches (keyed on it instead of the global generation, so no
+        # write evicts a resolved roll-up).  No write moves it: parent
+        # links are fixed when a member is added, a new leaf is
+        # referenced by no existing fact, and a geometry load changes no
+        # link, so every resolved roll-up stays correct.  The stamp
+        # keeps the caches' keys generation-carrying, as the ``gen-key``
+        # lint rule requires of every cache.
         self._member_generations: dict[str, int] = {}
-        # Bumped by member/feature/schema mutations but NOT by fact
-        # appends; the recommender's profile cache keys on this
-        # (profiles read members and the journal, never fact rows).
+        # Bumped by every write but a fact append; the recommender's
+        # profile cache keys on this (profiles read members and the
+        # journal, never fact rows).
         self._metadata_generation = 0
         #: When True, every layer over this star takes its reference
         #: path instead of its caches and indexes (see the module
@@ -386,8 +353,8 @@ class StarSchema:
         # (dimension, level) -> LevelGeometries | None.
         # guarded-by: _cache_lock
         self._level_grid: dict[tuple[str, str], object] = {}
-        #: Linearizes lazy index builds against the ``note_*_change``
-        #: invalidation hooks.  The service only serializes requests
+        #: Linearizes lazy index builds against the writes that patch
+        #: or drop them.  The service only serializes requests
         #: per-session, so two sessions of one tenant can race a build
         #: against a mutation; without the lock the loser could install
         #: a permanently stale index.
@@ -397,9 +364,9 @@ class StarSchema:
         #: Observers of every mutation, called with a :class:`StarMutation`
         #: *outside* ``_cache_lock`` (listeners may take their own locks
         #: and read the star back).  The engine's shared view store
-        #: subscribes here to patch or invalidate materialized views.
+        #: subscribes here to patch or carry materialized views.
         self._mutation_listeners: list[Callable[[StarMutation], None]] = []
-        #: Ordered, bounded log of every mutation; appended inside
+        #: Ordered, bounded log of every write; appended inside
         #: ``_cache_lock`` so entries are strictly generation-ordered
         #: even when listeners race.
         self.mutation_log = MutationLog()
@@ -408,11 +375,11 @@ class StarSchema:
         #: with a clear error instead of silently serving live data).
         self.history = None
 
-    # -- cache invalidation ---------------------------------------------------
+    # -- generations and listeners --------------------------------------------
 
     @property
     def generation(self) -> int:
-        """Monotonic data version; bumped by every mutation."""
+        """Monotonic data version; bumped by every write."""
         return self._generation
 
     @property
@@ -423,7 +390,7 @@ class StarSchema:
     def add_mutation_listener(
         self, listener: Callable[[StarMutation], None]
     ) -> None:
-        """Register an observer of every ``note_*_change`` mutation."""
+        """Register an observer of every write's :class:`StarMutation`."""
         self._mutation_listeners.append(listener)
 
     def remove_mutation_listener(
@@ -444,64 +411,20 @@ class StarSchema:
         for listener in self._mutation_listeners:
             listener(mutation)
 
-    def note_member_change(
-        self,
-        dimension: str,
-        *,
-        op: str | None = None,
-        payload: Mapping[str, object] | None = None,
-    ) -> None:
-        """Record a member mutation; patch or invalidate the dimension's caches.
+    def _log(self, kind: str, **fields: object) -> StarMutation:  # guarded-by-caller: _cache_lock
+        """Bump the generation (and, but for a fact append, the metadata
+        generation) and log one mutation of ``kind`` carrying ``fields``.
 
-        Called on member inserts and on in-place member mutation (rule
-        registration writes the geometries of a ``BecomeSpatial`` level
-        into member attributes directly).  ``op="add"`` with a ``{"level", "key", ...}`` payload
-        is the additive fast path: parent links are fixed at member
-        creation and a brand-new member is referenced by no existing
-        fact row, so every resolved roll-up stays correct — the inverted
-        roll-up index is extended in place, only the added level's
-        :class:`LevelGeometries` record is dropped, and the dimension's
-        member generation does **not** bump (translation tables and
-        roll-up caches survive).  Any other ``op`` (or none) keeps the original
-        behaviour: full invalidation of the dimension's derived caches.
+        Must be called under ``_cache_lock``, after the write and its
+        cache patches, so a copy pairs the generation with the contents;
+        the caller notifies the listeners once it has released the lock.
         """
-        frozen = freeze_payload(payload)
-        details = dict(frozen)
-        additive = op == "add" and "level" in details and "key" in details
-        with self._cache_lock:
-            self._generation += 1
-            generation = self._generation
+        self._generation += 1
+        if kind != "fact":
             self._metadata_generation += 1
-            if additive:
-                self._patch_member_add(
-                    dimension, str(details["level"]), str(details["key"])
-                )
-            else:
-                self._member_generations[dimension] = (
-                    self._member_generations.get(dimension, 0) + 1
-                )
-                for key in [k for k in self._rollup_index if k[0] == dimension]:
-                    del self._rollup_index[key]
-                for key in [
-                    k for k in self._rollup_translations if k[1] == dimension
-                ]:
-                    del self._rollup_translations[key]
-                for key in [k for k in self._level_grid if k[0] == dimension]:
-                    del self._level_grid[key]
-                # The roll-up member cache is generation-keyed, so stale
-                # entries can no longer *hit* — dropping the dimension's
-                # entries here just keeps dead generations from accumulating.
-                for key in [k for k in self._rollup_cache if k[0] == dimension]:
-                    del self._rollup_cache[key]
-            mutation = StarMutation(
-                kind="member",
-                generation=generation,
-                dimension=dimension,
-                op=op,
-                payload=frozen,
-            )
-            self.mutation_log.append(mutation)
-        self._notify(mutation)
+        mutation = StarMutation(kind=kind, generation=self._generation, **fields)
+        self.mutation_log.append(mutation)
+        return mutation
 
     def _patch_member_add(self, dimension: str, level: str, key: str) -> None:  # guarded-by-caller: _cache_lock
         """Extend the dimension's lazy caches for one added member.
@@ -527,66 +450,7 @@ class StarSchema:
                 index.setdefault(ancestor.key, set()).add(key)
         self._level_grid.pop((dimension, level), None)
 
-    def note_fact_change(
-        self, fact: str | None = None, row_ids: Iterable[int] = ()
-    ) -> None:
-        """Record a fact insert (postings update themselves incrementally).
-
-        ``fact``/``row_ids`` describe the appended rows; listeners use the
-        delta for incremental view maintenance.  Callers that cannot name
-        what changed may still call with no arguments — the mutation then
-        degrades to a full invalidation downstream.
-        """
-        with self._cache_lock:
-            self._generation += 1
-            generation = self._generation
-            mutation = StarMutation(
-                kind="fact",
-                generation=generation,
-                fact=fact,
-                row_ids=tuple(row_ids),
-                op="append" if fact is not None else None,
-            )
-            self.mutation_log.append(mutation)
-        self._notify(mutation)
-
-    def note_feature_change(
-        self,
-        layer: str,
-        *,
-        op: str | None = None,
-        payload: Mapping[str, object] | None = None,
-    ) -> None:
-        """Record a feature mutation; patch or drop the layer's envelope grid.
-
-        ``op="add"`` with a ``{"name", "geometry", ...}`` payload extends
-        a built :class:`~repro.geometry.index.EnvelopeColumns` grid in
-        place instead of dropping it; bulk loads (no payload) keep the
-        original drop-and-rebuild.  Layers are append-only, so posting
-        lists and view row sets are never affected either way.
-        """
-        frozen = freeze_payload(payload)
-        details = dict(frozen)
-        additive = op == "add" and "geometry" in details
-        with self._cache_lock:
-            self._generation += 1
-            generation = self._generation
-            self._metadata_generation += 1
-            if additive:
-                self._patch_feature_add(layer, details["geometry"])
-            else:
-                self._layer_grid.pop(layer, None)
-            mutation = StarMutation(
-                kind="feature",
-                generation=generation,
-                layer=layer,
-                op=op,
-                payload=frozen,
-            )
-            self.mutation_log.append(mutation)
-        self._notify(mutation)
-
-    def _patch_feature_add(self, layer: str, geometry: object) -> None:  # guarded-by-caller: _cache_lock
+    def _patch_feature_add(self, layer: str, geometry: Geometry) -> None:  # guarded-by-caller: _cache_lock
         """Append one feature's envelope to a built layer grid, in place.
 
         Must be called under ``_cache_lock``.  An unbuilt grid stays
@@ -596,36 +460,13 @@ class StarSchema:
         cached = self._layer_grid.get(layer, _UNBUILT)
         if cached is _UNBUILT:
             return
-        if cached is None or not isinstance(geometry, Geometry):
+        if cached is None:
             self._layer_grid.pop(layer, None)
             return
         index, geometries = cached  # type: ignore[misc]
         position = len(geometries)
         geometries.append(geometry)
         index.extend([(geometry, position)])
-
-    def note_schema_change(
-        self,
-        *,
-        op: str | None = None,
-        payload: Mapping[str, object] | None = None,
-    ) -> None:
-        """Record a schema mutation (a layer add, from :meth:`ensure_layer_table`).
-
-        ``op``/``payload`` carry the arguments (layer name plus geometric
-        type name) so the mutation log can replay the add for as-of
-        reads.
-        """
-        frozen = freeze_payload(payload)
-        with self._cache_lock:
-            self._generation += 1
-            generation = self._generation
-            self._metadata_generation += 1
-            mutation = StarMutation(
-                kind="schema", generation=generation, op=op, payload=frozen
-            )
-            self.mutation_log.append(mutation)
-        self._notify(mutation)
 
     # -- access ---------------------------------------------------------------
 
@@ -671,7 +512,9 @@ class StarSchema:
         """Create the table for a layer added to the schema after binding.
 
         Registering a rule whose ``AddLayer`` names a new layer adds it
-        to a loaded star's schema; the engine then creates the table here.
+        to a loaded star's schema; the engine then creates the table
+        here, which logs a ``schema`` mutation carrying the layer's name
+        and geometric type.
         """
         if name in self._layers:  # lint-ok: check-then-act - GIL-atomic fast path; the store below rechecks under the lock
             return self._layers[name]
@@ -682,16 +525,18 @@ class StarSchema:
         layer = self.schema.layer(name)
         with self._cache_lock:
             table = self._layers.get(name)
-            if table is None:
-                table = LayerTable(layer)
-                self._layers[name] = table
-        self.note_schema_change(
-            op="add_layer",
-            payload={
-                "layer": name,
-                "geometric_type": layer.geometric_type.name,
-            },
-        )
+            if table is not None:
+                return table
+            table = LayerTable(layer)
+            self._layers[name] = table
+            mutation = self._log(
+                "schema",
+                op="add_layer",
+                payload=freeze_payload(
+                    {"layer": name, "geometric_type": layer.geometric_type.name}
+                ),
+            )
+        self._notify(mutation)
         return table
 
     # -- loading ----------------------------------------------------------------
@@ -704,37 +549,116 @@ class StarSchema:
         attributes: Mapping[str, object] | None = None,
         parents: Mapping[str, str] | None = None,
     ) -> Member:
+        """Add one member and log it as a ``member`` mutation of op
+        ``add``.
+
+        A member of a spatial level whose geometry the level's type does
+        not accept is refused before it is added.  Parent links are
+        fixed at creation and a brand-new member is referenced by no
+        existing fact row, so every resolved roll-up stays correct: the
+        inverted roll-up index is extended in place and only the added
+        level's :class:`LevelGeometries` record is dropped.
+        """
+        self._check_member_geometry(dimension, level, key, attributes)
         member = self.dimension_table(dimension).add_member(
             level, key, attributes, parents
         )
-        self._check_member_geometry(dimension, level, member)
-        self.note_member_change(
-            dimension,
-            op="add",
-            payload={
-                "level": level,
-                "key": key,
-                "attributes": dict(member.attributes),
-                "parents": dict(member.parents),
-            },
-        )
+        with self._cache_lock:
+            self._patch_member_add(dimension, level, key)
+            mutation = self._log(
+                "member",
+                dimension=dimension,
+                op="add",
+                payload=freeze_payload(
+                    {
+                        "level": level,
+                        "key": key,
+                        "attributes": dict(member.attributes),
+                        "parents": dict(member.parents),
+                    }
+                ),
+            )
+        self._notify(mutation)
         return member
 
+    def become_spatial(
+        self,
+        level_ref: str,
+        geometric_type: GeometricType,
+        geometries: Mapping[str, Geometry],
+    ) -> None:
+        """Make a level spatial and give its members geometries
+        (``BecomeSpatial``, paper §5.1).
+
+        ``level_ref`` is ``"Dimension.Level"`` (or ``"Dimension"`` for
+        its leaf level) and ``geometries`` maps member keys of that
+        level to their geometries.  Every geometry is checked against
+        ``geometric_type`` before any is written: a mismatch or an
+        unknown member raises
+        :class:`~repro.errors.StorageError` and changes nothing.  Then
+        the level is made spatial in the star's schema (a conflicting
+        re-declaration raises :class:`~repro.errors.SchemaError`, also
+        before any write), the members' geometry attributes are written
+        and only the level's :class:`LevelGeometries` record is dropped;
+        roll-ups survive, since no parent link moves.  Logs one
+        ``member`` mutation of op ``become_spatial`` carrying the level,
+        the type and the geometries, which as-of reads replay.
+        """
+        if not isinstance(self.schema, GeoMDSchema):
+            raise StorageError(
+                "cannot make a level of a non-GeoMD star schema spatial"
+            )
+        dimension, _, level = level_ref.partition(".")
+        table = self.dimension_table(dimension)
+        level = level or table.dimension.leaf
+        loads = [(table.member(level, key), g) for key, g in geometries.items()]
+        for member, geometry in loads:
+            if not geometric_type.accepts(geometry):
+                raise StorageError(
+                    f"geometry for {member.key!r} is a {geometry.geom_type}, "
+                    f"but {level_ref} was declared {geometric_type.name}"
+                )
+        with self._cache_lock:
+            self.schema.become_spatial(f"{dimension}.{level}", geometric_type)
+            for member, geometry in loads:
+                member.attributes[GEOMETRY_ATTRIBUTE] = geometry
+            self._level_grid.pop((dimension, level), None)
+            mutation = self._log(
+                "member",
+                dimension=dimension,
+                op="become_spatial",
+                payload=freeze_payload(
+                    {
+                        "level": level,
+                        "geometric_type": geometric_type.name,
+                        "geometries": dict(geometries),
+                    }
+                ),
+            )
+        self._notify(mutation)
+
     def _check_member_geometry(
-        self, dimension: str, level: str, member: Member
+        self,
+        dimension: str,
+        level: str,
+        key: str,
+        attributes: Mapping[str, object] | None,
     ) -> None:
         if not isinstance(self.schema, GeoMDSchema):
             return
         ref = f"{dimension}.{level}"
-        if ref not in self.schema.spatial_levels:
-            return
-        geometry = member.geometry
-        if geometry is None:
+        declared = self.schema.spatial_levels.get(ref)
+        geometry = (attributes or {}).get(GEOMETRY_ATTRIBUTE)
+        if declared is None or geometry is None:
             return  # a level may be spatial before its geometries load
-        declared = self.schema.spatial_levels[ref]
+        if not isinstance(geometry, Geometry):
+            raise StorageError(
+                f"member {key!r}: geometry attribute holds "
+                f"{type(geometry).__name__}, not a Geometry"
+            )
         if not declared.accepts(geometry):
             raise StorageError(
-                f"member {member.key!r} of spatial level {ref} carries a "
+                f"member {key!r} of spatial level {ref} carries a "
                 f"{geometry.geom_type}, but the level is declared "
                 f"{declared.name}"
             )
@@ -786,7 +710,11 @@ class StarSchema:
                 checked[dim_name].add(key)
         row_ids = table.insert_many(rows)
         if row_ids:
-            self.note_fact_change(table.fact.name, tuple(row_ids))
+            with self._cache_lock:
+                mutation = self._log(
+                    "fact", fact=table.fact.name, row_ids=tuple(row_ids), op="append"
+                )
+            self._notify(mutation)
         return row_ids
 
     def add_feature(
@@ -796,17 +724,56 @@ class StarSchema:
         geometry: Geometry,
         attributes: Mapping[str, object] | None = None,
     ) -> Feature:
+        """Add one feature; a built envelope grid of the layer is
+        extended in place (layers are append-only)."""
         feature = self.layer_table(layer).add_feature(name, geometry, attributes)
-        self.note_feature_change(
-            layer,
-            op="add",
-            payload={
-                "name": name,
-                "geometry": geometry,
-                "attributes": dict(feature.attributes),
-            },
-        )
+        with self._cache_lock:
+            self._patch_feature_add(layer, geometry)
+            mutation = self._log(
+                "feature",
+                layer=layer,
+                op="add",
+                payload=freeze_payload(
+                    {
+                        "name": name,
+                        "geometry": geometry,
+                        "attributes": dict(feature.attributes),
+                    }
+                ),
+            )
+        self._notify(mutation)
         return feature
+
+    def add_features(
+        self,
+        layer: str,
+        features: Iterable[tuple[str, Geometry, Mapping[str, object] | None]],
+    ) -> None:
+        """Load ``(name, geometry, attributes)`` features into a layer as
+        one write (a rule-named layer's load).
+
+        Every feature is checked before any is added (a wrong geometric
+        type or a taken name raises :class:`~repro.errors.StorageError`
+        and changes nothing).  The layer's envelope grid is dropped and
+        rebuilt on its next read, and one ``feature`` mutation of op
+        ``bulk`` carries every loaded feature.
+        """
+        loaded = self.layer_table(layer).add_features(features)
+        with self._cache_lock:
+            self._layer_grid.pop(layer, None)
+            mutation = self._log(
+                "feature",
+                layer=layer,
+                op="bulk",
+                payload=freeze_payload(
+                    {
+                        "features": [
+                            (f.name, f.geometry, dict(f.attributes)) for f in loaded
+                        ]
+                    }
+                ),
+            )
+        self._notify(mutation)
 
     # -- roll-up ------------------------------------------------------------------
 
@@ -827,8 +794,8 @@ class StarSchema:
     def rollup_index(self, dimension: str, level: str) -> dict[str, set[str]]:
         """Inverted roll-up map: ``ancestor key at level -> leaf keys``.
 
-        Built lazily from one pass over the leaf members and invalidated
-        by :meth:`note_member_change`; turns roll-up filtering from an
+        Built lazily from one pass over the leaf members and extended
+        by :meth:`add_member`; turns roll-up filtering from an
         O(leaf-members) scan per query into dict lookups.
         """
         cache_key = (dimension, level)
@@ -856,9 +823,9 @@ class StarSchema:
         The vectorized group-by's unit: ``table.codes`` maps every code
         of the fact's ``dimension`` dictionary to an ordinal into
         ``table.keys`` (distinct ancestor keys at ``level``).  Stamped
-        with the dimension's member generation like the roll-up caches;
-        a member mutation rebuilds it, a dictionary growth (fact
-        appends interning new leaf keys) extends it in place.
+        with the dimension's member generation like the roll-up caches
+        (no write moves that stamp); a dictionary growth (fact appends
+        interning new leaf keys) extends it in place.
         """
         cache_key = (fact, dimension, level)
         table = self.fact_table(fact)
@@ -912,7 +879,8 @@ class StarSchema:
         into ``geometries``.  The index is an
         :class:`~repro.geometry.index.EnvelopeColumns` — four parallel
         coordinate arrays whose envelope query is a vectorized range
-        test.  Invalidated by :meth:`note_feature_change`.
+        test.  Extended by :meth:`add_feature`, dropped by
+        :meth:`add_features`.
         """
         with self._cache_lock:
             cached = self._layer_grid.get(name, _UNBUILT)
@@ -938,8 +906,8 @@ class StarSchema:
         Reading the members' geometries raises the
         :class:`~repro.errors.StorageError` of the first one whose
         geometry attribute holds something else, and caches nothing.
-        Dropped by :meth:`note_member_change` (a member add drops only
-        its level's record).
+        Dropped by the writes to its level: :meth:`add_member` and
+        :meth:`become_spatial`.
         """
         cache_key = (dimension, level)
         with self._cache_lock:

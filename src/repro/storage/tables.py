@@ -476,20 +476,35 @@ class LayerTable:
         geometry: Geometry,
         attributes: Mapping[str, object] | None = None,
     ) -> Feature:
-        if not self.layer.geometric_type.accepts(geometry):
-            raise StorageError(
-                f"layer {self.layer.name!r} is declared "
-                f"{self.layer.geometric_type.name}; got a "
-                f"{geometry.geom_type} for feature {name!r}"
-            )
-        if name in self._by_name:
-            raise StorageError(
-                f"layer {self.layer.name!r} already has a feature {name!r}"
-            )
-        feature = Feature(len(self._features), name, geometry, attributes)
-        self._features.append(feature)
-        self._by_name[name] = feature
-        return feature
+        return self.add_features([(name, geometry, attributes)])[0]
+
+    def add_features(
+        self,
+        entries: Iterable[tuple[str, Geometry, Mapping[str, object] | None]],
+    ) -> list[Feature]:
+        """Append ``(name, geometry, attributes)`` features, checking
+        every one (geometric type, unique name) before appending any."""
+        entries = list(entries)
+        names: set[str] = set()
+        for name, geometry, _attributes in entries:
+            if not self.layer.geometric_type.accepts(geometry):
+                raise StorageError(
+                    f"layer {self.layer.name!r} is declared "
+                    f"{self.layer.geometric_type.name}; got a "
+                    f"{geometry.geom_type} for feature {name!r}"
+                )
+            if name in self._by_name or name in names:
+                raise StorageError(
+                    f"layer {self.layer.name!r} already has a feature {name!r}"
+                )
+            names.add(name)
+        added = []
+        for name, geometry, attributes in entries:
+            feature = Feature(len(self._features), name, geometry, attributes)
+            self._features.append(feature)
+            self._by_name[name] = feature
+            added.append(feature)
+        return added
 
     def copy(self, layer: Layer) -> "LayerTable":
         """This table's features under ``layer`` (a copied schema's

@@ -672,7 +672,7 @@ class TestBackendViewStore:
         fact = star.fact_table().fact.name
         first = BackendViewStore(backend, namespace="t", max_size=8)
         first.get_or_build(star, fact, selection)
-        star.note_member_change("Store")  # bump the generation
+        star.add_member("Product", "Family", "Exotic")  # bump the generation
         second = BackendViewStore(backend, namespace="t", max_size=8)
         second.get_or_build(star, fact, selection)
         assert second.stats()["l2_hits"] == 0

@@ -77,14 +77,16 @@ class TestCheckConstraint:
 
     def test_generated_world_stores_within_states(self, world, star):
         """The synthetic world respects Store-within-State by construction."""
-        schema = star.schema
-        schema.become_spatial("Store.Store", GeometricType.POINT)
-        schema.become_spatial("Store.State", GeometricType.POLYGON)
-        table = star.dimension_table("Store")
-        for store in world.stores:
-            table.member("Store", store.name).attributes["geometry"] = store.location
-        for state in world.states:
-            table.member("State", state.name).attributes["geometry"] = state.polygon
+        star.become_spatial(
+            "Store.Store",
+            GeometricType.POINT,
+            {store.name: store.location for store in world.stores},
+        )
+        star.become_spatial(
+            "Store.State",
+            GeometricType.POLYGON,
+            {state.name: state.polygon for state in world.states},
+        )
         constraint = HierarchyConstraint(
             "Store", "Store", "State", TopologicalRelation.WITHIN
         )

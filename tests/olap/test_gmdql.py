@@ -172,15 +172,15 @@ class TestExecution:
 
     def test_spatial_text_query(self, star, world):
         schema = star.schema
-        schema.become_spatial("Store.Store", GeometricType.POINT)
         source = WorldGeoSource(world)
-        geoms = source.level_geometries("Store", "Store")
-        for member in star.dimension_table("Store").members("Store"):
-            member.attributes["geometry"] = geoms[member.key]
+        star.become_spatial(
+            "Store.Store",
+            GeometricType.POINT,
+            source.level_geometries("Store", "Store"),
+        )
         schema.add_layer("Airport", GeometricType.POINT)
-        layer = star.ensure_layer_table("Airport")
-        for name, geom, attrs in source.layer_features("Airport"):
-            layer.add_feature(name, geom, attrs)
+        star.ensure_layer_table("Airport")
+        star.add_features("Airport", source.layer_features("Airport"))
         result = execute(
             star,
             parse_query(

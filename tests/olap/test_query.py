@@ -188,17 +188,15 @@ class TestAttributeFilters:
 class TestSpatialFilters:
     @pytest.fixture()
     def spatial_star(self, star, world):
-        schema = star.schema
-        schema.become_spatial("Store.Store", GeometricType.POINT)
         source = WorldGeoSource(world)
-        geoms = source.level_geometries("Store", "Store")
-        table = star.dimension_table("Store")
-        for member in table.members("Store"):
-            member.attributes["geometry"] = geoms[member.key]
-        schema.add_layer("Airport", GeometricType.POINT)
-        layer = star.ensure_layer_table("Airport")
-        for name, geom, attrs in source.layer_features("Airport"):
-            layer.add_feature(name, geom, attrs)
+        star.become_spatial(
+            "Store.Store",
+            GeometricType.POINT,
+            source.level_geometries("Store", "Store"),
+        )
+        star.schema.add_layer("Airport", GeometricType.POINT)
+        star.ensure_layer_table("Airport")
+        star.add_features("Airport", source.layer_features("Airport"))
         return star
 
     def test_distance_filter(self, spatial_star, world):

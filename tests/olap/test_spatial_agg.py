@@ -10,11 +10,11 @@ from repro.olap import SpatialAggregator, aggregate_geometries, spatial_rollup
 
 @pytest.fixture()
 def spatial_store_star(star, world):
-    star.schema.become_spatial("Store.Store", GeometricType.POINT)
-    table = star.dimension_table("Store")
-    locations = {s.name: s.location for s in world.stores}
-    for member in table.members("Store"):
-        member.attributes["geometry"] = locations[member.key]
+    star.become_spatial(
+        "Store.Store",
+        GeometricType.POINT,
+        {s.name: s.location for s in world.stores},
+    )
     return star
 
 

@@ -26,19 +26,13 @@ from repro.olap.query import (
 
 @pytest.fixture()
 def spatial_star(star, world):
-    schema = star.schema
-    schema.become_spatial("Store.Store", GeometricType.POINT)
     source = WorldGeoSource(world)
-    geoms = source.level_geometries("Store", "Store")
-    table = star.dimension_table("Store")
-    for member in table.members("Store"):
-        member.attributes["geometry"] = geoms[member.key]
-    schema.add_layer("Airport", GeometricType.POINT)
-    layer = star.ensure_layer_table("Airport")
-    for name, geom, attrs in source.layer_features("Airport"):
-        layer.add_feature(name, geom, attrs)
-    star.note_member_change("Store")
-    star.note_feature_change("Airport")
+    star.become_spatial(
+        "Store.Store", GeometricType.POINT, source.level_geometries("Store", "Store")
+    )
+    star.schema.add_layer("Airport", GeometricType.POINT)
+    star.ensure_layer_table("Airport")
+    star.add_features("Airport", source.layer_features("Airport"))
     return star
 
 

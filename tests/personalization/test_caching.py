@@ -3,16 +3,19 @@
 The contract under test: ``session.view()`` may serve a memoized
 :class:`PersonalizedView` only while *neither* the session's selection
 generation *nor* the star generation has moved; any selection growth
-(acquisition rules, instance re-runs) or star mutation (member/fact/
-feature inserts, schema personalization) must produce a rebuilt view —
-and with the star's ``oracle`` switch set the responses must be
-identical, just rebuilt every time.
+(acquisition rules, instance re-runs) must produce a rebuilt view, and
+any star write (member/fact/feature inserts, layer adds, geometry loads)
+must make the memo revalidate against the shared store, which patches
+fact appends and carries every other write — and with the star's
+``oracle`` switch set the responses must be identical, just rebuilt
+every time.
 """
 
 import pytest
 
-from repro.data import build_regional_manager_profile
+from repro.data import WorldGeoSource, build_regional_manager_profile
 from repro.errors import PersonalizationError
+from repro.geomd import GeometricType
 from repro.geometry import Point
 
 WIDEN_CONDITION = (
@@ -155,14 +158,22 @@ class TestInvalidation:
         assert fresh is stale
         assert fresh.fact_rows == session._build_view(fresh.fact).fact_rows
 
-    def test_member_update_refreshes_view(self, session):
-        """An in-place member update on a referenced dimension still
-        invalidates (no delta shape to patch through)."""
+    def test_member_update_refreshes_view(self, session, world):
+        """A geometry load on a referenced dimension moves the star
+        generation, so the session memo revalidates; the store hands
+        back the carried view, whose rows equal a fresh build's."""
+        star = session.context.star
         stale = session.view()
-        session.context.star.note_member_change("Store", op="update")
+        generation = star.generation
+        star.become_spatial(
+            "Store.Store",
+            GeometricType.POINT,
+            WorldGeoSource(world).level_geometries("Store", "Store"),
+        )
+        assert star.generation == generation + 1
         fresh = session.view()
-        assert fresh is not stale
-        assert fresh.fact_rows == stale.fact_rows
+        assert fresh is stale
+        assert fresh.fact_rows == session._build_view(fresh.fact).fact_rows
 
     def test_layer_table_creation_carries_view(self, session):
         star = session.context.star

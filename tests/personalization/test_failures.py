@@ -10,7 +10,7 @@ from repro.data import (
     build_regional_manager_profile,
     build_sales_star,
 )
-from repro.errors import PersonalizationError, PRMLSyntaxError
+from repro.errors import PersonalizationError, PRMLSyntaxError, StorageError
 from repro.geometry import LineString, Point
 from repro.personalization import PersonalizationEngine
 
@@ -56,6 +56,21 @@ class TestGeoSourceFailures:
         assert engine.rules == []
         member = star.dimension_table("Store").members("Store")[0]
         assert member.geometry is None
+
+    def test_a_refused_layer_load_writes_nothing(self, world, user_schema):
+        """A rule's layer loads in one write: a feature the layer refuses
+        leaves its table empty, and no feature write is logged."""
+        star = build_sales_star(world)
+        source = _BrokenGeoSource()
+        source.layer_features = lambda name: [  # noqa: E731 - test shim
+            ("ALC", Point(0, 0), {}),
+            ("bad", LineString([(0, 0), (1, 1)]), {}),
+        ]
+        engine = PersonalizationEngine(star, user_schema, geo_source=source)
+        with pytest.raises(StorageError, match="declared POINT"):
+            engine.add_rule(ADD_SPATIALITY)
+        assert len(star.layer_table("Airport")) == 0
+        assert "feature" not in star.mutation_log.stats()["kinds"]
 
     def test_missing_source_data_leaves_members_bare(self, world, user_schema):
         star = build_sales_star(world)

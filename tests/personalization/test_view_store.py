@@ -3,10 +3,11 @@
 The contract: views are shared warehouse objects keyed on ``(fact,
 selection fingerprint, star generation)`` — one build serves every
 session with content-equal selections; datamarts and differing
-selections stay isolated; member/feature/schema mutations invalidate;
-fact appends are *patched* (delta rows filtered through each view's
-selection) and the patched view is indistinguishable from a full
-rebuild; a session's memo access is safe under the threaded HTTP
+selections stay isolated; member, geometry, feature and layer writes
+carry every view; fact appends are *patched* (delta rows filtered
+through each view's selection) and the patched view is
+indistinguishable from a full rebuild; a session's memo access is safe
+under the threaded HTTP
 adapter; and selections holding since-vanished keys degrade instead of
 raising on the request path.
 """
@@ -22,6 +23,7 @@ from repro.data import (
     build_regional_manager_profile,
     build_sales_star,
 )
+from repro.geomd import GeometricType
 from repro.personalization import PersonalizationEngine, ViewStore
 from repro.prml.evaluator import SelectionSet
 
@@ -120,17 +122,27 @@ class TestInvalidation:
         assert stats["builds"] == builds
         assert stats["carries"] >= 1
 
-    def test_referenced_member_update_invalidates(self, engine, session):
-        """An in-place member update inside a referenced dimension has no
-        delta shape — the view must be dropped and rebuilt."""
+    def test_referenced_member_update_invalidates(self, engine, session, world):
+        """A geometry load inside a referenced dimension moves no parent
+        link, so the view is carried, not dropped: no build and no
+        invalidation, and its rows equal a fresh build's."""
         warm = session.view()
         assert any(
             dim == "Store" for dim, _level in session.selection.members
         )
-        session.context.star.note_member_change("Store", op="update")
+        before = engine.view_store.stats()
+        session.context.star.become_spatial(
+            "Store.City",
+            GeometricType.POINT,
+            WorldGeoSource(world).level_geometries("Store", "City"),
+        )
         fresh = session.view()
-        assert fresh is not warm
-        assert engine.view_store.stats()["invalidations"] >= 1
+        assert fresh is warm
+        after = engine.view_store.stats()
+        assert after["builds"] == before["builds"]
+        assert after["invalidations"] == before["invalidations"]
+        assert after["carries"] == before["carries"] + 1
+        assert fresh.fact_rows == session._build_view(warm.fact).fact_rows
 
     def test_referenced_member_add_carries(self, engine, session, world):
         """A member *add* inside a referenced dimension carries: a new
@@ -323,9 +335,9 @@ class TestConcurrency:
 
 class TestStaleSelections:
     def test_stale_member_keys_are_dropped(self, session):
-        """A selection can outlive the members it named (snapshot reloads,
-        replayed journals): stale keys must degrade, not raise, on the
-        request path."""
+        """A selection can name members the star does not hold (a
+        restored session record, a hand-built selection): stale keys
+        must degrade, not raise, on the request path."""
         star = session.context.star
         selection = session.selection
         live_rows = list(session.view().fact_rows)

@@ -26,7 +26,7 @@ from repro.data import (
 )
 from repro.data.sales_schema import build_sales_schema
 from repro.errors import ReproError
-from repro.geomd import GeoMDSchema
+from repro.geomd import GeoMDSchema, GeometricType
 from repro.geometry import (
     GeometryCollection,
     HaversineMetric,
@@ -56,11 +56,12 @@ def nearby_rule(level="GeoMD.Store", op="<", member_first=True, threshold="radiu
     )
 
 
-def spatialize(star, world):
+def spatialize(star, world, source=None):
     """The paper's schema rules, registered: the star's schema makes
-    Store and City spatial and its members carry their geometries."""
+    Store and City spatial and its members carry their geometries (from
+    ``source``, the world's by default)."""
     engine = PersonalizationEngine(
-        star, USER_SCHEMA, geo_source=WorldGeoSource(world)
+        star, USER_SCHEMA, geo_source=source or WorldGeoSource(world)
     )
     engine.add_rules([ADD_SPATIALITY, ADD_CITY_SPATIALITY])
     engine.detach()
@@ -290,8 +291,8 @@ def shared_mixed_star(world):
 class TestLinesAndPolygons:
     """The indexed path over a level of lines and polygons, some with
     envelopes far wider than the radius, equals the loop; also after a
-    member add and an in-place update, which must drop the level's
-    cached record."""
+    member add and a geometry load that moves a member, which must drop
+    the level's cached record."""
 
     @settings(
         max_examples=150,
@@ -341,13 +342,35 @@ class TestLinesAndPolygons:
         far = members[len(members) // 2]
         _outcome, _error, selection = assert_same_as_loop(star, nearby_rule(), **case)
         assert far.key not in selection.members[("Store", "Store")]
-        far.attributes["geometry"] = Polygon(
-            [(at.x - 10, at.y - 10), (at.x + 10, at.y - 10), (at.x, at.y + 10)]
+        star.become_spatial(
+            "Store.Store",
+            GeometricType.COLLECTION,
+            {
+                far.key: Polygon(
+                    [(at.x - 10, at.y - 10), (at.x + 10, at.y - 10), (at.x, at.y + 10)]
+                )
+            },
         )
-        star.note_member_change("Store", op="update")
         _outcome, _error, moved = assert_same_as_loop(star, nearby_rule(), **case)
         assert far.key in moved.members[("Store", "Store")]
         assert index_calls == [True, False, True, False]
+
+
+class SourceWithout:
+    """The world's geo source without one Store member's geometry."""
+
+    def __init__(self, world, key):
+        self.source = WorldGeoSource(world)
+        self.key = key
+
+    def layer_features(self, layer_name):
+        return self.source.layer_features(layer_name)
+
+    def level_geometries(self, dimension, level):
+        geometries = self.source.level_geometries(dimension, level)
+        if (dimension, level) == ("Store", "Store"):
+            del geometries[self.key]
+        return geometries
 
 
 class TestFallbacks:
@@ -355,11 +378,11 @@ class TestFallbacks:
     gives exactly its own outcome or error."""
 
     def test_member_without_geometry(self, world, index_calls):
-        star = spatialize(build_sales_star(world), world)
-        table = star.dimension_table("Store")
-        stripped = table.members("Store")[len(world.stores) // 2]
-        del stripped.attributes["geometry"]
-        star.note_member_change("Store", op="update")
+        star = build_sales_star(world)
+        stripped = star.dimension_table("Store").members("Store")[
+            len(world.stores) // 2
+        ]
+        spatialize(star, world, SourceWithout(world, stripped.key))
         # Wide enough that members before the bare one are selected
         # before the loop raises.
         _outcome, error, selection = assert_same_as_loop(
@@ -373,11 +396,18 @@ class TestFallbacks:
         assert index_calls == [False, False]
 
     def test_member_geometry_that_is_not_a_geometry(self, world, index_calls):
-        star = spatialize(build_sales_star(world), world)
-        table = star.dimension_table("Store")
-        broken = table.members("Store")[len(world.stores) // 2]
-        broken.attributes["geometry"] = "POINT (0 0)"
-        star.note_member_change("Store", op="update")
+        """A member added with a string geometry before its level is
+        spatial keeps it: the geometry load names only the source's
+        stores."""
+        star = build_sales_star(world)
+        broken = star.add_member(
+            "Store",
+            "Store",
+            "Store with text for a geometry",
+            {"geometry": "POINT (0 0)"},
+            parents={"City": world.stores[0].city},
+        )
+        spatialize(star, world)
         _outcome, error, selection = assert_same_as_loop(
             star,
             nearby_rule(),

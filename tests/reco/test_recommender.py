@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.backend import SqliteBackend
 from repro.cluster.stores import BackendWorkloadJournal
+from repro.geomd import GeometricType
 from repro.reco import Recommender, WorkloadJournal
 from repro.reco.recommender import PROFILE_CACHE_SIZE
 
@@ -17,10 +18,11 @@ def journal():
 
 @pytest.fixture()
 def spatial_star(world, star):
-    table = star.dimension_table("Store")
-    for store in world.stores:
-        table.member("Store", store.name).attributes["geometry"] = store.location
-    star.note_member_change("Store")
+    star.become_spatial(
+        "Store.Store",
+        GeometricType.POINT,
+        {store.name: store.location for store in world.stores},
+    )
     return star
 
 
@@ -173,7 +175,7 @@ class TestMemo:
         """A member mutation misses every profile."""
         journal, recommender = seeded
         recommender.recommend(DM, "ana", spatial_star, "queries")
-        spatial_star.note_member_change("Store")
+        spatial_star.add_member("Product", "Family", "Exotic")
         warm = recommender.recommend(DM, "ana", spatial_star, "queries")
         assert lookups(recommender) == (0, 6)
         assert warm == Recommender(journal).recommend(

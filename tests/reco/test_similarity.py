@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.geomd import GeometricType
 from repro.reco import (
     build_spatial_profile,
     geometry_similarity,
@@ -12,12 +13,13 @@ from repro.reco import (
 
 @pytest.fixture()
 def spatial_star(world, star):
-    """The sales star with store geometries backfilled (what the
-    BecomeSpatial schema rule does at session start)."""
-    table = star.dimension_table("Store")
-    for store in world.stores:
-        table.member("Store", store.name).attributes["geometry"] = store.location
-    star.note_member_change("Store")
+    """The sales star with store geometries loaded (what registering
+    the BecomeSpatial schema rule does)."""
+    star.become_spatial(
+        "Store.Store",
+        GeometricType.POINT,
+        {store.name: store.location for store in world.stores},
+    )
     return star
 
 

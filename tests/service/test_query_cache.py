@@ -15,6 +15,7 @@ import pytest
 
 from repro.cluster.config import env_backend, make_query_cache
 from repro.errors import BadRequestError
+from repro.geomd import GeometricType
 from repro.data import (
     WorldGeoSource,
     build_regional_manager_profile,
@@ -243,12 +244,41 @@ class TestHitsAndMisses:
         assert second.rows[0][0] == first.rows[0][0] + 1
         assert service.query_cache_hits == 0
 
-    def test_member_update_misses(self, service, token, engine):
-        """An in-place member update on a dimension of the queried fact
-        moves the star generation."""
+    def test_member_update_misses(self, service, token, engine, world):
+        """A geometry load on a dimension of the queried fact moves the
+        star generation."""
         service.query(token, QueryRequest(q=QUERY))
-        engine.star.note_member_change("Product", op="update")
+        engine.star.become_spatial(
+            "Store.Store",
+            GeometricType.POINT,
+            WorldGeoSource(world).level_geometries("Store", "Store"),
+        )
         service.query(token, QueryRequest(q=QUERY))
+        assert service.query_cache_hits == 0
+        assert service.query_cache_misses == 2
+
+    def test_geometry_load_carries_the_view_and_misses(
+        self, service, token, engine, world
+    ):
+        """A session whose selection references Store keeps its view
+        object across a City geometry load (no parent link moves), with
+        no build and no invalidation; its next query still misses, since
+        the cache keys on the star generation."""
+        session = service.sessions.get(token).session
+        assert ("Store", "Store") in session.selection.members
+        service.query(token, QueryRequest(q=QUERY))
+        warm = session.view()
+        before = engine.view_store.stats()
+        engine.star.become_spatial(
+            "Store.City",
+            GeometricType.POINT,
+            WorldGeoSource(world).level_geometries("Store", "City"),
+        )
+        service.query(token, QueryRequest(q=QUERY))
+        assert session.view() is warm
+        after = engine.view_store.stats()
+        assert after["builds"] == before["builds"]
+        assert after["invalidations"] == before["invalidations"]
         assert service.query_cache_hits == 0
         assert service.query_cache_misses == 2
 

@@ -3,7 +3,7 @@
 Fidelity: a copy of the medium-world star serializes like its source and
 stands at the same generations and mutation log, and copying logs no
 mutation and fires no listener.  Isolation: a member add, fact insert,
-feature add, layer add or BecomeSpatial backfill on either side leaves
+feature add, layer add or BecomeSpatial geometry load on either side leaves
 the other side's serialization, generation and log unchanged.  The
 portal-level gates (one login leaves the other tenants as loaded, and a
 replay answers like tenants loaded one by one) are in
@@ -14,7 +14,6 @@ import pytest
 
 from repro.data import WorldGeoSource, build_sales_star
 from repro.geomd import GeometricType
-from repro.geomd.schema import GEOMETRY_ATTRIBUTE
 from repro.geometry import Point
 from repro.storage.snapshot import star_to_dict
 from repro.workload.harness import build_tier_world, tier
@@ -47,10 +46,6 @@ def test_copy_serializes_and_counts_like_its_source(loaded):
     assert copy.metadata_generation == loaded.metadata_generation
     assert copy.mutation_log.stats() == logged
     assert copy.history is None
-    # An in-place update bumps a per-dimension member generation, which
-    # a copy of the copy carries.
-    copy.note_member_change("Store", op="update")
-    assert copy.copy()._member_generations == {"Store": 1}
 
 
 def _member_add(star, world):
@@ -83,11 +78,11 @@ def _layer_add(star, world):
 def _become_spatial(star, world):
     """``BecomeSpatial(Store.City, POINT)`` with its geometry load, as
     rule registration runs it."""
-    star.schema.become_spatial("Store.City", GeometricType.POINT)
-    geometries = WorldGeoSource(world).level_geometries("Store", "City")
-    for member in star.dimension_table("Store").members("City"):
-        member.attributes[GEOMETRY_ATTRIBUTE] = geometries[member.key]
-    star.note_member_change("Store", op="update")
+    star.become_spatial(
+        "Store.City",
+        GeometricType.POINT,
+        WorldGeoSource(world).level_geometries("Store", "City"),
+    )
 
 
 MUTATIONS = {

@@ -6,19 +6,28 @@ stood at generation ``g`` (a copy of the newest checkpoint at or before
 the live star did at ``g`` and any query answered against it is
 *bit-identical* to the answer that was recorded at ``g`` — pinned here
 both with explicit scripts and with a hypothesis property over random
-mutation schedules.  Retention is explicit: generations in the future,
-before the oldest checkpoint, or across an evicted/non-replayable log
-range raise :class:`HistoryError`.
+mutation schedules.  Every star write logs its delta, a level's
+geometry load included, so retention is the only limit: generations in
+the future, before the oldest checkpoint, or across an evicted log range
+raise :class:`HistoryError`.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.data import (
+    ADD_CITY_SPATIALITY,
+    ADD_SPATIALITY,
+    WorldGeoSource,
+    build_sales_star,
+)
 from repro.geomd import GeoMDSchema, GeometricType
 from repro.geometry import Point
 from repro.mdm import Aggregator, Dimension, Fact, Hierarchy, Level, Measure
 from repro.olap import AggSpec, CubeQuery, LevelRef, execute
+from repro.olap.gmdql import parse_query
+from repro.personalization import PersonalizationEngine
 from repro.storage import StarSchema
 from repro.storage.snapshot import HistoryError, StarHistory, star_to_dict
 from repro.uml.core import REAL
@@ -110,31 +119,23 @@ class TestReplay:
         with pytest.raises(Exception):
             historical.dimension_table("D").member("G", "g2")
 
-    def test_read_across_an_in_place_update_raises(self):
-        """An in-place member update carries no delta and takes no
-        checkpoint, so no read can replay across it (an engine loads its
-        rules' geometries before its history attaches)."""
+    def test_generation_before_eager_checkpoint_needs_older_base(self):
+        """A read at a generation before a geometry load is answered
+        from the checkpoint at that generation itself, replaying
+        nothing: the level is not spatial there and its member has no
+        geometry."""
         star = _tiny_star()
         history = StarHistory.attach(star)
-        star.note_member_change("D", op="update")
-        anchor = star.generation
-        star.insert_fact("F", {"D": "d1"}, {"v": 7.5})
-        assert history.stats()["checkpoints_taken"] == 1
-        with pytest.raises(HistoryError, match="replayable"):
-            history.as_of(anchor)
-
-    def test_generation_before_eager_checkpoint_needs_older_base(self):
-        """A read at a generation before an in-place update is answered
-        from the checkpoint at that generation itself, replaying
-        nothing."""
-        star = _tiny_star()
-        StarHistory.attach(star)
         generation = star.generation
-        before = _rows(star)
-        star.note_member_change("D", op="update")
+        before = (_rows(star), star_to_dict(star))
+        star.become_spatial("D.G", GeometricType.POINT, {"g0": Point(1.0, 2.0)})
         # The baseline checkpoint anchors `generation` itself
         # (zero-length replay range).
-        assert _rows(star, as_of=generation) == before
+        assert _rows(star, as_of=generation) == before[0]
+        historical = history.as_of(generation)
+        assert star_to_dict(historical) == before[1]
+        assert not historical.schema.is_spatial_level("D.G")
+        assert historical.dimension_table("D").member("G", "g0").geometry is None
 
     def test_reconstructions_are_cached(self):
         star = _tiny_star()
@@ -191,16 +192,18 @@ class TestReplay:
 class TestBitIdentity:
     """Acceptance pin: at every generation ``g``, ``as_of=g`` answers and
     the whole reconstructed star are bit-identical to what was recorded
-    live at ``g``, for random schedules of every mutation a star sees
-    once its tenant is loaded: fact appends, member adds, layer adds and
-    feature adds.  Comparing the whole star catches a checkpoint or a
-    reconstruction that shares state with the live star."""
+    live at ``g``, for random schedules of every write a star sees once
+    its tenant is loaded: fact appends, member adds, layer adds, feature
+    adds and a level's geometry loads.  Comparing the whole star catches
+    a checkpoint or a reconstruction that shares state with the live
+    star."""
 
     # Each step: 0 = fact append to d0/d1, 1 = new member + fact on it,
-    # 2 = new layer, 3 = feature on the newest layer.
+    # 2 = new layer, 3 = feature on the newest layer, 4 = a geometry
+    # load of g0 or g1.
     steps = st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=4),
             st.floats(
                 min_value=-1e6, max_value=1e6, allow_nan=False
             ).map(lambda v: round(v, 4)),
@@ -221,8 +224,12 @@ class TestBitIdentity:
             layers.append(f"L{index}")
             star.schema.add_layer(layers[-1], GeometricType.POINT)
             star.ensure_layer_table(layers[-1])
-        else:
+        elif kind == 3:
             star.add_feature(layers[-1], f"f{index}", Point(value, index))
+        else:
+            star.become_spatial(
+                "D.G", GeometricType.POINT, {f"g{index % 2}": Point(value, index)}
+            )
 
     @settings(
         max_examples=200,
@@ -243,3 +250,50 @@ class TestBitIdentity:
             # approx — replay must take the same code paths.
             assert _rows(star, as_of=generation) == rows
             assert star_to_dict(history.as_of(generation)) == data
+
+
+class TestLateRegistration:
+    def test_a_rule_registered_after_the_first_login_replays(
+        self, world, user_schema, profile
+    ):
+        """``addCitySpatiality`` registered while the tenant serves loads
+        City's geometries into a star whose history attached at the
+        first login.  Reads at the load's generation and at a later
+        sale's replay the load and answer as the live star did."""
+        star = build_sales_star(world)
+        engine = PersonalizationEngine(
+            star, user_schema, geo_source=WorldGeoSource(world)
+        )
+        engine.add_rule(ADD_SPATIALITY)
+        engine.start_session(profile, location=world.stores[0].location)
+        attached = star.generation
+        engine.add_rule(ADD_CITY_SPATIALITY)
+        assert star.generation == attached + 1
+        queries = [
+            parse_query(text, star.schema)
+            for text in (
+                "SELECT SUM(UnitSales) FROM Sales BY Store.City",
+                "SELECT COUNT(*) FROM Sales "
+                "WHERE DISTANCE(Store.City, LAYER Airport) < 20 KM",
+            )
+        ]
+
+        def answers(as_of=None):
+            return [execute(star, q, as_of=as_of).to_rows() for q in queries]
+
+        def append_sale():
+            table = star.fact_table()
+            row = table.row(0)
+            star.insert_fact(
+                table.fact.name,
+                {d: row[d] for d in table.fact.dimension_names},
+                {m: row[m] for m in table.fact.measures},
+            )
+
+        recorded = {star.generation: (answers(), star_to_dict(star))}
+        append_sale()
+        recorded[star.generation] = (answers(), star_to_dict(star))
+        append_sale()  # every recorded generation is now a past one
+        for generation, (rows, data) in recorded.items():
+            assert answers(as_of=generation) == rows
+            assert star_to_dict(engine.history.as_of(generation)) == data

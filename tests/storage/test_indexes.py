@@ -94,8 +94,13 @@ class TestGenerationCounter:
             {"UnitSales": 1, "StoreCost": 1.0, "StoreSales": 1.0},
         )
         assert loaded_star.generation == start + 2
-        loaded_star.note_schema_change()
+        loaded_star.schema.add_layer("Airport", GeometricType.POINT)
+        loaded_star.ensure_layer_table("Airport")
         assert loaded_star.generation == start + 3
+        loaded_star.become_spatial(
+            "Store.Store", GeometricType.POINT, {"S1": Point(0.0, 0.0)}
+        )
+        assert loaded_star.generation == start + 4
 
     def test_reads_do_not_bump_generation(self, loaded_star):
         start = loaded_star.generation
@@ -143,12 +148,11 @@ class TestConcurrency:
 
 class TestEnvelopeIndexCaches:
     def _spatialize(self, star):
-        schema = star.schema
-        schema.become_spatial("Store.Store", GeometricType.POINT)
-        for i, key in enumerate(("S1", "S2")):
-            member = star.dimension_table("Store").member("Store", key)
-            member.attributes["geometry"] = Point(float(i), float(i))
-        star.note_member_change("Store")
+        star.become_spatial(
+            "Store.Store",
+            GeometricType.POINT,
+            {key: Point(float(i), float(i)) for i, key in enumerate(("S1", "S2"))},
+        )
 
     def test_level_grid_index_cached_and_invalidated(self, loaded_star):
         self._spatialize(loaded_star)
@@ -192,8 +196,8 @@ class TestEnvelopeIndexCaches:
         assert len(patched[0]) == 2
         hits = patched[0].query_envelope(Point(3.0, 3.0).envelope)
         assert any(patched[1][i] == Point(3.0, 3.0) for i in hits)
-        # A payload-less bulk notification degrades to drop-and-rebuild.
-        loaded_star.note_feature_change("Airport")
+        # A bulk load drops the grid; its next read rebuilds it.
+        loaded_star.add_features("Airport", [("ALT", Point(9.0, 9.0), None)])
         rebuilt = loaded_star.layer_grid_index("Airport")
         assert rebuilt is not patched
-        assert len(rebuilt[1]) == 2
+        assert len(rebuilt[1]) == 3

@@ -52,6 +52,7 @@ class TestIntegrity:
         schema = empty_star.schema
         schema.become_spatial("Store.Store", GeometricType.POINT)
         _load_minimal(empty_star)
+        generation = empty_star.generation
         with pytest.raises(StorageError, match="declared POINT"):
             empty_star.add_member(
                 "Store",
@@ -60,6 +61,18 @@ class TestIntegrity:
                 {"geometry": LineString([(0, 0), (1, 1)])},
                 parents={"City": "Alicante"},
             )
+        with pytest.raises(StorageError, match="not a Geometry"):
+            empty_star.add_member(
+                "Store",
+                "Store",
+                "S3",
+                {"geometry": "POINT (0 0)"},
+                parents={"City": "Alicante"},
+            )
+        # A refused member is not added, so no write goes unlogged.
+        stores = empty_star.dimension_table("Store").members("Store")
+        assert [m.key for m in stores] == ["S1"]
+        assert empty_star.generation == generation
 
     def test_geometry_accepted_when_conforming(self, empty_star):
         empty_star.schema.become_spatial("Store.Store", GeometricType.POINT)
@@ -97,6 +110,74 @@ class TestLayers:
         assert first is second
 
 
+class TestBecomeSpatial:
+    def test_checks_every_geometry_before_writing_any(self, empty_star):
+        _load_minimal(empty_star)
+        empty_star.add_member("Store", "Store", "S2", parents={"City": "Alicante"})
+        generation = empty_star.generation
+        with pytest.raises(StorageError, match="declared POINT"):
+            empty_star.become_spatial(
+                "Store.Store",
+                GeometricType.POINT,
+                {"S1": Point(0, 0), "S2": LineString([(0, 0), (1, 1)])},
+            )
+        with pytest.raises(StorageError, match="no member"):
+            empty_star.become_spatial(
+                "Store.Store", GeometricType.POINT, {"Ghost": Point(0, 0)}
+            )
+        assert not empty_star.schema.is_spatial_level("Store.Store")
+        table = empty_star.dimension_table("Store")
+        assert table.member("Store", "S1").geometry is None
+        assert empty_star.generation == generation
+
+    def test_loads_the_level_and_logs_one_member_mutation(self, empty_star):
+        _load_minimal(empty_star)
+        heard = []
+        empty_star.add_mutation_listener(heard.append)
+        generation = empty_star.generation
+        metadata = empty_star.metadata_generation
+        empty_star.become_spatial(
+            "Store.City", GeometricType.POINT, {"Alicante": Point(3, 4)}
+        )
+        assert empty_star.schema.is_spatial_level("Store.City")
+        city = empty_star.dimension_table("Store").member("City", "Alicante")
+        assert city.geometry == Point(3, 4)
+        assert empty_star.generation == generation + 1
+        assert empty_star.metadata_generation == metadata + 1
+        (mutation,) = heard
+        assert (mutation.kind, mutation.op, mutation.dimension) == (
+            "member",
+            "become_spatial",
+            "Store",
+        )
+        assert mutation.payload_dict() == {
+            "geometric_type": "POINT",
+            "geometries": (("Alicante", Point(3, 4)),),
+            "level": "City",
+        }
+        assert empty_star.mutation_log.between(generation, generation + 1) == [
+            mutation
+        ]
+
+    def test_roll_ups_survive_and_only_its_level_record_drops(self, empty_star):
+        _load_minimal(empty_star)
+        empty_star.become_spatial(
+            "Store.Store", GeometricType.POINT, {"S1": Point(0, 0)}
+        )
+        ancestor = empty_star.rollup_member("Store", "S1", "State")
+        index = empty_star.rollup_index("Store", "City")
+        stores = empty_star.level_grid_index("Store", "Store")
+        empty_star.become_spatial(
+            "Store.City", GeometricType.POINT, {"Alicante": Point(1, 1)}
+        )
+        assert empty_star.rollup_member("Store", "S1", "State") is ancestor
+        assert empty_star.rollup_index("Store", "City") is index
+        assert empty_star.level_grid_index("Store", "Store") is stores
+        assert empty_star.level_grid_index("Store", "City").geometries == (
+            Point(1, 1),
+        )
+
+
 class TestRollupCache:
     def test_rollup_member(self, empty_star):
         _load_minimal(empty_star)
@@ -104,18 +185,6 @@ class TestRollupCache:
         assert ancestor.key == "Valencia"
         # Cached path returns the identical object.
         assert empty_star.rollup_member("Store", "S1", "State") is ancestor
-
-    def test_member_change_refreshes_rollup_cache(self, empty_star):
-        # Pins the PR-6 fix: the roll-up member cache is generation-
-        # keyed, so an in-place hierarchy edit followed by
-        # note_member_change must not serve the stale ancestor.
-        _load_minimal(empty_star)
-        assert empty_star.rollup_member("Store", "S1", "State").key == "Valencia"
-        empty_star.add_member("Store", "State", "Murcia")
-        table = empty_star.dimension_table("Store")
-        table.member("City", "Alicante").parents["State"] = "Murcia"
-        empty_star.note_member_change("Store")
-        assert empty_star.rollup_member("Store", "S1", "State").key == "Murcia"
 
     def test_leaf_keys_rolled_to(self, empty_star):
         _load_minimal(empty_star)

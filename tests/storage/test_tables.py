@@ -174,6 +174,21 @@ class TestLayerTable:
         with pytest.raises(StorageError):
             table.add_feature("ALC", Point(1, 1))
 
+    def test_a_refused_batch_adds_nothing(self):
+        table = LayerTable(Layer("Airport", GeometricType.POINT))
+        table.add_feature("ALC", Point(0, 0))
+        for batch in (
+            [("VLC", Point(1, 1)), ("bad", LineString([(0, 0), (1, 1)]))],
+            [("VLC", Point(1, 1)), ("ALC", Point(2, 2))],
+            [("VLC", Point(1, 1)), ("VLC", Point(2, 2))],
+        ):
+            with pytest.raises(StorageError):
+                table.add_features((name, g, None) for name, g in batch)
+            assert [f.name for f in table.features()] == ["ALC"]
+        added = table.add_features([("VLC", Point(1, 1), {"iata": "VLC"})])
+        assert [f.feature_id for f in added] == [1]
+        assert table.feature("VLC").attributes == {"iata": "VLC"}
+
     def test_lookup_and_iteration(self):
         table = LayerTable(Layer("Train", GeometricType.LINE))
         table.add_feature("L1", LineString([(0, 0), (1, 1)]), {"stops": "a, b"})
