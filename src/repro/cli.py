@@ -51,7 +51,7 @@ from repro.viz import render_session_map
 __all__ = ["main", "build_parser"]
 
 
-def _build_engine(seed: int, threshold: int, view_store=None):
+def _build_engine(seed: int, threshold: int):
     world = generate_world(WorldConfig(seed=seed))
     star = build_sales_star(world)
     engine = PersonalizationEngine(
@@ -59,7 +59,6 @@ def _build_engine(seed: int, threshold: int, view_store=None):
         build_motivating_user_model(),
         geo_source=WorldGeoSource(world),
         parameters={"threshold": threshold},
-        view_store=view_store,
     )
     engine.add_rules(ALL_PAPER_RULES.values())
     return world, star, engine
@@ -291,16 +290,13 @@ def _build_portal_app(args, backend=None):  # pragma: no cover - network
     """Build the two-tenant demo portal, wired to the selected backend.
 
     With an explicit ``backend`` (the worker pool passes the parent's
-    shared one) every store gets a *fixed* namespace so all workers see
-    the same sessions, query cache, view builds and journal; otherwise
-    the env-selected backend applies (fresh namespaces, or plain in-heap
-    stores in the default mode).
+    shared one) the session store and the journal get the *fixed*
+    ``pool`` namespace so all workers see the same sessions and
+    histories; otherwise the env-selected backend applies (a fresh
+    namespace, or plain in-heap stores in the default mode).  Each
+    worker keeps its query cache and view stores in its own heap.
     """
-    from repro.cluster.config import (
-        env_backend,
-        make_service_stores,
-        make_view_store,
-    )
+    from repro.cluster.config import env_backend, make_service_stores
     from repro.service import DatamartRegistry, PersonalizationService
     from repro.web import PortalApp
 
@@ -314,14 +310,7 @@ def _build_portal_app(args, backend=None):  # pragma: no cover - network
         (f"{args.datamart}-alt", args.seed + 1, False),
     ]
     for name, seed, default in tenants:
-        view_store = make_view_store(
-            128,
-            backend=backend,
-            namespace=f"{namespace}-views-{name}" if namespace else None,
-        )
-        _world, _star, engine = _build_engine(
-            seed, args.threshold, view_store=view_store
-        )
+        _world, _star, engine = _build_engine(seed, args.threshold)
         tenant = registry.register(
             name, engine, description=f"sales star (seed {seed})", default=default
         )

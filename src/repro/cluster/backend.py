@@ -1,12 +1,12 @@
 """Pluggable state backends for the stateless serving tier.
 
-Every piece of shared portal state — session records, the façade query
-cache, view-store entries, workload-journal events — used to live in one
-Python heap, making one process the hard ceiling (ROADMAP item 2).  A
-:class:`StateBackend` is the storage those stores externalize into: a
-namespaced key/value store of *encoded* entries (see
+The portal's state — session records and workload-journal events — used
+to live in one Python heap, making one process the hard ceiling
+(ROADMAP item 2).  A :class:`StateBackend` is the storage those stores
+externalize into: a namespaced key/value store of *encoded* entries (see
 :mod:`repro.cluster.codecs`) plus atomic named counters (the journal's
-sequence numbers).
+sequence numbers).  Derived results (query answers, materialized views)
+are not state: each worker recomputes them in its own heap.
 
 Two implementations, both stdlib-only:
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 import sqlite3
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 
 from repro.concurrency import make_lock
 from repro.errors import StorageError
@@ -62,12 +61,11 @@ class StateBackend(ABC):
     def put(
         self, store: str, key: str, value: str, *, create: bool = True
     ) -> bool:
-        """Insert or replace one entry (replacement refreshes its age),
-        returning whether it was written.
+        """Insert or replace one entry, returning whether it was written.
 
         With ``create=False`` the write only replaces an entry that
-        exists, atomically, and leaves its age alone: a session refresh
-        must not resurrect a record another worker deleted at logout.
+        exists, atomically: a session refresh must not resurrect a
+        record another worker deleted at logout.
         """
 
     @abstractmethod
@@ -90,15 +88,6 @@ class StateBackend(ABC):
 
     @abstractmethod
     def clear(self, store: str) -> None: ...
-
-    @abstractmethod
-    def prune(self, store: str, max_rows: int) -> int:
-        """Drop the oldest-written entries beyond ``max_rows``.
-
-        Bounds unbounded-growth stores (the shared query/view caches,
-        whose generation-keyed rows become unreachable rather than
-        being deleted); returns how many entries were dropped.
-        """
 
     # -- counters -------------------------------------------------------------
 
@@ -140,10 +129,9 @@ class InMemoryBackend(StateBackend):
 
     def __init__(self) -> None:
         self._lock = make_lock("InMemoryBackend._lock")
-        #: store name -> key -> encoded value, insertion-ordered so
-        #: ``prune`` can drop oldest-written first like the sqlite rowid.
+        #: store name -> key -> encoded value
         # guarded-by: _lock
-        self._stores: dict[str, OrderedDict[str, str]] = {}
+        self._stores: dict[str, dict[str, str]] = {}
         # guarded-by: _lock
         self._counters: dict[str, int] = {}
 
@@ -155,13 +143,9 @@ class InMemoryBackend(StateBackend):
                 f"backend values must be encoded text, got {type(value).__name__}"
             )
         with self._lock:
-            entries = self._stores.setdefault(store, OrderedDict())
-            if not create:
-                if key not in entries:
-                    return False
-                entries[key] = value
-                return True
-            entries.pop(key, None)  # re-put refreshes the write age
+            entries = self._stores.setdefault(store, {})
+            if not create and key not in entries:
+                return False
             entries[key] = value
             return True
 
@@ -198,17 +182,6 @@ class InMemoryBackend(StateBackend):
     def clear(self, store: str) -> None:
         with self._lock:
             self._stores.pop(store, None)
-
-    def prune(self, store: str, max_rows: int) -> int:
-        with self._lock:
-            entries = self._stores.get(store)
-            if entries is None:
-                return 0
-            dropped = 0
-            while len(entries) > max_rows:
-                entries.popitem(last=False)
-                dropped += 1
-            return dropped
 
     def incr(self, name: str, amount: int = 1) -> int:
         with self._lock:
@@ -307,8 +280,6 @@ class SqliteBackend(StateBackend):
                     (value, store, key),
                 )
                 return cursor.rowcount > 0
-            # INSERT OR REPLACE re-inserts (fresh rowid), so a re-put
-            # refreshes the entry's prune age like the in-memory re-put.
             self._connection().execute(
                 "INSERT OR REPLACE INTO kv (store, key, value) VALUES (?, ?, ?)",
                 (store, key, value),
@@ -369,16 +340,6 @@ class SqliteBackend(StateBackend):
             self._connection().execute(
                 "DELETE FROM kv WHERE store = ?", (store,)
             )
-
-    def prune(self, store: str, max_rows: int) -> int:
-        with self._lock:
-            cursor = self._connection().execute(
-                "DELETE FROM kv WHERE store = ? AND rowid NOT IN ("
-                " SELECT rowid FROM kv WHERE store = ?"
-                " ORDER BY rowid DESC LIMIT ?)",
-                (store, store, max_rows),
-            )
-            return cursor.rowcount
 
     # -- counters -------------------------------------------------------------
 

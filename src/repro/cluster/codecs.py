@@ -1,4 +1,4 @@
-"""Versioned serialization codecs for the four externalized stores.
+"""Versioned serialization codecs for the two externalized stores.
 
 Every entry a :class:`~repro.cluster.backend.StateBackend` holds is JSON
 text produced here, stamped with a ``"v"`` schema version so a future
@@ -8,7 +8,8 @@ version or a missing/mistyped field raises :class:`CodecError` — the
 caller treats the entry as poisoned and drops it rather than serving
 garbage.
 
-The four entry kinds mirror the shared stores:
+The two entry kinds mirror the shared stores, which keep state only
+(derived results stay in each worker's heap):
 
 * **session records** — the restorable part of a
   :class:`~repro.service.sessions.SessionRecord`: token, tenant, user,
@@ -21,19 +22,6 @@ The four entry kinds mirror the shared stores:
   its payload thawed to plain JSON; decoding re-freezes it through the
   event's own constructor, so persisted history is exactly as immutable
   as in-heap history.
-* **view entries** — a :class:`~repro.personalization.engine.PersonalizedView`
-  reduced to its data: fact name, the frozen selection's fields in the
-  :func:`encode_selection` form and the surviving fact row ids.
-  A view carries no schema.  The star is supplied at decode time by the
-  worker that owns it — the generation stamp in the entry's *key* is
-  what guarantees both sides describe the same star state (the same
-  invalidation protocol as in-heap, applied cross-process).
-* **query-cache entries** — :class:`~repro.service.facade.CellSetPayload`
-  with its nested tuples restored on decode, so a payload served from
-  the persistent cache is structurally identical (and therefore
-  byte-identical once JSON-serialized) to one served from the heap.
-  Like a view entry's, its freshness is the star generation in the
-  entry's *key*.
 
 Timestamps are ``time.monotonic()`` values.  On Linux that clock is
 machine-wide (``CLOCK_MONOTONIC``), so TTL arithmetic stays valid across
@@ -58,10 +46,6 @@ __all__ = [
     "decode_session_state",
     "encode_journal_event",
     "decode_journal_event",
-    "encode_view_entry",
-    "decode_view_entry",
-    "encode_query_payload",
-    "decode_query_payload",
 ]
 
 
@@ -113,13 +97,6 @@ def _thaw(value: object) -> object:
         return [_thaw(inner) for inner in value]
     if isinstance(value, (set, frozenset)):
         return sorted(_thaw(inner) for inner in value)
-    return value
-
-
-def _deep_tuple(value: object) -> object:
-    """Restore nested list structure to the tuples the heap forms use."""
-    if isinstance(value, list):
-        return tuple(_deep_tuple(inner) for inner in value)
     return value
 
 
@@ -278,111 +255,4 @@ def decode_journal_event(text: str):
         # WorkloadEvent.__post_init__ re-freezes the payload deeply, so
         # the decoded event is as tamper-proof as an in-heap one.
         payload=_field(data, "journal-event", "payload", dict),
-    )
-
-
-# -- view entries ----------------------------------------------------------------
-
-# v2: the selection fields are :func:`encode_selection`'s (its
-# ``generation`` was ``selection_generation``); a v1 row fails the
-# version check, a miss that deletes the row.
-VIEW_ENTRY_VERSION = 2
-
-
-def encode_view_entry(view) -> str:
-    """Encode one stored :class:`PersonalizedView` (data only).
-
-    The entry is stamped with the selection fingerprint it was built
-    for — the decode side re-checks it against its lookup key, and the
-    star generation in that key, so an entry can never be applied to a
-    star state it does not describe.
-    """
-    return json.dumps(
-        {
-            "v": VIEW_ENTRY_VERSION,
-            "fact": view.fact,
-            "fingerprint": view.selection.fingerprint(),
-            **encode_selection(view.selection),
-            "fact_rows": list(view.fact_rows),
-        },
-        separators=(",", ":"),
-    )
-
-
-def decode_view_entry(text: str, star, fingerprint: str):
-    """Decode to a live view over the caller's star.
-
-    ``fingerprint`` is the selection fingerprint from the lookup key;
-    the rebuilt selection must reproduce it exactly (a content check on
-    top of the envelope checks — fingerprints are digests of the member/
-    feature triples, so any corruption the field checks miss fails
-    here).
-    """
-    from repro.personalization.engine import PersonalizedView
-
-    data = _loads(text, "view-entry", VIEW_ENTRY_VERSION)
-    fact = _field(data, "view-entry", "fact", str)
-    fact_rows = _field(data, "view-entry", "fact_rows", list)
-    selection = decode_selection(data)
-    if selection.fingerprint() != fingerprint or data.get("fingerprint") != fingerprint:
-        raise CodecError(
-            "corrupt view-entry entry: selection content does not match "
-            "its fingerprint"
-        )
-    if not all(isinstance(row, int) for row in fact_rows):
-        raise CodecError("corrupt view-entry entry: non-integer fact row id")
-    return PersonalizedView(
-        star=star,
-        selection=selection,
-        fact_rows=list(fact_rows),
-        fact=fact,
-    )
-
-
-# -- query-cache entries -----------------------------------------------------------
-
-# v3: the payload no longer carries per-dimension generation counters;
-# its freshness is the star generation in the key.  A v1 or v2 row fails
-# the version check, a miss that deletes the row.
-QUERY_PAYLOAD_VERSION = 3
-
-
-def encode_query_payload(payload) -> str:
-    """Encode one :class:`~repro.service.facade.CellSetPayload`."""
-    return json.dumps(
-        {
-            "v": QUERY_PAYLOAD_VERSION,
-            "axes": list(payload.axes),
-            "labels": _thaw(payload.labels),
-            "rows": _thaw(payload.rows),
-            "fact_rows_scanned": payload.fact_rows_scanned,
-            "fact_rows_matched": payload.fact_rows_matched,
-        },
-        separators=(",", ":"),
-    )
-
-
-def decode_query_payload(text: str):
-    """Decode to a frozen :class:`CellSetPayload` (tuples all the way
-    down, like the heap form — no consumer may mutate a cached row)."""
-    from repro.service.facade import CellSetPayload
-
-    data = _loads(text, "query-payload", QUERY_PAYLOAD_VERSION)
-    axes = _field(data, "query-payload", "axes", list)
-    labels = _field(data, "query-payload", "labels", list)
-    rows = _field(data, "query-payload", "rows", list)
-    if not all(isinstance(axis, str) for axis in axes):
-        raise CodecError("corrupt query-payload entry: non-string axis")
-    if not all(isinstance(row, list) for row in rows):
-        raise CodecError("corrupt query-payload entry: non-list row")
-    return CellSetPayload(
-        axes=tuple(axes),
-        labels=_deep_tuple(labels),
-        rows=_deep_tuple(rows),
-        fact_rows_scanned=int(
-            _field(data, "query-payload", "fact_rows_scanned", int)
-        ),
-        fact_rows_matched=int(
-            _field(data, "query-payload", "fact_rows_matched", int)
-        ),
     )

@@ -1,28 +1,29 @@
 """Store construction and backend selection (``REPRO_BACKEND``).
 
-The ``make_*`` factories here are the only code that picks a store
-class.  Each takes an optional ``backend``: without one it returns the
-in-heap store (:class:`~repro.service.sessions.InMemorySessionStore`,
-:class:`~repro.lru.ThreadSafeLRU`,
-:class:`~repro.personalization.view_store.ViewStore`,
+The ``make_*`` factories here are the only code that picks a class for
+the two stores that hold state.  Each takes an optional ``backend``:
+without one it returns the in-heap store
+(:class:`~repro.service.sessions.InMemorySessionStore`,
 :class:`~repro.reco.journal.WorkloadJournal`); with one, the same store
 plus its shared tier over that backend (:mod:`repro.cluster.stores`).
-:func:`make_service_stores` builds a whole portal's service-side stores
-in one call.
+:func:`make_service_stores` builds a whole portal's session store and
+journal in one call.  Derived results have no shared tier: every
+worker keeps its query cache (:class:`~repro.lru.ThreadSafeLRU`) and its
+engines' view stores
+(:class:`~repro.personalization.view_store.ViewStore`) in its own heap.
 
 :func:`env_backend` is the environment's choice for stores nobody
-configured: ``None`` by default, so the service and engine defaults
-are the in-heap stores, and under ``REPRO_BACKEND=sqlite`` one
-process-wide :class:`~repro.cluster.backend.SqliteBackend`
-(``REPRO_STATE`` names the file; the default is a per-process temp
-file) — this is how the tier-1 suite runs end-to-end over the
-persistent tier in CI's ``cluster`` job.
+configured: ``None`` by default, so the service defaults are the
+in-heap stores, and under ``REPRO_BACKEND=sqlite`` one process-wide
+:class:`~repro.cluster.backend.SqliteBackend` (``REPRO_STATE`` names the
+file; the default is a per-process temp file) — this is how the tier-1
+suite runs end-to-end over the persistent tier in CI's ``cluster`` job.
 
 A backend-backed store gets a *fresh namespace* unless one is passed,
-so independently constructed services/engines stay isolated from each
-other exactly as independently constructed in-heap stores do
-(process-wide file, but disjoint key spaces).  The worker pool passes
-*fixed* namespaces instead — sharing is explicit, never accidental.
+so independently constructed services stay isolated from each other
+exactly as independently constructed in-heap stores do (process-wide
+file, but disjoint key spaces).  The worker pool passes *fixed*
+namespaces instead — sharing is explicit, never accidental.
 """
 
 from __future__ import annotations
@@ -32,14 +33,7 @@ import os
 import tempfile
 
 from repro.cluster.backend import InMemoryBackend, SqliteBackend, StateBackend
-from repro.cluster.stores import (
-    BackendQueryCache,
-    BackendSessionStore,
-    BackendViewStore,
-    BackendWorkloadJournal,
-)
-from repro.lru import ThreadSafeLRU
-from repro.personalization.view_store import ViewStore
+from repro.cluster.stores import BackendSessionStore, BackendWorkloadJournal
 from repro.reco.journal import WorkloadJournal
 from repro.service.sessions import InMemorySessionStore
 
@@ -50,8 +44,6 @@ __all__ = [
     "fresh_namespace",
     "env_backend",
     "make_session_store",
-    "make_query_cache",
-    "make_view_store",
     "make_journal",
     "make_service_stores",
     "state_health",
@@ -161,35 +153,6 @@ def make_session_store(
     )
 
 
-def make_query_cache(
-    max_size: int,
-    *,
-    backend: StateBackend | None = None,
-    namespace: str | None = None,
-) -> ThreadSafeLRU:
-    """The façade's query-result LRU, shared through ``backend`` if given."""
-    if backend is None:
-        return ThreadSafeLRU(max_size)
-    return BackendQueryCache(
-        backend, namespace=namespace or fresh_namespace("svc"), max_size=max_size
-    )
-
-
-def make_view_store(
-    max_size: int,
-    *,
-    backend: StateBackend | None = None,
-    namespace: str | None = None,
-) -> ViewStore:
-    """An engine's materialized-view store, shared through ``backend``
-    if given."""
-    if backend is None:
-        return ViewStore(max_size)
-    return BackendViewStore(
-        backend, namespace=namespace or fresh_namespace("eng"), max_size=max_size
-    )
-
-
 def make_journal(
     max_events_per_user: int = 10_000,
     *,
@@ -213,7 +176,7 @@ def make_service_stores(
     ttl: float = 1800.0,
     max_sessions: int = 256,
 ) -> dict[str, object]:
-    """One portal's session store, query cache and journal, as
+    """One portal's session store and journal, as
     :class:`~repro.service.facade.PersonalizationService` keyword
     arguments: in-heap without ``backend``, else over it under one
     ``namespace`` (fresh by default).  The workers of a pool pass the
@@ -224,7 +187,6 @@ def make_service_stores(
         "session_store": make_session_store(
             ttl, max_sessions, backend=backend, namespace=namespace
         ),
-        "query_cache": make_query_cache(256, backend=backend, namespace=namespace),
         "journal": make_journal(backend=backend, namespace=namespace),
     }
 

@@ -4,10 +4,10 @@ A portal that grew up on the default in-memory tier can move to the
 persistent tier without losing its live state: every store row and
 every counter is copied verbatim (the codecs' JSON is the wire format
 of both backends, so migration is a plain copy, not a re-encode).  The
-cross-version test drives this end to end — a live portal's sessions,
-query cache, view entries and journal survive into a sqlite-backed
-service in a "new process" (a freshly constructed service over the
-destination backend).
+cross-version test drives this end to end — a live portal's sessions
+and journal survive into a sqlite-backed service in a "new process" (a
+freshly constructed service over the destination backend), which
+recomputes query answers and views in its own heap.
 """
 
 from __future__ import annotations

@@ -9,17 +9,18 @@ One process was the portal's hard ceiling; the worker pool removes it:
   address a specific worker.
 * Each **worker** constructs its own portal through the caller's
   ``app_factory(worker_id)`` (engines and stars are per-process heap
-  objects, identical in every worker because the factory is
-  deterministic) and serves it with the existing threaded adapter.  All
-  *shared* state — sessions, query cache, view entries, journal — lives
-  in the :class:`~repro.cluster.backend.StateBackend` the factory wires
-  in with fixed namespaces, which is what makes a token issued by one
-  worker resolve in another.
+  objects) and serves it with the existing threaded adapter.  The
+  state a worker change must carry — session records and journal
+  events — lives in the :class:`~repro.cluster.backend.StateBackend` the
+  factory wires in with fixed namespaces, which is what makes a token
+  issued by one worker resolve in another.  Derived results (query
+  answers, materialized views) stay in each worker's heap: no worker
+  reads another's.
 * The :class:`ClusterClient` routes each tenant to one worker through
   the :class:`~repro.cluster.sharding.ConsistentHashRing` (tenant →
-  shard port), so a tenant's live sessions and L1 cache entries stay
-  warm in a single worker; requests for unknown tenants fall back to
-  the shared socket.
+  shard port), so a tenant's live sessions, views and cached answers
+  stay warm in a single worker; requests for unknown tenants fall back
+  to the shared socket.
 
 Fork start method only (the factory closure crosses the fork, never a
 pickle); the pool is a POSIX-only serving mode, like ``SO_REUSEPORT``

@@ -1,14 +1,14 @@
-"""The shared tier (L2) of the four portal stores.
+"""The shared tier (L2) of the two portal stores that hold state.
 
-Each class here *is* an in-heap store — same rules, same bounds, same
-hit path — plus the rows it keeps in a shared
-:class:`~repro.cluster.backend.StateBackend`, so every worker process
-of a pool sees them.  The in-heap store is the per-process live tier
-(L1); this module adds only the L2 work: persisting and fetching rows,
-rehydrating sessions, and sweeping and pruning rows.  The star
-generation in the key is the cross-process invalidation protocol: view
-and live query-cache keys both carry it, so a row written for another
-star state is never read.
+A worker change must carry a user's session and history, so these two
+stores keep rows in a shared
+:class:`~repro.cluster.backend.StateBackend`, which every worker process
+of a pool sees.  Each class here *is* an in-heap store — same rules,
+same bounds, same hit path — plus that L2 work: persisting and reading
+rows, rehydrating sessions and sweeping records.  Derived results (query
+answers and materialized views) are a function of the star, the
+selection and the query, so every worker computes them in its own heap
+and no worker reads another's.
 
 * :class:`BackendSessionStore` — an
   :class:`~repro.service.sessions.InMemorySessionStore` whose records
@@ -22,17 +22,6 @@ star state is never read.
   live-session capacity therefore scales with worker count;
   ``tests/cluster/test_pool_gate.py`` checks that a pool whose every
   request crosses a spill and a rehydration answers like one process.
-* :class:`BackendQueryCache` — a :class:`~repro.lru.ThreadSafeLRU` whose
-  miss path reads the L2; every put is published.  Like the view store,
-  it assumes workers whose stars are at one generation hold the same
-  star.
-* :class:`BackendViewStore` — a
-  :class:`~repro.personalization.view_store.ViewStore` whose ``_fetch``
-  adopts a peer worker's build (decode beats a fact scan) and whose
-  ``_publish`` shares every local build.  Pool mode assumes workers
-  serve a star loaded identically in each process (read-only serving);
-  the generation in the key keeps a worker that *did* mutate its star
-  from ever reading a peer's entry for a different state.
 * :class:`BackendWorkloadJournal` — a
   :class:`~repro.reco.journal.WorkloadJournal` whose storage methods
   keep events in the backend.  Sequence numbers come from the backend's
@@ -44,7 +33,6 @@ star state is never read.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Callable, Mapping, NoReturn
 
@@ -52,16 +40,10 @@ from repro.cluster.backend import StateBackend
 from repro.cluster.codecs import (
     CodecError,
     decode_journal_event,
-    decode_query_payload,
     decode_session_record,
-    decode_view_entry,
     encode_journal_event,
-    encode_query_payload,
     encode_session_record,
-    encode_view_entry,
 )
-from repro.lru import ThreadSafeLRU
-from repro.personalization.view_store import ViewStore
 from repro.reco.journal import WorkloadEvent, WorkloadJournal, _check_kind
 from repro.service.sessions import (
     InMemorySessionStore,
@@ -71,19 +53,10 @@ from repro.service.sessions import (
     _session_expired,
 )
 
-__all__ = [
-    "BackendSessionStore",
-    "BackendQueryCache",
-    "BackendViewStore",
-    "BackendWorkloadJournal",
-]
+__all__ = ["BackendSessionStore", "BackendWorkloadJournal"]
 
 #: Separates key components (tenant/user ids must not contain it).
 _SEP = "\x1f"
-
-
-def _key_text(key: tuple) -> str:
-    return json.dumps(list(key), separators=(",", ":"))
 
 
 class BackendSessionStore(InMemorySessionStore):
@@ -365,125 +338,6 @@ class BackendSessionStore(InMemorySessionStore):
             _end_quietly(record)
             raise _invalid_session()
         return record
-
-
-class BackendQueryCache(ThreadSafeLRU):
-    """The façade's query-result LRU over shared encoded entries.
-
-    Keys are the façade's tuples ``(datamart, query text, selection
-    fingerprint, as_of, star generation)``, so an entry is served as it
-    is, in-process and across workers alike; a mutation leaves the old
-    rows unreachable, and they age out.  An L2 hit counts as a hit and
-    is promoted into the L1.  The L2 is pruned by write age to
-    ``l2_max_rows``.
-    """
-
-    def __init__(
-        self,
-        backend: StateBackend,
-        *,
-        namespace: str,
-        max_size: int = 256,
-        l2_max_rows: int | None = None,
-    ) -> None:
-        super().__init__(max_size)
-        self.backend = backend
-        self.namespace = namespace
-        self._store = f"{namespace}:qcache"
-        self.l2_max_rows = l2_max_rows or max(4 * max_size, 1024)
-        self.l2_hits = 0
-        self.l2_publishes = 0
-
-    def _miss(self, key):
-        encoded = self.backend.get(self._store, _key_text(key))
-        if encoded is not None:
-            try:
-                payload = decode_query_payload(encoded)
-            except CodecError:
-                self.backend.delete(self._store, _key_text(key))
-            else:
-                super().put(key, payload)
-                with self._lock:
-                    self.hits += 1
-                    self.l2_hits += 1
-                return payload
-        return super()._miss(key)
-
-    def put(self, key, value) -> None:
-        super().put(key, value)
-        self.backend.put(self._store, _key_text(key), encode_query_payload(value))
-        with self._lock:
-            self.l2_publishes += 1
-            due = self.l2_publishes % 32 == 0
-        if due:  # prune occasionally, not per write
-            self.backend.prune(self._store, self.l2_max_rows)
-
-    def clear(self) -> None:
-        super().clear()
-        self.backend.clear(self._store)
-
-
-class BackendViewStore(ViewStore):
-    """The shared materialized-view store with a cross-worker L2.
-
-    The ``(fact, fingerprint, generation)`` key carries the whole
-    invalidation protocol, so maintenance (patches/invalidations) stays
-    purely local — stale generations are unreachable by construction.
-    """
-
-    def __init__(
-        self,
-        backend: StateBackend,
-        *,
-        namespace: str,
-        max_size: int = 128,
-        l2_max_rows: int | None = None,
-    ) -> None:
-        super().__init__(max_size)
-        self.backend = backend
-        self.namespace = namespace
-        self._store = f"{namespace}:views"
-        self.l2_max_rows = l2_max_rows or max(4 * max_size, 512)
-        self.l2_hits = 0
-        self.l2_publishes = 0
-
-    def _fetch(self, key, star):  # guarded-by-caller: _lock
-        """Adopt a peer worker's build for this exact key, if published."""
-        _fact, fingerprint, _generation = key
-        encoded = self.backend.get(self._store, _key_text(key))
-        if encoded is None:
-            return None
-        try:
-            view = decode_view_entry(encoded, star, fingerprint)
-        except CodecError:
-            self.backend.delete(self._store, _key_text(key))
-            return None
-        self.l2_hits += 1
-        return view
-
-    def _publish(self, key, view) -> None:  # guarded-by-caller: _lock
-        self.backend.put(self._store, _key_text(key), encode_view_entry(view))
-        self.l2_publishes += 1
-        if self.l2_publishes % 16 == 0:
-            self.backend.prune(self._store, self.l2_max_rows)
-
-    def invalidate(self) -> None:
-        """Drop L1 *and* this namespace's published entries.
-
-        An engine calls this when it detaches from its star
-        (:meth:`~repro.personalization.engine.PersonalizationEngine.detach`):
-        nothing warm outlives the superseded store, and its rows are
-        reclaimed before the write-age prune would reach them.
-        """
-        super().invalidate()
-        self.backend.clear(self._store)
-
-    def stats(self) -> dict:
-        out = super().stats()
-        out["l2_hits"] = self.l2_hits
-        out["l2_publishes"] = self.l2_publishes
-        out["persisted"] = self.backend.count(self._store)
-        return out
 
 
 class BackendWorkloadJournal(WorkloadJournal):

@@ -3,10 +3,9 @@
 One pattern — lock-guarded :class:`~collections.OrderedDict`,
 ``move_to_end`` on access, ``popitem(last=False)`` eviction, hit/miss
 counters — shared by the service query cache, the recommender's
-spatial-profile cache and the as-of reconstruction cache.  The
-backend-backed query cache
-(:class:`~repro.cluster.stores.BackendQueryCache`) is this map with a
-shared second tier behind :meth:`ThreadSafeLRU._miss`.
+spatial-profile cache and the as-of reconstruction cache.  Every owner
+keeps it in its own heap: a pool worker's query cache holds the answers
+that worker computed, never another's.
 """
 
 from __future__ import annotations
@@ -39,15 +38,9 @@ class ThreadSafeLRU:
             if value is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return value
-        return self._miss(key)
-
-    def _miss(self, key: Hashable) -> object | None:
-        """Answer a key the map does not hold: counts a miss.  A subclass
-        with a lower tier looks there first."""
-        with self._lock:
-            self.misses += 1
-        return None
+            else:
+                self.misses += 1
+            return value
 
     def put(self, key: Hashable, value: object) -> None:
         """Store a value, evicting least-recently-used entries beyond the

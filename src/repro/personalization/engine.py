@@ -36,7 +36,7 @@ import enum
 import threading
 from functools import partial
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.concurrency import make_lock
 from repro.errors import (
@@ -46,6 +46,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.geometry import Metric, PlanarMetric, Point
+from repro.geomd.gtypes_enum import GeometricType
 from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema, SchemaSets
 from repro.mdm.model import ResolvedLevel
 from repro.olap.cube import Cube
@@ -72,6 +73,7 @@ from repro.prml.semantics import SemanticAnalyzer
 from repro.personalization.view_store import ViewStore
 from repro.storage.snapshot import StarHistory
 from repro.storage.star import StarMutation, StarSchema
+from repro.storage.tables import LayerTable
 from repro.sus.model import UserModelSchema, UserProfile
 
 __all__ = [
@@ -349,14 +351,8 @@ class PersonalizationEngine:
         self.validate_rules = validate_rules
         #: Shared materialized-view store: sessions with content-equal
         #: selections share one build, fact appends patch instead of
-        #: rebuilding.  The cluster tier passes a backend-backed store
-        #: with a fixed namespace so pool workers share builds; the
-        #: default goes through the env-selected factory.
-        if view_store is None:
-            from repro.cluster.config import env_backend, make_view_store
-
-            view_store = make_view_store(128, backend=env_backend())
-        self.view_store = view_store
+        #: rebuilding.  It lives in this process's heap.
+        self.view_store = ViewStore(128) if view_store is None else view_store
         star.add_mutation_listener(self._on_star_mutation)
         self.rules: list[RegisteredRule] = []
         self._lock = make_lock("PersonalizationEngine._lock")
@@ -401,7 +397,9 @@ class PersonalizationEngine:
 
         Loading writes what the rule's schema actions name into the star
         and the tenant schema, each as one logged star write that as-of
-        reads replay.
+        reads replay.  Every load is checked before the first is
+        written, so a refused rule leaves the star, its log and the
+        tenant schema as they were.
         """
         if isinstance(source, Rule):
             rule = source
@@ -419,11 +417,8 @@ class PersonalizationEngine:
                 self.parameters,
             )
             analyzer.check(rule)
-        for action in rule.actions():
-            if isinstance(action, AddLayerAction):
-                self._load_layer(action)
-            elif isinstance(action, BecomeSpatialAction):
-                self._load_level(action)
+        for write in self._loads(rule):
+            write()
         registered = RegisteredRule(
             rule=rule,
             source=text,
@@ -435,34 +430,71 @@ class PersonalizationEngine:
     def add_rules(self, sources: Iterable[str | Rule]) -> list[RegisteredRule]:
         return [self.add_rule(source) for source in sources]
 
-    def _load_layer(self, action: AddLayerAction) -> None:
-        """Add the layer to the tenant schema and load its table from the
-        geo source (once: a table that already holds features is kept)."""
+    def _loads(self, rule: Rule) -> list[Callable[[], None]]:
+        """The writes that load what the rule's schema actions name.
+
+        Each load is checked as its write checks it, in action order,
+        against a scratch copy of the tenant schema that holds the
+        declarations of the actions before it: a conflicting
+        re-declaration raises :class:`~repro.errors.SchemaError`, a
+        feature its layer refuses :class:`~repro.errors.StorageError` and
+        a geometry its level refuses :class:`PersonalizationError`, all
+        before any write.
+        """
+        scratch = GeoMDSchema.from_dict(self.geomd_schema.to_dict())
+        filled = {
+            name for name, table in self.star.layer_tables.items() if len(table)
+        }
+        writes = []
+        for action in rule.actions():
+            if isinstance(action, AddLayerAction):
+                writes.append(self._load_layer(action, scratch, filled))
+            elif isinstance(action, BecomeSpatialAction):
+                writes.append(self._load_level(action, scratch))
+        return [write for write in writes if write is not None]
+
+    def _load_layer(
+        self, action: AddLayerAction, scratch: GeoMDSchema, filled: set[str]
+    ) -> Callable[[], None]:
+        """The layer's load: declare it in the tenant schema and fill its
+        table from the geo source, once (a table that holds features, or
+        that an earlier action fills, is kept).  The features are checked
+        on a scratch table of the layer."""
         name = action.layer_name.value
-        self.geomd_schema.add_layer(name, action.geometric_type.value)
-        table = self.star.ensure_layer_table(name)
-        source = self.geo_source
-        if source is None or len(table):
-            return
-        features = source.layer_features(name)
+        geometric_type = action.geometric_type.value
+        layer = scratch.add_layer(name, geometric_type)
+        features = []
+        if self.geo_source is not None and name not in filled:
+            features = list(self.geo_source.layer_features(name) or ())
+            LayerTable(layer).add_features(features)
+            if features:
+                filled.add(name)
+        return partial(self._write_layer, name, geometric_type, features)
+
+    def _write_layer(
+        self, name: str, geometric_type: GeometricType, features: list
+    ) -> None:
+        self.geomd_schema.add_layer(name, geometric_type)
+        self.star.ensure_layer_table(name)
         if features:
             self.star.add_features(name, features)
 
-    def _load_level(self, action: BecomeSpatialAction) -> None:
-        """Make the level spatial in the tenant schema and give its
-        members the geo source's geometries (:meth:`StarSchema.become_spatial`,
-        which checks them against the declared type before it writes
-        any).  A target that names no level loads nothing; the action
-        reports it when it runs."""
+    def _load_level(
+        self, action: BecomeSpatialAction, scratch: GeoMDSchema
+    ) -> Callable[[], None] | None:
+        """The level's load: make it spatial and give its members the geo
+        source's geometries (:meth:`StarSchema.become_spatial`, checked
+        first by :meth:`StarSchema.check_spatial`).  A target that names
+        no level loads nothing; the action reports it when it runs."""
         steps = list(action.element.steps)
         if steps and steps[-1] == GEOMETRY_ATTRIBUTE:
             steps = steps[:-1]
         try:
-            resolved = self.geomd_schema.resolve(steps)
+            resolved = scratch.resolve(steps)
         except SchemaError:  # lint-ok: swallowed-error - the action raises it at login
-            return
+            return None
         if not isinstance(resolved, ResolvedLevel):
-            return
+            return None
         dimension, level = resolved.dimension.name, resolved.level.name
         source = self.geo_source
         geometries = (
@@ -473,12 +505,14 @@ class PersonalizationEngine:
             for member in self.star.dimension_table(dimension).members(level)
             if member.key in geometries
         }
+        level_ref = f"{dimension}.{level}"
+        geometric_type = action.geometric_type.value
         try:
-            self.star.become_spatial(
-                f"{dimension}.{level}", action.geometric_type.value, loaded
-            )
+            self.star.check_spatial(level_ref, geometric_type, loaded)
         except StorageError as exc:
             raise PersonalizationError(str(exc)) from exc
+        scratch.become_spatial(level_ref, geometric_type)
+        return partial(self.star.become_spatial, level_ref, geometric_type, loaded)
 
     def rule(self, name: str) -> RegisteredRule:
         for registered in self.rules:

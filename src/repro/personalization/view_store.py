@@ -28,16 +28,11 @@ related work describes):
   filter, since a new leaf under a selected ancestor joins it.  A view
   carries no schema, so sessions with different schema sets share it.
 * **Bounds and transparency** — the store is LRU-bounded (``max_size``)
-  and thread-safe; every engine owns one.  Sessions over a star whose
+  and thread-safe; every engine owns one in its process's heap, so each
+  worker of a pool builds its own views.  Sessions over a star whose
   :attr:`~repro.storage.star.StarSchema.oracle` switch is set bypass it,
   which is how ``tests/workload/test_oracle_gate.py`` proves the store is
   transparent.
-
-* **A shared tier** — on a miss, :meth:`ViewStore.get_or_build` asks
-  ``_fetch`` for a view built elsewhere before it scans, and hands every
-  build to ``_publish``.  Both are no-ops here;
-  :class:`~repro.cluster.stores.BackendViewStore` overrides exactly these
-  two to share builds across worker processes.
 
 This deliberately does *not* reuse :class:`repro.lru.ThreadSafeLRU`:
 the store's defining operations — single-flight builds under the lock
@@ -138,25 +133,11 @@ class ViewStore:
             # whose selection still fingerprints to the old key).
             frozen = selection.snapshot()
             key = (fact, frozen.fingerprint(), star.generation)
-            view = self._fetch(key, star)
-            if view is None:
-                view = self._build(star, fact, frozen)
-                self.builds += 1
-                self._publish(key, view)
+            view = self._build(star, fact, frozen)
+            self.builds += 1
             self._entries[key] = _Entry(view)
             self._trim()
             return view
-
-    def _fetch(  # guarded-by-caller: _lock
-        self, key: _Key, star: StarSchema
-    ) -> "PersonalizedView | None":
-        """A view for ``key`` that another store already built, or
-        ``None``.  The in-heap store shares with no one; the
-        backend-backed one reads its shared tier here."""
-        return None
-
-    def _publish(self, key: _Key, view: "PersonalizedView") -> None:  # guarded-by-caller: _lock
-        """Offer a fresh build to other stores (no-op in-heap)."""
 
     def _build(
         self, star: StarSchema, fact: str, frozen: "SelectionSet"

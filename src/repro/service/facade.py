@@ -17,7 +17,7 @@ the uniform error envelope.  The service owns:
   reads the session's personalized schema
   (``session.context.geomd_schema``): schema rules personalize the
   session, never the tenant, and no request writes the star;
-* a small LRU cache over query *results* keyed on ``(datamart,
+* a small in-heap LRU cache over query *results* keyed on ``(datamart,
   stripped query text, selection fingerprint, schema set, as_of, star
   generation)`` — the view store's protocol: any mutation of the star
   moves its generation, so every live entry of the tenant becomes
@@ -31,6 +31,8 @@ the uniform error envelope.  The service owns:
   tuples so a consumer mutating a returned row can never poison later
   hits.  A tenant whose star has its
   :attr:`~repro.storage.star.StarSchema.oracle` switch set bypasses it.
+  Each worker of a pool keeps its own cache: an answer is a function of
+  the star, the selection and the query, which any worker recomputes.
 
 Logins are serialized by each engine's own lock, and each engine counts
 its logins (a restored session is not one).  A login's,
@@ -56,6 +58,7 @@ from repro.errors import (
     UnauthorizedError,
 )
 from repro.geometry import Point
+from repro.lru import ThreadSafeLRU
 from repro.olap.gmdql import parse_query
 from repro.olap.query import execute
 from repro.personalization.engine import PersonalizationEngine, PersonalizedSession
@@ -85,6 +88,16 @@ __all__ = ["PersonalizationService", "CellSetPayload"]
 def _fired(outcomes: Iterable[RuleOutcome]) -> list[str]:
     """The names of the rules that fired at least one action."""
     return [o.rule_name for o in outcomes if o.fired_actions > 0]
+
+
+def _parses(text: str, schema) -> bool:
+    """Whether a query text parses against a session's schema, which is
+    what :meth:`PersonalizationService.query` checks before it runs."""
+    try:
+        parse_query(text, schema)
+    except QueryError:
+        return False
+    return True
 
 
 def _hit_rate(hits: int, misses: int) -> float | None:
@@ -129,14 +142,14 @@ class PersonalizationService:
         recommender: Recommender | None = None,
         query_cache=None,
     ) -> None:
-        # The default stores are env-selected (REPRO_BACKEND): in-heap
-        # classes in the default mode, backend-backed two-tier stores
-        # over the shared persistent backend with REPRO_BACKEND=sqlite
-        # (see repro.cluster.config).  Explicit arguments always win.
+        # The default session store and journal are env-selected
+        # (REPRO_BACKEND): in-heap classes in the default mode,
+        # backend-backed two-tier stores over the shared persistent
+        # backend with REPRO_BACKEND=sqlite (see repro.cluster.config).
+        # Explicit arguments always win.
         from repro.cluster.config import (
             env_backend,
             make_journal,
-            make_query_cache,
             make_session_store,
         )
 
@@ -151,11 +164,9 @@ class PersonalizationService:
         #: Tokens whose live session the store lacks resolve by
         #: restoring it from the record (persisted stores only).
         self.sessions.resolver = self._rehydrate_session
-        #: A ThreadSafeLRU (backend-backed: entries shared across workers).
+        #: A ThreadSafeLRU in this process's heap (never shared).
         self._query_cache = (
-            query_cache
-            if query_cache is not None
-            else make_query_cache(256, backend=backend)
+            query_cache if query_cache is not None else ThreadSafeLRU(256)
         )
         #: Workload journal + recommender: every query, selection report
         #: and layer fetch is journaled per (datamart, user) — unless the
@@ -438,10 +449,12 @@ class PersonalizationService:
         user, mined from the journals of the most similar users.
 
         Layer suggestions are confined to the session's *personalized*
-        schema and member suggestions exclude the session's live
-        selection, so a recommendation can never surface data the target
-        user's own personalization would not grant; recommended queries
-        execute through :meth:`query` against the user's own view.
+        schema, query suggestions to the texts that parse against it, and
+        member suggestions exclude the session's live selection, so a
+        recommendation can never surface data the target user's own
+        personalization would not grant; recommended queries execute
+        through :meth:`query` against the user's own view.  The filters
+        run before pagination, so the page total counts what is offered.
         """
         request = request or RecommendationRequest()
         # Auth first, like every other session endpoint: an anonymous
@@ -457,19 +470,20 @@ class PersonalizationService:
             )
         with record.lock:
             session = record.session
+            schema = session.context.geomd_schema
             items, neighbours = self.recommender.recommend(
                 record.datamart,
                 record.user_id,
                 session.context.star,
                 kind,
                 k=request.k,
-                allowed_layers=set(session.context.geomd_schema.layers)
-                if kind == "layers"
-                else None,
+                allowed_layers=set(schema.layers) if kind == "layers" else None,
                 exclude_members=session.selection.member_triples()
                 if kind == "members"
                 else (),
             )
+            if kind == "queries":
+                items = [r for r in items if _parses(r.item["q"], schema)]
         paged, page_info = request.page.apply(
             [recommendation.to_dict() for recommendation in items]
         )

@@ -592,11 +592,9 @@ class StarSchema:
 
         ``level_ref`` is ``"Dimension.Level"`` (or ``"Dimension"`` for
         its leaf level) and ``geometries`` maps member keys of that
-        level to their geometries.  Every geometry is checked against
-        ``geometric_type`` before any is written: a mismatch or an
-        unknown member raises
-        :class:`~repro.errors.StorageError` and changes nothing.  Then
-        the level is made spatial in the star's schema (a conflicting
+        level to their geometries.  The load is checked
+        (:meth:`check_spatial`) before anything is written.  Then the
+        level is made spatial in the star's schema (a conflicting
         re-declaration raises :class:`~repro.errors.SchemaError`, also
         before any write), the members' geometry attributes are written
         and only the level's :class:`LevelGeometries` record is dropped;
@@ -604,20 +602,9 @@ class StarSchema:
         ``member`` mutation of op ``become_spatial`` carrying the level,
         the type and the geometries, which as-of reads replay.
         """
-        if not isinstance(self.schema, GeoMDSchema):
-            raise StorageError(
-                "cannot make a level of a non-GeoMD star schema spatial"
-            )
-        dimension, _, level = level_ref.partition(".")
-        table = self.dimension_table(dimension)
-        level = level or table.dimension.leaf
-        loads = [(table.member(level, key), g) for key, g in geometries.items()]
-        for member, geometry in loads:
-            if not geometric_type.accepts(geometry):
-                raise StorageError(
-                    f"geometry for {member.key!r} is a {geometry.geom_type}, "
-                    f"but {level_ref} was declared {geometric_type.name}"
-                )
+        dimension, level, loads = self.check_spatial(
+            level_ref, geometric_type, geometries
+        )
         with self._cache_lock:
             self.schema.become_spatial(f"{dimension}.{level}", geometric_type)
             for member, geometry in loads:
@@ -636,6 +623,35 @@ class StarSchema:
                 ),
             )
         self._notify(mutation)
+
+    def check_spatial(
+        self,
+        level_ref: str,
+        geometric_type: GeometricType,
+        geometries: Mapping[str, Geometry],
+    ) -> tuple[str, str, list[tuple[Member, Geometry]]]:
+        """Check a :meth:`become_spatial` load, writing nothing.
+
+        A non-GeoMD star, an unknown member or a geometry that
+        ``geometric_type`` does not accept raises
+        :class:`~repro.errors.StorageError`.  Returns the dimension, the
+        level and each ``(member, geometry)`` pair to write.
+        """
+        if not isinstance(self.schema, GeoMDSchema):
+            raise StorageError(
+                "cannot make a level of a non-GeoMD star schema spatial"
+            )
+        dimension, _, level = level_ref.partition(".")
+        table = self.dimension_table(dimension)
+        level = level or table.dimension.leaf
+        loads = [(table.member(level, key), g) for key, g in geometries.items()]
+        for member, geometry in loads:
+            if not geometric_type.accepts(geometry):
+                raise StorageError(
+                    f"geometry for {member.key!r} is a {geometry.geom_type}, "
+                    f"but {level_ref} was declared {geometric_type.name}"
+                )
+        return dimension, level, loads
 
     def _check_member_geometry(
         self,

@@ -245,9 +245,10 @@ def build_workload_portal(
     ``active_users`` is :meth:`EventStream.active_users` (or any
     iterable of ``(datamart, user_id, cohort)``): only sampled users are
     registered, which is what keeps million-user population tiers cheap.
-    With ``backend``, every store is backend-backed under fixed
-    ``wl-*`` namespaces — pass the same backend to every worker of a
-    pool; without, in-heap stores.
+    With ``backend``, the session store and the journal are
+    backend-backed under the fixed ``wl`` namespace — pass the same
+    backend to every worker of a pool; without, they are in-heap.  The
+    query cache and the view stores are in-heap either way.
 
     The world is loaded once per portal: every tenant serves its own
     :meth:`~repro.storage.star.StarSchema.copy` of one loaded star,
@@ -264,7 +265,7 @@ def build_workload_portal(
 def _portal_over(world, stars, active_users, backend):
     """The portal :func:`build_workload_portal` describes, over ``stars``
     (datamart name -> the tenant's star, in registration order)."""
-    from repro.cluster.config import make_service_stores, make_view_store
+    from repro.cluster.config import make_service_stores
     from repro.data import (
         ALL_PAPER_RULES,
         WorldGeoSource,
@@ -289,9 +290,6 @@ def _portal_over(world, stars, active_users, backend):
             build_motivating_user_model(),
             geo_source=WorldGeoSource(world),
             parameters={"threshold": THRESHOLD},
-            view_store=make_view_store(
-                128, backend=backend, namespace=f"wl-views-{name}"
-            ),
         )
         engine.add_rules(ALL_PAPER_RULES.values())
         tenant = registry.register(

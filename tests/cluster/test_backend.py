@@ -89,20 +89,6 @@ class TestKeyValue:
         assert backend.count("s", "a") == 5
         assert backend.count("s", "nope") == 0
 
-    def test_prune_drops_oldest_written(self, backend):
-        for i in range(6):
-            backend.put("s", f"k{i}", "x")
-        assert backend.prune("s", 4) == 2
-        assert backend.keys("s") == ["k2", "k3", "k4", "k5"]
-        assert backend.prune("s", 4) == 0
-
-    def test_re_put_refreshes_prune_age(self, backend):
-        for i in range(4):
-            backend.put("s", f"k{i}", "x")
-        backend.put("s", "k0", "fresh")  # k0 is now youngest
-        backend.prune("s", 2)
-        assert backend.keys("s") == ["k0", "k3"]
-
     def test_update_only_put_never_creates(self, backend):
         """``create=False`` replaces an existing entry and reports it,
         and writes nothing for an absent one (a deleted session record
@@ -114,9 +100,6 @@ class TestKeyValue:
         assert backend.put("s", "k", "v3", create=False) is False
         assert backend.get("s", "k") is None
         assert backend.count("s") == 0
-
-    def test_prune_missing_store(self, backend):
-        assert backend.prune("nope", 10) == 0
 
 
 class TestCounters:

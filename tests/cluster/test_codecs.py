@@ -15,22 +15,16 @@ from hypothesis import strategies as st
 from repro.cluster.codecs import (
     CodecError,
     decode_journal_event,
-    decode_query_payload,
     decode_selection,
     decode_session_record,
     decode_session_state,
-    decode_view_entry,
     encode_journal_event,
-    encode_query_payload,
     encode_selection,
     encode_session_record,
     encode_session_state,
-    encode_view_entry,
 )
-from repro.personalization.engine import PersonalizedView
 from repro.prml.evaluator import SelectionSet
 from repro.reco.journal import WorkloadEvent
-from repro.service.facade import CellSetPayload
 
 # JSON-exact scalars: finite floats round-trip bit-for-bit through
 # json.dumps/loads, NaN would break equality checks.
@@ -247,133 +241,3 @@ class TestJournalEventCodec:
     def test_corrupt_rejected(self, text):
         with pytest.raises(CodecError):
             decode_journal_event(text)
-
-
-class TestQueryPayloadCodec:
-    @given(
-        axes=st.lists(st.text(min_size=1, max_size=10), max_size=3).map(tuple),
-        labels=st.lists(
-            st.lists(st.text(max_size=8), max_size=3).map(tuple), max_size=3
-        ).map(tuple),
-        rows=st.lists(
-            st.lists(_scalar, max_size=4).map(tuple), max_size=6
-        ).map(tuple),
-        scanned=st.integers(min_value=0, max_value=10**6),
-        matched=st.integers(min_value=0, max_value=10**6),
-    )
-    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
-    def test_round_trip(self, axes, labels, rows, scanned, matched):
-        payload = CellSetPayload(
-            axes=axes,
-            labels=labels,
-            rows=rows,
-            fact_rows_scanned=scanned,
-            fact_rows_matched=matched,
-        )
-        decoded = decode_query_payload(encode_query_payload(payload))
-        assert decoded == payload
-        # Frozen all the way down: rows stay tuples of tuples.
-        assert all(isinstance(row, tuple) for row in decoded.rows)
-
-    def test_v1_rows_are_version_skew_misses(self):
-        """A v1 row's key carries no star generation and therefore no
-        proof of freshness — the version check must reject it so the
-        caller treats it as a miss and rebuilds."""
-        v1 = json.dumps(
-            {"v": 1, "axes": [], "labels": [], "rows": [],
-             "fact_rows_scanned": 0, "fact_rows_matched": 0}
-        )
-        with pytest.raises(CodecError):
-            decode_query_payload(v1)
-
-    def test_v2_rows_are_version_skew_misses(self):
-        """A v2 row was fresh only while its per-dimension stamps held,
-        and its key carries no star generation: rejected like a v1 row."""
-        v2 = json.dumps(
-            {"v": 2, "axes": [], "labels": [], "rows": [],
-             "fact_rows_scanned": 0, "fact_rows_matched": 0,
-             "stamps": [["fact", "Sales", 0]]}
-        )
-        with pytest.raises(CodecError):
-            decode_query_payload(v2)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "nope",
-            json.dumps({"v": 3, "axes": [1], "labels": [], "rows": [],
-                        "fact_rows_scanned": 0, "fact_rows_matched": 0}),
-            json.dumps({"v": 3, "axes": [], "labels": [], "rows": ["flat"],
-                        "fact_rows_scanned": 0, "fact_rows_matched": 0}),
-            json.dumps({"v": 3, "axes": [], "labels": [], "rows": [],
-                        "fact_rows_scanned": "lots", "fact_rows_matched": 0}),
-            json.dumps({"v": 3, "axes": [], "labels": "flat", "rows": [],
-                        "fact_rows_scanned": 0, "fact_rows_matched": 0}),
-        ],
-    )
-    def test_corrupt_rejected(self, text):
-        with pytest.raises(CodecError):
-            decode_query_payload(text)
-
-
-class TestViewEntryCodec:
-    @given(selection=_selections())
-    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
-    def test_selection_round_trip(self, selection):
-        view = PersonalizedView(
-            star=None, selection=selection, fact_rows=[3, 1, 2], fact="Sales"
-        )
-        fingerprint = selection.fingerprint()
-        decoded = decode_view_entry(encode_view_entry(view), None, fingerprint)
-        _same_selection(decoded.selection, selection)
-        assert decoded.fact_rows == [3, 1, 2]
-
-    @pytest.fixture()
-    def view(self, engine, profile, world):
-        session = engine.start_session(
-            profile, location=world.stores[0].location
-        )
-        return session.view()
-
-    def test_round_trip(self, view, star):
-        fingerprint = view.selection.fingerprint()
-        encoded = encode_view_entry(view)
-        decoded = decode_view_entry(encoded, star, fingerprint)
-        assert decoded.fact == view.fact
-        assert decoded.fact_rows == list(view.fact_rows)
-        assert decoded.selection.members == view.selection.members
-        assert decoded.selection.features == view.selection.features
-        assert decoded.selection.fingerprint() == fingerprint
-        assert decoded.star is star
-
-    def test_fingerprint_mismatch_rejected(self, view, star):
-        encoded = encode_view_entry(view)
-        with pytest.raises(CodecError):
-            decode_view_entry(encoded, star, "sha1:not-it")
-
-    def test_tampered_members_rejected(self, view, star):
-        """Corruption the field checks miss still fails the fingerprint
-        content check."""
-        fingerprint = view.selection.fingerprint()
-        data = json.loads(encode_view_entry(view))
-        data["members"] = data["members"][1:]  # drop one entry
-        with pytest.raises(CodecError):
-            decode_view_entry(
-                json.dumps(data), star, fingerprint
-            )
-
-    def test_non_integer_fact_rows_rejected(self, view, star):
-        fingerprint = view.selection.fingerprint()
-        data = json.loads(encode_view_entry(view))
-        data["fact_rows"] = ["zero", 1]
-        with pytest.raises(CodecError):
-            decode_view_entry(
-                json.dumps(data), star, fingerprint
-            )
-
-    @pytest.mark.parametrize(
-        "text", ["{broken", json.dumps({"v": 5}), json.dumps([1, 2])]
-    )
-    def test_corrupt_rejected(self, text, star):
-        with pytest.raises(CodecError):
-            decode_view_entry(text, star, "fp")

@@ -7,7 +7,7 @@ The satellite scenario end to end: a portal that grew up on the
 a new process — over the destination backend resumes it: the old
 session token resolves through rehydration with its selection and
 schema set restored (no rule fires), the journal keeps its history and
-its sequence counter, and the migrated query cache still answers.
+its sequence counter, and the new service recomputes the old answers.
 """
 
 import pytest
@@ -102,7 +102,6 @@ class TestLivePortalMigration:
         counts = migrated["counts"]
         assert counts["portal:sessions"] == 1
         assert counts["portal:journal"] == 2  # query + selection events
-        assert counts["portal:qcache"] >= 1
         assert counts["counters"] == 1  # the journal's sequence counter
 
     def test_old_token_resolves_in_new_process(self, migrated):

@@ -7,9 +7,8 @@ answers ``invalid_session``, a login sweeps the persisted records at
 most once per 5% of the TTL, expired sessions never resolve (live,
 cold, or mid-eviction), a logout
 on one instance holds on every other one, a live copy that looks
-expired by its own clock defers to a fresher persisted record,
-query/view entries published by one instance are adopted by another,
-and the journal's sequence numbers are a backend counter, so histories
+expired by its own clock defers to a fresher persisted record, and
+the journal's sequence numbers are a backend counter, so histories
 and positions stay coherent across instances.  The rules
 the backend-backed stores share with the in-heap ones run in the
 contract suites of ``tests/service/test_sessions.py`` and
@@ -24,13 +23,7 @@ import pytest
 
 from repro.cluster.backend import InMemoryBackend, SqliteBackend
 from repro.cluster.config import make_service_stores
-from repro.cluster.stores import (
-    BackendQueryCache,
-    BackendSessionStore,
-    BackendViewStore,
-    BackendWorkloadJournal,
-    _key_text,
-)
+from repro.cluster.stores import BackendSessionStore, BackendWorkloadJournal
 from repro.errors import UnauthorizedError
 from repro.service import (
     DatamartRegistry,
@@ -38,7 +31,6 @@ from repro.service import (
     LoginRequest,
     PersonalizationService,
 )
-from repro.service.facade import CellSetPayload
 
 
 class StubSession:
@@ -560,123 +552,6 @@ class TestStaleLiveCopy:
         assert shared.get("t:sessions", token) is not None
         other = make_store(shared, clock, ttl=100.0, resolver=lambda *a: StubSession())
         assert other.get(token).token == token
-
-
-def _payload(value):
-    return CellSetPayload(
-        axes=("Family",),
-        labels=(("Drink",),),
-        rows=((value, 1.0),),
-        fact_rows_scanned=10,
-        fact_rows_matched=5,
-    )
-
-
-class TestBackendQueryCache:
-    def test_l1_hit(self, backend):
-        cache = BackendQueryCache(backend, namespace="t", max_size=4)
-        key = ("sales", "Q", "fp", 3)
-        assert cache.get(key) is None
-        cache.put(key, _payload("a"))
-        assert cache.get(key) == _payload("a")
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_peer_instance_gets_l2_hit(self, backend):
-        first = BackendQueryCache(backend, namespace="t", max_size=4)
-        key = ("sales", "Q", "fp", 3)
-        first.put(key, _payload("a"))
-        second = BackendQueryCache(backend, namespace="t", max_size=4)
-        got = second.get(key)
-        assert got == _payload("a")
-        assert second.l2_hits == 1
-        # Promoted into the L1: the next hit is heap-speed.
-        assert second.get(key) == _payload("a")
-        assert second.l2_hits == 1
-
-    def test_namespaces_isolate(self, backend):
-        first = BackendQueryCache(backend, namespace="a", max_size=4)
-        second = BackendQueryCache(backend, namespace="b", max_size=4)
-        key = ("sales", "Q", "fp", 1)
-        first.put(key, _payload("a"))
-        assert second.get(key) is None
-
-    def test_corrupt_l2_entry_is_dropped(self, backend):
-        cache = BackendQueryCache(backend, namespace="t", max_size=4)
-        key = ("sales", "Q", "fp", 3)
-        backend.put("t:qcache", _key_text(key), "{corrupt")
-        assert cache.get(key) is None
-        assert backend.get("t:qcache", _key_text(key)) is None
-
-    def test_clear_clears_both_tiers(self, backend):
-        cache = BackendQueryCache(backend, namespace="t", max_size=4)
-        key = ("sales", "Q", "fp", 3)
-        cache.put(key, _payload("a"))
-        cache.clear()
-        assert len(cache) == 0
-        assert backend.count("t:qcache") == 0
-
-    def test_l2_is_pruned(self, backend):
-        cache = BackendQueryCache(
-            backend, namespace="t", max_size=2, l2_max_rows=8
-        )
-        for i in range(64):  # 32-put prune cadence fires twice
-            cache.put(("d", f"q{i}", "fp", 1), _payload(i))
-        assert backend.count("t:qcache") <= 8
-        assert len(cache) <= 2  # L1 keeps ThreadSafeLRU's bound
-
-
-class TestBackendViewStore:
-    @pytest.fixture()
-    def selection(self, engine, profile, world):
-        session = engine.start_session(
-            profile, location=world.stores[0].location
-        )
-        return session.selection
-
-    def test_peer_build_is_adopted(self, backend, star, selection):
-        fact = star.fact_table().fact.name
-        first = BackendViewStore(backend, namespace="t", max_size=8)
-        built = first.get_or_build(star, fact, selection)
-        assert first.stats()["builds"] == 1
-        assert first.stats()["l2_publishes"] == 1
-        second = BackendViewStore(backend, namespace="t", max_size=8)
-        adopted = second.get_or_build(star, fact, selection)
-        assert second.stats()["builds"] == 0
-        assert second.stats()["l2_hits"] == 1
-        assert adopted.fact_rows == built.fact_rows
-        assert adopted.selection.fingerprint() == selection.fingerprint()
-
-    def test_l1_hit_beats_l2(self, backend, star, selection):
-        fact = star.fact_table().fact.name
-        store = BackendViewStore(backend, namespace="t", max_size=8)
-        store.get_or_build(star, fact, selection)
-        store.get_or_build(star, fact, selection)
-        stats = store.stats()
-        assert stats["builds"] == 1
-        assert stats["hits"] == 1
-        assert stats["l2_hits"] == 0
-
-    def test_invalidate_clears_published_entries(self, backend, star, selection):
-        fact = star.fact_table().fact.name
-        store = BackendViewStore(backend, namespace="t", max_size=8)
-        store.get_or_build(star, fact, selection)
-        assert backend.count("t:views") == 1
-        store.invalidate()
-        assert backend.count("t:views") == 0
-        assert store.stats()["entries"] == 0
-
-    def test_stale_generation_is_unreachable(self, backend, star, selection):
-        """A peer's entry for an older star state is never adopted — the
-        generation in the key is the invalidation protocol."""
-        fact = star.fact_table().fact.name
-        first = BackendViewStore(backend, namespace="t", max_size=8)
-        first.get_or_build(star, fact, selection)
-        star.add_member("Product", "Family", "Exotic")  # bump the generation
-        second = BackendViewStore(backend, namespace="t", max_size=8)
-        second.get_or_build(star, fact, selection)
-        assert second.stats()["l2_hits"] == 0
-        assert second.stats()["builds"] == 1
 
 
 class TestBackendWorkloadJournal:

@@ -10,9 +10,15 @@ from repro.data import (
     build_regional_manager_profile,
     build_sales_star,
 )
-from repro.errors import PersonalizationError, PRMLSyntaxError, StorageError
+from repro.errors import (
+    PersonalizationError,
+    PRMLSyntaxError,
+    SchemaError,
+    StorageError,
+)
 from repro.geometry import LineString, Point
 from repro.personalization import PersonalizationEngine
+from repro.storage.snapshot import star_to_dict
 
 
 class _BrokenGeoSource:
@@ -38,8 +44,22 @@ class _EmptyGeoSource:
         return None
 
 
+def _tenant_state(engine):
+    """What a refused rule must leave as it was: the star's contents,
+    its log and generation, and the tenant schema."""
+    star = engine.star
+    return (
+        star_to_dict(star),
+        len(star.mutation_log),
+        star.generation,
+        engine.geomd_schema.to_dict(),
+    )
+
+
 class TestGeoSourceFailures:
     def test_type_mismatch_from_source_is_reported(self, world, user_schema):
+        """``BecomeSpatial`` refused after the same rule's ``AddLayer``:
+        the layer the rule would have loaded is not loaded either."""
         star = build_sales_star(world)
         first_store = star.dimension_table("Store").members("Store")[0].key
         source = _BrokenGeoSource()
@@ -49,6 +69,7 @@ class TestGeoSourceFailures:
             else None
         )
         engine = PersonalizationEngine(star, user_schema, geo_source=source)
+        before = _tenant_state(engine)
         # The tenant loads the level's geometries when the rule is
         # registered, so that is where the mismatch is reported.
         with pytest.raises(PersonalizationError, match="declared POINT"):
@@ -56,10 +77,12 @@ class TestGeoSourceFailures:
         assert engine.rules == []
         member = star.dimension_table("Store").members("Store")[0]
         assert member.geometry is None
+        assert _tenant_state(engine) == before
+        assert "Airport" not in star.layer_tables
 
     def test_a_refused_layer_load_writes_nothing(self, world, user_schema):
-        """A rule's layer loads in one write: a feature the layer refuses
-        leaves its table empty, and no feature write is logged."""
+        """A feature the layer refuses refuses the whole rule before any
+        write: no layer is declared, no table made, nothing logged."""
         star = build_sales_star(world)
         source = _BrokenGeoSource()
         source.layer_features = lambda name: [  # noqa: E731 - test shim
@@ -67,10 +90,42 @@ class TestGeoSourceFailures:
             ("bad", LineString([(0, 0), (1, 1)]), {}),
         ]
         engine = PersonalizationEngine(star, user_schema, geo_source=source)
+        before = _tenant_state(engine)
         with pytest.raises(StorageError, match="declared POINT"):
             engine.add_rule(ADD_SPATIALITY)
-        assert len(star.layer_table("Airport")) == 0
-        assert "feature" not in star.mutation_log.stats()["kinds"]
+        assert engine.rules == []
+        assert _tenant_state(engine) == before
+        assert "Airport" not in engine.geomd_schema.layers
+
+    @pytest.mark.parametrize(
+        "actions",
+        [
+            "AddLayer('Airport', POINT)\n    AddLayer('Airport', LINE)",
+            "BecomeSpatial(MD.Sales.Store.geometry, POINT)\n"
+            "    BecomeSpatial(MD.Sales.Store.geometry, POLYGON)",
+        ],
+        ids=["layer", "level"],
+    )
+    def test_a_rule_that_redeclares_writes_nothing(
+        self, world, user_schema, actions
+    ):
+        """The second action re-declares what the first declares with
+        another type: the rule is refused before its first load."""
+        engine = PersonalizationEngine(
+            build_sales_star(world), user_schema, geo_source=_EmptyGeoSource()
+        )
+        before = _tenant_state(engine)
+        rule = (
+            "Rule:twice When SessionStart do\n"
+            "  If (SUS.DecisionMaker.dm2role.name='RegionalSalesManager') then\n"
+            f"    {actions}\n"
+            "  endIf\n"
+            "endWhen\n"
+        )
+        with pytest.raises(SchemaError, match="cannot redeclare"):
+            engine.add_rule(rule)
+        assert engine.rules == []
+        assert _tenant_state(engine) == before
 
     def test_missing_source_data_leaves_members_bare(self, world, user_schema):
         star = build_sales_star(world)

@@ -16,7 +16,6 @@ import threading
 
 import pytest
 
-from repro.cluster.config import env_backend, make_view_store
 from repro.data import (
     ALL_PAPER_RULES,
     WorldGeoSource,
@@ -176,7 +175,7 @@ class TestInvalidation:
             user_schema,
             geo_source=WorldGeoSource(world),
             parameters={"threshold": 3},
-            view_store=make_view_store(1, backend=env_backend()),
+            view_store=ViewStore(1),
         )
         engine.add_rules(ALL_PAPER_RULES.values())
         first = engine.start_session(profile, location=world.stores[0].location)

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.cluster.backend import InMemoryBackend
-from repro.cluster.config import make_service_stores, make_view_store
+from repro.cluster.config import make_service_stores
 from repro.data import (
     ALL_PAPER_RULES,
     WorldGeoSource,
@@ -69,7 +69,6 @@ def _portal(world, loaded, backend):
         build_motivating_user_model(),
         geo_source=WorldGeoSource(world),
         parameters={"threshold": 3},
-        view_store=make_view_store(128, backend=backend, namespace="oi-views"),
     )
     engine.add_rules(ALL_PAPER_RULES.values())
     registry = DatamartRegistry()

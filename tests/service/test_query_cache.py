@@ -13,7 +13,6 @@ set, and bounded size.
 
 import pytest
 
-from repro.cluster.config import env_backend, make_query_cache
 from repro.errors import BadRequestError
 from repro.geomd import GeometricType
 from repro.data import (
@@ -21,6 +20,7 @@ from repro.data import (
     build_regional_manager_profile,
     build_sales_star,
 )
+from repro.lru import ThreadSafeLRU
 from repro.personalization import PersonalizationEngine
 from repro.service import (
     DatamartRegistry,
@@ -402,9 +402,7 @@ class TestConfiguration:
         assert again.to_dict() == cold.to_dict()
 
     def test_lru_eviction_bounds_entries(self, registry, world):
-        service = PersonalizationService(
-            registry, query_cache=make_query_cache(2, backend=env_backend())
-        )
+        service = PersonalizationService(registry, query_cache=ThreadSafeLRU(2))
         token = _login(service, world)
         queries = [
             QUERY,
@@ -416,11 +414,5 @@ class TestConfiguration:
         assert len(service._query_cache) == 2
         misses = service.query_cache_misses
         service.query(token, QueryRequest(q=queries[0]))
-        if hasattr(service._query_cache, "backend"):
-            # Backend-backed cache (REPRO_BACKEND=sqlite): the L1 evicted
-            # the oldest entry but the shared L2 retained it, so the
-            # re-query is a decode hit rather than a rebuild.
-            assert service.query_cache_misses == misses
-        else:
-            # The oldest entry was evicted: querying it again is a miss.
-            assert service.query_cache_misses == misses + 1
+        # The oldest entry was evicted: querying it again is a miss.
+        assert service.query_cache_misses == misses + 1

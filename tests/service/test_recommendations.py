@@ -2,7 +2,8 @@
 
 Overlapping workloads yield nonzero mutual similarity, a similar user's
 query outranks dissimilar noise, recommendations never leak outside the
-target's own personalization, and repeated calls answer from the
+target's own personalization, every recommended query runs for its
+requester, and repeated calls answer from the
 position-keyed profile cache with results identical to a cold run.  The
 differential gate replays a schedule of re-logins, selection reports,
 queries and layer fetches on two demo portals, one with the ``oracle``
@@ -11,8 +12,8 @@ switch set, and every recommendation body must be equal.
 
 import pytest
 
-from repro.cluster.backend import SqliteBackend
-from repro.cluster.config import make_journal
+from repro.cluster.backend import InMemoryBackend, SqliteBackend
+from repro.cluster.config import make_journal, make_service_stores
 from repro.data import (
     ALL_PAPER_RULES,
     DEMO_NOISE_QUERIES,
@@ -23,6 +24,7 @@ from repro.data import (
     DEMO_USERS,
     WorldGeoSource,
     build_motivating_user_model,
+    build_regional_manager_profile,
     build_sales_star,
     replay_demo_workload,
 )
@@ -152,6 +154,88 @@ class TestAcceptance:
         ).ok
         payload = get(portal, "/api/v1/recommendations/queries", ana)
         assert fresh in [item["item"]["q"] for item in payload["items"]]
+
+
+#: Example 5.3's selection report: four of them take a manager past the
+#: threshold of 3, and the next login adds the Train layer.
+CITY_REPORT = {
+    "target": "GeoMD.Store.City",
+    "condition": "Distance(GeoMD.Store.City.geometry, GeoMD.Airport.geometry)<20km",
+}
+TRAIN_QUERY = (
+    "SELECT COUNT(*) FROM Sales WHERE DISTANCE(Store.City, LAYER Train) < 50 KM"
+)
+CITY_QUERY = "SELECT SUM(UnitSales) FROM Sales BY Store.City"
+
+
+class TestRunnableByTheRequester:
+    """A recommended query is one its requester can run.
+
+    ana-garcia passes Example 5.3's threshold, so her next session's
+    schema has the Train layer and her Train query answers.  bo-manager
+    files one report and stays below it: his schema has no Train layer,
+    so the Train query is not offered to him, while ana-garcia's other
+    query is, and every offered query answers 200 for him.
+    """
+
+    @pytest.fixture(params=["in_heap", "backend"])
+    def app(self, request, world):
+        engine = PersonalizationEngine(
+            build_sales_star(world),
+            build_motivating_user_model(),
+            geo_source=WorldGeoSource(world),
+            parameters={"threshold": 3},
+        )
+        engine.add_rules(ALL_PAPER_RULES.values())
+        registry = DatamartRegistry()
+        tenant = registry.register("sales", engine, default=True)
+        for name in ("Ana Garcia", "Bo Manager"):
+            tenant.register_user(
+                build_regional_manager_profile(
+                    build_motivating_user_model(), name=name
+                )
+            )
+        backend = InMemoryBackend() if request.param == "backend" else None
+        return PortalApp(
+            service=PersonalizationService(
+                registry, **make_service_stores(backend)
+            )
+        )
+
+    @staticmethod
+    def _ok(app, method, path, body=None, token=None):
+        response = app.handle(method, path, body, token=token)
+        assert response.ok, response.body
+        return response.json()
+
+    def _login(self, app, world, user):
+        location = world.stores[0].location
+        return self._ok(
+            app,
+            "POST",
+            "/api/v1/login",
+            {"user": user, "location": [location.x, location.y]},
+        )["token"]
+
+    def test_every_recommended_query_answers(self, app, world):
+        ana = self._login(app, world, "ana-garcia")
+        for _ in range(4):
+            self._ok(app, "POST", "/api/v1/selection", CITY_REPORT, ana)
+        ana = self._login(app, world, "ana-garcia")
+        for q in (TRAIN_QUERY, CITY_QUERY):
+            self._ok(app, "POST", "/api/v1/query", {"q": q}, ana)
+        bo = self._login(app, world, "bo-manager")
+        self._ok(app, "POST", "/api/v1/selection", CITY_REPORT, bo)
+
+        payload = self._ok(
+            app, "GET", "/api/v1/recommendations/queries", token=bo
+        )
+        texts = [item["item"]["q"] for item in payload["items"]]
+        for q in texts:
+            response = app.handle("POST", "/api/v1/query", {"q": q}, token=bo)
+            assert response.status == 200, (q, response.body)
+        assert texts == [CITY_QUERY]
+        assert payload["page"]["total"] == 1
 
 
 GATE_STEPS = 12

@@ -31,6 +31,10 @@ from repro.web.server import MAX_BODY_BYTES, make_server
 #: The longest request or header line the adapter reads.
 LINE_LIMIT = 65536
 
+#: ``serve_forever``'s poll: ``shutdown()`` waits up to one poll, and the
+#: default of 0.5 s would make each server's teardown wait that long.
+POLL = {"poll_interval": 0.01}
+
 
 @pytest.fixture()
 def http_server(engine, profile):
@@ -38,7 +42,9 @@ def http_server(engine, profile):
     app.register_user(profile)
     server = make_server(app, "127.0.0.1", 0)  # port 0: pick a free port
     server.app = app
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs=POLL, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()
@@ -437,7 +443,9 @@ class TestAnswersAsInProcess:
         ]
         served, twin = _twin_portal(world), _twin_portal(world)
         server = make_server(served, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs=POLL, daemon=True
+        )
         thread.start()
         try:
             with _persistent(server.server_address) as (client, rfile):

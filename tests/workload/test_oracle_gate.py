@@ -236,6 +236,19 @@ def test_no_request_writes_the_star(smoke):
     assert _star_states(app) == registered
 
 
+def test_the_backend_holds_state_only(smoke):
+    """The shared backend keeps what a worker change must carry, the
+    sessions and the journal: a replay writes no other store and no
+    counter but the journal's sequence.  Query answers and views stay
+    in the worker's heap."""
+    world, stream = smoke
+    backend = InMemoryBackend()
+    _replay(world, stream, oracle=False, backend=backend)
+    assert set(backend.store_names()) <= {"wl:sessions", "wl:journal"}
+    assert backend.count("wl:journal") > 0
+    assert set(backend.counters()) == {"wl:journal:seq"}
+
+
 def test_as_of_reads_ran(replays):
     stream, (_, bodies, _), _ = replays
     answered = [
