@@ -1,11 +1,10 @@
 """The spatial index: envelope columns sorted on ``min_x``.
 
 :class:`EnvelopeColumns` is the index the engine serves from: the star
-caches one per layer (:meth:`~repro.storage.star.StarSchema.layer_grid_index`)
-and one inside each spatial level's record
+caches one inside each spatial level's record
 (:meth:`~repro.storage.star.StarSchema.level_grid_index`).  GeoMDQL
 spatial filters and PRML rules of Example 5.2's shape ("stores at less
-than 5 km of my location") both query it through
+than 5 km of my location") both probe it once per target through
 :func:`candidate_probe`, after :func:`distance_prefilter_sound` has said
 the pre-filter is exact for their metric and comparison; only the
 candidates then take the exact test.  Its columns are sorted on
@@ -99,40 +98,25 @@ class EnvelopeColumns(Generic[T]):
     """
 
     # One tuple of (items, entry numbers, min_x, min_y, max_x, max_y,
-    # width), the middle five in x-sorted order: readers snapshot it with
-    # a single attribute load, and extend() rebinds it atomically so a
-    # query racing an append sees a consistent (old or new) version.
+    # width), the middle five in x-sorted order, built once and never
+    # changed: a query reads it with a single attribute load.
     __slots__ = ("_columns",)
 
     def __init__(self, entries: Sequence[tuple[Geometry, T]]) -> None:
         if not entries:
             raise GeometryError("cannot build an index over zero entries")
-        self._columns = self._build([], [], entries)
-
-    @staticmethod
-    def _build(
-        items: Sequence[T],
-        rows: Iterable[tuple[float, float, float, float, int]],
-        entries: Sequence[tuple[Geometry, T]],
-    ) -> tuple:
-        """Fresh columns over ``rows`` (``(min_x, min_y, max_x, max_y,
-        entry)`` of the entries held so far) and ``entries`` after them."""
-        out_items = list(items)
-        out_rows = list(rows)
-        for geom, item in entries:
+        rows = []
+        for number, (geom, _item) in enumerate(entries):
             env = geom.envelope
-            out_rows.append(
-                (env.min_x, env.min_y, env.max_x, env.max_y, len(out_items))
-            )
-            out_items.append(item)
-        out_rows.sort(key=itemgetter(0))
-        min_x, min_y, max_x, max_y, numbers = zip(*out_rows)
+            rows.append((env.min_x, env.min_y, env.max_x, env.max_y, number))
+        rows.sort(key=itemgetter(0))
+        min_x, min_y, max_x, max_y, numbers = zip(*rows)
         # Rounded up: every envelope's exact width is at most this.
         width = math.nextafter(
             max(hi - lo for lo, hi in zip(min_x, max_x)), math.inf
         )
-        return (
-            out_items,
+        self._columns = (
+            [item for _geom, item in entries],
             array("q", numbers),
             array("d", min_x),
             array("d", min_y),
@@ -143,24 +127,6 @@ class EnvelopeColumns(Generic[T]):
 
     def __len__(self) -> int:
         return len(self._columns[0])
-
-    def extend(self, entries: Sequence[tuple[Geometry, T]]) -> None:
-        """Append entries (the feature-delta patch path).
-
-        Layers are append-only, so a built index absorbs new features
-        without re-reading the layer.  Copy-on-write: the columns are
-        re-sorted with the new envelopes into fresh arrays and swapped
-        in with one atomic attribute rebind — concurrent readers keep
-        answering over the version they snapshotted.  Callers must
-        serialize ``extend`` against each other; the star does so under
-        its cache lock.
-        """
-        if not entries:
-            return
-        items, numbers, min_x, min_y, max_x, max_y, _width = self._columns
-        self._columns = self._build(
-            items, zip(min_x, min_y, max_x, max_y, numbers), entries
-        )
 
     def query_envelope(self, env: Envelope) -> list[T]:
         """Items whose envelope intersects ``env`` (candidate set), in

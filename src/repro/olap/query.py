@@ -372,28 +372,14 @@ def _spatial_matching_with_index(
     """Member keys matching ``flt``, pre-filtered through the envelope
     columns of the level's cached record (:meth:`StarSchema.level_grid_index`).
 
-    Two orientations, chosen by which side is smaller: usually targets
-    are few (layer features, literal geometries), so each target's
-    envelope queries the member index and only surviving candidates get
-    exact tests; when a layer has more features than the level has
-    located members, each member instead queries the layer's feature
-    index (:meth:`StarSchema.layer_grid_index`).
+    Each target's envelope (a layer feature or a literal geometry)
+    probes the level's columns once, and only the candidate members get
+    the exact test: the path Example 5.2's rule takes at every login.
     """
     record = star.level_grid_index(dimension, level)
     if record is None:
         return set()  # no member of the level carries a geometry yet
     index, members, geometries = record.index, record.members, record.geometries
-    if isinstance(flt.target, LayerRef) and len(targets) > len(index):
-        layer_cached = star.layer_grid_index(flt.target.name)
-        if layer_cached is not None:
-            located = [
-                (member.key, geometry)
-                for member, geometry in zip(members, geometries)
-                if geometry is not None
-            ]
-            return _match_members_against_layer_index(
-                flt, metric, located, *layer_cached
-            )
     matching: set[str] = set()
     if flt.relation is SpatialRelation.DISTANCE:
         assert flt.op is not None and flt.threshold is not None
@@ -432,44 +418,6 @@ def _spatial_matching_with_index(
                 continue
             if predicate(geometries[position], target):
                 matching.add(key)
-    return matching
-
-
-def _match_members_against_layer_index(
-    flt: SpatialFilter,
-    metric: Metric,
-    located: list[tuple[str, Geometry]],
-    target_index,
-    target_geoms: list[Geometry],
-) -> set[str]:
-    """The member-iterating orientation: each located member's envelope
-    queries the layer's feature grid for candidate targets."""
-    matching: set[str] = set()
-    if flt.relation is SpatialRelation.DISTANCE:
-        assert flt.op is not None and flt.threshold is not None
-        for key, geometry in located:
-            probe = candidate_probe(geometry.envelope, flt.threshold)
-            if any(
-                flt.op.apply(
-                    metric.distance(geometry, target_geoms[i]), flt.threshold
-                )
-                for i in target_index.query_envelope(probe)
-            ):
-                matching.add(key)
-        return matching
-    predicate = _relation_predicate(flt.relation)
-    for key, geometry in located:
-        candidates = target_index.query_envelope(
-            candidate_probe(geometry.envelope)
-        )
-        if flt.relation is SpatialRelation.DISJOINT:
-            # Non-candidate features are envelope-separated, hence
-            # disjoint; the member survives iff it is disjoint from
-            # every envelope-level candidate too.
-            if all(predicate(geometry, target_geoms[i]) for i in candidates):
-                matching.add(key)
-        elif any(predicate(geometry, target_geoms[i]) for i in candidates):
-            matching.add(key)
     return matching
 
 

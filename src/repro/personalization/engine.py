@@ -294,7 +294,9 @@ class PersonalizedSession:
         """Re-evaluate instance rules mid-session (after interest changes)."""
         if self.closed:
             raise PersonalizationError("session is closed")
-        outcomes = self.engine._run_phase(self.context, RulePhase.INSTANCE)
+        outcomes = self.engine._run_event(
+            self.context, SessionStartEvent(), phases=(RulePhase.INSTANCE,)
+        )
         self.outcomes.extend(outcomes)
         return outcomes
 
@@ -634,18 +636,6 @@ class PersonalizationEngine:
                 continue
             outcomes.append(self._safe_execute(evaluator, registered))
         return outcomes
-
-    def _run_phase(
-        self, context: RuntimeContext, phase: RulePhase
-    ) -> list[RuleOutcome]:
-        evaluator = Evaluator(context)
-        return [
-            self._safe_execute(evaluator, registered)
-            for registered in self.rules
-            if registered.enabled
-            and registered.phase is phase
-            and isinstance(registered.rule.event, SessionStartEvent)
-        ]
 
     def _fire_spatial_selection(
         self,

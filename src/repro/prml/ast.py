@@ -206,16 +206,6 @@ class SpatialFunction(enum.Enum):
     DISTANCE = "Distance"
     INTERSECTION = "Intersection"
 
-    @property
-    def is_predicate(self) -> bool:
-        return self in (
-            SpatialFunction.INTERSECT,
-            SpatialFunction.DISJOINT,
-            SpatialFunction.CROSS,
-            SpatialFunction.INSIDE,
-            SpatialFunction.EQUALS,
-        )
-
 
 @dataclass(frozen=True)
 class SpatialCall(Expr):

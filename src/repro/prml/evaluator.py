@@ -277,25 +277,16 @@ class SelectionSet:
         """Allowed leaf keys projected onto one fact's dimensions.
 
         This is *the* row filter of a personalized view: a fact row
-        survives iff every relevant dimension's key is in its set (see
-        :meth:`row_matches`).  Full builds (:meth:`fact_row_ids`) and the
-        view store's incremental patches share this projection so the two
-        paths can never diverge.
+        survives iff every relevant dimension's key is in its set.  Full
+        builds (:meth:`fact_row_ids`) and the view store's incremental
+        patches share this projection so the two paths can never
+        diverge.
         """
         return {
             dim: keys
             for dim, keys in self.allowed_leaf_keys(star).items()
             if dim in fact_table.fact.dimension_names
         }
-
-    @staticmethod
-    def row_matches(
-        coordinates: dict[str, str], relevant: dict[str, set[str]]
-    ) -> bool:
-        """Whether one fact row's keys survive the projected selection."""
-        return all(
-            coordinates[dim] in keys for dim, keys in relevant.items()
-        )
 
     def fact_row_ids(self, star: StarSchema, fact: str | None = None) -> list[int]:
         """Fact rows surviving the member selections (ascending row ids).

@@ -31,7 +31,7 @@ user's journal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.lru import ThreadSafeLRU
 from repro.reco.journal import WorkloadJournal
@@ -184,20 +184,39 @@ class Recommender:
 
     # -- candidate collection -----------------------------------------------------
 
+    @staticmethod
     def _ranked(
-        self,
         kind: str,
-        votes: dict[tuple, tuple[dict, float, list[str]]],
+        fields: tuple[str, ...],
+        user_id: str,
+        neighbours: list[tuple[str, float]],
+        items_of: Callable[[str], Iterable[tuple]],
+        exclude: Iterable[tuple] = (),
     ) -> list[Recommendation]:
-        """Sort candidates by score desc, then by identity for stability."""
+        """The neighbours' votes, ranked by score, then by identity.
+
+        ``items_of(user)`` gives a user's items as identity tuples (the
+        item is ``fields`` zipped with one).  In neighbour order, each
+        neighbour adds its similarity to the score of every item it has
+        that neither the requester has nor ``exclude`` names, and joins
+        its supporters, so every score sums in the same order.
+        """
+        owned = {*exclude, *items_of(user_id)}
+        votes: dict[tuple, tuple[float, list[str]]] = {}
+        for other, similarity in neighbours:
+            for identity in items_of(other):
+                if identity in owned:
+                    continue
+                score, supporters = votes.get(identity, (0.0, []))
+                votes[identity] = (score + similarity, supporters + [other])
         recommendations = [
             Recommendation(
                 kind=kind,
-                item=item,
+                item=dict(zip(fields, identity)),
                 score=score,
                 supporters=tuple(sorted(supporters)),
             )
-            for item, score, supporters in votes.values()
+            for identity, (score, supporters) in votes.items()
         ]
         recommendations.sort(key=lambda r: (-r.score, sorted(r.item.items())))
         return recommendations
@@ -208,15 +227,13 @@ class Recommender:
         user_id: str,
         neighbours: list[tuple[str, float]],
     ) -> list[Recommendation]:
-        already_ran = set(self.journal.queries(datamart, user_id))
-        votes: dict[tuple, tuple[dict, float, list[str]]] = {}
-        for other, similarity in neighbours:
-            for q in self.journal.queries(datamart, other):
-                if q in already_ran:
-                    continue
-                item, score, supporters = votes.get((q,), ({"q": q}, 0.0, []))
-                votes[(q,)] = (item, score + similarity, supporters + [other])
-        return self._ranked("queries", votes)
+        return self._ranked(
+            "queries",
+            ("q",),
+            user_id,
+            neighbours,
+            lambda user: [(q,) for q in self.journal.queries(datamart, user)],
+        )
 
     def _layer_candidates(
         self,
@@ -225,24 +242,18 @@ class Recommender:
         neighbours: list[tuple[str, float]],
         allowed_layers: Iterable[str] | None,
     ) -> list[Recommendation]:
-        fetched = self.journal.layers(datamart, user_id)
         allowed = None if allowed_layers is None else set(allowed_layers)
-        votes: dict[tuple, tuple[dict, float, list[str]]] = {}
-        for other, similarity in neighbours:
-            for layer in self.journal.layers(datamart, other):
-                if layer in fetched:
-                    continue
-                if allowed is not None and layer not in allowed:
-                    continue
-                item, score, supporters = votes.get(
-                    (layer,), ({"layer": layer}, 0.0, [])
-                )
-                votes[(layer,)] = (
-                    item,
-                    score + similarity,
-                    supporters + [other],
-                )
-        return self._ranked("layers", votes)
+        return self._ranked(
+            "layers",
+            ("layer",),
+            user_id,
+            neighbours,
+            lambda user: [
+                (layer,)
+                for layer in self.journal.layers(datamart, user)
+                if allowed is None or layer in allowed
+            ],
+        )
 
     def _member_candidates(
         self,
@@ -251,38 +262,20 @@ class Recommender:
         neighbours: list[tuple[str, float]],
         exclude_members: Iterable[tuple[str, str, str]],
     ) -> list[Recommendation]:
-        excluded: set[tuple[str, str, str]] = set(exclude_members)
-        for (dimension, level), keys in self.journal.member_profile(
-            datamart, user_id
-        ).items():
-            excluded.update((dimension, level, key) for key in keys)
-        votes: dict[tuple, tuple[dict, float, list[str]]] = {}
-        for other, similarity in neighbours:
-            for (dimension, level), keys in self.journal.member_profile(
-                datamart, other
-            ).items():
-                for key in keys:
-                    identity = (dimension, level, key)
-                    if identity in excluded:
-                        continue
-                    item, score, supporters = votes.get(
-                        identity,
-                        (
-                            {
-                                "dimension": dimension,
-                                "level": level,
-                                "key": key,
-                            },
-                            0.0,
-                            [],
-                        ),
-                    )
-                    votes[identity] = (
-                        item,
-                        score + similarity,
-                        supporters + [other],
-                    )
-        return self._ranked("members", votes)
+        return self._ranked(
+            "members",
+            ("dimension", "level", "key"),
+            user_id,
+            neighbours,
+            lambda user: [
+                (dimension, level, key)
+                for (dimension, level), keys in self.journal.member_profile(
+                    datamart, user
+                ).items()
+                for key in keys
+            ],
+            exclude_members,
+        )
 
     # -- introspection ------------------------------------------------------------
 

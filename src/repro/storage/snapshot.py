@@ -8,10 +8,10 @@ baseline when it attaches, then one every ``checkpoint_interval``
 generations), and answers :meth:`StarHistory.as_of` by copying the
 newest checkpoint at or before the requested generation and replaying
 the mutation log's typed deltas forward onto the copy.  Every star
-write (a level's geometry load included) logs its delta, so any range
-the bounded log still holds replays.  Copies and replay preserve
-insertion order end to end — member levels, fact row
-order, dictionary code assignment — so a query against the
+write (a level's geometry load and a layer's feature load included)
+logs its delta, so any range the bounded log still holds replays.
+Copies and replay preserve insertion order end to end — member levels,
+fact row order, dictionary code assignment — so a query against the
 reconstructed star is bit-identical to the answer the live star gave at
 that generation.
 
@@ -301,14 +301,9 @@ class StarHistory:
                 thaw_mapping(payload["geometries"]),
             )
         elif mutation.kind == "feature":
-            entries = (
-                [(payload["name"], payload["geometry"], payload["attributes"])]
-                if mutation.op == "add"
-                else payload["features"]
-            )
             table = star.layer_table(mutation.layer)
             fresh = []
-            for name, geometry, attributes in entries:
+            for name, geometry, attributes in payload["features"]:
                 try:
                     table.feature(str(name))
                 except StorageError:

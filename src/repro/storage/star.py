@@ -4,8 +4,8 @@ A :class:`StarSchema` owns one :class:`~repro.storage.tables.DimensionTable`
 per dimension, one :class:`~repro.storage.tables.FactTable` per fact and one
 :class:`~repro.storage.tables.LayerTable` per thematic layer.  It enforces
 referential integrity (fact keys must reference leaf members) and geometry
-conformance for spatial levels, and provides the roll-up caches the OLAP
-engine relies on.
+conformance for spatial levels, and provides the roll-up structures the
+OLAP engine relies on.
 
 Generation-based invalidation
 -----------------------------
@@ -14,18 +14,16 @@ The star is the shared substrate of every cache in the hot request path
 (memoized personalized views, the service query cache, the lazy indexes
 below), so it carries a monotonically-increasing :attr:`~StarSchema.generation`
 counter.  Every write — a member add, a level's geometry load
-(:meth:`~StarSchema.become_spatial`), a fact append, a feature add or
-bulk load, a layer add — bumps it; downstream caches store the
-generation they were built at and treat any difference as a miss.  A
-tenant's rules write the star only when they are registered (the layers
-and level geometries their schema actions name); serving never writes
-it, so besides registration only ingest moves the generation.  The
-lazy structures owned here (the inverted roll-up index, the leaf-code
-roll-up translation tables, the per-layer
-:class:`~repro.geometry.index.EnvelopeColumns` envelope columns and the
-per-level :class:`LevelGeometries` records) are instead patched or
-dropped *in place* by the write itself, so they can never serve stale
-data.
+(:meth:`~StarSchema.become_spatial`), a fact append, a layer's feature
+load, a layer add — bumps it; downstream caches store the generation
+they were built at and treat any difference as a miss.  A tenant's
+rules write the star only when they are registered (the layers and
+level geometries their schema actions name); serving never writes it,
+so besides registration only ingest moves the generation.  The lazy
+structures owned here (the inverted roll-up index, the leaf-code
+roll-up translation tables and the per-level :class:`LevelGeometries`
+records) are instead patched or dropped *in place* by the write
+itself, so they can never serve stale data.
 
 The oracle switch
 -----------------
@@ -68,14 +66,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from repro.concurrency import make_rlock
+from repro.concurrency import make_lock, make_rlock
 from repro.errors import StorageError
 from repro.geomd.gtypes_enum import GeometricType
 from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema
 from repro.geometry import Geometry, LineString, Point, Polygon
 from repro.geometry.index import EnvelopeColumns
 from repro.mdm.model import MDSchema
-from repro.storage.tables import DimensionTable, FactTable, Feature, LayerTable, Member
+from repro.storage.tables import DimensionTable, FactTable, LayerTable, Member
 
 __all__ = [
     "LevelGeometries",
@@ -132,8 +130,8 @@ class StarMutation:
 
     ``generation`` is the star generation *after* the write.  Every
     mutation carries its delta: a fact append the appended ``row_ids``;
-    a member add, a geometry load, a feature add or bulk load and a
-    layer add their arguments in ``payload`` (a :func:`freeze_payload`
+    a member add, a geometry load, a layer's feature load and a layer
+    add their arguments in ``payload`` (a :func:`freeze_payload`
     tuple), tagged by ``op``.  Downstream caches patch through these
     deltas and :class:`repro.storage.snapshot.StarHistory` replays them.
     """
@@ -225,7 +223,7 @@ class MutationLog:
             }
 
 #: Sentinel distinguishing "not cached yet" from a cached ``None``
-#: (an empty layer/level legitimately caches as ``None``).
+#: (a level without geometries legitimately caches as ``None``).
 _UNBUILT = object()
 
 
@@ -260,8 +258,8 @@ class _RollupTranslation:
         """Translate any leaf codes interned since the last build.
 
         Must be called under the star's ``_cache_lock``; appends one
-        entry per new dictionary code, resolving ancestry through the
-        (cached) :meth:`StarSchema.rollup_member` path.
+        entry per new dictionary code, resolving ancestry by walking
+        parent links (:meth:`StarSchema.rollup_member`).
         """
         dictionary = table.dictionary(dimension)
         size = len(dictionary)
@@ -317,18 +315,14 @@ class StarSchema:
         if isinstance(schema, GeoMDSchema):
             for name, layer in schema.layers.items():
                 self._layers[name] = LayerTable(layer)
-        # (dimension, leaf_key, level, member generation) -> ancestor
-        # member; filled lazily.
-        # guarded-by: _cache_lock
-        self._rollup_cache: dict[tuple[str, str, str, int], Member] = {}
         # dimension -> member generation, the stamp of its roll-up
-        # caches (keyed on it instead of the global generation, so no
-        # write evicts a resolved roll-up).  No write moves it: parent
-        # links are fixed when a member is added, a new leaf is
-        # referenced by no existing fact, and a geometry load changes no
-        # link, so every resolved roll-up stays correct.  The stamp
-        # keeps the caches' keys generation-carrying, as the ``gen-key``
-        # lint rule requires of every cache.
+        # translation tables (keyed on it instead of the global
+        # generation, so no write evicts a resolved roll-up).  No write
+        # moves it: parent links are fixed when a member is added, a new
+        # leaf is referenced by no existing fact, and a geometry load
+        # changes no link, so every resolved roll-up stays correct.  The
+        # stamp keeps the tables' keys generation-carrying, as the
+        # ``gen-key`` lint rule requires of every cache.
         self._member_generations: dict[str, int] = {}
         # Bumped by every write but a fact append; the recommender's
         # profile cache keys on this (profiles read members and the
@@ -347,9 +341,6 @@ class StarSchema:
         # when the fact dictionary grows.
         # guarded-by: _cache_lock
         self._rollup_translations: dict[tuple[str, str, str], _RollupTranslation] = {}
-        # layer name -> (EnvelopeColumns over feature ids, [geometries]) | None.
-        # guarded-by: _cache_lock
-        self._layer_grid: dict[str, object] = {}
         # (dimension, level) -> LevelGeometries | None.
         # guarded-by: _cache_lock
         self._level_grid: dict[tuple[str, str], object] = {}
@@ -358,9 +349,7 @@ class StarSchema:
         #: per-session, so two sessions of one tenant can race a build
         #: against a mutation; without the lock the loser could install
         #: a permanently stale index.
-        # An RLock: rollup_member guards its cache store with it and is
-        # also called from rollup_index's build, which already holds it.
-        self._cache_lock = make_rlock("StarSchema._cache_lock")
+        self._cache_lock = make_lock("StarSchema._cache_lock")
         #: Observers of every mutation, called with a :class:`StarMutation`
         #: *outside* ``_cache_lock`` (listeners may take their own locks
         #: and read the star back).  The engine's shared view store
@@ -449,24 +438,6 @@ class StarSchema:
                     continue
                 index.setdefault(ancestor.key, set()).add(key)
         self._level_grid.pop((dimension, level), None)
-
-    def _patch_feature_add(self, layer: str, geometry: Geometry) -> None:  # guarded-by-caller: _cache_lock
-        """Append one feature's envelope to a built layer grid, in place.
-
-        Must be called under ``_cache_lock``.  An unbuilt grid stays
-        unbuilt; a grid cached as ``None`` (layer was empty) is dropped
-        so the next read builds it over the now non-empty layer.
-        """
-        cached = self._layer_grid.get(layer, _UNBUILT)
-        if cached is _UNBUILT:
-            return
-        if cached is None:
-            self._layer_grid.pop(layer, None)
-            return
-        index, geometries = cached  # type: ignore[misc]
-        position = len(geometries)
-        geometries.append(geometry)
-        index.extend([(geometry, position)])
 
     # -- access ---------------------------------------------------------------
 
@@ -733,33 +704,6 @@ class StarSchema:
             self._notify(mutation)
         return row_ids
 
-    def add_feature(
-        self,
-        layer: str,
-        name: str,
-        geometry: Geometry,
-        attributes: Mapping[str, object] | None = None,
-    ) -> Feature:
-        """Add one feature; a built envelope grid of the layer is
-        extended in place (layers are append-only)."""
-        feature = self.layer_table(layer).add_feature(name, geometry, attributes)
-        with self._cache_lock:
-            self._patch_feature_add(layer, geometry)
-            mutation = self._log(
-                "feature",
-                layer=layer,
-                op="add",
-                payload=freeze_payload(
-                    {
-                        "name": name,
-                        "geometry": geometry,
-                        "attributes": dict(feature.attributes),
-                    }
-                ),
-            )
-        self._notify(mutation)
-        return feature
-
     def add_features(
         self,
         layer: str,
@@ -770,13 +714,12 @@ class StarSchema:
 
         Every feature is checked before any is added (a wrong geometric
         type or a taken name raises :class:`~repro.errors.StorageError`
-        and changes nothing).  The layer's envelope grid is dropped and
-        rebuilt on its next read, and one ``feature`` mutation of op
-        ``bulk`` carries every loaded feature.
+        and changes nothing).  One ``feature`` mutation of op ``bulk``
+        carries every loaded feature; it is the star's only feature
+        write.
         """
         loaded = self.layer_table(layer).add_features(features)
         with self._cache_lock:
-            self._layer_grid.pop(layer, None)
             mutation = self._log(
                 "feature",
                 layer=layer,
@@ -794,18 +737,9 @@ class StarSchema:
     # -- roll-up ------------------------------------------------------------------
 
     def rollup_member(self, dimension: str, leaf_key: str, level: str) -> Member:
-        """Ancestor of a leaf member at ``level`` (cached per member generation)."""
-        member_generation = self._member_generations.get(dimension, 0)
-        cache_key = (dimension, leaf_key, level, member_generation)
-        cached = self._rollup_cache.get(cache_key)  # lint-ok: lock-guard, check-then-act - GIL-atomic fast path; the store below rechecks under the lock
-        if cached is not None:
-            return cached
+        """Ancestor of a leaf member at ``level``, by its parent links."""
         table = self.dimension_table(dimension)
-        leaf_member = table.member(table.dimension.leaf, leaf_key)
-        ancestor = table.rollup(leaf_member, level)
-        with self._cache_lock:
-            self._rollup_cache.setdefault(cache_key, ancestor)
-        return ancestor
+        return table.rollup(table.member(table.dimension.leaf, leaf_key), level)
 
     def rollup_index(self, dimension: str, level: str) -> dict[str, set[str]]:
         """Inverted roll-up map: ``ancestor key at level -> leaf keys``.
@@ -815,11 +749,8 @@ class StarSchema:
         O(leaf-members) scan per query into dict lookups.
         """
         cache_key = (dimension, level)
-        # Read and build under the cache lock (an RLock, so the nested
-        # rollup_member calls re-enter it): the unlocked double-checked
-        # fast path this used to have was grandfathered in the lint
-        # baseline and is retired — the lock is uncontended in steady
-        # state and a dict .get under it costs the same dict .get.
+        # Read and build under the cache lock: it is uncontended in
+        # steady state, so a dict .get under it costs the same dict .get.
         with self._cache_lock:
             index = self._rollup_index.get(cache_key)
             if index is None:
@@ -839,9 +770,9 @@ class StarSchema:
         The vectorized group-by's unit: ``table.codes`` maps every code
         of the fact's ``dimension`` dictionary to an ordinal into
         ``table.keys`` (distinct ancestor keys at ``level``).  Stamped
-        with the dimension's member generation like the roll-up caches
-        (no write moves that stamp); a dictionary growth (fact appends
-        interning new leaf keys) extends it in place.
+        with the dimension's member generation (no write moves that
+        stamp); a dictionary growth (fact appends interning new leaf
+        keys) extends it in place.
         """
         cache_key = (fact, dimension, level)
         table = self.fact_table(fact)
@@ -884,34 +815,7 @@ class StarSchema:
                 out.add(leaf.key)
         return out
 
-    # -- lazy spatial indexes -----------------------------------------------------
-
-    def layer_grid_index(
-        self, name: str
-    ) -> tuple[EnvelopeColumns, list[Geometry]] | None:
-        """Cached envelope columns over one layer's features (``None`` if empty).
-
-        Returns ``(index, geometries)`` where the index items are positions
-        into ``geometries``.  The index is an
-        :class:`~repro.geometry.index.EnvelopeColumns` — four parallel
-        coordinate arrays whose envelope query is a vectorized range
-        test.  Extended by :meth:`add_feature`, dropped by
-        :meth:`add_features`.
-        """
-        with self._cache_lock:
-            cached = self._layer_grid.get(name, _UNBUILT)
-            if cached is _UNBUILT:
-                table = self.layer_table(name)
-                geometries = [f.geometry for f in table.features()]
-                if geometries:
-                    index = EnvelopeColumns(
-                        [(g, i) for i, g in enumerate(geometries)]
-                    )
-                    cached = (index, geometries)
-                else:
-                    cached = None
-                self._layer_grid[name] = cached
-        return cached  # type: ignore[return-value]
+    # -- lazy spatial index -------------------------------------------------------
 
     def level_grid_index(
         self, dimension: str, level: str

@@ -162,13 +162,6 @@ class UserModelSchema:
             if c.stereotype is SUSStereotype.SESSION
         ]
 
-    def spatial_selection_classes(self) -> list[UserClass]:
-        return [
-            c
-            for c in self.classes.values()
-            if c.stereotype is SUSStereotype.SPATIAL_SELECTION
-        ]
-
     def to_uml(self) -> Model:
         """The Fig. 4-style UML class diagram for this user model."""
         from repro.geomd.gtypes_enum import geometric_types_enumeration

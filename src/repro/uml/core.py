@@ -164,10 +164,6 @@ class AssociationEnd:
         self.lower = lower
         self.upper = upper
 
-    @property
-    def is_collection(self) -> bool:
-        return self.upper is None or self.upper > 1
-
     def __repr__(self) -> str:
         return f"<AssociationEnd {self.role!r}: {self.type.name}>"
 

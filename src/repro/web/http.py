@@ -187,9 +187,6 @@ class Router:
         self._routes: list[tuple[str, re.Pattern[str], Handler]] = []
         self._middlewares: list[Middleware] = list(middlewares or [])
 
-    def add_middleware(self, middleware: Middleware) -> None:
-        self._middlewares.append(middleware)
-
     def add(self, method: str, pattern: str, handler: Handler) -> None:
         if not pattern.startswith("/"):
             raise WebError(f"route pattern must start with '/': {pattern!r}")

@@ -198,21 +198,14 @@ def envelope_queries(draw, geometries):
 
 
 class TestEnvelopeColumnsProperties:
-    @staticmethod
-    def _assert_linear(columns, held, data):
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_query_equals_linear_intersects_filter(self, data):
+        held = data.draw(st.lists(mixed_geometries, min_size=1, max_size=40))
+        columns = EnvelopeColumns(list(zip(held, range(len(held)))))
         assert len(columns) == len(held)
         for _ in range(4):
             query = data.draw(envelope_queries(held))
             assert columns.query_envelope(query) == [
                 i for i, g in enumerate(held) if g.envelope.intersects(query)
             ]
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_query_equals_linear_intersects_filter(self, data):
-        held = data.draw(st.lists(mixed_geometries, min_size=1, max_size=40))
-        columns = EnvelopeColumns(list(zip(held, range(len(held)))))
-        self._assert_linear(columns, held, data)
-        more = data.draw(st.lists(mixed_geometries, min_size=1, max_size=20))
-        columns.extend(list(zip(more, range(len(held), len(held) + len(more)))))
-        self._assert_linear(columns, held + more, data)

@@ -135,33 +135,37 @@ def test_literal_geometry_target(spatial_star, world):
     ],
 )
 def test_layer_index_orientation_agrees_with_scan(spatial_star, relation):
-    """When a layer has more features than the level has members, the
-    fast path flips to querying the layer's feature grid per member —
-    that orientation must agree with the scan too."""
+    """A layer with more features than the level has members is still
+    one input to the one index path (each feature probes the level's
+    envelope columns), which must agree with the scan."""
     table = spatial_star.dimension_table("Store")
     member_count = len(table.members("Store"))
     a_geometry = table.leaf_members()[0].geometry
-    for i in range(member_count + 5):
-        spatial_star.add_feature(
-            "Airport",
-            f"extra-{i}",
-            Point(a_geometry.x + i * 1000.0, a_geometry.y),
-        )
+    spatial_star.add_features(
+        "Airport",
+        [
+            (f"extra-{i}", Point(a_geometry.x + i * 1000.0, a_geometry.y), None)
+            for i in range(member_count + 5)
+        ],
+    )
     flt = SpatialFilter(LevelRef("Store"), relation, LayerRef("Airport"))
     fast, slow = _both_paths(spatial_star, flt)
     assert fast.cells == slow.cells
 
 
 def test_layer_index_orientation_distance_agrees_with_scan(spatial_star):
+    """The DISTANCE case of the test above: the layer, larger than the
+    level, probes the level's envelope columns once per feature."""
     table = spatial_star.dimension_table("Store")
     member_count = len(table.members("Store"))
     a_geometry = table.leaf_members()[0].geometry
-    for i in range(member_count + 5):
-        spatial_star.add_feature(
-            "Airport",
-            f"extra-{i}",
-            Point(a_geometry.x + i * 1000.0, a_geometry.y),
-        )
+    spatial_star.add_features(
+        "Airport",
+        [
+            (f"extra-{i}", Point(a_geometry.x + i * 1000.0, a_geometry.y), None)
+            for i in range(member_count + 5)
+        ],
+    )
     flt = SpatialFilter(
         LevelRef("Store"),
         SpatialRelation.DISTANCE,
@@ -183,8 +187,8 @@ def test_index_results_follow_feature_inserts(spatial_star):
     store_geom = (
         spatial_star.dimension_table("Store").leaf_members()[0].geometry
     )
-    spatial_star.add_feature(
-        "Airport", "OnTopOfStore", Point(store_geom.x, store_geom.y)
+    spatial_star.add_features(
+        "Airport", [("OnTopOfStore", Point(store_geom.x, store_geom.y), None)]
     )
     after = execute(spatial_star, _query(flt))
     assert after.fact_rows_matched > before.fact_rows_matched

@@ -142,7 +142,7 @@ class TestInvalidation:
         star = session.context.star
         stale = session.view()
         generation = star.generation
-        star.add_feature("Airport", "Test Field", Point(1.0, 2.0))
+        star.add_features("Airport", [("Test Field", Point(1.0, 2.0), None)])
         assert star.generation == generation + 1
         fresh = session.view()
         assert fresh is stale

@@ -163,7 +163,9 @@ class TestInvalidation:
 
         warm = session.view()
         builds = engine.view_store.stats()["builds"]
-        session.context.star.add_feature("Airport", "Test Field", Point(1.0, 2.0))
+        session.context.star.add_features(
+            "Airport", [("Test Field", Point(1.0, 2.0), None)]
+        )
         fresh = session.view()
         assert fresh is warm
         assert engine.view_store.stats()["builds"] == builds

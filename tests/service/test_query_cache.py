@@ -159,7 +159,9 @@ class TestHitsAndMisses:
 
         first = service.query(token, QueryRequest(q=QUERY))
         mutations = [
-            lambda: star.add_feature("Airport", "Test Field", Point(0.0, 0.0)),
+            lambda: star.add_features(
+                "Airport", [("Test Field", Point(0.0, 0.0), None)]
+            ),
             lambda: star.add_member("Product", "Family", "Test Family"),
             add_layer,
         ]
@@ -188,7 +190,7 @@ class TestHitsAndMisses:
             {d: row[d] for d in fact_table.fact.dimension_names},
             {m: row[m] for m in fact_table.fact.measures},
         )
-        star.add_feature("Airport", "Test Field", Point(0.0, 0.0))
+        star.add_features("Airport", [("Test Field", Point(0.0, 0.0), None)])
         again = service.query(token, past)
         assert service.query_cache_misses == 1
         assert service.query_cache_hits == 1

@@ -67,7 +67,7 @@ def _fact_insert(star, world):
 
 
 def _feature_add(star, world):
-    star.add_feature("Harbour", "Pier 1", Point(1.0, 2.0))
+    star.add_features("Harbour", [("Pier 1", Point(1.0, 2.0), None)])
 
 
 def _layer_add(star, world):

@@ -225,7 +225,7 @@ class TestBitIdentity:
             star.schema.add_layer(layers[-1], GeometricType.POINT)
             star.ensure_layer_table(layers[-1])
         elif kind == 3:
-            star.add_feature(layers[-1], f"f{index}", Point(value, index))
+            star.add_features(layers[-1], [(f"f{index}", Point(value, index), None)])
         else:
             star.become_spatial(
                 "D.G", GeometricType.POINT, {f"g{index % 2}": Point(value, index)}

@@ -1,7 +1,7 @@
 """Tests for the storage-layer index hierarchy and its invalidation.
 
 Covers the fact-table posting lists, the inverted roll-up index, the
-lazy per-layer/per-level envelope indexes and the star generation counter —
+lazy per-level envelope indexes and the star generation counter —
 each must agree exactly with the scan it replaces and must never serve
 stale data after a mutation.
 """
@@ -177,27 +177,3 @@ class TestEnvelopeIndexCaches:
 
     def test_level_grid_index_none_without_geometry(self, loaded_star):
         assert loaded_star.level_grid_index("Store", "Store") is None
-
-    def test_layer_grid_index_cached_and_invalidated(self, loaded_star):
-        schema = loaded_star.schema
-        schema.add_layer("Airport", GeometricType.POINT)
-        loaded_star.ensure_layer_table("Airport")
-        assert loaded_star.layer_grid_index("Airport") is None
-        loaded_star.add_feature("Airport", "ALC", Point(0.5, 0.5))
-        cached = loaded_star.layer_grid_index("Airport")
-        assert cached is not None
-        assert loaded_star.layer_grid_index("Airport") is cached
-        # Feature adds patch the built grid in place (layers are
-        # append-only) instead of dropping it.
-        loaded_star.add_feature("Airport", "VLC", Point(3.0, 3.0))
-        patched = loaded_star.layer_grid_index("Airport")
-        assert patched is cached
-        assert len(patched[1]) == 2
-        assert len(patched[0]) == 2
-        hits = patched[0].query_envelope(Point(3.0, 3.0).envelope)
-        assert any(patched[1][i] == Point(3.0, 3.0) for i in hits)
-        # A bulk load drops the grid; its next read rebuilds it.
-        loaded_star.add_features("Airport", [("ALT", Point(9.0, 9.0), None)])
-        rebuilt = loaded_star.layer_grid_index("Airport")
-        assert rebuilt is not patched
-        assert len(rebuilt[1]) == 3

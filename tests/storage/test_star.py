@@ -183,7 +183,7 @@ class TestRollupCache:
         _load_minimal(empty_star)
         ancestor = empty_star.rollup_member("Store", "S1", "State")
         assert ancestor.key == "Valencia"
-        # Cached path returns the identical object.
+        # Every walk returns the dimension table's own member object.
         assert empty_star.rollup_member("Store", "S1", "State") is ancestor
 
     def test_leaf_keys_rolled_to(self, empty_star):

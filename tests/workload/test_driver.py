@@ -166,7 +166,9 @@ class TestConcurrentReplay:
 def served(tiny_portal):
     """The tiny portal behind the threaded HTTP adapter on a free port."""
     server = make_server(tiny_portal, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield server.server_address
     server.shutdown()

@@ -314,7 +314,7 @@ def _churn(world, oracle):
     bodies = []
     for step in range(CHURN_STEPS):
         star.add_member("Product", "Family", f"Family-{step}")
-        star.add_feature("Harbour", f"Pier {step}", Point(3.0, float(step)))
+        star.add_features("Harbour", [(f"Pier {step}", Point(3.0, float(step)), None)])
         if step % 8 == 7:
             star.insert_fact(table.fact.name, coordinates, measures)
         for method, path, body in CHURN_REQUESTS:
