@@ -13,8 +13,8 @@ Two halves, one subsystem:
   (:mod:`repro.analysis.baseline`); new ones fail ``repro lint``.
 
 * **Runtime** — a lock-order sanitizer
-  (:mod:`repro.analysis.sanitizer`): instrumented ``Lock``/``RLock``
-  wrappers (opt-in via ``REPRO_SANITIZE=1``) that record per-thread
+  (:mod:`repro.analysis.sanitizer`): instrumented ``Lock`` wrappers
+  (opt-in via ``REPRO_SANITIZE=1``) that record per-thread
   acquisition stacks, build the global lock-order graph, and report
   cycles (potential deadlocks) plus contention/hold statistics.  The
   pytest plugin (:mod:`repro.analysis.pytest_plugin`) runs the test

@@ -7,7 +7,7 @@ One pass over a module's classes yields, per class:
   ``__post_init__``, or a class-body field), consumed by the
   ``lock-guard`` rule;
 * **lock attributes** — attributes holding a lock (``threading.Lock()``,
-  ``RLock()``, :func:`repro.concurrency.make_lock` / ``make_rlock``, or
+  ``RLock()``, :func:`repro.concurrency.make_lock`, or
   dataclass fields whose factory mentions one of those), consumed by
   ``check-then-act`` to decide a class has shared state worth guarding;
 * **cache-like attributes** — :class:`repro.lru.ThreadSafeLRU` instances
@@ -30,7 +30,7 @@ __all__ = ["ClassInfo", "collect_classes"]
 _CACHE_NAME_RE = re.compile(
     r"(memo|cache|translation|checkpoint|history)", re.IGNORECASE
 )
-_LOCK_FACTORY_NAMES = {"Lock", "RLock", "make_lock", "make_rlock"}
+_LOCK_FACTORY_NAMES = {"Lock", "RLock", "make_lock"}
 _DICTISH_CALL_NAMES = {"dict", "OrderedDict", "defaultdict", "WeakValueDictionary"}
 
 

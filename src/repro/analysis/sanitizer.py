@@ -1,26 +1,24 @@
 """Runtime lock-order sanitizer: instrumented locks, order graph, cycles.
 
 Every lock the repro runtime creates goes through
-:func:`repro.concurrency.make_lock` / ``make_rlock``.  When the
-sanitizer is active (``REPRO_SANITIZE=1`` in the environment, or an
-explicit :func:`activate`), those factories hand out
-:class:`SanitizedLock` / :class:`SanitizedRLock` wrappers instead of
-plain ``threading`` primitives.  The wrappers record, per *lock class*
-(the name given at the creation site, e.g. ``"ViewStore._lock"`` — all
-instances of a class share one node, the lockdep convention):
+:func:`repro.concurrency.make_lock`.  When the sanitizer is active
+(``REPRO_SANITIZE=1`` in the environment, or an explicit
+:func:`activate`), that factory hands out :class:`SanitizedLock`
+wrappers instead of plain ``threading.Lock`` objects.  The wrappers
+record, per *lock class* (the name given at the creation site, e.g.
+``"ViewStore._lock"`` — all instances of a class share one node, the
+lockdep convention):
 
 * **acquisition counts**, **contention counts** (the lock was held by
   another thread when we asked) and **wait/hold time totals**;
 * the **lock-order graph**: acquiring B while holding A records the
-  edge A→B with one example acquisition site per edge.  Re-entrant
-  re-acquisition of the *same object* records nothing (RLocks are
-  allowed to nest on themselves).
+  edge A→B with one example acquisition site per edge.
 
 A cycle in that graph — A→B somewhere, B→A somewhere else — is a
 potential deadlock even if the runs that recorded the two edges never
 overlapped; :meth:`LockOrderSanitizer.cycles` reports every strongly
 connected component of size > 1 plus every self-loop.  When inactive
-the factories return plain ``threading`` locks, so the instrumented
+the factory returns plain ``threading`` locks, so the instrumented
 path costs nothing unless opted into.
 """
 
@@ -34,7 +32,6 @@ from time import perf_counter
 __all__ = [
     "LockOrderSanitizer",
     "SanitizedLock",
-    "SanitizedRLock",
     "activate",
     "current",
     "deactivate",
@@ -83,15 +80,12 @@ class _LockStats:
 class _Held:
     """One entry on a thread's acquisition stack."""
 
-    __slots__ = ("name", "obj_id", "acquired_at", "reentrant")
+    __slots__ = ("name", "obj_id", "acquired_at")
 
-    def __init__(
-        self, name: str, obj_id: int, acquired_at: float, reentrant: bool
-    ) -> None:
+    def __init__(self, name: str, obj_id: int, acquired_at: float) -> None:
         self.name = name
         self.obj_id = obj_id
         self.acquired_at = acquired_at
-        self.reentrant = reentrant
 
 
 def _acquisition_site() -> str:
@@ -105,13 +99,10 @@ def _acquisition_site() -> str:
 class SanitizedLock:
     """A ``threading.Lock`` wrapper reporting to a :class:`LockOrderSanitizer`."""
 
-    _factory = staticmethod(threading.Lock)
-    _reentrant = False
-
     def __init__(self, sanitizer: "LockOrderSanitizer", name: str) -> None:
         self._sanitizer = sanitizer
         self.name = name
-        self._inner = self._factory()
+        self._inner = threading.Lock()
         sanitizer._register(name)
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
@@ -149,19 +140,6 @@ class SanitizedLock:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class SanitizedRLock(SanitizedLock):
-    """Re-entrant variant; nesting on the *same object* records no edge."""
-
-    _factory = staticmethod(threading.RLock)
-    _reentrant = True
-
-    def locked(self) -> bool:  # RLock has no .locked() before 3.12
-        if self._inner.acquire(False):
-            self._inner.release()
-            return False
-        return True
-
-
 class LockOrderSanitizer:
     """Collector of lock statistics and the global lock-order graph."""
 
@@ -178,9 +156,6 @@ class LockOrderSanitizer:
 
     def lock(self, name: str) -> SanitizedLock:
         return SanitizedLock(self, name)
-
-    def rlock(self, name: str) -> SanitizedRLock:
-        return SanitizedRLock(self, name)
 
     # -- wrapper callbacks ----------------------------------------------------
 
@@ -203,14 +178,9 @@ class LockOrderSanitizer:
         self, lock: SanitizedLock, waited: float, contended: bool
     ) -> None:
         stack = self._stack()
-        reentrant = lock._reentrant and any(
-            held.obj_id == id(lock) for held in stack
-        )
-        new_edges: list[tuple[str, str]] = []
-        if not reentrant:
-            for held in stack:
-                if held.obj_id != id(lock):
-                    new_edges.append((held.name, lock.name))
+        new_edges = [
+            (held.name, lock.name) for held in stack if held.obj_id != id(lock)
+        ]
         with self._mutex:
             stats = self._stats[lock.name]
             stats.acquisitions += 1
@@ -222,7 +192,7 @@ class LockOrderSanitizer:
                 targets = self._edges.setdefault(source, {})
                 if target not in targets:
                     targets[target] = _acquisition_site()
-        stack.append(_Held(lock.name, id(lock), perf_counter(), reentrant))
+        stack.append(_Held(lock.name, id(lock), perf_counter()))
 
     def _on_release(self, lock: SanitizedLock) -> None:
         stack = self._stack()

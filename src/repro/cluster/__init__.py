@@ -22,7 +22,6 @@ from repro.cluster.config import (
     make_session_store,
     set_shared_backend,
     shared_backend,
-    state_health,
     worker_id,
 )
 from repro.cluster.migrate import migrate_backend
@@ -46,6 +45,5 @@ __all__ = [
     "make_session_store",
     "make_journal",
     "make_service_stores",
-    "state_health",
     "worker_id",
 ]

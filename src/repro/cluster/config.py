@@ -46,7 +46,6 @@ __all__ = [
     "make_session_store",
     "make_journal",
     "make_service_stores",
-    "state_health",
     "worker_id",
 ]
 
@@ -190,19 +189,3 @@ def make_service_stores(
         "journal": make_journal(backend=backend, namespace=namespace),
     }
 
-
-def state_health() -> dict:
-    """The ``state_backend`` block of ``/api/v1/health``.
-
-    Reports the configured kind without instantiating a backend in the
-    default mode (a health probe must not create state files).  The
-    check mirrors the ``make_*`` factories exactly: in memory mode they
-    return in-heap stores even when an earlier sqlite singleton is
-    still alive in the process, so the block says ``memory`` then too.
-    """
-    backend = env_backend()
-    if backend is None:
-        return {"kind": "memory", "worker_id": worker_id(), "stores": {}}
-    stats = backend.stats()
-    stats["worker_id"] = worker_id()
-    return stats

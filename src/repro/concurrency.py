@@ -1,13 +1,14 @@
 """Lock construction for repro's shared state.
 
-Every lock guarding cross-request state is created through these
-factories with a stable *lock-class* name (``"ViewStore._lock"``,
-``"FactTable._lock"``, ...).  In normal operation they return plain
-``threading`` primitives — zero overhead, nothing recorded.  When the
+Every lock guarding cross-request state is created through
+:func:`make_lock` with a stable *lock-class* name (``"ViewStore._lock"``,
+``"FactTable._lock"``, ...).  In normal operation it returns a plain
+``threading.Lock`` — zero overhead, nothing recorded.  When the
 lock-order sanitizer is active (``REPRO_SANITIZE=1``, or
-:func:`repro.analysis.sanitizer.activate`), they return instrumented
-wrappers that feed the acquisition/contention counters and the global
-lock-order graph (see :mod:`repro.analysis.sanitizer`).
+:func:`repro.analysis.sanitizer.activate`), it returns an instrumented
+wrapper that feeds the acquisition/contention counters and the global
+lock-order graph (see :mod:`repro.analysis.sanitizer`).  No holder
+re-acquires a lock it holds, so none of them is re-entrant.
 
 The name is the node identity in that graph: all instances of one lock
 class share a node, so an order inversion between any two instances
@@ -20,7 +21,7 @@ import threading
 
 from repro.analysis import sanitizer as _sanitizer
 
-__all__ = ["make_lock", "make_rlock"]
+__all__ = ["make_lock"]
 
 
 def make_lock(name: str):
@@ -29,11 +30,3 @@ def make_lock(name: str):
     if active is not None:
         return active.lock(name)
     return threading.Lock()
-
-
-def make_rlock(name: str):
-    """A ``threading.RLock`` (or its sanitized wrapper) named ``name``."""
-    active = _sanitizer.current()
-    if active is not None:
-        return active.rlock(name)
-    return threading.RLock()

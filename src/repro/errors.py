@@ -74,10 +74,6 @@ class PersonalizationError(ReproError):
     """Personalization engine misconfiguration or phase-ordering violation."""
 
 
-class WebError(ReproError):
-    """Portal-simulation level failure (bad route, bad session...)."""
-
-
 class ServiceError(ReproError):
     """Application-service failure with a uniform wire representation.
 

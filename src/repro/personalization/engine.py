@@ -331,7 +331,6 @@ class PersonalizationEngine:
         parameters: dict[str, object] | None = None,
         metric: Metric | None = None,
         snap_tolerance: float = 1.0,
-        validate_rules: bool = True,
         view_store: ViewStore | None = None,
     ) -> None:
         schema = star.schema
@@ -350,7 +349,6 @@ class PersonalizationEngine:
         self.parameters = dict(parameters or {})
         self.metric = metric or PlanarMetric()
         self.snap_tolerance = snap_tolerance
-        self.validate_rules = validate_rules
         #: Shared materialized-view store: sessions with content-equal
         #: selections share one build, fact appends patch instead of
         #: rebuilding.  It lives in this process's heap.
@@ -411,14 +409,12 @@ class PersonalizationEngine:
             text = source
         if any(existing.rule.name == rule.name for existing in self.rules):
             raise PersonalizationError(f"duplicate rule name {rule.name!r}")
-        if self.validate_rules:
-            analyzer = SemanticAnalyzer(
-                self.user_schema,
-                self.geomd_schema,
-                self.geomd_schema,
-                self.parameters,
-            )
-            analyzer.check(rule)
+        SemanticAnalyzer(
+            self.user_schema,
+            self.geomd_schema,
+            self.geomd_schema,
+            self.parameters,
+        ).check(rule)
         for write in self._loads(rule):
             write()
         registered = RegisteredRule(

@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
-from repro.concurrency import make_rlock
+from repro.concurrency import make_lock
 from repro.storage.star import StarMutation, StarSchema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -91,7 +91,7 @@ class ViewStore:
         if max_size < 1:
             raise ValueError("max_size must be >= 1")
         self.max_size = max_size
-        self._lock = make_rlock("ViewStore._lock")
+        self._lock = make_lock("ViewStore._lock")
         # guarded-by: _lock
         self._entries: "OrderedDict[_Key, _Entry]" = OrderedDict()
         self.hits = 0

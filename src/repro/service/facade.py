@@ -593,20 +593,18 @@ class PersonalizationService:
         return stats
 
     def _state_backend_stats(self) -> dict:
-        """The health block for the state tier (see health())."""
-        from repro.cluster.config import state_health, worker_id
+        """The health block for the state tier (see health()): the
+        backend this service's session store runs on, or ``memory`` for
+        an in-heap store, whatever ``REPRO_BACKEND`` selects."""
+        from repro.cluster.config import worker_id
 
         backend = getattr(self.sessions, "backend", None)
-        if backend is not None:
-            # The session store names the backend this service actually
-            # runs on (a pool worker's explicitly wired backend may not
-            # be the env-selected shared one).
-            stats = backend.stats()
-            stats["worker_id"] = worker_id()
-            if hasattr(self.sessions, "stats"):
-                stats["sessions"] = self.sessions.stats()
-            return stats
-        return state_health()
+        if backend is None:
+            return {"kind": "memory", "worker_id": worker_id(), "stores": {}}
+        stats = backend.stats()
+        stats["worker_id"] = worker_id()
+        stats["sessions"] = self.sessions.stats()
+        return stats
 
     # -- internals ---------------------------------------------------------------
 

@@ -24,7 +24,7 @@ JSON-ready dict, the equality oracle of the copy and history tests.
 
 from __future__ import annotations
 
-from repro.concurrency import make_rlock
+from repro.concurrency import make_lock
 from repro.errors import StorageError
 from repro.geomd.gtypes_enum import GeometricType
 from repro.geomd.schema import GeoMDSchema
@@ -146,7 +146,7 @@ class StarHistory:
             raise HistoryError("checkpoint_interval must be >= 1")
         self.star = star
         self.checkpoint_interval = checkpoint_interval
-        self._lock = make_rlock("StarHistory._lock")
+        self._lock = make_lock("StarHistory._lock")
         # generation -> copy of the star taken at that generation; never
         # mutated (as_of replays onto a copy of it).
         # guarded-by: _lock

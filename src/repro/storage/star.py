@@ -66,7 +66,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from repro.concurrency import make_lock, make_rlock
+from repro.concurrency import make_lock
 from repro.errors import StorageError
 from repro.geomd.gtypes_enum import GeometricType
 from repro.geomd.schema import GEOMETRY_ATTRIBUTE, GeoMDSchema
@@ -174,7 +174,7 @@ class MutationLog:
         if max_entries <= 0:
             raise StorageError("MutationLog needs max_entries >= 1")
         self.max_entries = max_entries
-        self._lock = make_rlock("MutationLog._lock")
+        self._lock = make_lock("MutationLog._lock")
         # guarded-by: _lock
         self._entries: deque[StarMutation] = deque()
         # kind -> cumulative count (never decremented on eviction).

@@ -6,9 +6,12 @@ personalized view), run GeoMDQL-lite queries against that view, report
 spatial selections (feeding the interest-tracking rules of Example 5.3),
 inspect their profile and schema, and log out (SessionEnd).
 
-The portal itself is a thin, versioned route table: every handler parses
-a DTO, calls one :class:`~repro.service.facade.PersonalizationService`
-method, and serializes the result.  All application logic, session state
+The portal itself is a thin, versioned route table behind one fixed
+request pipeline, :meth:`PortalApp.handle`: it routes, renders every
+failure as the error envelope and logs one line per request.  Every
+handler parses a DTO, calls one
+:class:`~repro.service.facade.PersonalizationService` method, and
+serializes the result.  All application logic, session state
 (TTL/eviction in the session store) and multi-datamart tenancy live in
 :mod:`repro.service`.
 
@@ -50,7 +53,9 @@ sessions return structured 401s.  The session token travels in the
 from __future__ import annotations
 
 import logging
+import time
 
+from repro.errors import NotFoundError, ServiceError
 from repro.personalization.engine import PersonalizationEngine
 from repro.service import (
     DatamartRegistry,
@@ -63,27 +68,21 @@ from repro.service import (
     SelectionRequest,
 )
 from repro.sus.model import UserProfile
-from repro.web.http import (
-    Handler,
-    Request,
-    Response,
-    Router,
-    json_response,
-    request_logging_middleware,
-    session_token_middleware,
-)
+from repro.web.http import Request, Response, error_response, json_response
 
 __all__ = ["PortalApp", "API_PREFIX"]
 
 API_PREFIX = "/api/v1"
 
+_log = logging.getLogger("repro.web")
+
 
 class PortalApp:
-    """The in-process web application: routes + middleware, no logic.
+    """The in-process web application: a fixed route table, no logic.
 
     Construct either from a single engine (back-compat: it becomes the
-    ``default`` datamart) or from a pre-built service/registry for
-    multi-tenant deployments.
+    ``default`` datamart) or from a pre-built service for multi-tenant
+    deployments.
     """
 
     def __init__(
@@ -91,29 +90,40 @@ class PortalApp:
         engine: PersonalizationEngine | None = None,
         *,
         service: PersonalizationService | None = None,
-        registry: DatamartRegistry | None = None,
         session_store: InMemorySessionStore | None = None,
         datamart_name: str = "default",
-        logger: logging.Logger | None = None,
     ) -> None:
         if service is not None:
             self.service = service
         else:
-            registry = registry or DatamartRegistry()
+            registry = DatamartRegistry()
             if engine is not None:
                 registry.register(datamart_name, engine, default=True)
             self.service = PersonalizationService(
                 registry, session_store=session_store
             )
-        # Router.dispatch always applies error_envelope_middleware
-        # innermost, so only the additive middlewares are listed here.
-        self.router = Router(
-            middlewares=[
-                request_logging_middleware(logger),
-                session_token_middleware,
-            ]
-        )
-        self._register_routes()
+        #: path -> (method, handler)
+        self._routes = {
+            API_PREFIX + path: route
+            for path, route in {
+                "/login": ("POST", self._login),
+                "/logout": ("POST", self._logout),
+                "/me": ("GET", self._me),
+                "/schema": ("GET", self._schema),
+                "/view": ("GET", self._view),
+                "/query": ("POST", self._query),
+                "/selection": ("POST", self._selection),
+                "/selection/rerun": ("POST", self._selection_rerun),
+                "/datamarts": ("GET", self._datamarts),
+                "/health": ("GET", self._health),
+            }.items()
+        }
+        #: The ``GET`` routes that end in one path parameter:
+        #: path before it -> (parameter name, handler).
+        self._param_routes = {
+            API_PREFIX + "/layers": ("name", self._layer),
+            API_PREFIX + "/recommendations": ("kind", self._recommendations),
+        }
 
     # -- user management ----------------------------------------------------------
 
@@ -139,11 +149,15 @@ class PortalApp:
         headers: dict[str, str] | None = None,
         query: dict[str, str] | None = None,
     ) -> Response:
-        """Convenience in-process request dispatch.
+        """Answer one request: where every request starts and ends.
 
-        ``headers`` are passed through verbatim (the seed silently
-        dropped them); ``token`` is sugar for an ``X-Session`` header.
+        ``headers`` are passed through verbatim; ``token`` is sugar for
+        an ``X-Session`` header, and a header sent under that name wins.
+        A :class:`ServiceError` answers its own envelope and any other
+        exception a 500 ``internal`` one; every request logs one
+        ``METHOD path -> status (x.xx ms)`` line on ``repro.web``.
         """
+        started = time.perf_counter()
         merged_headers = dict(headers or {})
         if token is not None:
             merged_headers.setdefault("X-Session", token)
@@ -154,29 +168,44 @@ class PortalApp:
             headers=merged_headers,
             query=dict(query or {}),
         )
-        return self.router.dispatch(request)
-
-    # -- routes -------------------------------------------------------------------
-
-    def _register_routes(self) -> None:
-        routes: list[tuple[str, str, Handler]] = [
-            ("POST", "/login", self._login),
-            ("POST", "/logout", self._logout),
-            ("GET", "/me", self._me),
-            ("GET", "/schema", self._schema),
-            ("GET", "/view", self._view),
-            ("POST", "/query", self._query),
-            ("POST", "/selection", self._selection),
-            ("POST", "/selection/rerun", self._selection_rerun),
-            ("GET", "/layers/{name}", self._layer),
-        ]
-        for method, path, handler in routes:
-            self.router.add(method, API_PREFIX + path, handler)
-        self.router.get(API_PREFIX + "/datamarts", self._datamarts)
-        self.router.get(API_PREFIX + "/health", self._health)
-        self.router.get(
-            API_PREFIX + "/recommendations/{kind}", self._recommendations
+        try:
+            response = self._dispatch(request)
+        except ServiceError as exc:
+            response = json_response(exc.envelope(), status=exc.status)
+        except Exception as exc:  # noqa: BLE001 - surface as 500
+            response = error_response(
+                "internal", f"{type(exc).__name__}: {exc}", 500
+            )
+        _log.info(
+            "%s %s -> %d (%.2f ms)",
+            method.upper(),
+            path,
+            response.status,
+            (time.perf_counter() - started) * 1000.0,
         )
+        return response
+
+    def _dispatch(self, request: Request) -> Response:
+        """Route to the one handler for the path and method: 404 for a
+        path no route has, 405 for a route asked with another method."""
+        path = request.path
+        route = self._routes.get(path)
+        if route is None:
+            prefix, _, param = path.rpartition("/")
+            found = self._param_routes.get(prefix) if param else None
+            if found is None:
+                raise NotFoundError(f"no route for {path}")
+            name, handler = found
+            request.params = {name: param}
+            route = ("GET", handler)
+        method, handler = route
+        if request.method.upper() != method:
+            raise ServiceError(
+                f"method {request.method.upper()} not allowed for {path}",
+                code="method_not_allowed",
+                status=405,
+            )
+        return handler(request)
 
     # -- handlers (thin delegation to the service) --------------------------------
 

@@ -59,8 +59,13 @@ from http import HTTPStatus
 from http.server import ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.errors import WebError
-from repro.web.http import Response, error_response, parse_json_body
+from repro.errors import BadRequestError
+from repro.web.http import (
+    Response,
+    error_response,
+    json_response,
+    parse_json_body,
+)
 from repro.web.portal import PortalApp
 
 __all__ = ["MAX_BODY_BYTES", "make_server", "serve"]
@@ -215,8 +220,8 @@ def _make_handler(app: PortalApp) -> type[socketserver.StreamRequestHandler]:
             query = dict(parse_qsl(split.query)) if split.query else None
             try:
                 body = parse_json_body(raw)
-            except WebError as exc:
-                response = error_response("bad_request", str(exc), 400)
+            except BadRequestError as exc:
+                response = json_response(exc.envelope(), status=exc.status)
             else:
                 response = app.handle(
                     method, split.path, body, headers=headers, query=query

@@ -5,8 +5,8 @@ import threading
 import pytest
 
 from repro.analysis import sanitizer
-from repro.analysis.sanitizer import LockOrderSanitizer, SanitizedLock, SanitizedRLock
-from repro.concurrency import make_lock, make_rlock
+from repro.analysis.sanitizer import LockOrderSanitizer, SanitizedLock
+from repro.concurrency import make_lock
 
 
 @pytest.fixture()
@@ -70,14 +70,6 @@ class TestOrderGraph:
                 pass
         assert san.cycles() == [["L"]]
 
-    def test_rlock_reentry_records_no_edge(self, san):
-        lock = san.rlock("R")
-        with lock:
-            with lock:
-                pass
-        assert san.edges() == {}
-        assert san.cycles() == []
-
     def test_three_party_cycle(self, san):
         a, b, c = san.lock("A"), san.lock("B"), san.lock("C")
         for outer, inner in ((a, b), (b, c), (c, a)):
@@ -135,18 +127,16 @@ class TestFactories:
         monkeypatch.delenv(sanitizer.ENV_SWITCH, raising=False)
         monkeypatch.setattr(sanitizer, "_active", None)
         assert not isinstance(make_lock("X"), SanitizedLock)
-        assert not isinstance(make_rlock("X"), SanitizedLock)
 
     def test_active_factories_return_instrumented_locks(self, monkeypatch):
         monkeypatch.setattr(sanitizer, "_active", None)
         active = sanitizer.activate()
         try:
-            lock = make_lock("X")
-            rlock = make_rlock("Y")
-            assert isinstance(lock, SanitizedLock)
-            assert isinstance(rlock, SanitizedRLock)
-            with lock:
-                with rlock:
+            outer, inner = make_lock("X"), make_lock("Y")
+            assert isinstance(outer, SanitizedLock)
+            assert isinstance(inner, SanitizedLock)
+            with outer:
+                with inner:
                     pass
             assert active.edges() == {"X": {"Y": active.edges()["X"]["Y"]}}
         finally:
@@ -179,17 +169,3 @@ class TestFactories:
         with lock:
             assert lock.locked() is True
         assert lock.locked() is False
-
-    def test_sanitized_rlock_locked_probe(self, san):
-        lock = san.rlock("R")
-        assert lock.locked() is False
-        with lock:
-            held = []
-
-            def probe():
-                held.append(lock.locked())
-
-            thread = threading.Thread(target=probe)
-            thread.start()
-            thread.join(5)
-            assert held == [True]

@@ -1,14 +1,16 @@
 """The health endpoint's per-backend state tier stats (``state_backend``).
 
 The cluster mode's load balancer (and CI's cluster job) reads this
-block: backend kind, rows per store, and the pool worker id.  Default
-mode must report ``memory`` *without* creating any state file.
+block: backend kind, rows per store, and the pool worker id.  It names
+the stores the service runs on: a service over in-heap stores reports
+``memory`` *without* creating any state file, whatever
+``REPRO_BACKEND`` selects.
 """
 
 import pytest
 
 from repro.cluster.backend import InMemoryBackend
-from repro.cluster.config import make_service_stores
+from repro.cluster.config import make_service_stores, set_shared_backend
 from repro.data import build_regional_manager_profile
 from repro.service import (
     DatamartRegistry,
@@ -37,6 +39,28 @@ class TestDefaultMode:
         assert block["kind"] == "memory"
         assert block["worker_id"] is None
         assert block["stores"] == {}
+
+
+class TestInHeapStoresUnderSqlite:
+    def test_health_reports_memory_and_creates_no_file(
+        self, registry, monkeypatch, tmp_path
+    ):
+        state = tmp_path / "state.sqlite"
+        monkeypatch.setenv("REPRO_BACKEND", "sqlite")
+        monkeypatch.setenv("REPRO_STATE", str(state))
+        monkeypatch.delenv("REPRO_WORKER_ID", raising=False)
+        previous = set_shared_backend(None)
+        try:
+            service = PersonalizationService(
+                registry, **make_service_stores(None)
+            )
+            block = service.health()["state_backend"]
+        finally:
+            created = set_shared_backend(previous)
+            if created is not None:
+                created.close()
+        assert block == {"kind": "memory", "worker_id": None, "stores": {}}
+        assert not state.exists()
 
 
 class TestBackendMode:

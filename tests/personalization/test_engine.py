@@ -54,19 +54,6 @@ class TestRegistration:
                 "BecomeSpatial(MD.Sales.Galaxy.geometry, POINT) endWhen"
             )
 
-    def test_validation_can_be_disabled(self, world, star, user_schema):
-        engine = PersonalizationEngine(
-            star,
-            user_schema,
-            geo_source=WorldGeoSource(world),
-            validate_rules=False,
-        )
-        registered = engine.add_rule(
-            "Rule:lax When SessionStart do "
-            "BecomeSpatial(MD.Sales.Galaxy.geometry, POINT) endWhen"
-        )
-        assert registered.rule.name == "lax"
-
     def test_phase_override(self, world, star, user_schema):
         engine = PersonalizationEngine(
             star, user_schema, geo_source=WorldGeoSource(world)

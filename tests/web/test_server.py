@@ -21,11 +21,11 @@ from repro.data import (
     build_regional_manager_profile,
     build_sales_star,
 )
-from repro.errors import WebError
+from repro.errors import BadRequestError
 from repro.personalization import PersonalizationEngine
 from repro.service import InMemorySessionStore
 from repro.web import PortalApp
-from repro.web.http import error_response, json_response, parse_json_body
+from repro.web.http import json_response, parse_json_body
 from repro.web.server import MAX_BODY_BYTES, make_server
 
 #: The longest request or header line the adapter reads.
@@ -350,7 +350,7 @@ class TestRefusals:
 
 
 class TestMethods:
-    """Every method reaches the router, which answers as in process."""
+    """Every method reaches the portal, which answers as in process."""
 
     @pytest.mark.parametrize(
         ("method", "path"),
@@ -402,8 +402,8 @@ def _in_process(app, method, target, headers, raw):
     split = urlsplit(target)
     try:
         body = parse_json_body(raw)
-    except WebError as exc:
-        return error_response("bad_request", str(exc), 400)
+    except BadRequestError as exc:
+        return json_response(exc.envelope(), status=exc.status)
     return app.handle(
         method, split.path, body, headers=headers, query=dict(parse_qsl(split.query))
     )
