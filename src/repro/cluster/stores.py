@@ -26,7 +26,7 @@ and no worker reads another's.
   :class:`~repro.reco.journal.WorkloadJournal` whose storage methods
   keep events in the backend.  Sequence numbers come from the backend's
   atomic counter, so a user's position (the last sequence number) means
-  the same history in every process — the recommender's profile keys
+  the same history in every process — the recommender's cache keys
   stay valid across workers — and a re-login in any worker resumes the
   user's history.
 """
@@ -350,7 +350,8 @@ class BackendWorkloadJournal(WorkloadJournal):
     numbers come from the backend's atomic counter.  A row that does not
     decode is deleted when read, as the other stores do.  Only the
     storage methods are overridden (the inherited heap map stays empty);
-    the derived API is the in-heap journal's.
+    the derived API is the in-heap journal's, so a user's ``summary``
+    is one :meth:`events` call, one prefix scan of the backend.
     """
 
     def __init__(

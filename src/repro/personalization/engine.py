@@ -153,6 +153,19 @@ class PersonalizedView:
     fact_rows: list[int]
     fact: str | None = None
 
+    @classmethod
+    def build(
+        cls, star: StarSchema, fact: str | None, selection: SelectionSet
+    ) -> "PersonalizedView":
+        """Materialize the view: the fact rows ``selection`` keeps, or
+        every row when it selects nothing."""
+        fact_rows = (
+            list(star.fact_table(fact).row_ids())
+            if selection.is_empty
+            else selection.fact_row_ids(star, fact)
+        )
+        return cls(star=star, selection=selection, fact_rows=fact_rows, fact=fact)
+
     def cube(self, fact: str | None = None) -> Cube:
         """A cube restricted to the personalized fact rows.
 
@@ -254,17 +267,10 @@ class PersonalizedSession:
         return view
 
     def _build_view(self, fact_name: str | None) -> PersonalizedView:
-        selection = self.context.selection
-        fact_rows = (
-            selection.fact_row_ids(self.context.star, fact_name)
-            if not selection.is_empty
-            else list(self.context.star.fact_table(fact_name).row_ids())
-        )
-        return PersonalizedView(
-            star=self.context.star,
-            selection=selection,
-            fact_rows=fact_rows,
-            fact=fact_name,
+        """A fresh build over the live selection: the oracle path, and
+        the reference the view store's entries are checked against."""
+        return PersonalizedView.build(
+            self.context.star, fact_name, self.context.selection
         )
 
     def view_stats(self, fact: str | None = None) -> dict[str, int]:

@@ -125,38 +125,23 @@ class ViewStore:
                 self.hits += 1
                 return entry.view
             self.misses += 1
-            # Snapshot the live selection, then key the entry by the
-            # *snapshot's* fingerprint: a concurrent acquisition rule
-            # growing the selection between lookup and build must not
-            # store the new content under the old content's key (that
-            # would silently serve another session's rows to everyone
-            # whose selection still fingerprints to the old key).
+            # Build from a snapshot of the live selection, and key the
+            # entry by the *snapshot's* fingerprint: the stored view must
+            # not alias state the session keeps mutating, and a
+            # concurrent acquisition rule growing the selection between
+            # lookup and build must not store the new content under the
+            # old content's key (that would silently serve another
+            # session's rows to everyone whose selection still
+            # fingerprints to the old key).
+            from repro.personalization.engine import PersonalizedView
+
             frozen = selection.snapshot()
             key = (fact, frozen.fingerprint(), star.generation)
-            view = self._build(star, fact, frozen)
+            view = PersonalizedView.build(star, fact, frozen)
             self.builds += 1
             self._entries[key] = _Entry(view)
             self._trim()
             return view
-
-    def _build(
-        self, star: StarSchema, fact: str, frozen: "SelectionSet"
-    ) -> "PersonalizedView":
-        """Materialize from an already-frozen selection (the stored view
-        must not alias live session state — the session keeps mutating
-        its selection while other sessions read the shared view)."""
-        from repro.personalization.engine import PersonalizedView
-
-        if frozen.is_empty:
-            fact_rows = list(star.fact_table(fact).row_ids())
-        else:
-            fact_rows = frozen.fact_row_ids(star, fact)
-        return PersonalizedView(
-            star=star,
-            selection=frozen,
-            fact_rows=fact_rows,
-            fact=fact,
-        )
 
     # -- maintenance ----------------------------------------------------------
 

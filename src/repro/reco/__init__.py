@@ -9,18 +9,22 @@ similarity decomposition).  This package provides the three parts:
 * :mod:`repro.reco.journal` — an append-only, thread-safe
   :class:`WorkloadJournal` recording every query, spatial selection and
   layer fetch per ``(datamart, user)``, hooked in at the service façade
-  so it observes exactly the traffic the caches do;
+  so it observes exactly the traffic the caches do; its one reader for
+  recommendation, :meth:`WorkloadJournal.summary`, folds a history into
+  a :class:`UserSummary` in one pass;
 * :mod:`repro.reco.similarity` — pairwise user similarity combining
   dimension-hierarchy overlap (shared rolled-up members through the
   star's inverted roll-up index) with geometric overlap of the selected
   regions (envelope intersection + centroid distance);
 * :mod:`repro.reco.recommender` — ranked suggestions (GeoMDQL query
-  texts, layers, dimension members) from the journals of the top-k most
+  texts, layers, dimension members) from the summaries of the top-k most
   similar users, excluding what the target user already has; each
-  user's spatial profile is cached under that user's journal position.
+  user's summary and spatial profile are cached together under that
+  user's journal position, so a recommendation reads each history at
+  most once.
 """
 
-from repro.reco.journal import WorkloadEvent, WorkloadJournal
+from repro.reco.journal import UserSummary, WorkloadEvent, WorkloadJournal
 from repro.reco.recommender import Recommendation, Recommender
 from repro.reco.similarity import (
     SpatialProfile,
@@ -34,6 +38,7 @@ __all__ = [
     "Recommendation",
     "Recommender",
     "SpatialProfile",
+    "UserSummary",
     "WorkloadEvent",
     "WorkloadJournal",
     "build_spatial_profile",

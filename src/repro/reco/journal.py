@@ -7,12 +7,17 @@ the same traffic the cache hierarchy observes.  Histories are keyed by
 evicted, but a user's analysis history survives and a re-login resumes
 it.
 
-The journal is the recommender's ground truth.  A user's *position* is
-the sequence number of that user's last event, and
+The journal is the recommender's ground truth.  The recommender reads
+a history as its :class:`UserSummary` — the distinct query texts, the
+fetched layers and the union of selected members — which
+:meth:`~WorkloadJournal.summary` makes in one pass over
+:meth:`~WorkloadJournal.events`.  A user's *position* is the sequence
+number of that user's last event, and
 :meth:`~WorkloadJournal.positions` reads every user's position in one
 tenant at once.  Only the user's own append moves it (a trim of old
 events comes only with one), so the recommender keys each user's
-spatial profile on it: another user's append leaves the profile warm.
+summary and spatial profile on it: another user's append leaves them
+warm.
 
 Memory is bounded per user (``max_events_per_user``, oldest dropped
 first) so a hot tenant cannot grow the journal without limit.
@@ -20,8 +25,8 @@ first) so a hot tenant cannot grow the journal without limit.
 Storage is five methods — :meth:`~WorkloadJournal.record`,
 :meth:`~WorkloadJournal.positions`, :meth:`~WorkloadJournal.events`,
 :meth:`~WorkloadJournal.stats` and ``__len__``; the derived API
-(``record_query``/``record_selection``/``record_layer``, ``users``,
-``queries``, ``layers``, ``member_profile``) is written once over them.
+(``record_query``/``record_selection``/``record_layer``, ``users`` and
+:meth:`~WorkloadJournal.summary`) is written once over them.
 :class:`~repro.cluster.stores.BackendWorkloadJournal` overrides only the
 storage methods, keeping events in a shared
 :class:`~repro.cluster.backend.StateBackend`.
@@ -35,7 +40,7 @@ from typing import Iterable, Mapping
 
 from repro.concurrency import make_lock
 
-__all__ = ["WorkloadEvent", "WorkloadJournal"]
+__all__ = ["UserSummary", "WorkloadEvent", "WorkloadJournal"]
 
 #: Event kinds the journal understands.
 QUERY = "query"
@@ -84,6 +89,20 @@ class WorkloadEvent:
         # Freeze the payload (deeply) so journaled history cannot be
         # mutated through references callers or readers hold.
         object.__setattr__(self, "payload", _freeze(dict(self.payload)))
+
+
+@dataclass(frozen=True)
+class UserSummary:
+    """One user's history as the recommender reads it.
+
+    ``queries`` are the distinct query texts in first-run order,
+    ``layers`` the fetched layer names, and ``members`` the union of the
+    journaled member selections, ``(dimension, level) -> keys``.
+    """
+
+    queries: tuple[str, ...]
+    layers: frozenset[str]
+    members: Mapping[tuple[str, str], frozenset[str]]
 
 
 class WorkloadJournal:
@@ -178,33 +197,26 @@ class WorkloadJournal:
         with self._lock:
             return list(self._events.get((datamart, user_id), ()))
 
-    def queries(self, datamart: str, user_id: str) -> list[str]:
-        """Distinct query texts in first-run order."""
-        seen: dict[str, None] = {}
+    def summary(self, datamart: str, user_id: str) -> UserSummary:
+        """What the recommender reads of one user's history, in one pass."""
+        queries: dict[str, None] = {}
+        layers: set[str] = set()
+        members: dict[tuple[str, str], set[str]] = {}
         for event in self.events(datamart, user_id):
             if event.kind == QUERY:
-                seen.setdefault(event.payload["q"], None)
-        return list(seen)
-
-    def layers(self, datamart: str, user_id: str) -> set[str]:
-        """Layer names this user has fetched."""
-        return {
-            event.payload["layer"]
-            for event in self.events(datamart, user_id)
-            if event.kind == LAYER
-        }
-
-    def member_profile(
-        self, datamart: str, user_id: str
-    ) -> dict[tuple[str, str], set[str]]:
-        """Union of journaled member selections: (dimension, level) -> keys."""
-        profile: dict[tuple[str, str], set[str]] = {}
-        for event in self.events(datamart, user_id):
-            if event.kind != SELECTION:
-                continue
-            for dimension, level, key in event.payload["members"]:
-                profile.setdefault((dimension, level), set()).add(key)
-        return profile
+                queries.setdefault(event.payload["q"], None)
+            elif event.kind == LAYER:
+                layers.add(event.payload["layer"])
+            elif event.kind == SELECTION:
+                for dimension, level, key in event.payload["members"]:
+                    members.setdefault((dimension, level), set()).add(key)
+        return UserSummary(
+            queries=tuple(queries),
+            layers=frozenset(layers),
+            members=MappingProxyType(
+                {level: frozenset(keys) for level, keys in members.items()}
+            ),
+        )
 
     # -- introspection ------------------------------------------------------------
 

@@ -2,30 +2,34 @@
 
 For a target ``(datamart, user)`` the recommender:
 
-1. builds every journaled user's :class:`~repro.reco.similarity.SpatialProfile`
-   from the workload journal and the tenant's star;
+1. reads every journaled user's
+   :class:`~repro.reco.journal.UserSummary` from the workload journal
+   and lifts its selected members into a
+   :class:`~repro.reco.similarity.SpatialProfile` over the tenant's star;
 2. ranks the other users by
    :func:`~repro.reco.similarity.user_similarity` and keeps the top-k
-   with nonzero similarity;
-3. collects candidates of the requested kind from those users' journals —
-   GeoMDQL query texts, fetched layers, or selected dimension members —
-   excluding everything the target user already ran/fetched/selected;
+   (``TOP_K`` unless the request names ``k``) with nonzero similarity;
+3. collects candidates of the requested kind from those users'
+   summaries — GeoMDQL query texts, fetched layers, or selected
+   dimension members — excluding everything the target user already
+   ran/fetched/selected;
 4. scores each candidate by the summed similarity of its supporters, so
    an item shared by several close peers outranks one from a single
    distant user.
 
-Only the profiles are cached.  A profile reads nothing but its user's
-journaled selections and the star's *metadata* (members, features,
-schema), so each one is keyed on ``(datamart, user, position, star
-metadata generation)``.  The position is the sequence number of the
-user's last journal event, read for every user at once by
+Each user's ``(summary, profile)`` pair is cached, and a recommendation
+reads every history at most once: step 3 reads the summaries step 1
+fetched.  A summary reads nothing but its user's journal, and a profile
+that and the star's *metadata* (members, features, schema), so each
+pair is keyed on ``(datamart, user, position, star metadata
+generation)``.  The position is the sequence number of the user's last
+journal event, read for every user at once by
 :meth:`~repro.reco.journal.WorkloadJournal.positions` per call.  Another
-user's append or a fact append keeps a profile warm; the user's own
-append or a metadata mutation misses, and nothing is ever invalidated by
-hand.  A star whose
-:attr:`~repro.storage.star.StarSchema.oracle` switch is set bypasses the
-cache.  The ranked answer itself is not cached: it depends on every
-user's journal.
+user's append or a fact append keeps a pair warm; the user's own append
+or a metadata mutation misses, and nothing is ever invalidated by hand.
+A star whose :attr:`~repro.storage.star.StarSchema.oracle` switch is set
+bypasses the cache.  The ranked answer itself is not cached: it depends
+on every user's journal.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.lru import ThreadSafeLRU
-from repro.reco.journal import WorkloadJournal
+from repro.reco.journal import UserSummary, WorkloadJournal
 from repro.reco.similarity import (
     SpatialProfile,
     build_spatial_profile,
@@ -43,9 +47,6 @@ from repro.reco.similarity import (
 from repro.storage.star import StarSchema
 
 __all__ = ["Recommendation", "Recommender"]
-
-#: Recommendation kinds, mirroring the endpoint variants.
-KINDS = ("queries", "layers", "members")
 
 
 @dataclass(frozen=True)
@@ -72,47 +73,83 @@ class Recommendation:
         }
 
 
-#: The profile cache's bound: one entry per journaled user of each tenant
-#: is the working set.
+#: The cache's bound: one entry per journaled user of each tenant is the
+#: working set.
 PROFILE_CACHE_SIZE = 512
+#: Similar users a recommendation draws on when the request names no k.
+TOP_K = 3
+#: The hierarchy term's weight in :func:`user_similarity` (geometry has
+#: the rest).
+HIERARCHY_WEIGHT = 0.5
+
+#: Each recommendation kind (the endpoint variants), with its item
+#: fields and a user's items of that kind as identity tuples (an item is
+#: the fields zipped with one).
+_ITEMS = {
+    "queries": (("q",), lambda summary: [(q,) for q in summary.queries]),
+    "layers": (("layer",), lambda summary: [(layer,) for layer in summary.layers]),
+    "members": (
+        ("dimension", "level", "key"),
+        lambda summary: [
+            (dimension, level, key)
+            for (dimension, level), keys in summary.members.items()
+            for key in keys
+        ],
+    ),
+}
+KINDS = tuple(_ITEMS)
 
 
 class Recommender:
     """Similarity-driven recommendations over a :class:`WorkloadJournal`."""
 
-    def __init__(
-        self,
-        journal: WorkloadJournal,
-        *,
-        top_k: int = 3,
-        hierarchy_weight: float = 0.5,
-    ) -> None:
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
+    def __init__(self, journal: WorkloadJournal) -> None:
         self.journal = journal
-        self.top_k = top_k
-        self.hierarchy_weight = hierarchy_weight
-        self._profiles = ThreadSafeLRU(PROFILE_CACHE_SIZE)
+        self._footprint_cache = ThreadSafeLRU(PROFILE_CACHE_SIZE)
 
     # -- similarity ---------------------------------------------------------------
 
-    def _profile(
-        self, datamart: str, user_id: str, position: int, star: StarSchema
-    ) -> SpatialProfile:
-        """The user's profile.  ``position`` is read before the events,
-        so an entry never holds events older than its key says."""
-        if star.oracle:
-            return build_spatial_profile(
-                star, self.journal.member_profile(datamart, user_id)
-            )
-        key = (datamart, user_id, position, star.metadata_generation)
-        cached = self._profiles.get(key)
-        if cached is None:
-            cached = build_spatial_profile(
-                star, self.journal.member_profile(datamart, user_id)
-            )
-            self._profiles.put(key, cached)
-        return cached
+    def _footprints(
+        self, datamart: str, user_id: str, star: StarSchema
+    ) -> dict[str, tuple[UserSummary, SpatialProfile]]:
+        """Every journaled user's summary and profile, the requester's
+        first (at position 0 when it has no event yet), then the others
+        in user order.  The positions and the generation are read before
+        the events, so an entry never holds events older than its key
+        says."""
+        positions = self.journal.positions(datamart)
+        generation = star.metadata_generation
+        footprints = {}
+        for user in [user_id, *sorted(positions.keys() - {user_id})]:
+            key = (datamart, user, positions.get(user, 0), generation)
+            footprint = None if star.oracle else self._footprint_cache.get(key)
+            if footprint is None:
+                summary = self.journal.summary(datamart, user)
+                profile = build_spatial_profile(star, summary.members)
+                footprint = (summary, profile)
+                if not star.oracle:
+                    self._footprint_cache.put(key, footprint)
+            footprints[user] = footprint
+        return footprints
+
+    @staticmethod
+    def _ranking(
+        user_id: str,
+        footprints: dict[str, tuple[UserSummary, SpatialProfile]],
+        k: int | None,
+    ) -> list[tuple[str, float]]:
+        """The ranking :meth:`similar_users` answers, over fetched
+        footprints."""
+        target = footprints[user_id][1]
+        scored: list[tuple[str, float]] = []
+        for other, (_summary, profile) in footprints.items():
+            if other == user_id:
+                continue
+            similarity = user_similarity(target, profile, HIERARCHY_WEIGHT)
+            if similarity > 0.0:
+                scored.append((other, similarity))
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        return scored[: TOP_K if k is None else k]
 
     def similar_users(
         self,
@@ -125,24 +162,9 @@ class Recommender:
 
         Ties break on the user id so rankings are deterministic.
         """
-        k = self.top_k if k is None else k
-        positions = self.journal.positions(datamart)
-        target = self._profile(
-            datamart, user_id, positions.get(user_id, 0), star
+        return self._ranking(
+            user_id, self._footprints(datamart, user_id, star), k
         )
-        scored: list[tuple[str, float]] = []
-        for other in sorted(positions):
-            if other == user_id:
-                continue
-            similarity = user_similarity(
-                target,
-                self._profile(datamart, other, positions[other], star),
-                self.hierarchy_weight,
-            )
-            if similarity > 0.0:
-                scored.append((other, similarity))
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:k]
 
     # -- recommendation -----------------------------------------------------------
 
@@ -163,26 +185,30 @@ class Recommender:
         session's personalized schema actually exposes (no leaking
         another user's wider schema); ``exclude_members`` removes the
         target session's own live selection on top of the journaled
-        exclusions.
+        exclusions.  The candidates come from the summaries the ranking
+        already read.
         """
         if kind not in KINDS:
             raise ValueError(
                 f"unknown recommendation kind {kind!r}; expected one of {KINDS}"
             )
-        neighbours = self.similar_users(datamart, user_id, star, k)
-        if kind == "queries":
-            items = self._query_candidates(datamart, user_id, neighbours)
-        elif kind == "layers":
-            items = self._layer_candidates(
-                datamart, user_id, neighbours, allowed_layers
-            )
-        else:
-            items = self._member_candidates(
-                datamart, user_id, neighbours, exclude_members
-            )
+        footprints = self._footprints(datamart, user_id, star)
+        neighbours = self._ranking(user_id, footprints, k)
+        fields, items_of = _ITEMS[kind]
+        items = self._ranked(
+            kind,
+            fields,
+            user_id,
+            neighbours,
+            lambda user: items_of(footprints[user][0]),
+            exclude_members if kind == "members" else (),
+        )
+        if kind == "layers" and allowed_layers is not None:
+            # Votes are per item, so dropping a ranked item changes no
+            # other item's score or place.
+            allowed = set(allowed_layers)
+            items = [r for r in items if r.item["layer"] in allowed]
         return items, neighbours
-
-    # -- candidate collection -----------------------------------------------------
 
     @staticmethod
     def _ranked(
@@ -221,70 +247,14 @@ class Recommender:
         recommendations.sort(key=lambda r: (-r.score, sorted(r.item.items())))
         return recommendations
 
-    def _query_candidates(
-        self,
-        datamart: str,
-        user_id: str,
-        neighbours: list[tuple[str, float]],
-    ) -> list[Recommendation]:
-        return self._ranked(
-            "queries",
-            ("q",),
-            user_id,
-            neighbours,
-            lambda user: [(q,) for q in self.journal.queries(datamart, user)],
-        )
-
-    def _layer_candidates(
-        self,
-        datamart: str,
-        user_id: str,
-        neighbours: list[tuple[str, float]],
-        allowed_layers: Iterable[str] | None,
-    ) -> list[Recommendation]:
-        allowed = None if allowed_layers is None else set(allowed_layers)
-        return self._ranked(
-            "layers",
-            ("layer",),
-            user_id,
-            neighbours,
-            lambda user: [
-                (layer,)
-                for layer in self.journal.layers(datamart, user)
-                if allowed is None or layer in allowed
-            ],
-        )
-
-    def _member_candidates(
-        self,
-        datamart: str,
-        user_id: str,
-        neighbours: list[tuple[str, float]],
-        exclude_members: Iterable[tuple[str, str, str]],
-    ) -> list[Recommendation]:
-        return self._ranked(
-            "members",
-            ("dimension", "level", "key"),
-            user_id,
-            neighbours,
-            lambda user: [
-                (dimension, level, key)
-                for (dimension, level), keys in self.journal.member_profile(
-                    datamart, user
-                ).items()
-                for key in keys
-            ],
-            exclude_members,
-        )
-
     # -- introspection ------------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
-        """The profile cache's counters.  The ``memo_*`` names are the
-        health schema's: dashboards and the benchmark read them."""
+        """The cache's counters.  The ``memo_*`` names are the health
+        schema's: dashboards and the benchmark read them."""
         return {
-            "memo_size": len(self._profiles),
-            "max_size": self._profiles.max_size,
-            "memo_hits": self._profiles.hits,
-            "memo_misses": self._profiles.misses,
+            "memo_size": len(self._footprint_cache),
+            "max_size": self._footprint_cache.max_size,
+            "memo_hits": self._footprint_cache.hits,
+            "memo_misses": self._footprint_cache.misses,
         }

@@ -64,6 +64,7 @@ from repro.olap.query import execute
 from repro.personalization.engine import PersonalizationEngine, PersonalizedSession
 from repro.prml.evaluator import RuleOutcome
 from repro.reco import Recommender, WorkloadJournal
+from repro.reco.recommender import KINDS
 from repro.service.dtos import (
     DatamartInfo,
     LayerResult,
@@ -139,23 +140,25 @@ class PersonalizationService:
         registry: DatamartRegistry,
         session_store: InMemorySessionStore | None = None,
         journal: WorkloadJournal | None = None,
-        recommender: Recommender | None = None,
         query_cache=None,
     ) -> None:
         # The default session store and journal are env-selected
         # (REPRO_BACKEND): in-heap classes in the default mode,
         # backend-backed two-tier stores over the shared persistent
         # backend with REPRO_BACKEND=sqlite (see repro.cluster.config).
-        # Explicit arguments always win.
+        # Explicit arguments always win, and a service given both stores
+        # never creates the shared backend.
         from repro.cluster.config import (
             env_backend,
             make_journal,
             make_session_store,
         )
 
-        backend = env_backend()
-        self.registry = registry
         # `is not None` matters: an empty store has __len__ == 0 and is falsy.
+        backend = (
+            env_backend() if session_store is None or journal is None else None
+        )
+        self.registry = registry
         self.sessions = (
             session_store
             if session_store is not None
@@ -175,9 +178,7 @@ class PersonalizationService:
         self.journal = (
             journal if journal is not None else make_journal(backend=backend)
         )
-        self.recommender = (
-            recommender if recommender is not None else Recommender(self.journal)
-        )
+        self.recommender = Recommender(self.journal)
 
     # -- session lifecycle --------------------------------------------------------
 
@@ -460,13 +461,13 @@ class PersonalizationService:
         # Auth first, like every other session endpoint: an anonymous
         # client must get the same 401 for valid and invalid kinds.
         record = self._record(token)
-        if kind not in ("queries", "layers", "members"):
+        if kind not in KINDS:
             from repro.errors import NotFoundError
 
             raise NotFoundError(
                 f"no recommendation kind {kind!r}",
                 code="unknown_recommendation_kind",
-                detail={"available": ["queries", "layers", "members"]},
+                detail={"available": list(KINDS)},
             )
         with record.lock:
             session = record.session

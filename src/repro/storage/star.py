@@ -487,17 +487,15 @@ class StarSchema:
         here, which logs a ``schema`` mutation carrying the layer's name
         and geometric type.
         """
-        if name in self._layers:  # lint-ok: check-then-act - GIL-atomic fast path; the store below rechecks under the lock
-            return self._layers[name]
-        if not isinstance(self.schema, GeoMDSchema):
-            raise StorageError(
-                "cannot add a layer table to a non-GeoMD star schema"
-            )
-        layer = self.schema.layer(name)
         with self._cache_lock:
             table = self._layers.get(name)
             if table is not None:
                 return table
+            if not isinstance(self.schema, GeoMDSchema):
+                raise StorageError(
+                    "cannot add a layer table to a non-GeoMD star schema"
+                )
+            layer = self.schema.layer(name)
             table = LayerTable(layer)
             self._layers[name] = table
             mutation = self._log(
@@ -776,15 +774,8 @@ class StarSchema:
         """
         cache_key = (fact, dimension, level)
         table = self.fact_table(fact)
-        dictionary = table.dictionary(dimension)
-        member_generation = self._member_generations.get(dimension, 0)
-        translation = self._rollup_translations.get(cache_key)  # lint-ok: lock-guard, check-then-act - GIL-atomic fast path; the store below rechecks under the lock
-        if (
-            translation is not None
-            and translation.member_generation == member_generation
-            and len(translation.codes) >= len(dictionary)
-        ):
-            return translation
+        # No unlocked fast path: the cache lock is uncontended in steady
+        # state, as in rollup_index.
         with self._cache_lock:
             member_generation = self._member_generations.get(dimension, 0)
             translation = self._rollup_translations.get(cache_key)

@@ -68,7 +68,7 @@ from repro.service import (
     SelectionRequest,
 )
 from repro.sus.model import UserProfile
-from repro.web.http import Request, Response, error_response, json_response
+from repro.web.http import Request, Response, _header, error_response, json_response
 
 __all__ = ["PortalApp", "API_PREFIX"]
 
@@ -152,15 +152,17 @@ class PortalApp:
         """Answer one request: where every request starts and ends.
 
         ``headers`` are passed through verbatim; ``token`` is sugar for
-        an ``X-Session`` header, and a header sent under that name wins.
+        an ``X-Session`` header, and a header sent under that name in any
+        case wins (found by :func:`~repro.web.http._header`, the lookup
+        :attr:`Request.session_token` makes).
         A :class:`ServiceError` answers its own envelope and any other
         exception a 500 ``internal`` one; every request logs one
         ``METHOD path -> status (x.xx ms)`` line on ``repro.web``.
         """
         started = time.perf_counter()
         merged_headers = dict(headers or {})
-        if token is not None:
-            merged_headers.setdefault("X-Session", token)
+        if token is not None and _header(merged_headers, "X-Session") is None:
+            merged_headers["X-Session"] = token
         request = Request(
             method=method,
             path=path,

@@ -62,6 +62,22 @@ class TestInHeapStoresUnderSqlite:
         assert block == {"kind": "memory", "worker_id": None, "stores": {}}
         assert not state.exists()
 
+    def test_construction_creates_no_shared_backend(
+        self, registry, monkeypatch, tmp_path
+    ):
+        """A service given both stores never asks the environment for
+        the process-wide backend."""
+        monkeypatch.setenv("REPRO_BACKEND", "sqlite")
+        monkeypatch.setenv("REPRO_STATE", str(tmp_path / "state.sqlite"))
+        previous = set_shared_backend(None)
+        try:
+            PersonalizationService(registry, **make_service_stores(None))
+        finally:
+            created = set_shared_backend(previous)
+            if created is not None:
+                created.close()
+        assert created is None
+
 
 class TestBackendMode:
     @pytest.fixture()

@@ -68,7 +68,7 @@ class TestRecording:
         journal.record_query("sales", "ana", "  Q2  ")
         journal.record_query("sales", "ana", "Q1")
         journal.record_query("sales", "ana", "Q2")
-        assert journal.queries("sales", "ana") == ["Q2", "Q1"]
+        assert journal.summary("sales", "ana").queries == ("Q2", "Q1")
 
     def test_selection_members_accumulate_into_profile(self, journal):
         journal.record_selection(
@@ -85,7 +85,7 @@ class TestRecording:
             "c2",
             members=[("Store", "Store", "S2")],
         )
-        assert journal.member_profile("sales", "ana") == {
+        assert journal.summary("sales", "ana").members == {
             ("Store", "Store"): {"S1", "S2"},
             ("Store", "City"): {"Alicante"},
         }
@@ -94,7 +94,7 @@ class TestRecording:
         journal.record_layer("sales", "ana", "Airport")
         journal.record_layer("sales", "ana", "Airport")
         journal.record_layer("sales", "ana", "Train")
-        assert journal.layers("sales", "ana") == {"Airport", "Train"}
+        assert journal.summary("sales", "ana").layers == {"Airport", "Train"}
 
     def test_unknown_kind_rejected(self, journal):
         with pytest.raises(ValueError, match="unknown workload event kind"):

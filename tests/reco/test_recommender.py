@@ -1,12 +1,15 @@
-"""Recommender ranking, exclusions and the position-keyed profile cache."""
+"""Recommender ranking, exclusions and the position-keyed cache of each
+user's summary and profile."""
+
+from collections import Counter
 
 import pytest
 
-from repro.cluster.backend import SqliteBackend
+from repro.cluster.backend import InMemoryBackend, SqliteBackend
 from repro.cluster.stores import BackendWorkloadJournal
 from repro.geomd import GeometricType
 from repro.reco import Recommender, WorkloadJournal
-from repro.reco.recommender import PROFILE_CACHE_SIZE
+from repro.reco.recommender import KINDS, PROFILE_CACHE_SIZE
 
 DM = "sales"
 
@@ -128,9 +131,10 @@ def lookups(recommender):
 
 
 class TestMemo:
-    """The spatial-profile cache, which the ``memo_*`` stats count.  Each
-    profile is keyed on its user's journal position and the star's
-    metadata generation, so exactly the events it reads make it miss."""
+    """The cache of each user's summary and spatial profile, which the
+    ``memo_*`` stats count.  Each entry is keyed on its user's journal
+    position and the star's metadata generation, so exactly the events
+    it reads make it miss."""
 
     def test_repeat_call_hits_and_returns_identical_results(
         self, seeded, spatial_star
@@ -241,3 +245,45 @@ class TestMemoSqlite(TestMemo):
             )
         finally:
             backend.close()
+
+
+class TestHistoryReads:
+    """A recommendation reads each journaled user's history at most once
+    (the candidates come from the summaries the ranking read), and a
+    repeat with no journal append and no star write reads none."""
+
+    @pytest.fixture(params=["heap", "memory", "sqlite"])
+    def journal(self, request, tmp_path):
+        if request.param == "heap":
+            yield WorkloadJournal()
+            return
+        backend = (
+            InMemoryBackend()
+            if request.param == "memory"
+            else SqliteBackend(str(tmp_path / "state.sqlite"))
+        )
+        yield BackendWorkloadJournal(backend, namespace="t")
+        backend.close()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_history_is_read_once_then_never(
+        self, seeded, spatial_star, monkeypatch, kind
+    ):
+        journal, recommender = seeded
+        reads = Counter()
+        events = journal.events
+
+        def counted(datamart, user_id):
+            reads[user_id] += 1
+            return events(datamart, user_id)
+
+        monkeypatch.setattr(journal, "events", counted)
+        items, neighbours = recommender.recommend(DM, "ana", spatial_star, kind)
+        assert items and [user for user, _ in neighbours] == ["bob", "cara"]
+        assert reads == {"ana": 1, "bob": 1, "cara": 1}
+        reads.clear()
+        assert recommender.recommend(DM, "ana", spatial_star, kind) == (
+            items,
+            neighbours,
+        )
+        assert reads == {}

@@ -156,7 +156,7 @@ class TestLRUEviction:
             token=token,
         ).ok
         login(portal, "bo-li", world)  # evicts the first session
-        profile_members = portal.service.journal.member_profile(
+        profile_members = portal.service.journal.summary(
             "sales", profile.user_id
-        )
+        ).members
         assert profile_members  # the footprint outlived the session

@@ -178,7 +178,7 @@ class TestBecomeSpatial:
         )
 
 
-class TestRollupCache:
+class TestRollup:
     def test_rollup_member(self, empty_star):
         _load_minimal(empty_star)
         ancestor = empty_star.rollup_member("Store", "S1", "State")

@@ -173,13 +173,14 @@ class TestPipeline:
         self, portal, profile, world
     ):
         token = _login(portal, profile, world)
-        response = portal.handle(
-            "GET", "/api/v1/view", token=token, headers={"X-Session": "tok-x"}
-        )
-        assert response.status == 401
-        assert portal.handle(
-            "GET", "/api/v1/view", token="tok-x", headers={"X-Session": token}
-        ).ok
+        for name in ("X-Session", "x-session"):
+            response = portal.handle(
+                "GET", "/api/v1/view", token=token, headers={name: "tok-x"}
+            )
+            assert response.status == 401, name
+            assert portal.handle(
+                "GET", "/api/v1/view", token="tok-x", headers={name: token}
+            ).ok, name
 
 
 class TestBodyParsing:
