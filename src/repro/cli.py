@@ -294,7 +294,7 @@ def _build_portal_app(args, backend=None):  # pragma: no cover - network
     ``pool`` namespace so all workers see the same sessions and
     histories; otherwise the env-selected backend applies (a fresh
     namespace, or plain in-heap stores in the default mode).  Each
-    worker keeps its query cache and view stores in its own heap.
+    worker keeps its view stores in its own heap.
     """
     from repro.cluster.config import env_backend, make_service_stores
     from repro.service import DatamartRegistry, PersonalizationService

@@ -8,8 +8,7 @@ without one it returns the in-heap store
 plus its shared tier over that backend (:mod:`repro.cluster.stores`).
 :func:`make_service_stores` builds a whole portal's session store and
 journal in one call.  Derived results have no shared tier: every
-worker keeps its query cache (:class:`~repro.lru.ThreadSafeLRU`) and its
-engines' view stores
+worker computes its query answers and keeps its engines' view stores
 (:class:`~repro.personalization.view_store.ViewStore`) in its own heap.
 
 :func:`env_backend` is the environment's choice for stores nobody

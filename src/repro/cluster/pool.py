@@ -18,8 +18,8 @@ One process was the portal's hard ceiling; the worker pool removes it:
   reads another's.
 * The :class:`ClusterClient` routes each tenant to one worker through
   the :class:`~repro.cluster.sharding.ConsistentHashRing` (tenant →
-  shard port), so a tenant's live sessions, views and cached answers
-  stay warm in a single worker; requests for unknown tenants fall back
+  shard port), so a tenant's live sessions and views stay warm in a
+  single worker; requests for unknown tenants fall back
   to the shared socket.
 
 Fork start method only (the factory closure crosses the fork, never a

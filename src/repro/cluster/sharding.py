@@ -2,8 +2,8 @@
 
 The :class:`~repro.service.registry.DatamartRegistry` is the sharding
 seam — a tenant (datamart) is the unit of state locality, because a
-tenant's view-store entries, query-cache entries and live sessions all
-key on per-tenant objects.  Routing every request of a tenant to one
+tenant's view-store entries and live sessions key on per-tenant
+objects.  Routing every request of a tenant to one
 worker keeps that worker's L1 caches warm for it; any other routing is
 still *correct* (the shared backend answers everywhere — affinity is a
 performance property, not a correctness one).

@@ -2,10 +2,9 @@
 
 One pattern — lock-guarded :class:`~collections.OrderedDict`,
 ``move_to_end`` on access, ``popitem(last=False)`` eviction, hit/miss
-counters — shared by the service query cache, the recommender's
-spatial-profile cache and the as-of reconstruction cache.  Every owner
-keeps it in its own heap: a pool worker's query cache holds the answers
-that worker computed, never another's.
+counters — shared by the recommender's spatial-profile cache and the
+as-of reconstruction cache.  Every owner keeps it in its own heap: a
+pool worker's cache holds what that worker computed, never another's.
 """
 
 from __future__ import annotations

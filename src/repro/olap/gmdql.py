@@ -27,6 +27,7 @@ when the tenant's star holds the geometries.
 
 from __future__ import annotations
 
+import math
 import re
 
 from repro.errors import QueryError
@@ -173,9 +174,10 @@ def _parse_literal(tokens: _Tokens) -> object:
         return token[1:-1].replace("''", "'")
     try:
         value = float(token)
-        return int(value) if value.is_integer() and "." not in token and "e" not in token.lower() else value
     except ValueError:
         raise QueryError(f"expected a literal, found {token!r}") from None
+    _check_finite(value, token)
+    return int(value) if value.is_integer() and "." not in token and "e" not in token.lower() else value
 
 
 def _parse_quantity(tokens: _Tokens) -> float:
@@ -187,7 +189,17 @@ def _parse_quantity(tokens: _Tokens) -> float:
     unit = "m"
     if tokens.peek_upper() in ("KM", "M", "MI"):
         unit = tokens.next().lower()
-    return convert_to_metres(value, unit)
+    metres = convert_to_metres(value, unit)
+    _check_finite(metres, token)
+    return metres
+
+
+def _check_finite(value: float, token: str) -> None:
+    """``float`` also reads ``nan``, ``inf`` and ``infinity``, and an
+    overflowing literal such as ``1e400`` reads as ``inf``; no filter
+    means anything by them."""
+    if not math.isfinite(value):
+        raise QueryError(f"expected a finite number, found {token!r}")
 
 
 def _attribute_filter(

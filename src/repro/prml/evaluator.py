@@ -147,8 +147,8 @@ class SelectionSet:
     selection actually grows.  :meth:`fingerprint` is the *content*
     identity — two sessions whose selections hold the same member/feature
     triples produce the same fingerprint, which is what lets the shared
-    view store and the service query cache serve one materialization to
-    any number of sessions with identical selections.
+    view store serve one materialization to any number of sessions with
+    identical selections.
     """
 
     def __init__(self) -> None:
@@ -191,7 +191,7 @@ class SelectionSet:
 
         A digest over the sorted member triples and feature pairs, so two
         sessions that selected the same instances (however they got there)
-        key the same shared materialized view / query-cache entry.  Cached per
+        key the same shared materialized view.  Cached per
         :attr:`generation`; the steady-state request path pays one dict
         compare, not a re-hash.
         """

@@ -26,12 +26,11 @@ from repro.service.dtos import (
     SelectionRequest,
     SelectionResult,
 )
-from repro.service.facade import CellSetPayload, PersonalizationService
+from repro.service.facade import PersonalizationService
 from repro.service.registry import Datamart, DatamartRegistry
 from repro.service.sessions import InMemorySessionStore, SessionRecord
 
 __all__ = [
-    "CellSetPayload",
     "Datamart",
     "DatamartInfo",
     "DatamartRegistry",

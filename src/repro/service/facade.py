@@ -16,23 +16,9 @@ the uniform error envelope.  The service owns:
   with ``limit``/``offset`` pagination on list-shaped results.  Each
   reads the session's personalized schema
   (``session.context.geomd_schema``): schema rules personalize the
-  session, never the tenant, and no request writes the star;
-* a small in-heap LRU cache over query *results* keyed on ``(datamart,
-  stripped query text, selection fingerprint, schema set, as_of, star
-  generation)`` — the view store's protocol: any mutation of the star
-  moves its generation, so every live entry of the tenant becomes
-  unreachable and a hit is served as it is.  As-of answers are
-  immutable history and key on ``as_of`` alone.  The selection
-  fingerprint is the *content* identity of the session's selection and
-  the schema set names the session's added layers and spatial levels:
-  two sessions of one tenant whose personalization landed on the same
-  instances and schema share a cache entry, while the datamart name
-  keeps tenants strictly apart.  Cached payload rows are frozen as
-  tuples so a consumer mutating a returned row can never poison later
-  hits.  A tenant whose star has its
-  :attr:`~repro.storage.star.StarSchema.oracle` switch set bypasses it.
-  Each worker of a pool keeps its own cache: an answer is a function of
-  the star, the selection and the query, which any worker recomputes.
+  session, never the tenant, and no request writes the star.  A query
+  parses, views and scans on every request, so its
+  ``fact_rows_scanned`` counts the rows that request scanned.
 
 Logins are serialized by each engine's own lock, and each engine counts
 its logins (a restored session is not one).  A login's,
@@ -42,7 +28,7 @@ one action; a rule whose condition failed or that errored is left out.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.cluster.codecs import (
@@ -58,7 +44,6 @@ from repro.errors import (
     UnauthorizedError,
 )
 from repro.geometry import Point
-from repro.lru import ThreadSafeLRU
 from repro.olap.gmdql import parse_query
 from repro.olap.query import execute
 from repro.personalization.engine import PersonalizationEngine, PersonalizedSession
@@ -83,7 +68,7 @@ from repro.service.dtos import (
 from repro.service.registry import DatamartRegistry
 from repro.service.sessions import InMemorySessionStore, SessionRecord
 
-__all__ = ["PersonalizationService", "CellSetPayload"]
+__all__ = ["PersonalizationService"]
 
 
 def _fired(outcomes: Iterable[RuleOutcome]) -> list[str]:
@@ -110,28 +95,6 @@ def _hit_rate(hits: int, misses: int) -> float | None:
     return round(hits / total, 4)
 
 
-class CellSetPayload(NamedTuple):
-    """Pre-pagination query result, the unit the LRU query cache stores.
-
-    Pagination is applied per request on top of a cached payload, so two
-    requests differing only in ``limit``/``offset`` share one entry.
-
-    ``rows`` is a tuple of tuples — *frozen*.  The payload is shared by
-    every later cache hit (and, with fingerprint keys, by other
-    sessions), so handing out references to mutable inner row lists would
-    let one consumer's in-place edit silently corrupt every subsequent
-    response; :meth:`PersonalizationService._paged_result` materializes
-    fresh lists per request instead.  The payload carries no freshness
-    of its own: the star generation in its cache key does.
-    """
-
-    axes: tuple[str, ...]
-    labels: tuple
-    rows: tuple[tuple, ...]
-    fact_rows_scanned: int
-    fact_rows_matched: int
-
-
 class PersonalizationService:
     """Versioned application façade over registry + session store."""
 
@@ -140,7 +103,6 @@ class PersonalizationService:
         registry: DatamartRegistry,
         session_store: InMemorySessionStore | None = None,
         journal: WorkloadJournal | None = None,
-        query_cache=None,
     ) -> None:
         # The default session store and journal are env-selected
         # (REPRO_BACKEND): in-heap classes in the default mode,
@@ -167,10 +129,6 @@ class PersonalizationService:
         #: Tokens whose live session the store lacks resolve by
         #: restoring it from the record (persisted stores only).
         self.sessions.resolver = self._rehydrate_session
-        #: A ThreadSafeLRU in this process's heap (never shared).
-        self._query_cache = (
-            query_cache if query_cache is not None else ThreadSafeLRU(256)
-        )
         #: Workload journal + recommender: every query, selection report
         #: and layer fetch is journaled per (datamart, user) — unless the
         #: login opted out — and the recommender ranks suggestions from
@@ -264,41 +222,6 @@ class PersonalizationService:
         record = self._record(token)
         with record.lock:
             session = record.session
-            star = session.context.star
-            cache_key = None
-            if not star.oracle:
-                cache_key = (
-                    record.datamart,
-                    # Stripped query text only: internal whitespace can be
-                    # significant (string literals), so it is preserved.
-                    # The text fully determines the fact, so a hit skips
-                    # the parse entirely; malformed queries never populate
-                    # the cache and keep raising on every request.
-                    request.q.strip(),
-                    # Content fingerprint, not a session identity: sessions
-                    # of one tenant whose selections hold the same
-                    # instances share the entry (and a selection change
-                    # changes the fingerprint).  The datamart component
-                    # keeps tenants isolated.
-                    session.selection.fingerprint(),
-                    # The parse checks spatial filters against the
-                    # session's schema, so sessions with different sets
-                    # of layers and spatial levels answer apart.
-                    session.context.schema_set,
-                    request.as_of,
-                    # Read before the parse, the view and the scan: a row
-                    # appended meanwhile files this answer under a
-                    # generation the star has already left, so the next
-                    # lookup recomputes.  A past generation never changes,
-                    # so an as-of answer keys on ``as_of`` alone.
-                    star.generation if request.as_of is None else None,
-                )
-                payload = self._query_cache.get(cache_key)
-                if payload is not None:
-                    # A cache hit is still workload: the journal observes
-                    # the same traffic the caches do.
-                    self._journal_query(record, request)
-                    return self._paged_result(payload, request)
             try:
                 query = parse_query(request.q, session.context.geomd_schema)
                 # The parsed query names the fact, so multi-fact stars
@@ -322,42 +245,16 @@ class PersonalizationService:
                     code="as_of_unavailable",
                     detail={"as_of": request.as_of},
                 ) from exc
-            payload = CellSetPayload(
-                axes=tuple(str(a) for a in cell_set.axes),
-                labels=tuple(cell_set.labels),
-                # to_rows() already yields tuples; freezing the outer
-                # sequence too makes the whole cached payload immutable.
-                rows=tuple(cell_set.to_rows()),
-                fact_rows_scanned=cell_set.fact_rows_scanned,
-                fact_rows_matched=cell_set.fact_rows_matched,
-            )
-            if cache_key is not None:
-                self._query_cache.put(cache_key, payload)
             self._journal_query(record, request)
-        return self._paged_result(payload, request)
-
-    def _paged_result(
-        self, payload: CellSetPayload, request: QueryRequest
-    ) -> QueryResult:
-        rows, page = request.page.apply(payload.rows)
+        rows, page = request.page.apply(cell_set.to_rows())
         return QueryResult(
-            axes=list(payload.axes),
-            labels=list(payload.labels),
-            # Fresh lists per request: the cached payload rows are frozen
-            # tuples, and no two responses may share mutable state.
+            axes=[str(axis) for axis in cell_set.axes],
+            labels=list(cell_set.labels),
             rows=[list(row) for row in rows],
-            fact_rows_scanned=payload.fact_rows_scanned,
-            fact_rows_matched=payload.fact_rows_matched,
+            fact_rows_scanned=cell_set.fact_rows_scanned,
+            fact_rows_matched=cell_set.fact_rows_matched,
             page=page,
         )
-
-    @property
-    def query_cache_hits(self) -> int:
-        return self._query_cache.hits
-
-    @property
-    def query_cache_misses(self) -> int:
-        return self._query_cache.misses
 
     def record_selection(
         self, token: str | None, request: SelectionRequest
@@ -504,15 +401,6 @@ class PersonalizationService:
 
     def health(self) -> dict:
         """Unauthenticated liveness/introspection snapshot (LB probes)."""
-        query_cache = {
-            "size": len(self._query_cache),
-            "max_size": self._query_cache.max_size,
-            "hits": self.query_cache_hits,
-            "misses": self.query_cache_misses,
-            "hit_rate": _hit_rate(
-                self.query_cache_hits, self.query_cache_misses
-            ),
-        }
         sanitizer = _sanitizer.current()
         return {
             "status": "ok",
@@ -531,7 +419,6 @@ class PersonalizationService:
                 for dm in sorted(self.registry, key=lambda d: d.name)
             ],
             "active_sessions": len(self.sessions),
-            "query_cache": query_cache,
             # Which state tier this process runs on: backend kind, rows
             # per store, and the pool worker id when forked (None
             # single-process) — the per-backend stats the cluster mode's

@@ -11,9 +11,9 @@ Generation-based invalidation
 -----------------------------
 
 The star is the shared substrate of every cache in the hot request path
-(memoized personalized views, the service query cache, the lazy indexes
-below), so it carries a monotonically-increasing :attr:`~StarSchema.generation`
-counter.  Every write — a member add, a level's geometry load
+(memoized personalized views, the lazy indexes below), so it carries a
+monotonically-increasing :attr:`~StarSchema.generation` counter.  Every
+write — a member add, a level's geometry load
 (:meth:`~StarSchema.become_spatial`), a fact append, a layer's feature
 load, a layer add — bumps it; downstream caches store the generation
 they were built at and treat any difference as a miss.  A tenant's
@@ -32,9 +32,9 @@ The oracle switch
 Every layer reads it from the star it already holds and, when it is set,
 takes its reference path: index-backed lookups scan, views rebuild on
 every call, :func:`~repro.olap.query.execute` runs the row-loop
-reference executor, and the service and recommender caches are
-bypassed.  Tests and the benchmark harness set it to prove that every
-cache and index returns exactly what the reference paths return.
+reference executor, and the recommender's cache is bypassed.  Tests
+and the benchmark harness set it to prove that every cache and index
+returns exactly what the reference paths return.
 
 The mutation log
 ----------------

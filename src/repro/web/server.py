@@ -18,7 +18,9 @@ body in one ``sendall`` (a ``HEAD`` response stops after the headers).
 An HTTP/1.1 connection stays open unless the request says ``Connection:
 close``; an HTTP/1.0 one closes unless it says ``keep-alive``.  A body
 that is not a JSON object answers ``400 bad_request`` and the
-connection stays open.
+connection stays open.  A connection on which the client sends nothing
+for :data:`IDLE_TIMEOUT_S` seconds, between requests or inside one, is
+closed without a response, which ends its server thread.
 
 What it cannot frame it refuses, and then closes the connection, since
 where the next request would start is unknown.  Each refusal is the
@@ -68,11 +70,16 @@ from repro.web.http import (
 )
 from repro.web.portal import PortalApp
 
-__all__ = ["MAX_BODY_BYTES", "make_server", "serve"]
+__all__ = ["IDLE_TIMEOUT_S", "MAX_BODY_BYTES", "make_server", "serve"]
 
 #: The largest request body read (1 MiB); the API's largest body is a
 #: query string.
 MAX_BODY_BYTES = 1 << 20
+
+#: How long a connection may wait on its client before it is closed; a
+#: client that stops sending would otherwise hold the connection and
+#: its server thread forever.
+IDLE_TIMEOUT_S = 60.0
 
 #: The longest request or header line, and the most header lines, read
 #: (the limits ``http.server`` and ``http.client`` apply).
@@ -94,10 +101,16 @@ def _make_handler(app: PortalApp) -> type[socketserver.StreamRequestHandler]:
         #: most once a second.  One tuple, replaced whole, so a thread
         #: never reads one second's stamp with another's text.
         _date = (0, "")
+        #: Read when the server is made; ``setup`` applies it to each
+        #: connection.
+        timeout = IDLE_TIMEOUT_S
 
         def handle(self) -> None:
-            while self._serve_one():
-                pass
+            try:
+                while self._serve_one():
+                    pass
+            except TimeoutError:
+                pass  # the client went idle: close the connection
 
         def _serve_one(self) -> bool:
             """Frame, dispatch and answer one request; whether the

@@ -248,7 +248,7 @@ def build_workload_portal(
     With ``backend``, the session store and the journal are
     backend-backed under the fixed ``wl`` namespace — pass the same
     backend to every worker of a pool; without, they are in-heap.  The
-    query cache and the view stores are in-heap either way.
+    view stores are in-heap either way.
 
     The world is loaded once per portal: every tenant serves its own
     :meth:`~repro.storage.star.StarSchema.copy` of one loaded star,

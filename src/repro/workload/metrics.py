@@ -1,18 +1,20 @@
 """Health-route scraping around replay runs.
 
 The portal's unauthenticated ``/api/v1/health`` route already exposes
-every counter the benchmark JSON wants — query-cache hits/misses, the
-shared view store's patches-vs-rebuilds split, the state backend's
-spill/rehydration counts, the recommender's profile cache, and (when
-the process started under ``REPRO_SANITIZE=1``) per-lock contention and
-hold totals.  This module turns a *pair* of snapshots bracketing a replay
-into the numbers a trajectory wants:
+every counter the benchmark JSON wants — the shared view store's
+patches-vs-rebuilds split, the state backend's spill/rehydration
+counts, the recommender's profile cache, the journal's event counts,
+and (when the process started under ``REPRO_SANITIZE=1``) per-lock
+contention and hold totals.  This module turns a *pair* of snapshots
+bracketing a replay into the numbers a trajectory wants:
 
 * :func:`merge_health` — sum one snapshot per worker into a single
   cluster-wide snapshot (each worker has its own L1 caches; backend
   counters are per-process too);
 * :func:`health_window` — before/after deltas with *window* hit rates
-  (hits and misses that happened during the run, not since boot);
+  (hits and misses that happened during the run, not since boot), and
+  a query-cache block that reads zero: the service caches no answer,
+  and the benchmark still reads the block;
 * :func:`contention_summary` — the sanitizer's per-lock counters
   reduced to the few that matter for a load report.
 
@@ -48,7 +50,6 @@ def merge_health(snapshots: list[dict]) -> dict:
     """
     if not snapshots:
         return {}
-    query_cache = {"size": 0, "hits": 0, "misses": 0}
     sessions_backend = {"spills": 0, "rehydrations": 0}
     recommender = {"memo_hits": 0, "memo_misses": 0}
     journal_events = 0
@@ -56,10 +57,6 @@ def merge_health(snapshots: list[dict]) -> dict:
     datamarts: dict[str, dict] = {}
     locks: list[dict] = []
     for snapshot in snapshots:
-        cache = snapshot.get("query_cache") or {}
-        query_cache["size"] += cache.get("size", 0)
-        query_cache["hits"] += cache.get("hits", 0)
-        query_cache["misses"] += cache.get("misses", 0)
         active_sessions += snapshot.get("active_sessions", 0)
         reco = snapshot.get("recommender") or {}
         recommender["memo_hits"] += reco.get("memo_hits", 0)
@@ -98,7 +95,6 @@ def merge_health(snapshots: list[dict]) -> dict:
         lock_stats = snapshot.get("locks")
         if lock_stats is not None:
             locks.append(lock_stats)
-    query_cache["hit_rate"] = _rate(query_cache["hits"], query_cache["misses"])
     recommender["memo_hit_rate"] = _rate(
         recommender["memo_hits"], recommender["memo_misses"]
     )
@@ -108,7 +104,6 @@ def merge_health(snapshots: list[dict]) -> dict:
             view["hit_rate"] = _rate(view["hits"], view["misses"])
     return {
         "workers": len(snapshots),
-        "query_cache": query_cache,
         "recommender": recommender,
         "journal_events": journal_events,
         "active_sessions": active_sessions,
@@ -150,6 +145,8 @@ def _merge_locks(lock_stats: list[dict]) -> dict:
 
 
 _WINDOW_COUNTERS = (
+    # Always zero; perfbench/workloads.py _add_window reads it until
+    # perfbench drops query_cache_hit_rate.
     ("query_cache", ("hits", "misses")),
     ("recommender", ("memo_hits", "memo_misses")),
     ("sessions_backend", ("spills", "rehydrations")),

@@ -159,6 +159,37 @@ class TestParsing:
                 schema,
             )
 
+    @pytest.mark.parametrize("number", ["nan", "NaN", "inf", "infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "DISTANCE(Store, LAYER Airport) < {} KM",
+            "Store.City.population > {}",
+            "Store.City.population IN ({}, 1)",
+        ],
+        ids=["distance", "comparison", "in"],
+    )
+    def test_non_finite_number_is_refused(
+        self, spatial_schema, condition, number
+    ):
+        """``float`` reads these, and 1e400 overflows to infinity; a
+        threshold or literal that is not finite is a query error."""
+        with pytest.raises(QueryError, match="expected a finite number"):
+            parse_query(
+                f"SELECT COUNT(*) FROM Sales WHERE {condition.format(number)}",
+                spatial_schema,
+            )
+
+    def test_threshold_that_overflows_in_metres_is_refused(
+        self, spatial_schema
+    ):
+        with pytest.raises(QueryError, match="expected a finite number"):
+            parse_query(
+                "SELECT COUNT(*) FROM Sales "
+                "WHERE DISTANCE(Store, LAYER Airport) < 1e306 KM",
+                spatial_schema,
+            )
+
 
 class TestExecution:
     def test_end_to_end_text_query(self, star):

@@ -121,7 +121,7 @@ class TestInvalidation:
         assert stats["builds"] == builds
         assert stats["carries"] >= 1
 
-    def test_referenced_member_update_invalidates(self, engine, session, world):
+    def test_referenced_geometry_load_carries(self, engine, session, world):
         """A geometry load inside a referenced dimension moves no parent
         link, so the view is carried, not dropped: no build and no
         invalidation, and its rows equal a fresh build's."""

@@ -372,14 +372,13 @@ class TestJournalingControls:
         )
         assert response.status == 400
 
-    def test_query_cache_hits_are_still_journaled(self, portal, tokens):
+    def test_repeated_queries_are_each_journaled(self, portal, tokens):
         ana = tokens["ana-garcia"]
         q = "SELECT SUM(UnitSales) FROM Sales BY Store.State"
-        for _ in range(3):  # second and third answer from the query cache
+        for _ in range(3):
             assert portal.handle(
                 "POST", "/api/v1/query", {"q": q}, token=ana
             ).ok
-        assert portal.service.query_cache_hits >= 1
         events = [
             e
             for e in portal.service.journal.events("sales", "ana-garcia")
@@ -399,13 +398,7 @@ class TestHealth:
         assert sales["sessions_started"] == 3
         assert sales["star_generation"] > 0
         assert payload["active_sessions"] == 3
-        assert set(payload["query_cache"]) == {
-            "size",
-            "max_size",
-            "hits",
-            "misses",
-            "hit_rate",
-        }
+        assert "query_cache" not in payload
         assert payload["journal"]["sales"]["users"] == 3
         assert payload["journal"]["sales"]["events"] > 0
         assert set(payload["recommender"]) == {

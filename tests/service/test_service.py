@@ -262,22 +262,7 @@ class TestHealthHitRates:
 
     def test_rates_null_before_any_lookup(self, service):
         health = service.health()
-        assert health["query_cache"]["hit_rate"] is None
         assert health["recommender"]["memo_hit_rate"] is None
-
-    def test_query_cache_hit_rate_matches_counters(self, service, profile, world):
-        token = _login(service, profile, world).token
-        request = QueryRequest(
-            q="SELECT SUM(UnitSales) FROM Sales BY Product.Family"
-        )
-        service.query(token, request)  # miss (cold cache)
-        service.query(token, request)  # hit
-        cache = service.health()["query_cache"]
-        total = cache["hits"] + cache["misses"]
-        assert total >= 2 and cache["hits"] >= 1
-        assert cache["hit_rate"] == pytest.approx(
-            cache["hits"] / total, abs=1e-4
-        )
 
     def test_view_store_hit_rate_alongside_raw_counters(
         self, service, profile, world

@@ -8,6 +8,7 @@ import json
 import socket
 import string
 import threading
+import time
 from urllib.parse import parse_qsl, urlsplit
 
 import pytest
@@ -25,6 +26,7 @@ from repro.errors import BadRequestError
 from repro.personalization import PersonalizationEngine
 from repro.service import InMemorySessionStore
 from repro.web import PortalApp
+from repro.web import server as server_module
 from repro.web.http import json_response, parse_json_body
 from repro.web.server import MAX_BODY_BYTES, make_server
 
@@ -544,14 +546,58 @@ class TestConnections:
         assert status == 200
         assert json.loads(body)["token"]
 
+    def test_an_idle_connection_is_closed(
+        self, engine, profile, monkeypatch, capsys
+    ):
+        """A client that stops sending loses its connection after
+        ``IDLE_TIMEOUT_S``: the handler thread ends and nothing is
+        logged."""
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+        app = PortalApp(engine)
+        app.register_user(profile)
+        server = make_server(app, "127.0.0.1", 0)
+        handlers = []
+        process_request_thread = server.process_request_thread
+
+        def recording(request, client_address):
+            handlers.append(threading.current_thread())
+            process_request_thread(request, client_address)
+
+        server.process_request_thread = recording
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs=POLL, daemon=True
+        )
+        thread.start()
+        try:
+            with _persistent(server.server_address) as (client, rfile):
+                client.sendall(_raw_request("GET", "/api/v1/datamarts"))
+                status, _headers, _body = _read_response(rfile)
+                assert status == 200
+                time.sleep(0.5)
+                client.settimeout(2)
+                assert client.recv(1) == b""
+            (handler,) = handlers
+            handler.join(timeout=5)
+            assert not handler.is_alive()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert capsys.readouterr().err == ""
+
 
 class _RecordingConnection:
     """A client connection: canned request bytes in, every ``sendall``
-    recorded."""
+    recorded, and the timeout the handler sets kept."""
 
     def __init__(self, requests: bytes) -> None:
         self._requests = requests
         self.sent: list[bytes] = []
+        self.timeout = None
+
+    def settimeout(self, value) -> None:
+        self.timeout = value
 
     def makefile(self, mode, buffering=-1):
         return io.BytesIO(self._requests)
@@ -568,6 +614,7 @@ def _serve_connection(app, requests: bytes) -> list[bytes]:
         server.RequestHandlerClass(connection, ("127.0.0.1", 0), server)
     finally:
         server.server_close()
+    assert connection.timeout == server_module.IDLE_TIMEOUT_S
     return connection.sent
 
 
