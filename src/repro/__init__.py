@@ -13,12 +13,11 @@ Subpackages, bottom-up:
     hierarchies) — the profile of Luján-Mora et al. [16].
 ``repro.geomd``
     Geographic MD extension: spatial levels, thematic layers,
-    GeometricTypes, topological constraints.
+    GeometricTypes, UML export.
 ``repro.storage``
     In-memory star schema: dimension/fact/layer tables.
 ``repro.olap``
-    Spatial OLAP engine: cube queries, navigation, spatial aggregation,
-    GeoMDQL-lite.
+    Spatial OLAP engine: cube queries, navigation, GeoMDQL-lite.
 ``repro.sus``
     Spatial-aware user model (the SUS profile of Fig. 3/4).
 ``repro.prml``

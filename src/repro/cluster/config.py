@@ -15,8 +15,9 @@ worker computes its query answers and keeps its engines' view stores
 configured: ``None`` by default, so the service defaults are the
 in-heap stores, and under ``REPRO_BACKEND=sqlite`` one process-wide
 :class:`~repro.cluster.backend.SqliteBackend` (``REPRO_STATE`` names the
-file; the default is a per-process temp file) — this is how the tier-1
-suite runs end-to-end over the persistent tier in CI's ``cluster`` job.
+file; the default is a per-process temp file, removed when that process
+exits) — this is how the tier-1 suite runs end-to-end over the
+persistent tier in CI's ``cluster`` job.
 
 A backend-backed store gets a *fresh namespace* unless one is passed,
 so independently constructed services stay isolated from each other
@@ -27,6 +28,7 @@ namespaces instead — sharing is explicit, never accidental.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import os
 import tempfile
@@ -54,7 +56,6 @@ _WORKER_ENV = "REPRO_WORKER_ID"
 
 _namespace_counter = itertools.count(1)
 _shared: StateBackend | None = None
-_shared_pid: int | None = None
 
 
 def backend_kind() -> str:
@@ -67,17 +68,37 @@ def backend_kind() -> str:
     return kind
 
 
-def _default_state_path() -> str:
+def _default_state_backend() -> SqliteBackend:
+    """The sqlite backend on ``REPRO_STATE``, else on a file of its own.
+
+    Without an explicit path there is one file per process tree, parked
+    in the temp dir.  Forked workers inherit the parent's resolved path
+    through the shared backend object, so a pool shares state even
+    without ``REPRO_STATE`` set.  The file's name holds the creating pid,
+    so no later process can open it: that process removes it at exit.
+    """
     path = os.environ.get(_STATE_ENV)
     if path:
-        return path
-    # No explicit path: one file per process tree, parked in the temp
-    # dir.  Forked workers inherit the parent's resolved path through
-    # the shared backend object, so a pool shares state even without
-    # REPRO_STATE set.
-    return os.path.join(
-        tempfile.gettempdir(), f"repro-state-{os.getpid()}.sqlite"
+        return SqliteBackend(path)
+    pid = os.getpid()
+    backend = SqliteBackend(
+        os.path.join(tempfile.gettempdir(), f"repro-state-{pid}.sqlite")
     )
+    atexit.register(_remove_state_file, backend, pid)
+    return backend
+
+
+def _remove_state_file(backend: SqliteBackend, creator_pid: int) -> None:
+    # A forked pool worker inherits this hook with the backend; the file
+    # is its parent's to remove.
+    if os.getpid() != creator_pid:
+        return
+    backend.close()
+    for suffix in ("", "-wal", "-shm"):
+        try:
+            os.remove(backend.path + suffix)
+        except FileNotFoundError:
+            pass
 
 
 def shared_backend() -> StateBackend:
@@ -86,14 +107,13 @@ def shared_backend() -> StateBackend:
     Created on first use; forked children inherit the object (the
     sqlite implementation re-opens its connection per pid).
     """
-    global _shared, _shared_pid
+    global _shared
     if _shared is None:
         _shared = (
-            SqliteBackend(_default_state_path())
+            _default_state_backend()
             if backend_kind() == "sqlite"
             else InMemoryBackend()
         )
-        _shared_pid = os.getpid()
     return _shared
 
 

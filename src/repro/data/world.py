@@ -1,12 +1,12 @@
 """Deterministic synthetic geography for the motivating example.
 
 The paper's running example is a company sales SDW that was never
-published; this generator builds an equivalent world (see DESIGN.md,
-"Substitutions"): a rectangular region divided into state cells, cities
-inside states, stores and customers around cities, airports near a subset
-of cities, train lines whose vertices pass *exactly* through the city and
-airport points they serve (so Example 5.3's "the line contains a city and
-airport points" holds by construction), and highways crossing the region.
+published; this generator builds an equivalent world: a rectangular
+region divided into state cells, cities inside states, stores and
+customers around cities, airports near a subset of cities, train lines
+whose vertices pass *exactly* through the city and airport points they
+serve (so Example 5.3's "the line contains a city and airport points"
+holds by construction), and highways crossing the region.
 
 All coordinates are metres on a local plane; all randomness flows from
 one seed.

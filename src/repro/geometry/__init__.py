@@ -1,8 +1,8 @@
 """Planar geometry kernel (ISO 19107 / OGC Simple Features subset).
 
 This package is the substrate for every spatial feature of the
-reproduction: the PRML spatial operators, the GeoMD layers, the spatial
-OLAP aggregation functions and the synthetic world generators.
+reproduction: the PRML spatial operators, the GeoMD layers, the GeoMDQL
+spatial filters and the synthetic world generators.
 
 Public surface:
 
@@ -10,11 +10,10 @@ Public surface:
   multi-part variants, :class:`GeometryCollection`, :class:`Envelope`;
 * WKT I/O — :func:`wkt_loads` / :func:`wkt_dumps`;
 * topological predicates — :func:`intersects`, :func:`disjoint`,
-  :func:`within`, :func:`contains`, :func:`crosses`, :func:`touches`,
-  :func:`overlaps`, :func:`equals` — plus the general DE-9IM
-  :func:`relate` matrix with :func:`matches` pattern tests;
-* operations — :func:`distance`, :func:`intersection`, :func:`centroid`,
-  :func:`convex_hull`, :func:`point_buffer`;
+  :func:`within`, :func:`contains`, :func:`crosses`, :func:`equals` —
+  plus the general DE-9IM :func:`relate` matrix with :func:`matches`
+  pattern tests;
+* operations — :func:`distance`, :func:`intersection`, :func:`centroid`;
 * metrics — :class:`PlanarMetric`, :class:`HaversineMetric`;
 * the reference radius scan — :func:`brute_force_within_distance`.
 """
@@ -44,12 +43,9 @@ from repro.geometry.ops import (
     centroid,
     clip_line_to_polygon,
     clip_polygon_convex,
-    convex_hull,
     distance,
-    envelope_geometry,
     intersection,
     is_convex,
-    point_buffer,
     split_line_at,
 )
 from repro.geometry.predicates import (
@@ -58,8 +54,6 @@ from repro.geometry.predicates import (
     disjoint,
     equals,
     intersects,
-    overlaps,
-    touches,
     within,
 )
 from repro.geometry.wkt import dumps as wkt_dumps
@@ -88,20 +82,15 @@ __all__ = [
     "centroid",
     "clip_line_to_polygon",
     "clip_polygon_convex",
-    "convex_hull",
     "distance",
-    "envelope_geometry",
     "intersection",
     "is_convex",
-    "point_buffer",
     "split_line_at",
     "contains",
     "crosses",
     "disjoint",
     "equals",
     "intersects",
-    "overlaps",
-    "touches",
     "within",
     "wkt_dumps",
     "wkt_loads",

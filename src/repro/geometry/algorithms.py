@@ -233,10 +233,10 @@ def polyline_arc_between(
 ) -> float:
     """Arc length along a polyline between the projections of ``p`` and ``q``.
 
-    This implements the reading of the paper's Example 5.3 documented in
-    DESIGN.md: the "distance of the corresponding segment" of a train line
-    between a city stop and an airport stop is the travel distance along the
-    line, not the straight-line distance.
+    This implements the reading of the paper's Example 5.3 that
+    :mod:`repro.prml.stdlib` documents: the "distance of the corresponding
+    segment" of a train line between a city stop and an airport stop is
+    the travel distance along the line, not the straight-line distance.
     """
     arc_p, _ = locate_on_polyline(p, coords)
     arc_q, _ = locate_on_polyline(q, coords)

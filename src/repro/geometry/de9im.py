@@ -12,7 +12,7 @@ property-tested against these matrices.
 Supported operand types: Point, LineString, Polygon (atomic).  Multi-part
 operands raise — the PRML layer only ever relates atoms, and full
 multi-part DE-9IM would need a general overlay operator that is out of
-reproduction scope (DESIGN.md §5).
+reproduction scope.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Geometric operations: distance, intersection, centroid, hulls, buffers.
+"""Geometric operations: distance, intersection, centroid.
 
 These are the value-returning counterparts of the boolean predicates — the
 paper's *Distance* operator ("returns a numeric value according to the
@@ -9,12 +9,11 @@ The kernel-level :func:`intersection` implemented here is the symmetric OGC
 operation.  The paper's order-dependent result-type coercion (LINE ∩ POINT →
 collection of sub-lines, POINT ∩ LINE → collection of points) is a PRML-level
 convention and lives in :mod:`repro.prml.stdlib`, layered on top of this
-module — see DESIGN.md, "Design decisions".
+module.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 from repro.errors import GeometryError
@@ -35,9 +34,6 @@ __all__ = [
     "distance",
     "intersection",
     "centroid",
-    "convex_hull",
-    "envelope_geometry",
-    "point_buffer",
     "split_line_at",
     "clip_line_to_polygon",
     "clip_polygon_convex",
@@ -138,7 +134,7 @@ def intersection(a: Geometry, b: Geometry) -> Geometry:
     * polygon/polygon is supported when either operand is convex
       (Sutherland–Hodgman clipping); the general concave/concave case is
       out of scope for this reproduction and raises :class:`GeometryError`
-      (the paper's rules intersect only points and lines — DESIGN.md §5).
+      (the paper's rules intersect only points and lines).
     """
     if _is_multi(a) or _is_multi(b):
         pieces: list[Geometry] = []
@@ -306,77 +302,6 @@ def centroid(geom: Geometry) -> Point:
     x = sum(c.x * w for c, w in zip(centers, weights)) / total_w
     y = sum(c.y * w for c, w in zip(centers, weights)) / total_w
     return Point(x, y)
-
-
-def convex_hull(geoms: Iterable[Geometry] | Geometry) -> Geometry:
-    """Convex hull of one geometry or an iterable of geometries."""
-    if isinstance(geoms, Geometry):
-        coords = list(geoms.coords())
-    else:
-        coords = [c for g in geoms for c in g.coords()]
-    if not coords:
-        return GeometryCollection(())
-    hull = alg.convex_hull(coords)
-    if len(hull) >= 3:
-        try:
-            return Polygon(hull)
-        except GeometryError:
-            # A tolerance-degenerate hull that Polygon rejects (its area
-            # tolerance is absolute).  A sliver collapses to its diameter
-            # segment, like the exactly-collinear case; a hull that is
-            # merely tiny would lose its vertices off that segment, so it
-            # keeps the input points instead.  Either way every input
-            # point stays within tolerance of the result.
-            anchor = hull[0]
-            a = max(hull, key=lambda p: alg.distance(anchor, p))
-            b = max(hull, key=lambda p: alg.distance(a, p))
-            if any(alg.point_segment_distance(p, a, b) > alg.EPS for p in hull):
-                return MultiPoint(Point(*c) for c in sorted(set(coords)))
-            hull = sorted((a, b)) if a != b else [a]
-    if len(hull) == 1:
-        return Point(*hull[0])
-    if alg.coords_equal(hull[0], hull[1]):
-        # Distinct floats closer than the kernel tolerance: a point.
-        return Point(*hull[0])
-    return LineString(hull)
-
-
-def envelope_geometry(geom: Geometry) -> Geometry:
-    """The envelope as a geometry (degenerates to Point/LineString)."""
-    env = geom.envelope
-    if alg.close(env.width, 0.0) and alg.close(env.height, 0.0):
-        return Point(env.min_x, env.min_y)
-    if alg.close(env.width, 0.0) or alg.close(env.height, 0.0):
-        return LineString([(env.min_x, env.min_y), (env.max_x, env.max_y)])
-    return Polygon(
-        [
-            (env.min_x, env.min_y),
-            (env.max_x, env.min_y),
-            (env.max_x, env.max_y),
-            (env.min_x, env.max_y),
-        ]
-    )
-
-
-def point_buffer(p: Point, radius: float, segments: int = 32) -> Polygon:
-    """Circular buffer around a point, approximated by a regular polygon.
-
-    Only point buffers are needed by the examples (e.g. the "5 km around my
-    location" zone of Example 5.2 visualizations); general buffering is out
-    of reproduction scope.
-    """
-    if radius <= 0:
-        raise GeometryError("buffer radius must be positive")
-    if segments < 8:
-        raise GeometryError("a buffer needs at least 8 segments")
-    ring = [
-        (
-            p.x + radius * math.cos(2.0 * math.pi * i / segments),
-            p.y + radius * math.sin(2.0 * math.pi * i / segments),
-        )
-        for i in range(segments)
-    ]
-    return Polygon(ring)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The paper (Section 4.2.3) extends PRML with "the traditional topological
 relations that return a boolean value": *Intersect*, *Disjoint*, *Cross*,
-*Inside* and *Equals*.  This module implements those five — plus the
-complementary OGC relations ``contains``, ``touches`` and ``overlaps`` that
-the OLAP layer and tests use — for every pairing of the supported types.
+*Inside* and *Equals*.  This module implements those five — plus
+``contains``, the inverse of *Inside* that GeoMDQL's ``CONTAINS`` relation
+uses — for every pairing of the supported types.
 
 Semantics follow the OGC Simple Features / DE-9IM definitions:
 
@@ -16,9 +16,6 @@ Semantics follow the OGC Simple Features / DE-9IM definitions:
 ``crosses``      interiors meet, the intersection has a lower dimension
                  than the higher-dimensional operand, and neither operand
                  is within the other.
-``touches``      they intersect but their interiors do not.
-``overlaps``     same dimension, interiors meet, intersection of that same
-                 dimension, neither within the other.
 ``equals``       same point set (orientation / vertex-rotation insensitive).
 
 The implementation is tolerance-based (see :mod:`repro.geometry.algorithms`)
@@ -50,8 +47,6 @@ __all__ = [
     "within",
     "contains",
     "crosses",
-    "touches",
-    "overlaps",
     "equals",
 ]
 
@@ -372,51 +367,8 @@ def _line_crosses_area(line: Geometry, area: Geometry) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# touches / overlaps
+# line/area and area/area interiors (read by de9im.relate)
 # ---------------------------------------------------------------------------
-
-def touches(a: Geometry, b: Geometry) -> bool:
-    """True when the geometries intersect but their interiors do not."""
-    if not intersects(a, b):
-        return False
-    return not _interiors_intersect(a, b)
-
-
-def _interiors_intersect(a: Geometry, b: Geometry) -> bool:
-    if _is_multi(a) or _is_multi(b):
-        return any(
-            _interiors_intersect(pa, pb) for pa in _parts(a) for pb in _parts(b)
-        )
-    if isinstance(a, Point):
-        return _coord_in_interior(a.coord, b)
-    if isinstance(b, Point):
-        return _coord_in_interior(b.coord, a)
-    if isinstance(a, LineString) and isinstance(b, LineString):
-        for s1, s2 in a.segments():
-            for c1, c2 in b.segments():
-                kind, pts = alg.segment_intersection(s1, s2, c1, c2)
-                if kind == "segment":
-                    mid = (
-                        (pts[0][0] + pts[1][0]) / 2.0,
-                        (pts[0][1] + pts[1][1]) / 2.0,
-                    )
-                    if _coord_in_interior(mid, a) and _coord_in_interior(mid, b):
-                        return True
-                elif kind == "point":
-                    p = pts[0]
-                    if _coord_in_interior(p, a) and _coord_in_interior(p, b):
-                        return True
-        return False
-    if isinstance(a, LineString) and isinstance(b, Polygon):
-        return _line_area_interiors(a, b)
-    if isinstance(a, Polygon) and isinstance(b, LineString):
-        return _line_area_interiors(b, a)
-    if isinstance(a, Polygon) and isinstance(b, Polygon):
-        return _area_area_interiors(a, b)
-    raise GeometryError(
-        f"unsupported interior test pair: {a.geom_type} / {b.geom_type}"
-    )
-
 
 def _line_area_interiors(line: LineString, poly: Polygon) -> bool:
     probes = _sample_coords(line)
@@ -470,39 +422,6 @@ def _area_area_interiors(a: Polygon, b: Polygon) -> bool:
                     alg.coords_equal(p, v) for v in (s1, s2, t1, t2)
                 ):
                     return True
-    return False
-
-
-def overlaps(a: Geometry, b: Geometry) -> bool:
-    """Same-dimension partial overlap (neither within the other)."""
-    if a.dimension != b.dimension:
-        return False
-    if not intersects(a, b):
-        return False
-    if within(a, b) or within(b, a):
-        return False
-    if a.dimension == 0:
-        set_a = {c for c in a.coords()}
-        set_b = {c for c in b.coords()}
-        shared = any(
-            alg.coords_equal(p, q) for p in set_a for q in set_b
-        )
-        return shared
-    if a.dimension == 1:
-        return _lines_overlap_1d(a, b)
-    return _interiors_intersect(a, b)
-
-
-def _lines_overlap_1d(a: Geometry, b: Geometry) -> bool:
-    """1-D overlap: some collinear stretch of positive length is shared."""
-    for la in _parts(a):
-        for lb in _parts(b):
-            assert isinstance(la, LineString) and isinstance(lb, LineString)
-            for s1, s2 in la.segments():
-                for c1, c2 in lb.segments():
-                    kind, _pts = alg.segment_intersection(s1, s2, c1, c2)
-                    if kind == "segment":
-                        return True
     return False
 
 

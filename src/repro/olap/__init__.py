@@ -1,9 +1,8 @@
-"""Spatial OLAP engine: cube queries, navigation, spatial aggregation.
+"""Spatial OLAP engine: cube queries and navigation.
 
 The warehouse-analysis substrate the paper's rules personalize: cube
 queries with attribute and spatial filters, roll-up/drill-down/slice/dice
-navigation, da Silva-style spatial aggregation functions and the
-GeoMDQL-lite text query language.
+navigation and the GeoMDQL-lite text query language.
 """
 
 from repro.olap.cube import Cube
@@ -20,11 +19,6 @@ from repro.olap.query import (
     SpatialRelation,
     execute,
 )
-from repro.olap.spatial_agg import (
-    SpatialAggregator,
-    aggregate_geometries,
-    spatial_rollup,
-)
 
 __all__ = [
     "AggSpec",
@@ -35,11 +29,8 @@ __all__ = [
     "CubeQuery",
     "LayerRef",
     "LevelRef",
-    "SpatialAggregator",
     "SpatialFilter",
     "SpatialRelation",
-    "aggregate_geometries",
     "execute",
     "parse_query",
-    "spatial_rollup",
 ]

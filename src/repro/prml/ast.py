@@ -213,7 +213,8 @@ class SpatialCall(Expr):
 
     ``Distance`` accepts one argument as well — the paper's Example 5.3
     applies it to a nested ``Intersection`` result; the unary semantics
-    (arc length along the hosting line) are documented in DESIGN.md.
+    (arc length along the hosting line) are documented in
+    :mod:`repro.prml.stdlib`.
     """
 
     function: SpatialFunction

@@ -479,7 +479,8 @@ class SemanticAnalyzer:
             ].function is not SpatialFunction.INTERSECTION:
                 self._issue(
                     "unary Distance expects a nested Intersection(...) "
-                    "argument (see DESIGN.md on Example 5.3)"
+                    "argument: it measures along the line that a LINE ∩ "
+                    "POINT Intersection yields"
                 )
             return ValueType.NUMBER
         if call.function is SpatialFunction.INTERSECTION:

@@ -13,9 +13,9 @@ operations; this module layers the *paper's* operator conventions on top
   further intersections can refine it;
 * **unary Distance over such a collection** — Example 5.3 computes
   ``Distance(Intersection(Intersection(t, c), a))``: the travel distance
-  along train line *t* between the city stop and the airport stop (see
-  DESIGN.md, "Ex. 5.3 semantics").  An empty collection has distance
-  ``+inf`` so enclosing ``< 50km`` conditions are simply false.
+  along train line *t* between the city stop and the airport stop.  An
+  empty collection has distance ``+inf`` so enclosing ``< 50km``
+  conditions are simply false.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ This is the same check CI's lint job runs (``repro lint src
 --check-baseline``): zero new findings over ``src/`` and zero stale
 entries in the committed ``lint-baseline.json``.  Keeping it inside
 tier-1 means a violation fails the ordinary test run too, not just the
-dedicated CI job.
+dedicated CI job.  The tree's other invariants ride along: the baselines
+stay empty, and every Markdown file ``src/`` points a reader to exists.
 """
 
+import re
 from pathlib import Path
 
 from repro.analysis.baseline import Baseline
@@ -52,3 +54,16 @@ def test_lock_order_baseline_is_empty():
 
     data = json.loads((REPO_ROOT / "lock-order-baseline.json").read_text())
     assert data["cycles"] == []
+
+
+def test_every_markdown_file_src_names_exists():
+    """Each ``*.md`` file a docstring, comment or message in ``src/``
+    points a reader to is one the repository has at its root."""
+    markdown_name = re.compile(r"\b[\w-]+\.md\b")
+    missing = sorted(
+        f"{path.relative_to(REPO_ROOT)}: {name}"
+        for path in (REPO_ROOT / "src").rglob("*.py")
+        for name in set(markdown_name.findall(path.read_text(encoding="utf-8")))
+        if not (REPO_ROOT / name).is_file()
+    )
+    assert missing == []

@@ -7,11 +7,18 @@ both sides of a ``fork``).
 """
 
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.cluster.backend import InMemoryBackend, SqliteBackend
 from repro.errors import StorageError
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(params=["memory", "sqlite"])
@@ -172,3 +179,73 @@ class TestSqliteDurability:
             assert backend.counter("seq") == 3
         finally:
             backend.close()
+
+
+def _run_over_sqlite(tmp_path, script, **env_extra):
+    """Run ``script`` in a fresh interpreter under ``REPRO_BACKEND=sqlite``
+    with ``tmp_path`` as its temp dir; returns its stdout lines."""
+    env = dict(
+        os.environ, PYTHONPATH=str(SRC), REPRO_BACKEND="sqlite", TMPDIR=str(tmp_path)
+    )
+    env.pop("REPRO_STATE", None)
+    env.update(env_extra)
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+class TestDefaultStateFile:
+    """Without ``REPRO_STATE`` the state file is named after the pid of
+    the process that created it, so no later process can open it: that
+    process removes it, with its ``-wal`` and ``-shm`` files, at exit."""
+
+    def test_the_file_goes_when_its_process_exits(self, tmp_path):
+        path, existed = _run_over_sqlite(
+            tmp_path,
+            """
+            import os
+            from repro.cluster.config import env_backend
+            backend = env_backend()
+            backend.put("s", "k", "v")
+            print(backend.path, os.path.exists(backend.path))
+            """,
+        )
+        assert Path(path).parent == tmp_path and existed == "True"
+        assert list(tmp_path.glob("repro-state-*")) == []
+
+    def test_a_forked_child_leaves_the_file_to_its_parent(self, tmp_path):
+        (exists_after_child,) = _run_over_sqlite(
+            tmp_path,
+            """
+            import os, sys
+            from repro.cluster.config import env_backend
+            backend = env_backend()
+            backend.put("s", "parent", "1")
+            pid = os.fork()
+            if pid == 0:
+                backend.put("s", "child", "1")
+                sys.exit(0)  # runs the exit hooks the child inherited
+            os.waitpid(pid, 0)
+            print(os.path.exists(backend.path) and backend.get("s", "child") == "1")
+            """,
+        )
+        assert exists_after_child == "True"
+        assert list(tmp_path.glob("repro-state-*")) == []
+
+    def test_a_named_state_file_stays(self, tmp_path):
+        state = tmp_path / "state.sqlite"
+        _run_over_sqlite(
+            tmp_path,
+            """
+            from repro.cluster.config import env_backend
+            env_backend().put("s", "k", "v")
+            """,
+            REPRO_STATE=str(state),
+        )
+        assert state.exists()

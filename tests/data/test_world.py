@@ -58,6 +58,17 @@ class TestStructure:
         for city in world.cities:
             assert within(city.location, states[city.state])
 
+    def test_stores_mostly_inside_their_state(self, world):
+        """Stores spread around their city, so a few may spill over the
+        border of its state cell; the vast majority fall inside."""
+        states = {s.name: s.polygon for s in world.states}
+        outside = [
+            store
+            for store in world.stores
+            if not within(store.location, states[world.city(store.city).state])
+        ]
+        assert len(outside) < len(world.stores) * 0.2
+
     def test_airports_offset_from_cities(self, world):
         for airport in world.airports:
             city = world.city(airport.city)

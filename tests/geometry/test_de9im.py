@@ -13,7 +13,6 @@ from repro.geometry import (
     contains,
     equals,
     intersects,
-    touches,
     within,
 )
 from repro.geometry import algorithms as alg
@@ -131,11 +130,6 @@ class TestOGCDefinitionalPatterns:
         # within <=> II != F and IE == F and BE == F
         within_matrix = matrix[0] != "F" and matrix[2] == "F" and matrix[5] == "F"
         assert within_matrix == within(a, b), (matrix, a, b)
-        # touches <=> II == F but some contact exists
-        touches_matrix = matrix[0] == "F" and any(
-            matrix[i] != "F" for i in (1, 3, 4)
-        )
-        assert touches_matrix == touches(a, b), (matrix, a, b)
 
     POINTS = [Point(5, 5), Point(0, 5), Point(50, 50), Point(0, 0)]
     LINES = [

@@ -1,7 +1,5 @@
 """Tests for value-returning geometric operations."""
 
-import math
-
 import pytest
 
 from repro.errors import GeometryError
@@ -15,12 +13,9 @@ from repro.geometry import (
     centroid,
     clip_line_to_polygon,
     clip_polygon_convex,
-    convex_hull,
     distance,
-    envelope_geometry,
     intersection,
     is_convex,
-    point_buffer,
     split_line_at,
 )
 
@@ -154,56 +149,6 @@ class TestCentroid:
     def test_empty_raises(self):
         with pytest.raises(GeometryError):
             centroid(GeometryCollection(()))
-
-
-class TestConvexHull:
-    def test_hull_of_points(self):
-        geoms = [Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4), Point(2, 2)]
-        hull = convex_hull(geoms)
-        assert isinstance(hull, Polygon)
-        assert hull.area == pytest.approx(16.0)
-
-    def test_hull_of_single_geometry(self):
-        hull = convex_hull(SQUARE)
-        assert isinstance(hull, Polygon)
-        assert hull.area == pytest.approx(100.0)
-
-    def test_degenerate_hull_line(self):
-        hull = convex_hull([Point(0, 0), Point(5, 5)])
-        assert isinstance(hull, LineString)
-
-    def test_degenerate_hull_point(self):
-        assert convex_hull([Point(1, 1)]) == Point(1, 1)
-
-
-class TestEnvelopeGeometry:
-    def test_polygon_envelope(self):
-        tri = Polygon([(0, 0), (4, 0), (0, 4)])
-        env = envelope_geometry(tri)
-        assert isinstance(env, Polygon)
-        assert env.area == pytest.approx(16.0)
-
-    def test_point_envelope_degenerates(self):
-        assert envelope_geometry(Point(1, 2)) == Point(1, 2)
-
-    def test_vertical_line_envelope(self):
-        line = LineString([(0, 0), (0, 5)])
-        env = envelope_geometry(line)
-        assert isinstance(env, LineString)
-
-
-class TestBuffer:
-    def test_radius_and_area(self):
-        disc = point_buffer(Point(0, 0), 10, segments=128)
-        assert disc.area == pytest.approx(math.pi * 100, rel=0.01)
-
-    def test_invalid_radius(self):
-        with pytest.raises(GeometryError):
-            point_buffer(Point(0, 0), -1)
-
-    def test_contains_center(self):
-        disc = point_buffer(Point(2, 3), 1)
-        assert disc.contains_coord((2, 3))
 
 
 class TestSplitAndClip:

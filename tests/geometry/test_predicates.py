@@ -13,10 +13,11 @@ from repro.geometry import (
     disjoint,
     equals,
     intersects,
-    overlaps,
-    touches,
+    predicates,
     within,
 )
+from repro.olap.query import SpatialRelation, _relation_predicate
+from repro.prml.stdlib import _PREDICATES
 
 SQUARE = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
 SMALL_SQUARE = Polygon([(2, 2), (4, 2), (4, 4), (2, 4)])
@@ -25,6 +26,17 @@ DONUT = Polygon(
     [(0, 0), (10, 0), (10, 10), (0, 10)],
     holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]],
 )
+
+
+def test_the_kernel_predicates_are_the_operators():
+    """The kernel's predicates are exactly the boolean operators PRML and
+    GeoMDQL name: none is left that no rule or query can reach."""
+    operators = {function.__name__ for function in _PREDICATES.values()} | {
+        _relation_predicate(relation).__name__
+        for relation in SpatialRelation
+        if relation is not SpatialRelation.DISTANCE
+    }
+    assert set(predicates.__all__) == operators
 
 
 class TestIntersects:
@@ -171,75 +183,6 @@ class TestCrosses:
         assert crosses(mp, SQUARE)
         mp_all_in = MultiPoint([Point(5, 5), Point(6, 6)])
         assert not crosses(mp_all_in, SQUARE)
-
-
-class TestTouches:
-    def test_point_touches_polygon_boundary(self):
-        assert touches(Point(0, 5), SQUARE)
-        assert not touches(Point(5, 5), SQUARE)
-
-    def test_point_touches_line_endpoint(self):
-        line = LineString([(0, 0), (10, 0)])
-        assert touches(Point(0, 0), line)
-        assert not touches(Point(5, 0), line)  # interior point
-
-    def test_lines_touching_at_endpoints(self):
-        a = LineString([(0, 0), (5, 5)])
-        b = LineString([(5, 5), (10, 0)])
-        assert touches(a, b)
-
-    def test_crossing_lines_do_not_touch(self):
-        a = LineString([(0, 0), (10, 10)])
-        b = LineString([(0, 10), (10, 0)])
-        assert not touches(a, b)
-
-    def test_adjacent_polygons_touch(self):
-        left = Polygon([(0, 0), (5, 0), (5, 5), (0, 5)])
-        right = Polygon([(5, 0), (10, 0), (10, 5), (5, 5)])
-        assert touches(left, right)
-
-    def test_overlapping_polygons_do_not_touch(self):
-        a = Polygon([(0, 0), (6, 0), (6, 6), (0, 6)])
-        b = Polygon([(3, 3), (9, 3), (9, 9), (3, 9)])
-        assert not touches(a, b)
-
-    def test_line_touching_polygon_edge(self):
-        grazing = LineString([(0, -5), (0, 15)])  # runs along x=0 edge
-        assert touches(grazing, SQUARE)
-
-
-class TestOverlaps:
-    def test_polygons_overlap(self):
-        a = Polygon([(0, 0), (6, 0), (6, 6), (0, 6)])
-        b = Polygon([(3, 3), (9, 3), (9, 9), (3, 9)])
-        assert overlaps(a, b)
-        assert overlaps(b, a)
-
-    def test_nested_polygons_do_not_overlap(self):
-        assert not overlaps(SQUARE, SMALL_SQUARE)
-
-    def test_different_dimensions_never_overlap(self):
-        assert not overlaps(SQUARE, LineString([(0, 0), (20, 20)]))
-
-    def test_lines_overlap(self):
-        a = LineString([(0, 0), (10, 0)])
-        b = LineString([(5, 0), (15, 0)])
-        assert overlaps(a, b)
-
-    def test_crossing_lines_do_not_overlap(self):
-        a = LineString([(0, 0), (10, 10)])
-        b = LineString([(0, 10), (10, 0)])
-        assert not overlaps(a, b)
-
-    def test_multipoints_overlap(self):
-        a = MultiPoint([Point(0, 0), Point(1, 1)])
-        b = MultiPoint([Point(1, 1), Point(2, 2)])
-        assert overlaps(a, b)
-
-    def test_identical_multipoints_do_not_overlap(self):
-        a = MultiPoint([Point(0, 0), Point(1, 1)])
-        b = MultiPoint([Point(0, 0), Point(1, 1)])
-        assert not overlaps(a, b)
 
 
 class TestEquals:

@@ -1,8 +1,6 @@
 """Property-based tests (hypothesis) for the geometry kernel invariants."""
 
-import math
-
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
@@ -12,11 +10,9 @@ from repro.geometry import (
     Polygon,
     brute_force_within_distance,
     centroid,
-    convex_hull,
     distance,
     equals,
     intersects,
-    point_buffer,
     wkt_dumps,
     wkt_loads,
     within,
@@ -122,38 +118,6 @@ class TestPredicateProperties:
     @given(linestrings, linestrings)
     def test_intersects_symmetric(self, a, b):
         assert intersects(a, b) == intersects(b, a)
-
-
-class TestHullProperties:
-    @given(st.lists(points, min_size=1, max_size=20))
-    # A tiny triangle: Polygon rejects its area as zero, and collapsing
-    # it to its diameter would leave (0, 0) 7.07e-6 away.
-    @example([Point(0.0, 0.0), Point(0.0, 1e-5), Point(1e-5, 0.0)])
-    def test_hull_contains_all_points(self, pts):
-        hull = convex_hull(pts)
-        for p in pts:
-            assert distance(p, hull) <= 1e-6 * max(
-                1.0, *(abs(c) for pt in pts for c in pt.coord)
-            )
-
-    @given(st.lists(points, min_size=3, max_size=20))
-    def test_hull_idempotent(self, pts):
-        h1 = convex_hull(pts)
-        h2 = convex_hull(h1)
-        assert equals(h1, h2)
-
-
-class TestBufferProperties:
-    @given(points, st.floats(min_value=0.1, max_value=1e4))
-    def test_buffer_contains_center(self, p, r):
-        disc = point_buffer(p, r)
-        assert disc.locate_coord(p.coord) == "interior"
-
-    @given(points, st.floats(min_value=0.5, max_value=1e4))
-    def test_buffer_area_below_circle(self, p, r):
-        disc = point_buffer(p, r, segments=64)
-        assert disc.area <= math.pi * r * r + 1e-6
-        assert disc.area >= math.pi * r * r * 0.95
 
 
 class TestIndexProperties:
