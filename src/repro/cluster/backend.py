@@ -10,10 +10,9 @@ are not state: each worker recomputes them in its own heap.
 
 Two implementations, both stdlib-only:
 
-* :class:`InMemoryBackend` — a lock-guarded dict of dicts.  Today's
-  behavior with the serialization boundary made explicit: values are
-  JSON text, so anything that round-trips through it also round-trips
-  through the persistent backend.
+* :class:`InMemoryBackend` — a lock-guarded dict of dicts, the tests'
+  fake backend: values are JSON text, so anything that round-trips
+  through it also round-trips through the persistent backend.
 * :class:`SqliteBackend` — a ``sqlite3`` file in WAL mode.  One
   connection per process (re-opened after ``fork``, detected by pid),
   every statement under a process lock; cross-process writers are
@@ -21,9 +20,9 @@ Two implementations, both stdlib-only:
   backend the :mod:`repro.cluster.pool` worker processes share.
 
 Values are *strings* by contract (the codecs' JSON), never live
-objects: the in-memory backend enforces it so the default mode cannot
-accidentally depend on shared mutable state the persistent mode would
-not provide.
+objects: the in-memory backend enforces it so a test over it cannot
+depend on shared mutable state the persistent backend would not
+provide.
 
 Keys sort bytewise; prefix scans (``items``/``keys``/``count`` with
 ``prefix=``) are how the journal reads one user's history back in
@@ -122,7 +121,7 @@ class StateBackend(ABC):
 
 
 class InMemoryBackend(StateBackend):
-    """Heap-resident backend: today's single-process behavior, but with
+    """Heap-resident backend, the tests' fake: one process, but with
     the encode/decode boundary of the persistent one."""
 
     kind = "memory"

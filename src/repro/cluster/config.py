@@ -33,7 +33,7 @@ import itertools
 import os
 import tempfile
 
-from repro.cluster.backend import InMemoryBackend, SqliteBackend, StateBackend
+from repro.cluster.backend import SqliteBackend, StateBackend
 from repro.cluster.stores import BackendSessionStore, BackendWorkloadJournal
 from repro.reco.journal import WorkloadJournal
 from repro.service.sessions import InMemorySessionStore
@@ -102,18 +102,15 @@ def _remove_state_file(backend: SqliteBackend, creator_pid: int) -> None:
 
 
 def shared_backend() -> StateBackend:
-    """The process-wide backend the env-selected stores share.
+    """The process-wide backend the env-selected stores share under
+    ``REPRO_BACKEND=sqlite`` (its only callers check that mode first).
 
     Created on first use; forked children inherit the object (the
     sqlite implementation re-opens its connection per pid).
     """
     global _shared
     if _shared is None:
-        _shared = (
-            _default_state_backend()
-            if backend_kind() == "sqlite"
-            else InMemoryBackend()
-        )
+        _shared = _default_state_backend()
     return _shared
 
 

@@ -152,12 +152,6 @@ class WorkerPool:
     def alive(self) -> int:
         return sum(1 for process in self._processes if process.is_alive())
 
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
 
 class ClusterClient:
     """Affinity-aware HTTP client for a :class:`WorkerPool`.

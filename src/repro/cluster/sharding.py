@@ -8,18 +8,24 @@ worker keeps that worker's L1 caches warm for it; any other routing is
 still *correct* (the shared backend answers everywhere — affinity is a
 performance property, not a correctness one).
 
-A consistent ring rather than ``hash(name) % workers`` so that changing
-the worker count remaps only ``~1/N`` of the tenants — the property
-that matters when a pool is resized against a warm state backend.
+A ring of :data:`REPLICAS` points per worker rather than
+``hash(name) % workers``: a pool of one more worker remaps only the
+tenants the new worker takes over, and the ring spreads the four
+workload tenants 2/2 over two workers, where each name's ring point
+modulo 2 would put all four on worker 0.  A pool's size is fixed for
+its life, so the ring is built once and never shrinks.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
-__all__ = ["ConsistentHashRing"]
+__all__ = ["ConsistentHashRing", "REPLICAS"]
+
+#: Ring points per worker.
+REPLICAS = 64
 
 
 def _point(data: str) -> int:
@@ -29,28 +35,19 @@ def _point(data: str) -> int:
 class ConsistentHashRing:
     """Maps keys (tenant names) to nodes (worker ids) on a hash ring."""
 
-    def __init__(self, nodes: Iterable[Hashable] = (), replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = replicas
+    def __init__(self, nodes: Iterable[Hashable] = ()) -> None:
         self._points: list[int] = []
         self._owners: dict[int, Hashable] = {}
         for node in nodes:
             self.add(node)
 
     def add(self, node: Hashable) -> None:
-        for replica in range(self.replicas):
+        for replica in range(REPLICAS):
             point = _point(f"{node!r}#{replica}")
             if point in self._owners:  # replica collision paranoia
                 continue
             bisect.insort(self._points, point)
             self._owners[point] = node
-
-    def remove(self, node: Hashable) -> None:
-        stale = [p for p, owner in self._owners.items() if owner == node]
-        for point in stale:
-            del self._owners[point]
-            self._points.remove(point)
 
     def lookup(self, key: str) -> Hashable:
         """The node owning ``key`` (first replica point clockwise)."""
@@ -58,13 +55,3 @@ class ConsistentHashRing:
             raise LookupError("the ring has no nodes")
         index = bisect.bisect(self._points, _point(key)) % len(self._points)
         return self._owners[self._points[index]]
-
-    def assignments(self, keys: Sequence[str]) -> dict[Hashable, list[str]]:
-        """node -> the keys it owns (for balance introspection)."""
-        out: dict[Hashable, list[str]] = {}
-        for key in keys:
-            out.setdefault(self.lookup(key), []).append(key)
-        return out
-
-    def __len__(self) -> int:
-        return len(set(self._owners.values()))

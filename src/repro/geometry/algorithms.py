@@ -56,11 +56,6 @@ def orientation(p: Coord, q: Coord, r: Coord, eps: float = EPS) -> int:
     return 1 if cross > 0 else -1
 
 
-def dot(ax: float, ay: float, bx: float, by: float) -> float:
-    """2-D dot product of vectors ``(ax, ay)`` and ``(bx, by)``."""
-    return ax * bx + ay * by
-
-
 def distance(p: Coord, q: Coord) -> float:
     """Euclidean distance between two points."""
     return math.hypot(q[0] - p[0], q[1] - p[1])

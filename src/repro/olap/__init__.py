@@ -1,8 +1,9 @@
-"""Spatial OLAP engine: cube queries and navigation.
+"""Spatial OLAP engine: cube queries and the GeoMDQL-lite language.
 
 The warehouse-analysis substrate the paper's rules personalize: cube
-queries with attribute and spatial filters, roll-up/drill-down/slice/dice
-navigation and the GeoMDQL-lite text query language.
+queries with attribute and spatial filters, the :class:`Cube` a
+personalized view hands the BI tool, and the GeoMDQL-lite text query
+language whose ``BY`` and ``WHERE`` roll up and filter.
 """
 
 from repro.olap.cube import Cube

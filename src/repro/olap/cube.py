@@ -1,36 +1,27 @@
-"""Interactive cube navigation: roll-up, drill-down, slice and dice.
+"""The cube a personalized view hands the BI tool.
 
-A thin, immutable wrapper around :class:`~repro.olap.query.CubeQuery`
-mirroring the classic OLAP session operations the paper's BI front-end
-would issue.  Every operation returns a *new* :class:`Cube`; ``result()``
-executes the underlying query (optionally against a personalized
-selection).
+A thin, immutable wrapper around :class:`~repro.olap.query.CubeQuery`:
+pick the measures (:meth:`Cube.measures`) and the grouping levels
+(:meth:`Cube.by`) over one fact, optionally restricted to a
+personalized selection of fact rows (:meth:`Cube.with_selection`).
+Every call returns a *new* :class:`Cube`; ``result()`` executes the
+query.  Traffic rolls up and filters through GeoMDQL's ``BY`` and
+``WHERE`` (:mod:`repro.olap.gmdql`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.errors import QueryError
-from repro.geometry import Metric
 from repro.mdm.model import Aggregator
-from repro.olap.query import (
-    AggSpec,
-    AttributeFilter,
-    CellSet,
-    ComparisonOp,
-    CubeQuery,
-    LevelRef,
-    SpatialFilter,
-    execute,
-)
+from repro.olap.query import AggSpec, CellSet, CubeQuery, LevelRef, execute
 from repro.storage.star import StarSchema
 
 __all__ = ["Cube"]
 
 
 class Cube:
-    """A navigable view over one fact of a star schema."""
+    """A view over one fact of a star schema."""
 
     def __init__(
         self,
@@ -38,9 +29,7 @@ class Cube:
         fact: str | None = None,
         aggregations: Sequence[AggSpec] | None = None,
         group_by: Sequence[LevelRef] = (),
-        where: Sequence[AttributeFilter | SpatialFilter] = (),
         selection: Iterable[int] | None = None,
-        metric: Metric | None = None,
     ) -> None:
         self.star = star
         self.fact = fact or star.schema.default_fact().name
@@ -52,11 +41,7 @@ class Cube:
             ]
         self.aggregations = tuple(aggregations)
         self.group_by = tuple(group_by)
-        self.where = tuple(where)
         self.selection = None if selection is None else tuple(selection)
-        self.metric = metric
-
-    # -- navigation ------------------------------------------------------------
 
     def _replace(self, **kwargs) -> "Cube":
         state = {
@@ -64,9 +49,7 @@ class Cube:
             "fact": self.fact,
             "aggregations": self.aggregations,
             "group_by": self.group_by,
-            "where": self.where,
             "selection": self.selection,
-            "metric": self.metric,
         }
         state.update(kwargs)
         return Cube(**state)
@@ -82,59 +65,6 @@ class Cube:
         )
         return self._replace(group_by=parsed)
 
-    def roll_up(self, dimension: str) -> "Cube":
-        """Move a grouped dimension one level coarser (role ``r``)."""
-        return self._shift(dimension, up=True)
-
-    def drill_down(self, dimension: str) -> "Cube":
-        """Move a grouped dimension one level finer (role ``d``)."""
-        return self._shift(dimension, up=False)
-
-    def _shift(self, dimension: str, up: bool) -> "Cube":
-        schema = self.star.schema
-        dim = schema.dimension(dimension)
-        new_group: list[LevelRef] = []
-        found = False
-        for ref in self.group_by:
-            if ref.dimension != dimension:
-                new_group.append(ref)
-                continue
-            found = True
-            current = ref.resolve_level(schema)
-            path = None
-            for hierarchy in dim.hierarchies.values():
-                if current in hierarchy.path:
-                    path = hierarchy.path
-                    break
-            if path is None:
-                raise QueryError(
-                    f"level {current!r} is on no hierarchy of {dimension!r}"
-                )
-            idx = path.index(current) + (1 if up else -1)
-            if not 0 <= idx < len(path):
-                direction = "up from" if up else "down from"
-                raise QueryError(
-                    f"cannot roll {direction} level {current!r} of "
-                    f"{dimension!r}: end of hierarchy {list(path)}"
-                )
-            new_group.append(LevelRef(dimension, path[idx]))
-        if not found:
-            raise QueryError(
-                f"dimension {dimension!r} is not in the current grouping "
-                f"({[str(g) for g in self.group_by]})"
-            )
-        return self._replace(group_by=tuple(new_group))
-
-    def slice(self, ref: str | LevelRef, attribute: str, value: object) -> "Cube":
-        """Classic slice: fix one level attribute to a value."""
-        parsed = ref if isinstance(ref, LevelRef) else LevelRef.parse(ref)
-        flt = AttributeFilter(parsed, attribute, ComparisonOp.EQ, value)
-        return self._replace(where=self.where + (flt,))
-
-    def dice(self, *filters: AttributeFilter | SpatialFilter) -> "Cube":
-        """Add arbitrary (possibly spatial) filters."""
-        return self._replace(where=self.where + tuple(filters))
-
     def with_selection(self, row_ids: Iterable[int] | None) -> "Cube":
         """Restrict to a personalized fact-row selection."""
         return self._replace(selection=None if row_ids is None else tuple(row_ids))
@@ -147,14 +77,13 @@ class Cube:
             fact=self.fact,
             aggregations=self.aggregations,
             group_by=self.group_by,
-            where=self.where,
         )
 
     def result(self) -> CellSet:
-        return execute(self.star, self.query, self.selection, self.metric)
+        return execute(self.star, self.query, self.selection)
 
     def count(self) -> float:
-        """Shortcut: COUNT(*) under the current filters/selection."""
+        """Shortcut: COUNT(*) under the current selection."""
         cube = self._replace(
             aggregations=(AggSpec(Aggregator.COUNT, "*"),), group_by=()
         )
@@ -165,4 +94,4 @@ class Cube:
 
     def __repr__(self) -> str:
         groups = ", ".join(str(g) for g in self.group_by) or "(none)"
-        return f"<Cube {self.fact} by {groups} filters={len(self.where)}>"
+        return f"<Cube {self.fact} by {groups}>"

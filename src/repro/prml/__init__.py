@@ -48,7 +48,7 @@ from repro.prml.evaluator import (
 from repro.prml.lexer import Token, TokenKind, tokenize
 from repro.prml.parser import parse_expression, parse_path, parse_rule, parse_rules
 from repro.prml.printer import print_event, print_expr, print_rule
-from repro.prml.semantics import SemanticAnalyzer, SourceInfo, ValueType, analyze_rule
+from repro.prml.semantics import SemanticAnalyzer, SourceInfo, ValueType
 from repro.prml.stdlib import (
     LineAnchoredCollection,
     prml_distance,
@@ -95,7 +95,6 @@ __all__ = [
     "TokenKind",
     "ValueType",
     "VarPath",
-    "analyze_rule",
     "parse_expression",
     "parse_path",
     "parse_rule",

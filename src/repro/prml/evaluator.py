@@ -111,10 +111,6 @@ class BoundMember:
     spatial: bool
 
     @property
-    def key(self) -> str:
-        return self.member.key
-
-    @property
     def geometry(self) -> Geometry | None:
         return self.member.geometry if self.spatial else None
 

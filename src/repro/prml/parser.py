@@ -24,6 +24,16 @@ Grammar (paper concrete syntax, Section 5):
 Paths starting with ``SUS``/``MD``/``GeoMD`` are model paths; a bare
 identifier is a loop variable when bound by an enclosing ``Foreach``, a
 geometric type literal if it names one, else a designer parameter.
+
+Sub-expressions and statements nest at most :data:`MAX_NESTING` levels
+deep: each parenthesized expression, spatial call, ``not`` or unary
+minus operand, and ``If`` or ``Foreach`` statement is one level, and so
+is each further operand of an ``or``/``and``/``+``/``-``/``*``/``/``
+chain, which nests the tree one level deeper.  Deeper text is a
+:class:`~repro.errors.PRMLSyntaxError`, so text from outside (a
+reported selection condition, a rule file) can never drive the parser,
+or the printer and evaluator that walk its trees, past the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -67,12 +77,18 @@ _ACTION_NAMES = {"SetContent", "SelectInstance", "BecomeSpatial", "AddLayer"}
 _GEOM_NAMES = {t.name for t in GeometricType}
 _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
 
+#: How deep sub-expressions and statements may nest.  The paper's rules
+#: nest at most 4 parentheses deep; at 32 levels the parser needs at most
+#: about 370 of the 1,000 frames the interpreter allows by default.
+MAX_NESTING = 32
+
 
 class _Parser:
     def __init__(self, source: str) -> None:
         self.tokens = tokenize(source)
         self.index = 0
         self._scopes: list[set[str]] = []
+        self._depth = 0
 
     # -- token plumbing --------------------------------------------------------
 
@@ -121,6 +137,20 @@ class _Parser:
             self.advance()
             return True
         return False
+
+    def deeper(self) -> None:
+        """Enter one more nesting level (see :data:`MAX_NESTING`); the
+        caller restores ``_depth`` when its construct ends."""
+        if self._depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self._depth += 1
+
+    def nested(self, parse):
+        """``parse()`` one nesting level deeper."""
+        self.deeper()
+        result = parse()
+        self._depth -= 1
+        return result
 
     # -- scopes -----------------------------------------------------------------
 
@@ -202,9 +232,9 @@ class _Parser:
 
     def parse_stmt(self) -> Stmt:
         if self.at_keyword("If"):
-            return self.parse_if()
+            return self.nested(self.parse_if)
         if self.at_keyword("Foreach"):
-            return self.parse_foreach()
+            return self.nested(self.parse_foreach)
         token = self.current
         if token.kind == TokenKind.IDENT and token.value in _ACTION_NAMES:
             return self.parse_action()
@@ -321,25 +351,31 @@ class _Parser:
         return self.parse_or()
 
     def parse_or(self) -> Expr:
+        depth = self._depth
         left = self.parse_and()
         while self.at_keyword("or"):
             self.advance()
+            self.deeper()
             right = self.parse_and()
             left = BinaryOp(BinaryOperator.OR, left, right)
+        self._depth = depth
         return left
 
     def parse_and(self) -> Expr:
+        depth = self._depth
         left = self.parse_not()
         while self.at_keyword("and"):
             self.advance()
+            self.deeper()
             right = self.parse_not()
             left = BinaryOp(BinaryOperator.AND, left, right)
+        self._depth = depth
         return left
 
     def parse_not(self) -> Expr:
         if self.at_keyword("not"):
             self.advance()
-            return NotOp(self.parse_not())
+            return NotOp(self.nested(self.parse_not))
         return self.parse_comparison()
 
     def parse_comparison(self) -> Expr:
@@ -352,31 +388,37 @@ class _Parser:
         return left
 
     def parse_additive(self) -> Expr:
+        depth = self._depth
         left = self.parse_multiplicative()
         while (
             self.current.kind == TokenKind.OPERATOR
             and self.current.value in ("+", "-")
         ):
             op = BinaryOperator(self.advance().value)
+            self.deeper()
             right = self.parse_multiplicative()
             left = BinaryOp(op, left, right)
+        self._depth = depth
         return left
 
     def parse_multiplicative(self) -> Expr:
+        depth = self._depth
         left = self.parse_unary()
         while (
             self.current.kind == TokenKind.OPERATOR
             and self.current.value in ("*", "/")
         ):
             op = BinaryOperator(self.advance().value)
+            self.deeper()
             right = self.parse_unary()
             left = BinaryOp(op, left, right)
+        self._depth = depth
         return left
 
     def parse_unary(self) -> Expr:
         if self.current.kind == TokenKind.OPERATOR and self.current.value == "-":
             self.advance()
-            operand = self.parse_unary()
+            operand = self.nested(self.parse_unary)
             return BinaryOp(BinaryOperator.SUB, NumberLit(0.0), operand)
         return self.parse_primary()
 
@@ -395,7 +437,7 @@ class _Parser:
             return StringLit(token.value)
         if self.at_punct("("):
             self.advance()
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr)
             self.expect_punct(")")
             return inner
         if self.at_punct("$"):
@@ -410,7 +452,7 @@ class _Parser:
             if token.value in _SPATIAL_NAMES:
                 next_token = self.tokens[self.index + 1]
                 if next_token.kind == TokenKind.PUNCT and next_token.value == "(":
-                    return self.parse_spatial_call()
+                    return self.nested(self.parse_spatial_call)
             # Geometric type literal?
             if token.value in _GEOM_NAMES:
                 self.advance()

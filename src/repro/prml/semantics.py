@@ -57,7 +57,7 @@ from repro.prml.ast import (
 )
 from repro.sus.model import UserModelSchema
 
-__all__ = ["ValueType", "SourceInfo", "SemanticAnalyzer", "analyze_rule"]
+__all__ = ["ValueType", "SourceInfo", "SemanticAnalyzer"]
 
 
 class ValueType(enum.Enum):
@@ -79,12 +79,6 @@ class SourceInfo:
     dimension: str | None = None
     level: str | None = None
     layer: str | None = None
-
-    @property
-    def label(self) -> str:
-        if self.kind == "layer":
-            return f"layer {self.layer!r}"
-        return f"level {self.dimension}.{self.level}"
 
 
 @dataclass
@@ -538,15 +532,3 @@ class SemanticAnalyzer:
                     f"{right.value}"
                 )
         return ValueType.BOOLEAN
-
-
-def analyze_rule(
-    rule: Rule,
-    user_schema: UserModelSchema,
-    md_schema: MDSchema,
-    geomd_schema: GeoMDSchema | None = None,
-    parameters: dict[str, object] | None = None,
-) -> list[str]:
-    """Convenience wrapper around :class:`SemanticAnalyzer`."""
-    analyzer = SemanticAnalyzer(user_schema, md_schema, geomd_schema, parameters)
-    return analyzer.analyze(rule)

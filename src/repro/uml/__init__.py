@@ -2,9 +2,9 @@
 
 All of the paper's design artifacts (MD model, GeoMD model, SUS user model,
 PRML metamodel) are UML profiles; this package provides the common
-machinery: classes, typed properties, associations navigable by role name,
-enumerations, stereotype application with metaclass checks, OCL-style path
-resolution and deterministic PlantUML rendering.
+machinery: classes, typed properties, associations with role names,
+enumerations, stereotype application with metaclass checks and
+deterministic PlantUML rendering.
 """
 
 from repro.uml.core import (
@@ -25,7 +25,7 @@ from repro.uml.core import (
     Stereotype,
     UMLClass,
 )
-from repro.uml.diagram import class_signature, to_plantuml
+from repro.uml.diagram import to_plantuml
 
 __all__ = [
     "BOOLEAN",
@@ -44,6 +44,5 @@ __all__ = [
     "Property",
     "Stereotype",
     "UMLClass",
-    "class_signature",
     "to_plantuml",
 ]

@@ -11,15 +11,18 @@ profile on top:
 * PRML itself "is based on a MOF metamodel" (Section 2).
 
 This module provides just enough of UML for all four: named elements,
-classes with typed properties, binary associations with navigable role
-names, enumerations, stereotypes grouped into profiles, and stereotype
-application with metaclass checking.  Model navigation follows the OCL
-path-expression style the paper uses (``SUS.DecisionMaker.dm2role.name``).
+classes with typed properties, binary associations with role names,
+enumerations, stereotypes grouped into profiles, and stereotype
+application with metaclass checking.  The models are exported and
+rendered (:mod:`repro.uml.diagram`); the rules navigate the schemas the
+models describe (``UserModelSchema.navigate`` for SUS paths such as
+``SUS.DecisionMaker.dm2role.name``, ``GeoMDSchema.resolve`` for GeoMD
+ones), not these classes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.errors import ModelError, ProfileError
 
@@ -169,7 +172,7 @@ class AssociationEnd:
 
 
 class Association(NamedElement):
-    """A binary association; both ends are navigable by role name.
+    """A binary association between two role-named ends.
 
     The paper navigates associations by "the target roles of the
     relationships between model elements" — e.g. ``dm2role`` from the
@@ -181,14 +184,6 @@ class Association(NamedElement):
         self.source = source
         self.target = target
         self.stereotypes: set[str] = set()
-
-    def end_for(self, cls: UMLClass) -> AssociationEnd | None:
-        """The far end when navigating away from ``cls`` (None if detached)."""
-        if self.source.type is cls:
-            return self.target
-        if self.target.type is cls:
-            return self.source
-        return None
 
 
 class Stereotype(NamedElement):
@@ -305,55 +300,6 @@ class Model(NamedElement):
                 f"model {self.name!r} has no class {name!r}; "
                 f"available: {sorted(self.classes)}"
             ) from None
-
-    def classes_with_stereotype(self, stereotype: str) -> list[UMLClass]:
-        return [c for c in self.classes.values() if c.has_stereotype(stereotype)]
-
-    def associations_of(self, cls: UMLClass) -> Iterator[Association]:
-        for assoc in self.associations.values():
-            if assoc.end_for(cls) is not None:
-                yield assoc
-
-    # -- OCL-style navigation ----------------------------------------------
-
-    def navigate(self, cls: UMLClass, step: str) -> Property | AssociationEnd:
-        """Resolve one navigation step from ``cls``.
-
-        A step is either an owned property name or the role name of the far
-        end of an association touching ``cls`` — exactly the PathExp
-        navigation of the paper's Section 4.2.2.
-        """
-        if step in cls.properties:
-            return cls.properties[step]
-        for assoc in self.associations_of(cls):
-            far = assoc.end_for(cls)
-            if far is not None and far.role == step:
-                return far
-        raise ModelError(
-            f"cannot navigate {step!r} from class {cls.name!r}: not a "
-            f"property ({sorted(cls.properties)}) nor an association role "
-            f"({sorted(e.role for a in self.associations_of(cls) if (e := a.end_for(cls)) is not None)})"
-        )
-
-    def resolve_path(self, root: UMLClass, steps: Iterable[str]) -> Property | AssociationEnd | UMLClass:
-        """Resolve a dotted path from a root class, step by step.
-
-        Returns the final feature: a :class:`Property` (attribute access),
-        an :class:`AssociationEnd` (object access) or the root class itself
-        for an empty path.
-        """
-        current: UMLClass = root
-        result: Property | AssociationEnd | UMLClass = root
-        for step in steps:
-            result = self.navigate(current, step)
-            if isinstance(result, AssociationEnd):
-                current = result.type
-            elif isinstance(result, Property):
-                if isinstance(result.type, UMLClass):
-                    current = result.type
-                else:
-                    current = None  # type: ignore[assignment]
-        return result
 
     # -- validation ----------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.uml.core import Association, Enumeration, Model, Property, UMLClass
 
-__all__ = ["to_plantuml", "class_signature"]
+__all__ = ["to_plantuml"]
 
 
 def _stereo(names: set[str]) -> str:
@@ -22,12 +22,6 @@ def _stereo(names: set[str]) -> str:
 
 def _type_name(prop: Property) -> str:
     return prop.type.name
-
-
-def class_signature(cls: UMLClass) -> str:
-    """One-line summary of a class: name, stereotypes, property names."""
-    props = ", ".join(sorted(cls.properties))
-    return f"{cls.name}{_stereo(cls.stereotypes)}({props})"
 
 
 def _render_class(cls: UMLClass) -> list[str]:

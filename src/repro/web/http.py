@@ -94,8 +94,9 @@ def error_response(
 
 
 def parse_json_body(raw: bytes | str) -> dict:
-    """Parse a JSON request body; a body that is not UTF-8, not JSON or
-    not an object raises :class:`BadRequestError` (400 ``bad_request``)."""
+    """Parse a JSON request body; a body that is not UTF-8, not JSON,
+    nested deeper than the decoder recurses, or not an object raises
+    :class:`BadRequestError` (400 ``bad_request``)."""
     if isinstance(raw, bytes):
         try:
             raw = raw.decode("utf-8")
@@ -107,6 +108,8 @@ def parse_json_body(raw: bytes | str) -> dict:
         body = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise BadRequestError(f"malformed JSON body: {exc}") from exc
+    except RecursionError as exc:
+        raise BadRequestError("JSON body nested too deeply") from exc
     if not isinstance(body, dict):
         raise BadRequestError("JSON body must be an object")
     return body

@@ -59,7 +59,6 @@ from repro.errors import NotFoundError, ServiceError
 from repro.personalization.engine import PersonalizationEngine
 from repro.service import (
     DatamartRegistry,
-    InMemorySessionStore,
     LoginRequest,
     PageRequest,
     PersonalizationService,
@@ -90,7 +89,6 @@ class PortalApp:
         engine: PersonalizationEngine | None = None,
         *,
         service: PersonalizationService | None = None,
-        session_store: InMemorySessionStore | None = None,
         datamart_name: str = "default",
     ) -> None:
         if service is not None:
@@ -99,9 +97,7 @@ class PortalApp:
             registry = DatamartRegistry()
             if engine is not None:
                 registry.register(datamart_name, engine, default=True)
-            self.service = PersonalizationService(
-                registry, session_store=session_store
-            )
+            self.service = PersonalizationService(registry)
         #: path -> (method, handler)
         self._routes = {
             API_PREFIX + path: route

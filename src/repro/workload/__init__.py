@@ -8,9 +8,8 @@ Three layers behind one import surface:
   WorkloadJournal`) turned into deterministic, seedable, replayable
   event streams;
 * **driver** (:mod:`~repro.workload.driver`) — serial / closed-loop /
-  open-loop replay of a stream against an in-process portal, a plain
-  HTTP endpoint, or a pre-fork cluster pool, with latency percentiles
-  and error counts;
+  open-loop replay of a stream against an in-process portal or a
+  pre-fork cluster pool, with latency percentiles and error counts;
 * **metrics** (:mod:`~repro.workload.metrics`) — health-route scraping
   bracketing a run: cache hit rates, view patches-vs-rebuilds,
   rehydrations and lock contention.
@@ -31,7 +30,6 @@ from repro.workload.cohorts import (
 )
 from repro.workload.driver import (
     ClusterTarget,
-    HttpTarget,
     InProcessTarget,
     LatencyStats,
     ReplayDriver,
@@ -53,7 +51,6 @@ from repro.workload.harness import (
     build_workload_portal,
     demo_journal_profile,
     generator_for_tier,
-    stream_for_tier,
     tier,
 )
 from repro.workload.metrics import (
@@ -76,7 +73,6 @@ __all__ = [
     "TrafficEvent",
     "WorkloadGenerator",
     "ClusterTarget",
-    "HttpTarget",
     "InProcessTarget",
     "LatencyStats",
     "ReplayDriver",
@@ -88,7 +84,6 @@ __all__ = [
     "build_workload_portal",
     "demo_journal_profile",
     "generator_for_tier",
-    "stream_for_tier",
     "tier",
     "contention_summary",
     "health_window",

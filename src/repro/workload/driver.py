@@ -1,16 +1,14 @@
 """Replay generated event streams against a live target.
 
 Targets implement one method — ``request(method, path, body, token,
-datamart) -> (status, body_dict)`` — and the two shipped ones cover the
-deployment spectrum:
+datamart) -> (status, body_dict)`` — and there are two, the ways the
+CLI and the repository benchmark serve traffic:
 
 * :class:`InProcessTarget` — the :class:`~repro.web.portal.PortalApp`
   façade, no sockets (the single-process baseline);
 * :class:`ClusterTarget` — a :class:`~repro.cluster.pool.WorkerPool`
   through the affinity-routing :class:`~repro.cluster.pool.ClusterClient`
   (real pre-fork multi-process serving over a shared state backend).
-  Any HTTP endpoint with the same surface works through
-  :class:`HttpTarget`.
 
 Three replay modes:
 
@@ -45,7 +43,6 @@ from repro.workload.generator import AS_OF_EPOCH, EventStream, TrafficEvent
 __all__ = [
     "InProcessTarget",
     "ClusterTarget",
-    "HttpTarget",
     "LatencyStats",
     "ReplayReport",
     "ReplayDriver",
@@ -68,76 +65,8 @@ class InProcessTarget:
         """One health snapshot per serving process (here: exactly one)."""
         return [self.request("GET", "/api/v1/health")[1]]
 
-    def close(self) -> None:  # symmetry with the socket targets
+    def close(self) -> None:  # symmetry with the socket target
         return None
-
-
-class HttpTarget:
-    """Any ``/api/v1`` HTTP endpoint (one address, keep-alive per thread)."""
-
-    name = "http"
-
-    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
-        self.address = (host, port)
-        self.timeout = timeout
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        #: Every connection :meth:`_connection` opened, on any thread.
-        # guarded-by: _lock
-        self._connections: list = []
-
-    def _connection(self):
-        import http.client
-
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(
-                self.address[0], self.address[1], timeout=self.timeout
-            )
-            self._local.conn = conn
-            with self._lock:
-                self._connections.append(conn)
-        return conn
-
-    def request(self, method, path, body=None, token=None, datamart=None):
-        import http.client
-        import json
-
-        headers = {}
-        payload = None
-        if body is not None:
-            payload = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        if token is not None:
-            headers["X-Session"] = token
-        conn = self._connection()
-        try:
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-        except (http.client.HTTPException, OSError):
-            # A dropped keep-alive connection gets one fresh retry; a
-            # closed HTTPConnection reconnects on its next request.
-            conn.close()
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-        return response.status, (json.loads(raw) if raw else {})
-
-    def health(self) -> list[dict]:
-        return [self.request("GET", "/api/v1/health")[1]]
-
-    def close(self) -> None:
-        """Close every keep-alive connection, whichever thread opened it.
-
-        Valid once the threads that used the target are done: a thread
-        still inside :meth:`request` would find its connection closed.
-        """
-        with self._lock:
-            connections, self._connections = self._connections, []
-        self._local.conn = None
-        for conn in connections:
-            conn.close()
 
 
 class ClusterTarget:

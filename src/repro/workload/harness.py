@@ -42,11 +42,7 @@ from repro.workload.cohorts import (
     default_profile,
     profile_from_journal,
 )
-from repro.workload.generator import (
-    EventStream,
-    GeneratorConfig,
-    WorkloadGenerator,
-)
+from repro.workload.generator import GeneratorConfig, WorkloadGenerator
 
 __all__ = [
     "WORKLOAD_TENANTS",
@@ -58,7 +54,6 @@ __all__ = [
     "generator_for_tier",
     "build_workload_portal",
     "demo_journal_profile",
-    "stream_for_tier",
 ]
 
 #: The multi-tenant layout every workload portal uses: four identical
@@ -95,17 +90,11 @@ def _world_scales() -> dict:
 
 
 class _LazyScales:
-    """Mapping facade so importing this module doesn't import the data
-    package until a world is actually needed."""
+    """Lookup by scale name, so importing this module doesn't import the
+    data package until a world is actually needed."""
 
     def __getitem__(self, key: str):
         return _world_scales()[key]
-
-    def keys(self):
-        return _world_scales().keys()
-
-    def __iter__(self):
-        return iter(_world_scales())
 
 
 #: The world-size ladder every tier and ``repro workload replay`` reads.
@@ -120,14 +109,6 @@ class WorkloadTier:
     world_scale: str
     config: GeneratorConfig
     description: str
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "world_scale": self.world_scale,
-            "config": self.config.to_dict(),
-            "description": self.description,
-        }
 
 
 WORKLOAD_TIERS: dict[str, WorkloadTier] = {
@@ -340,14 +321,3 @@ def demo_journal_profile(similarity: float = 0.5) -> WorkloadProfile:
     return profile_from_journal(
         app.service.journal, "sales", similarity=similarity
     )
-
-
-def stream_for_tier(
-    tier: WorkloadTier,
-    world=None,
-    profile: WorkloadProfile | None = None,
-) -> EventStream:
-    """Convenience: world → generator → stream in one call."""
-    if world is None:
-        world = build_tier_world(tier)
-    return generator_for_tier(tier, world, profile=profile).stream()

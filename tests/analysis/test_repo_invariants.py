@@ -5,11 +5,18 @@ This is the same check CI's lint job runs (``repro lint src
 entries in the committed ``lint-baseline.json``.  Keeping it inside
 tier-1 means a violation fails the ordinary test run too, not just the
 dedicated CI job.  The tree's other invariants ride along: the baselines
-stay empty, and every Markdown file ``src/`` points a reader to exists.
+stay empty, every Markdown file ``src/`` points a reader to exists, no
+module imports a name it never reads, and every ``__all__`` entry of
+the package resolves.
 """
 
+import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import repro
 
 from repro.analysis.baseline import Baseline
 from repro.analysis.core import LintRunner
@@ -67,3 +74,105 @@ def test_every_markdown_file_src_names_exists():
         if not (REPO_ROOT / name).is_file()
     )
     assert missing == []
+
+
+#: The trees whose modules the unused-import guard reads.
+PYTHON_TREES = ("src", "tests", "benchmarks", "examples")
+
+
+def _imported_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(bound name, line)`` of every import in ``tree``, at any depth,
+    except ``from __future__`` and ``*`` imports."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend(
+                (alias.asname or alias.name.split(".")[0], node.lineno)
+                for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(
+                (alias.asname or alias.name, node.lineno)
+                for alias in node.names
+                if alias.name != "*"
+            )
+    return bound
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads: a load (the root of an attribute chain
+    is one), a name inside a string annotation, an ``__all__`` entry, or
+    a parameter of a test function (pytest passes fixtures by name)."""
+    read: set[str] = set()
+
+    def annotation(node: ast.AST | None) -> None:
+        for sub in ast.walk(node) if node is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                read.update(_read_names(ast.parse(sub.value, mode="eval")))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation(node.returns)
+            arguments = node.args
+            for arg in (
+                *arguments.posonlyargs,
+                *arguments.args,
+                *arguments.kwonlyargs,
+                arguments.vararg,
+                arguments.kwarg,
+            ):
+                if arg is None:
+                    continue
+                annotation(arg.annotation)
+                if node.name.startswith("test"):
+                    read.add(arg.arg)
+        elif isinstance(node, ast.AnnAssign):
+            annotation(node.annotation)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            )
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            read.update(
+                element.value
+                for element in node.value.elts
+                if isinstance(element, ast.Constant)
+            )
+    return read
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = []
+    for tree_name in PYTHON_TREES:
+        for path in sorted((REPO_ROOT / tree_name).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = _read_names(tree)
+            unused.extend(
+                f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+                for name, line in _imported_names(tree)
+                if name not in read
+            )
+    assert unused == []
+
+
+def test_every_export_of_the_package_resolves():
+    """Each ``__all__`` entry of every ``repro`` module is an attribute
+    of that module once it is imported."""
+    names = ["repro"]
+    names.extend(
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    )
+    dangling = []
+    for name in names:
+        module = importlib.import_module(name)
+        dangling.extend(
+            f"{name}.{entry}"
+            for entry in getattr(module, "__all__", ())
+            if not hasattr(module, entry)
+        )
+    assert dangling == []

@@ -1,7 +1,5 @@
 """Tests for the Fig. 2 schema, Fig. 4 user model and the geo source."""
 
-import pytest
-
 from repro.data import (
     ALL_PAPER_RULES,
     WorldGeoSource,

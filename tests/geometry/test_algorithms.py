@@ -1,7 +1,5 @@
 """Unit tests for the low-level planar geometry routines."""
 
-import math
-
 import pytest
 
 from repro.geometry import algorithms as alg

@@ -15,7 +15,6 @@ from repro.geometry import (
     intersects,
     within,
 )
-from repro.geometry import algorithms as alg
 from repro.geometry.de9im import dim_char, matches, relate
 
 SQUARE = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])

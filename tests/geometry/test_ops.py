@@ -6,7 +6,6 @@ from repro.errors import GeometryError
 from repro.geometry import (
     GeometryCollection,
     LineString,
-    MultiLineString,
     MultiPoint,
     Point,
     Polygon,

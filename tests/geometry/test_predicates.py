@@ -1,7 +1,5 @@
 """Tests for the topological predicates (the paper's PRML operators)."""
 
-import pytest
-
 from repro.geometry import (
     GeometryCollection,
     LineString,

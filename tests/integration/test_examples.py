@@ -1,7 +1,5 @@
 """Integration tests for the worked Examples 5.1, 5.2 and 5.3."""
 
-import pytest
-
 from repro.data import build_regional_manager_profile
 from repro.geomd import GeometricType
 

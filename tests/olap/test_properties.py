@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geomd import GeoMDSchema
-from repro.mdm import Aggregator, Dimension, Fact, Hierarchy, Level, MDSchema, Measure
+from repro.mdm import Aggregator, Dimension, Fact, Hierarchy, Level, Measure
 from repro.olap import AggSpec, CubeQuery, LevelRef, execute
 from repro.storage import StarSchema
 from repro.uml.core import REAL

@@ -8,12 +8,10 @@ from repro.data import (
     INT_AIRPORT_CITY,
     TRAIN_AIRPORT_CITY,
     WorldGeoSource,
-    build_motivating_user_model,
     build_regional_manager_profile,
     build_sales_schema,
 )
 from repro.errors import PersonalizationError, PRMLSemanticError
-from repro.geometry import Point
 from repro.mdm import MDSchema
 from repro.personalization import (
     PersonalizationEngine,

@@ -6,7 +6,6 @@ from repro.data import (
     ADD_SPATIALITY,
     ALL_PAPER_RULES,
     WorldGeoSource,
-    build_motivating_user_model,
     build_regional_manager_profile,
     build_sales_star,
 )

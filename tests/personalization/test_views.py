@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.geometry import Point
 from repro.mdm import Aggregator
 from repro.olap import AggSpec
 

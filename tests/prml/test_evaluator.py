@@ -4,11 +4,9 @@ import pytest
 
 from repro.data import (
     WorldGeoSource,
-    build_motivating_user_model,
     build_regional_manager_profile,
 )
 from repro.errors import PRMLRuntimeError
-from repro.geomd import GeometricType
 from repro.geometry import Point
 from repro.personalization import PersonalizationEngine
 from repro.prml import Evaluator, RuntimeContext, SelectionSet, parse_rule

@@ -20,7 +20,6 @@ from repro.prml import (
     NotOp,
     NumberLit,
     ParameterRef,
-    PathExpr,
     QuantityLit,
     SelectInstanceAction,
     SessionEndEvent,
@@ -30,7 +29,6 @@ from repro.prml import (
     SpatialFunction,
     SpatialSelectionEvent,
     StringLit,
-    VarPath,
     parse_expression,
     parse_path,
     parse_rule,

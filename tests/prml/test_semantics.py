@@ -8,7 +8,7 @@ from repro.data import (
     build_sales_schema,
 )
 from repro.errors import PRMLSemanticError
-from repro.geomd import GeoMDSchema, GeometricType
+from repro.geomd import GeoMDSchema
 from repro.prml import SemanticAnalyzer, parse_rule
 
 

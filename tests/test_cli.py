@@ -39,6 +39,19 @@ class TestRules:
         assert main(["rules", str(bad)]) == 1
         assert "syntax error" in capsys.readouterr().err
 
+    def test_a_deeply_nested_rule_is_a_syntax_error(self, tmp_path, capsys):
+        rule = tmp_path / "deep.prml"
+        condition = "(" * 200 + "1" + ")" * 200
+        rule.write_text(
+            f"Rule:x When SessionStart do If ({condition} = 1) then "
+            "AddLayer('A', POINT) endIf endWhen"
+        )
+        assert main(["rules", str(rule)]) == 1
+        captured = capsys.readouterr()
+        assert "syntax error: nesting deeper than" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_semantic_issue_reported(self, tmp_path, capsys):
         rule = tmp_path / "r.prml"
         rule.write_text(

@@ -92,28 +92,6 @@ class TestModel:
                 )
             )
 
-    def test_navigation_by_property(self):
-        model = _sample_model()
-        feature = model.navigate(model.cls("User"), "name")
-        assert isinstance(feature, Property)
-
-    def test_navigation_by_role(self):
-        model = _sample_model()
-        end = model.navigate(model.cls("User"), "dm2role")
-        assert isinstance(end, AssociationEnd)
-        assert end.type.name == "Role"
-
-    def test_navigation_error_lists_options(self):
-        model = _sample_model()
-        with pytest.raises(ModelError, match="dm2role"):
-            model.navigate(model.cls("User"), "bogus")
-
-    def test_resolve_path(self):
-        model = _sample_model()
-        feature = model.resolve_path(model.cls("User"), ["dm2role", "name"])
-        assert isinstance(feature, Property)
-        assert feature.owner.name == "Role"
-
     def test_cls_error(self):
         with pytest.raises(ModelError):
             Model("M").cls("missing")
@@ -144,13 +122,6 @@ class TestProfiles:
     def test_invalid_metaclass(self):
         with pytest.raises(ProfileError):
             Stereotype("S", "Banana")
-
-    def test_classes_with_stereotype(self):
-        model = _sample_model()
-        profile = Profile("P", [Stereotype("User", "Class")])
-        model.apply_profile(profile)
-        profile.apply(model.cls("User"), "User")
-        assert model.classes_with_stereotype("User") == [model.cls("User")]
 
 
 class TestValidation:

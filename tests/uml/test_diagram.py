@@ -10,7 +10,6 @@ from repro.uml import (
     STRING,
     Stereotype,
     UMLClass,
-    class_signature,
     to_plantuml,
 )
 
@@ -46,8 +45,3 @@ class TestPlantUML:
 
     def test_deterministic(self):
         assert to_plantuml(_model()) == to_plantuml(_model())
-
-    def test_class_signature(self):
-        model = _model()
-        signature = class_signature(model.cls("Store"))
-        assert signature == "Store <<SpatialLevel>>(name)"

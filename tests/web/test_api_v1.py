@@ -224,6 +224,27 @@ class TestErrorEnvelope:
             "bad_request",
         )
 
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "(" * 200 + "1" + ")" * 200 + " < 2",
+            " + ".join(["1"] * 3000) + " < 2",
+        ],
+        ids=["200-parentheses", "3000-operands"],
+    )
+    def test_a_deeply_nested_condition_is_a_bad_selection(
+        self, portal, profile, world, condition
+    ):
+        token = _login(portal, profile, world)
+        response = portal.handle(
+            "POST",
+            "/api/v1/selection",
+            {"target": "GeoMD.Store.City", "condition": condition},
+            token=token,
+        )
+        _assert_envelope(response, 400, "bad_selection")
+        assert "nesting deeper than" in response.body["error"]["message"]
+
     def test_unknown_layer(self, portal, profile, world):
         token = _login(portal, profile, world)
         _assert_envelope(

@@ -24,7 +24,11 @@ from repro.data import (
 )
 from repro.errors import BadRequestError
 from repro.personalization import PersonalizationEngine
-from repro.service import InMemorySessionStore
+from repro.service import (
+    DatamartRegistry,
+    InMemorySessionStore,
+    PersonalizationService,
+)
 from repro.web import PortalApp
 from repro.web import server as server_module
 from repro.web.http import json_response, parse_json_body
@@ -387,13 +391,16 @@ def _twin_portal(world) -> PortalApp:
         parameters={"threshold": 3},
     )
     engine.add_rules(ALL_PAPER_RULES.values())
+    registry = DatamartRegistry()
+    registry.register("default", engine, default=True)
     tokens = itertools.count(1)
-    app = PortalApp(
-        engine,
+    service = PersonalizationService(
+        registry,
         session_store=InMemorySessionStore(
             token_factory=lambda: f"tok-{next(tokens)}"
         ),
     )
+    app = PortalApp(service=service)
     app.register_user(build_regional_manager_profile(user_schema))
     return app
 
@@ -509,6 +516,23 @@ class TestConnections:
         )
         assert status == 200
         assert response_headers["Connection"] == "close"
+
+    def test_a_deeply_nested_body_answers_400_and_stays_open(self, http_portal):
+        """200,000 bytes of ``[``, under :data:`MAX_BODY_BYTES`, nest
+        deeper than the JSON decoder recurses: a malformed body."""
+        body = b"[" * 200_000
+        assert len(body) < MAX_BODY_BYTES
+        request = _raw_request(
+            "POST", "/api/v1/query", [("Content-Length", str(len(body)))], body
+        )
+        with _persistent(http_portal) as (client, rfile):
+            client.sendall(request)
+            status, headers, answer = _read_response(rfile)
+            assert status == 400
+            assert "Connection" not in headers
+            assert json.loads(answer)["error"]["code"] == "bad_request"
+            client.sendall(_raw_request("GET", "/api/v1/datamarts"))
+            assert _read_response(rfile)[0] == 200
 
     def test_http_1_0_keep_alive_stays_open(self, http_portal):
         request = _raw_request(

@@ -1,5 +1,5 @@
 """Replay driver: serial/closed/open modes against the in-process target,
-and the socket targets' connection lifetime."""
+and the socket target's connection lifetime."""
 
 import http.client
 import threading
@@ -13,7 +13,6 @@ from repro.web.server import make_server
 from repro.workload import (
     WORKLOAD_TENANTS,
     ClusterTarget,
-    HttpTarget,
     InProcessTarget,
     LatencyStats,
     ReplayDriver,
@@ -182,7 +181,7 @@ class TestSocketTargetsClose:
     used the target, so a closed loop's actors leave no socket for the
     garbage collector (``python -X dev`` reports those as unclosed)."""
 
-    @pytest.mark.parametrize("kind", ["http", "cluster"])
+    @pytest.mark.parametrize("kind", ["cluster"])
     def test_close_closes_every_actor_connection(
         self, served, tiny_stream, monkeypatch, kind
     ):
@@ -194,14 +193,11 @@ class TestSocketTargetsClose:
                 opened.append(self)
 
         monkeypatch.setattr(http.client, "HTTPConnection", Recording)
-        if kind == "http":
-            target = HttpTarget(*served)
-        else:
-            # A one-worker pool whose only shard is the served portal.
-            pool = types.SimpleNamespace(
-                workers=1, address=served, shard_addresses=[served]
-            )
-            target = ClusterTarget(pool)
+        # A one-worker pool whose only shard is the served portal.
+        pool = types.SimpleNamespace(
+            workers=1, address=served, shard_addresses=[served]
+        )
+        target = ClusterTarget(pool)
         driver = ReplayDriver(target)
         driver.resolve_as_of()
         report = driver.replay_closed(tiny_stream, actors=4)
