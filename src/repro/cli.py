@@ -85,14 +85,19 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_rules(args: argparse.Namespace) -> int:
-    if args.paper:
-        sources = "\n".join(ALL_PAPER_RULES.values())
-    elif args.file:
-        sources = Path(args.file).read_text()
-    else:
-        sources = sys.stdin.read()
     try:
+        if args.paper:
+            sources = "\n".join(ALL_PAPER_RULES.values())
+        elif args.file:
+            sources = Path(args.file).read_text(encoding="utf-8")
+        else:
+            sources = sys.stdin.read()
         rules = parse_rules(sources)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        source = args.file or "<stdin>"
+        print(f"error: cannot read {source}: {reason}", file=sys.stderr)
+        return 1
     except PRMLError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 1

@@ -118,33 +118,31 @@ def load_world(world: World, star: StarSchema) -> None:
     # -- Sales facts -------------------------------------------------------------
     store_names = [s.name for s in world.stores]
     customer_names = [c.name for c in world.customers]
-    sales_rows: list[tuple[dict[str, str], dict[str, float]]] = []
+    stores: list[str] = []
+    customers: list[str] = []
+    products: list[str] = []
+    days: list[str] = []
+    unit_sales: list[int] = []
+    store_cost: list[float] = []
+    store_sales: list[float] = []
     for _ in range(config.sales):
-        store = rng.choice(store_names)
-        customer = rng.choice(customer_names)
-        product = rng.choice(product_names)
-        day_name = rng.choice(day_names)
+        stores.append(rng.choice(store_names))
+        customers.append(rng.choice(customer_names))
+        products.append(rng.choice(product_names))
+        days.append(rng.choice(day_names))
         units = rng.randint(1, 10)
         unit_cost = rng.uniform(0.5, 80.0)
         margin = rng.uniform(1.1, 1.6)
-        sales_rows.append(
-            (
-                {
-                    "Store": store,
-                    "Customer": customer,
-                    "Product": product,
-                    "Time": day_name,
-                },
-                {
-                    "UnitSales": units,
-                    "StoreCost": round(units * unit_cost, 2),
-                    "StoreSales": round(units * unit_cost * margin, 2),
-                },
-            )
-        )
-    # One batch: one lock acquisition, one dictionary encode pass, one
-    # StarMutation for the whole load instead of one per row.
-    star.insert_facts(FACT_NAME, sales_rows)
+        unit_sales.append(units)
+        store_cost.append(round(units * unit_cost, 2))
+        store_sales.append(round(units * unit_cost * margin, 2))
+    # One columnar batch: one lock acquisition, one encode pass per key
+    # column, one StarMutation for the whole load.
+    star.insert_columns(
+        FACT_NAME,
+        {"Store": stores, "Customer": customers, "Product": products, "Time": days},
+        {"UnitSales": unit_sales, "StoreCost": store_cost, "StoreSales": store_sales},
+    )
 
 
 def build_sales_star(world: World) -> StarSchema:

@@ -64,7 +64,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.concurrency import make_lock
 from repro.errors import StorageError
@@ -99,6 +99,8 @@ def freeze_payload(mapping: Mapping[str, object] | None) -> tuple:
 
 
 def _freeze_value(value: object) -> object:
+    if isinstance(value, (str, int, float)):
+        return value
     if isinstance(value, Mapping):
         return tuple(sorted((k, _freeze_value(v)) for k, v in value.items()))
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -662,29 +664,46 @@ class StarSchema:
         fact: str,
         rows: Iterable[tuple[Mapping[str, str], Mapping[str, float]]],
     ) -> list[int]:
-        """Insert many ``(coordinates, measures)`` rows as one batch.
+        """Insert many ``(coordinates, measures)`` rows as one batch: the
+        row adapter of :meth:`insert_columns`.
 
-        Referential checks run once per distinct leaf key, the table
-        append shares one lock acquisition (:meth:`FactTable.insert_many`),
-        and downstream caches see ONE :class:`StarMutation` carrying the
-        whole row-id delta — the shape the incremental view patcher and
-        the bulk loaders want.  Returns the new row ids in input order.
+        Each row must name exactly the fact's dimensions and measures;
+        the rows are then split into columns and appended as one write.
+        Returns the new row ids in input order.
         """
         table = self.fact_table(fact)
         rows = list(rows)
-        leaf_levels: dict[str, tuple[DimensionTable, str]] = {}
-        checked: dict[str, set[str]] = {}
-        for coordinates, _measures in rows:
-            for dim_name, key in coordinates.items():
-                cached = leaf_levels.get(dim_name)
-                if cached is None:
-                    dim_table = self.dimension_table(dim_name)
-                    cached = (dim_table, dim_table.dimension.leaf)
-                    leaf_levels[dim_name] = cached
-                    checked[dim_name] = set()
-                if key in checked[dim_name]:
-                    continue
-                dim_table, leaf = cached
+        for coordinates, measures in rows:
+            table.check_names(coordinates, measures)
+        return self.insert_columns(
+            fact,
+            {d: [c[d] for c, _ in rows] for d in table.fact.dimension_names},
+            {m: [v[m] for _, v in rows] for m in table.fact.measures},
+        )
+
+    def insert_columns(
+        self,
+        fact: str,
+        keys: Mapping[str, Sequence[str]],
+        measures: Mapping[str, Sequence[float]],
+    ) -> list[int]:
+        """Append a batch of fact rows given as columns, as one write.
+
+        ``keys`` maps each dimension of ``fact`` to its column of leaf
+        keys and ``measures`` each measure to its column of values.
+        Each distinct key is checked against its dimension's leaf
+        members once; the table append checks the rest and appends all
+        rows or none (:meth:`FactTable.insert_columns`).  Downstream
+        caches see ONE :class:`StarMutation` carrying the whole row-id
+        delta — the shape the incremental view patcher and the bulk
+        loaders want.  Returns the new row ids in row order.
+        """
+        table = self.fact_table(fact)
+        table.check_names(keys, measures)
+        for dim_name, column in keys.items():
+            dim_table = self.dimension_table(dim_name)
+            leaf = dim_table.dimension.leaf
+            for key in dict.fromkeys(column):
                 try:
                     dim_table.member(leaf, key)
                 except StorageError:
@@ -692,8 +711,7 @@ class StarSchema:
                         f"fact {fact!r}: unknown {dim_name!r} leaf member "
                         f"{key!r}"
                     ) from None
-                checked[dim_name].add(key)
-        row_ids = table.insert_many(rows)
+        row_ids = table.insert_columns(keys, measures)
         if row_ids:
             with self._cache_lock:
                 mutation = self._log(

@@ -3,7 +3,8 @@
 The reproduction's warehouse substrate.  Dimension tables hold level
 members with explicit roll-up links (the ``r``/``d`` associations of the
 MD profile materialized as parent keys); the fact table is columnar
-(one list per foreign key and per measure) so that OLAP scans and
+(one code array per foreign key, one float array per measure, written
+only by its columnar append) so that loads, OLAP scans and
 personalized selections stay cheap; layer tables hold the geographic
 features that ``AddLayer`` exposes to the rules.
 """
@@ -74,6 +75,17 @@ class DimensionTable:
         self._levels: dict[str, dict[str, Member]] = {
             name: {} for name in dimension.levels
         }
+        #: level -> the levels it rolls up to, derived once: a
+        #: dimension's hierarchies are fixed when it is built.
+        self._parent_levels: dict[str, frozenset[str]] = {
+            name: frozenset(
+                coarser
+                for h in dimension.hierarchies.values()
+                for finer, coarser in h.rollup_edges()
+                if finer == name
+            )
+            for name in dimension.levels
+        }
 
     def add_member(
         self,
@@ -107,12 +119,7 @@ class DimensionTable:
                     f"{attr_name!r}"
                 )
         parents = dict(parents or {})
-        expected_parents = {
-            coarser
-            for h in self.dimension.hierarchies.values()
-            for finer, coarser in h.rollup_edges()
-            if finer == level
-        }
+        expected_parents = self._parent_levels[level]
         for parent_level, parent_key in parents.items():
             if parent_level not in expected_parents:
                 raise StorageError(
@@ -231,68 +238,72 @@ class FactTable:
         self._postings: dict[str, dict[str, list[int]]] = {}
         self._lock = make_lock("FactTable._lock")
 
-    def insert(
-        self,
-        coordinates: Mapping[str, str],
-        measures: Mapping[str, float],
-    ) -> int:
-        """Append one fact row; returns its row id."""
-        return self.insert_many([(coordinates, measures)])[0]
+    def check_names(
+        self, dimensions: Iterable[str], measures: Iterable[str]
+    ) -> None:
+        """Raise :class:`~repro.errors.StorageError` unless ``dimensions``
+        and ``measures`` name exactly this fact's dimensions and measures."""
+        if set(dimensions) != set(self.fact.dimension_names):
+            raise StorageError(
+                f"fact {self.fact.name!r} expects coordinates for "
+                f"{sorted(self.fact.dimension_names)}, got {sorted(dimensions)}"
+            )
+        if set(measures) != set(self.fact.measures):
+            raise StorageError(
+                f"fact {self.fact.name!r} expects measures "
+                f"{sorted(self.fact.measures)}, got {sorted(measures)}"
+            )
 
-    def insert_many(
+    def insert_columns(
         self,
-        rows: Iterable[tuple[Mapping[str, str], Mapping[str, float]]],
+        keys: Mapping[str, Sequence[str]],
+        measures: Mapping[str, Sequence[float]],
     ) -> list[int]:
-        """Append many ``(coordinates, measures)`` rows in one batch.
+        """Append a batch of rows given as columns: the table's one append.
 
-        All rows are validated before any is appended (all-or-nothing),
-        and the whole batch shares one lock acquisition, one dictionary
-        encode pass and one round of posting maintenance — the
-        amortization that makes bulk loads and delta batches cheap.
-        Returns the new row ids in input order.
+        ``keys`` maps every dimension to its column of keys and
+        ``measures`` every measure to its column of numbers, all of one
+        length.  The names, the lengths and every measure value are
+        checked before anything is appended (all-or-nothing).  Under the
+        insert lock each key column is encoded through its dimension's
+        dictionary in row order, so codes keep their first-appearance
+        order; then the code and measure columns and any posting lists
+        already built are extended.  Returns the new row ids in order.
         """
-        dimension_names = set(self.fact.dimension_names)
-        measure_names = set(self.fact.measures)
-        prepared: list[tuple[Mapping[str, str], Mapping[str, float]]] = []
-        for coordinates, measures in rows:
-            if set(coordinates) != dimension_names:
-                raise StorageError(
-                    f"fact {self.fact.name!r} expects coordinates for "
-                    f"{sorted(self.fact.dimension_names)}, got "
-                    f"{sorted(coordinates)}"
-                )
-            if set(measures) != measure_names:
-                raise StorageError(
-                    f"fact {self.fact.name!r} expects measures "
-                    f"{sorted(self.fact.measures)}, got {sorted(measures)}"
-                )
-            for measure_name, value in measures.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
+        self.check_names(keys, measures)
+        lengths = {
+            name: len(column)
+            for name, column in (*keys.items(), *measures.items())
+        }
+        if len(set(lengths.values())) > 1:
+            raise StorageError(
+                f"fact {self.fact.name!r} expects columns of one length, "
+                f"got {lengths}"
+            )
+        values: dict[str, array] = {}
+        for measure_name, column in measures.items():
+            for kind in dict.fromkeys(map(type, column)):
+                if issubclass(kind, bool) or not issubclass(kind, (int, float)):
                     raise StorageError(
                         f"measure {measure_name!r} expects a number, got "
-                        f"{type(value).__name__}"
+                        f"{kind.__name__}"
                     )
-            prepared.append((coordinates, measures))
-        if not prepared:
+            values[measure_name] = array("d", column)
+        count = next(iter(lengths.values()))
+        if not count:
             return []
         with self._lock:
             first_row = self._count
-            for dim_name in self.fact.dimension_names:
+            for dim_name, column in keys.items():
                 encode = self._dictionaries[dim_name].encode
-                self._codes[dim_name].extend(
-                    encode(coordinates[dim_name]) for coordinates, _ in prepared
-                )
-            for measure_name, column in self._measures.items():
-                column.extend(
-                    float(measures[measure_name]) for _, measures in prepared
-                )
-            self._count += len(prepared)
+                self._codes[dim_name].extend(map(encode, column))
+            for measure_name, column in values.items():
+                self._measures[measure_name].extend(column)
+            self._count += count
             for dim_name, postings in self._postings.items():
-                for offset, (coordinates, _) in enumerate(prepared):
-                    postings.setdefault(coordinates[dim_name], []).append(
-                        first_row + offset
-                    )
-        return list(range(first_row, first_row + len(prepared)))
+                for row_id, key in enumerate(keys[dim_name], first_row):
+                    postings.setdefault(key, []).append(row_id)
+        return list(range(first_row, first_row + count))
 
     def copy(self, fact: Fact) -> "FactTable":
         """This table's rows under ``fact`` (a copied schema's definition
@@ -361,7 +372,7 @@ class FactTable:
 
         Turns per-dimension fact filtering into posting-list unions and
         intersections instead of full-column scans.  Built on first use;
-        :meth:`insert_many` appends to a built map, so callers may hold
+        :meth:`insert_columns` appends to a built map, so callers may hold
         on to the returned mapping only within one request.
         """
         with self._lock:

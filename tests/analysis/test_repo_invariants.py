@@ -176,3 +176,76 @@ def test_every_export_of_the_package_resolves():
             if not hasattr(module, entry)
         )
     assert dangling == []
+
+
+#: ``FactTable``'s stored columns and row count; only its one append,
+#: its constructor and its copy may write them.
+FACT_STATE = {"_codes", "_measures", "_count"}
+FACT_WRITERS = {
+    ("FactTable", "insert_columns"),
+    ("FactTable", "__init__"),
+    ("FactTable", "copy"),
+}
+_GROWERS = {"append", "extend", "insert", "frombytes", "fromlist", "pop"}
+
+
+def _names_fact_state(node: ast.AST) -> bool:
+    return any(
+        isinstance(sub, ast.Attribute) and sub.attr in FACT_STATE
+        for sub in ast.walk(node)
+    )
+
+
+def _writes_fact_state(node: ast.AST) -> bool:
+    """An assignment, augmented assignment or ``del`` whose target names
+    a fact column or the row count, or a growing call on one."""
+    if isinstance(node, ast.Assign):
+        return any(_names_fact_state(target) for target in node.targets)
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return _names_fact_state(node.target)
+    if isinstance(node, ast.Delete):
+        return any(_names_fact_state(target) for target in node.targets)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _GROWERS
+        and _names_fact_state(node.func.value)
+    )
+
+
+def test_the_fact_table_has_one_append():
+    """In ``storage/tables.py`` only ``FactTable.insert_columns``,
+    ``__init__`` and ``copy`` assign to or extend the fact columns or
+    the row count, so no second write path can come back unseen."""
+    path = REPO_ROOT / "src" / "repro" / "storage" / "tables.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    writers = set()
+    for owner in ast.walk(tree):
+        if not isinstance(owner, (ast.Module, ast.ClassDef)):
+            continue
+        scope = owner.name if isinstance(owner, ast.ClassDef) else "<module>"
+        for function in owner.body:
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_writes_fact_state(n) for n in ast.walk(function)):
+                    writers.add((scope, function.name))
+    assert writers == FACT_WRITERS
+
+
+def test_the_world_loads_through_the_columnar_append():
+    """``load_world`` appends the sales with ``insert_columns`` and never
+    row by row through ``insert_facts`` or ``insert_fact``."""
+    path = REPO_ROOT / "src" / "repro" / "data" / "loader.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (load_world,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "load_world"
+    ]
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(load_world)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Attribute, ast.Name))
+    }
+    assert "insert_columns" in called
+    assert called.isdisjoint({"insert_facts", "insert_fact"})

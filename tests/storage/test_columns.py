@@ -1,8 +1,8 @@
 """Tests for the dictionary-encoded columnar storage layer.
 
-Covers the interned key dictionary, the batch insert path, the
-vectorized row scan, the roll-up translation tables and the columnar
-envelope index.
+Covers the interned key dictionary, the columnar append and its row
+adapter, the vectorized row scan, the roll-up translation tables and
+the columnar envelope index.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.geometry.gtypes import Envelope
 from repro.mdm.model import Dimension, Fact, Hierarchy, Level, Measure
 from repro.storage import FactTable, StarSchema
 from repro.storage.columns import Dictionary
+from repro.storage.snapshot import star_to_dict
 from repro.mdm import MDSchema
 from repro.uml.core import INTEGER, REAL
 
@@ -57,48 +58,53 @@ def _sales_fact():
     )
 
 
-def _rows(n):
-    return [
-        (
-            {"Store": f"S{i % 3}", "Product": f"P{i % 2}"},
-            {"units": i, "amount": float(i) * 1.5},
-        )
-        for i in range(n)
-    ]
+def _columns(n):
+    """``n`` rows of the sales fact as the ``(keys, measures)`` columns
+    of one batch: row ``i`` is store ``S{i % 3}``, product ``P{i % 2}``."""
+    return (
+        {
+            "Store": [f"S{i % 3}" for i in range(n)],
+            "Product": [f"P{i % 2}" for i in range(n)],
+        },
+        {"units": list(range(n)), "amount": [float(i) * 1.5 for i in range(n)]},
+    )
 
 
 class TestInsertMany:
+    """A batch appended through ``FactTable.insert_columns``."""
+
     def test_returns_row_ids_in_input_order(self):
         table = FactTable(_sales_fact())
-        assert table.insert_many(_rows(5)) == [0, 1, 2, 3, 4]
+        assert table.insert_columns(*_columns(5)) == [0, 1, 2, 3, 4]
         assert len(table) == 5
         assert table.row(3)["Store"] == "S0"
         assert table.row(3)["amount"] == 4.5
 
     def test_empty_batch_is_a_no_op(self):
         table = FactTable(_sales_fact())
-        assert table.insert_many([]) == []
+        assert table.insert_columns(*_columns(0)) == []
         assert len(table) == 0
 
     def test_validation_is_all_or_nothing(self):
         table = FactTable(_sales_fact())
-        bad = _rows(3)
-        bad[2] = ({"Store": "S1"}, {"units": 1, "amount": 1.0})
+        keys, measures = _columns(3)
+        measures["units"][2] = "two"
         with pytest.raises(StorageError):
-            table.insert_many(bad)
-        assert len(table) == 0  # nothing appended before the bad row
+            table.insert_columns(keys, measures)
+        assert len(table) == 0  # nothing appended before the bad value
+        assert table.dictionary("Store").keys() == []
 
     def test_maintains_built_postings(self):
         table = FactTable(_sales_fact())
-        table.insert_many(_rows(2))
+        table.insert_columns(*_columns(2))
         postings = table.key_postings("Store")
-        table.insert_many(_rows(4))
+        table.insert_columns(*_columns(4))
         assert postings["S0"] == [0, 2, 5]
         assert table.key_postings("Store") is postings
 
     def test_compat_views_decode(self):
         table = FactTable(_sales_fact())
-        table.insert_many(_rows(4))
+        table.insert_columns(*_columns(4))
         assert table.key_column("Product") == ["P0", "P1", "P0", "P1"]
         assert table.measure_column("units") == [0.0, 1.0, 2.0, 3.0]
         assert list(table.key_codes("Store"))[:3] == [0, 1, 2]
@@ -117,7 +123,7 @@ class TestInsertMany:
 class TestRowsMatching:
     def _loaded(self, n=20):
         table = FactTable(_sales_fact())
-        table.insert_many(_rows(n))
+        table.insert_columns(*_columns(n))
         return table
 
     def _reference(self, table, relevant, row_ids=None):
@@ -218,11 +224,140 @@ class TestStarInsertFacts:
                 [({"Store": "S99", "Product": "P0"}, {"amount": 1.0})],
             )
 
+    @pytest.mark.parametrize(
+        "coordinates, measures",
+        [
+            ({"Store": "S0"}, {"amount": 1.0}),
+            ({"Store": "S0", "Product": "P0", "Customer": "C"}, {"amount": 1.0}),
+            ({"Store": "S0", "Product": "P0"}, {}),
+            ({"Store": "S0", "Product": "P0"}, {"amount": 1.0, "units": 2}),
+        ],
+        ids=["missing key", "extra key", "missing measure", "extra measure"],
+    )
+    def test_a_row_that_misnames_the_fact_changes_nothing(
+        self, coordinates, measures
+    ):
+        star = _star(rows=2)
+        before = _state(star)
+        good = ({"Store": "S1", "Product": "P1"}, {"amount": 2.0})
+        with pytest.raises(StorageError, match="expects"):
+            star.insert_facts("Sales", [good, (coordinates, measures)])
+        assert _state(star) == before
+
     def test_insert_fact_still_single_row(self):
         star = _star(rows=0)
         assert star.insert_fact(
             "Sales", {"Store": "S0", "Product": "P0"}, {"amount": 1.0}
         ) == 0
+
+
+def _state(star):
+    """Everything a refused append must leave as it was: the rendered
+    star (dictionaries, code and measure columns, members), a deep copy
+    of every posting list, the generation and the mutation log."""
+    table = star.fact_table("Sales")
+    return (
+        star_to_dict(star),
+        {
+            dim: {key: list(ids) for key, ids in table.key_postings(dim).items()}
+            for dim in table.fact.dimension_names
+        },
+        star.generation,
+        star.mutation_log.stats(),
+    )
+
+
+#: Batches ``StarSchema.insert_columns`` refuses, each with one fault.
+MALFORMED = {
+    "unknown leaf key": (
+        {"Store": ["S0", "S99"], "Product": ["P0", "P1"]},
+        {"amount": [1.0, 2.0]},
+    ),
+    "missing dimension": ({"Store": ["S0", "S1"]}, {"amount": [1.0, 2.0]}),
+    "extra dimension": (
+        {"Store": ["S0", "S1"], "Product": ["P0", "P1"], "Customer": ["C", "C"]},
+        {"amount": [1.0, 2.0]},
+    ),
+    "missing measure": ({"Store": ["S0", "S1"], "Product": ["P0", "P1"]}, {}),
+    "extra measure": (
+        {"Store": ["S0", "S1"], "Product": ["P0", "P1"]},
+        {"amount": [1.0, 2.0], "units": [1, 2]},
+    ),
+    "unequal lengths": (
+        {"Store": ["S0", "S1"], "Product": ["P0"]},
+        {"amount": [1.0, 2.0]},
+    ),
+    "bool measure": (
+        {"Store": ["S0", "S1"], "Product": ["P0", "P1"]},
+        {"amount": [1.0, True]},
+    ),
+    "str measure": (
+        {"Store": ["S0", "S1"], "Product": ["P0", "P1"]},
+        {"amount": ["1.0", 2.0]},
+    ),
+}
+
+
+class TestColumnarAppend:
+    def test_the_row_adapter_appends_what_the_columns_append(self):
+        # Two rows loaded, so the batch interns S2, S3 and P2 anew.
+        star = _star(rows=2)
+        by_rows, by_columns = star.copy(), star.copy()
+        stores = ["S3", "S1", "S2", "S3", "S0"]
+        products = ["P2", "P0", "P2", "P1", "P0"]
+        amounts = [4, 0.25, 7.5, 1, 2.125]
+        before = star.generation
+        row_ids = by_rows.insert_facts(
+            "Sales",
+            [
+                ({"Store": s, "Product": p}, {"amount": a})
+                for s, p, a in zip(stores, products, amounts)
+            ],
+        )
+        assert by_columns.insert_columns(
+            "Sales", {"Store": stores, "Product": products}, {"amount": amounts}
+        ) == row_ids == [2, 3, 4, 5, 6]
+        assert star_to_dict(by_rows) == star_to_dict(by_columns)
+        assert by_rows.generation == by_columns.generation == before + 1
+        for copy in (by_rows, by_columns):
+            logged = copy.mutation_log.between(before, copy.generation)
+            assert [(m.kind, m.row_ids) for m in logged] == [
+                ("fact", tuple(row_ids))
+            ]
+        table = by_columns.fact_table("Sales")
+        assert table.dictionary("Store").keys() == ["S0", "S1", "S3", "S2"]
+        assert table.measure_column("amount")[2:] == [4.0, 0.25, 7.5, 1.0, 2.125]
+
+    def test_a_built_posting_list_is_extended(self):
+        star = _star(rows=4)
+        table = star.fact_table("Sales")
+        postings = table.key_postings("Store")
+        star.insert_columns(
+            "Sales",
+            {"Store": ["S1", "S3", "S1"], "Product": ["P0", "P1", "P2"]},
+            {"amount": [1.0, 2.0, 3.0]},
+        )
+        assert table.key_postings("Store") is postings
+        assert postings["S1"] == [1, 4, 6]
+        assert postings["S3"] == [3, 5]
+        assert postings == star.copy().fact_table("Sales").key_postings("Store")
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED))
+    def test_a_malformed_batch_changes_nothing(self, fault):
+        star = _star(rows=4)
+        before = _state(star)
+        keys, measures = MALFORMED[fault]
+        with pytest.raises(StorageError):
+            star.insert_columns("Sales", keys, measures)
+        assert _state(star) == before
+
+    def test_an_empty_batch_appends_nothing_and_logs_nothing(self):
+        star = _star(rows=3)
+        before = _state(star)
+        assert star.insert_columns(
+            "Sales", {"Store": [], "Product": []}, {"amount": []}
+        ) == []
+        assert _state(star) == before
 
 
 class TestRollupTranslation:

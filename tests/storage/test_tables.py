@@ -107,10 +107,10 @@ class TestFactTable:
 
     def test_insert_and_row(self):
         table = FactTable(self._fact())
-        row_id = table.insert(
-            {"Store": "S1", "Product": "P1"}, {"units": 2, "amount": 10.5}
+        row_ids = table.insert_columns(
+            {"Store": ["S1"], "Product": ["P1"]}, {"units": [2], "amount": [10.5]}
         )
-        assert row_id == 0
+        assert row_ids == [0]
         assert len(table) == 1
         assert table.row(0) == {
             "Store": "S1",
@@ -122,27 +122,27 @@ class TestFactTable:
     def test_missing_coordinate_rejected(self):
         table = FactTable(self._fact())
         with pytest.raises(StorageError):
-            table.insert({"Store": "S1"}, {"units": 1, "amount": 1.0})
+            table.insert_columns({"Store": ["S1"]}, {"units": [1], "amount": [1.0]})
 
     def test_missing_measure_rejected(self):
         table = FactTable(self._fact())
         with pytest.raises(StorageError):
-            table.insert({"Store": "S1", "Product": "P1"}, {"units": 1})
+            table.insert_columns({"Store": ["S1"], "Product": ["P1"]}, {"units": [1]})
 
     def test_non_numeric_measure_rejected(self):
         table = FactTable(self._fact())
         with pytest.raises(StorageError):
-            table.insert(
-                {"Store": "S1", "Product": "P1"},
-                {"units": "two", "amount": 1.0},
+            table.insert_columns(
+                {"Store": ["S1"], "Product": ["P1"]},
+                {"units": ["two"], "amount": [1.0]},
             )
 
     def test_bool_measure_rejected(self):
         table = FactTable(self._fact())
         with pytest.raises(StorageError):
-            table.insert(
-                {"Store": "S1", "Product": "P1"},
-                {"units": True, "amount": 1.0},
+            table.insert_columns(
+                {"Store": ["S1"], "Product": ["P1"]},
+                {"units": [True], "amount": [1.0]},
             )
 
     def test_row_out_of_range(self):
@@ -152,7 +152,9 @@ class TestFactTable:
 
     def test_column_access(self):
         table = FactTable(self._fact())
-        table.insert({"Store": "S1", "Product": "P1"}, {"units": 1, "amount": 2.0})
+        table.insert_columns(
+            {"Store": ["S1"], "Product": ["P1"]}, {"units": [1], "amount": [2.0]}
+        )
         assert table.key_column("Store") == ["S1"]
         assert table.measure_column("amount") == [2.0]
         with pytest.raises(StorageError):

@@ -39,6 +39,28 @@ class TestRules:
         assert main(["rules", str(bad)]) == 1
         assert "syntax error" in capsys.readouterr().err
 
+    def test_a_missing_rule_file_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "absent.prml"
+        assert main(["rules", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: cannot read {missing}: No such file or directory"
+        ]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_a_rule_file_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        undecodable = tmp_path / "bom.prml"
+        undecodable.write_bytes(b"\xff\xfe")
+        assert main(["rules", str(undecodable)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot read {undecodable}: ")
+        assert "can't decode byte 0xff" in lines[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_a_deeply_nested_rule_is_a_syntax_error(self, tmp_path, capsys):
         rule = tmp_path / "deep.prml"
         condition = "(" * 200 + "1" + ")" * 200
